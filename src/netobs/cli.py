@@ -21,11 +21,10 @@ from .network_model import (NetworkFormatError, UnobservableSystemError,
                             canonicalize, load_network,
                             perturbation_from_dict, perturbation_to_dict,
                             verify_unobservability)
-from .radius_core import build_reduced
-from .solver import (SolverConfig, _delta_bar_signed, a_tilde,
-                     generalized_spectrum, heuristic_iterate,
+from .radius_core import (_delta_bar, a_tilde, assemble_pencil, build_reduced,
+                          build_weightings)
+from .solver import (SolverConfig, generalized_spectrum, heuristic_iterate,
                      solve_fixed_lambda, solve_radius)
-from .radius_core import assemble_pencil, build_weightings
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -329,7 +328,7 @@ def _solve_checks(seed, inject_sign_flip=False, count=6):
         sign = +1.0 if res.reconstruction.sign == "plus" else -1.0
         if inject_sign_flip:
             sign = -sign
-        db = _delta_bar_signed(rp, t, sign)
+        db = _delta_bar(rp, t, sign)
         cost_sq = float(np.sum(db * db))
         identity = t.sigma * float(t.x @ (a_tilde(rp).T @ t.y))
         worst_identity = max(worst_identity,

@@ -292,6 +292,8 @@ def network_from_dict(doc):
         i, j, w = int(entry[0]), int(entry[1]), float(entry[2])
         if not (1 <= i <= n and 1 <= j <= n):
             raise NetworkFormatError(f"edge ({i},{j}) out of range for n={n}")
+        if not np.isfinite(w):
+            raise NetworkFormatError(f"edge ({i},{j}) has non-finite weight {w}")
         if (i, j) in seen:
             raise NetworkFormatError(f"duplicate edge ({i},{j})")
         seen.add((i, j))

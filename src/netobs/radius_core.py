@@ -64,8 +64,63 @@ def a_tilde(rp: ReducedProblem):
     Maps stacked (x_re, x_im) to the residuals of the two real eigen-equations
     when Delta = 0; its kernel would be an unobservable eigenvector of A itself.
     """
+    n, m = rp.n, rp.m
     an = rp.a_bar - rp.n_bar
-    return np.block([[an, rp.m_bar], [-rp.m_bar, an]])
+    at = np.empty((2 * n, 2 * m))
+    at[:n, :m] = an
+    at[:n, m:] = rp.m_bar
+    at[n:, :m] = -rp.m_bar
+    at[n:, m:] = an
+    return at
+
+
+def _diagonal_positions(k, size, offset, blocks):
+    """Flat positions in a size x size array of the diagonals of k x k blocks
+    placed at (offset, offset).
+
+    blocks=1 gives one diagonal; blocks=2 gives the four diagonals of a 2 x 2
+    array of diagonal blocks, in the order (0,0), (0,1), (1,0), (1,1).
+    """
+    i = offset + np.arange(k)
+    if blocks == 1:
+        rows, cols = i, i
+    else:
+        rows = np.concatenate([i, i, i + k, i + k])
+        cols = np.concatenate([i, i + k, i, i + k])
+    return rows * size + cols
+
+
+def _filled(size, positions, values):
+    """A zero size x size array with values written at the flat positions.
+
+    Off the filled diagonals the entries are +0.0, as in a dense block
+    assembly from np.diag blocks, so the result is the same bit for bit.
+    """
+    out = np.zeros((size, size))
+    out.flat[positions] = values
+    return out
+
+
+def _weighting_diagonals(v, x, y):
+    """Diagonals of D_y, then of D_x: (s_y, t_y, t_y, q_y, s_x, t_x, t_x, q_x).
+
+    For the half-size pencil of a real lambda x and y have no imaginary
+    halves, and only (s_y, s_x) remain.
+    """
+    n, m = v.shape
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xr, y1 = x[:m], y[:n]
+    sx = v @ (xr * xr)
+    sy = v.T @ (y1 * y1)
+    if len(x) == m:
+        return np.concatenate([sy, sx])
+    xi, y2 = x[m:], y[n:]
+    tx = v @ (xr * xi)
+    qx = v @ (xi * xi)
+    ty = v.T @ (y1 * y2)
+    qy = v.T @ (y2 * y2)
+    return np.concatenate([sy, ty, ty, qy, sx, tx, tx, qx])
 
 
 def build_weightings(rp: ReducedProblem, x, y):
@@ -75,20 +130,10 @@ def build_weightings(rp: ReducedProblem, x, y):
     part; S_y/T_y/Q_y sum over rows with y1, y2. D_x is 2n x 2n and weights y;
     D_y is 2(n-p) x 2(n-p) and weights x.
     """
-    v = rp.v_bar
-    n, m = v.shape
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xr, xi = x[:m], x[m:]
-    y1, y2 = y[:n], y[n:]
-    sx = v @ (xr * xr)
-    tx = v @ (xr * xi)
-    qx = v @ (xi * xi)
-    sy = v.T @ (y1 * y1)
-    ty = v.T @ (y1 * y2)
-    qy = v.T @ (y2 * y2)
-    d_x = np.block([[np.diag(sx), np.diag(tx)], [np.diag(tx), np.diag(qx)]])
-    d_y = np.block([[np.diag(sy), np.diag(ty)], [np.diag(ty), np.diag(qy)]])
+    n, m = rp.v_bar.shape
+    diagonals = _weighting_diagonals(rp.v_bar, x, y)
+    d_x = _filled(2 * n, _diagonal_positions(n, 2 * n, 0, 2), diagonals[4 * m:])
+    d_y = _filled(2 * m, _diagonal_positions(m, 2 * m, 0, 2), diagonals[:4 * m])
     return d_x, d_y
 
 
@@ -110,13 +155,41 @@ class PencilPair:
         return self.h.shape[0]
 
 
+class PencilAssembly:
+    """The pencil (H, D) of one reduced problem, for many points (x, y).
+
+    H = [[0, At'], [At, 0]] depends only on lambda and is assembled once; each
+    call of pencil() fills only the diagonals of D = blkdiag(D_y, D_x) into a
+    zeroed array. With real=True this is the half-size pencil of a real
+    candidate eigenvalue: At = A_bar - lam I_bar, and only the S weightings
+    survive, one diagonal each. H is shared by every pencil built here and is
+    read-only.
+    """
+
+    def __init__(self, rp: ReducedProblem, real=False):
+        if real and not rp.is_real:
+            raise ValueError("real pencil requires a real lambda")
+        self.v = rp.v_bar
+        at = rp.a_bar - rp.n_bar if real else a_tilde(rp)
+        k, l = at.shape
+        size = l + k
+        h = np.zeros((size, size))
+        h[:l, l:] = at.T
+        h[l:, :l] = at
+        h.setflags(write=False)
+        self.a_tilde, self.h, self.nx, self.size = at, h, l, size
+        blocks = 1 if real else 2
+        self._positions = np.concatenate([
+            _diagonal_positions(rp.m, size, 0, blocks),
+            _diagonal_positions(rp.n, size, l, blocks)])
+
+    def pencil(self, x, y) -> PencilPair:
+        d = _filled(self.size, self._positions, _weighting_diagonals(self.v, x, y))
+        return PencilPair(h=self.h, d=d, a_tilde=self.a_tilde, nx=self.nx)
+
+
 def assemble_pencil(rp: ReducedProblem, x, y) -> PencilPair:
-    at = a_tilde(rp)
-    d_x, d_y = build_weightings(rp, x, y)
-    k, l = at.shape
-    h = np.block([[np.zeros((l, l)), at.T], [at, np.zeros((k, k))]])
-    d = np.block([[d_y, np.zeros((l, k))], [np.zeros((k, l)), d_x]])
-    return PencilPair(h=h, d=d, a_tilde=at, nx=l)
+    return PencilAssembly(rp).pencil(x, y)
 
 
 def assemble_real_pencil(rp: ReducedProblem, x_re, y1) -> PencilPair:
@@ -125,18 +198,7 @@ def assemble_real_pencil(rp: ReducedProblem, x_re, y1) -> PencilPair:
     With lam_im = 0 the imaginary components decouple and can be taken zero;
     only the S weightings survive. Sizes drop from 4n-2p to 2n-p.
     """
-    if not rp.is_real:
-        raise ValueError("real pencil requires a real lambda")
-    v = rp.v_bar
-    at = rp.a_bar - rp.n_bar
-    x_re = np.asarray(x_re, dtype=float)
-    y1 = np.asarray(y1, dtype=float)
-    sx = v @ (x_re * x_re)
-    sy = v.T @ (y1 * y1)
-    k, l = at.shape
-    h = np.block([[np.zeros((l, l)), at.T], [at, np.zeros((k, k))]])
-    d = np.block([[np.diag(sy), np.zeros((l, k))], [np.zeros((k, l)), np.diag(sx)]])
-    return PencilPair(h=h, d=d, a_tilde=at, nx=l)
+    return PencilAssembly(rp, real=True).pencil(x_re, y1)
 
 
 @dataclass(frozen=True)
@@ -254,6 +316,13 @@ def _delta_bar(rp, t, sign):
     return -t.sigma * (np.outer(y1, xr) + sign * np.outer(y2, xi)) * rp.v_bar
 
 
+def _with_sensor_columns(rp, delta_bar):
+    """Delta in canonical coordinates: zero sensor columns, then Delta_bar."""
+    out = np.zeros((rp.n, rp.n))
+    out[:, rp.p:] = delta_bar
+    return out
+
+
 def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
                              cf: CanonicalForm, residual_tol=1e-8) -> Reconstruction:
     """Rebuild the minimum-norm perturbation from a stationary triple.
@@ -274,10 +343,8 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
         raise SpuriousTripleError("zero eigenvector")
     xc = xc / nxc
     ac = cf.a_canonical
-    db_p = _delta_bar(rp, t, +1.0)
-    db_m = _delta_bar(rp, t, -1.0)
-    dc_p = np.hstack([np.zeros((n, p)), db_p])
-    dc_m = np.hstack([np.zeros((n, p)), db_m])
+    dc_p = _with_sensor_columns(rp, _delta_bar(rp, t, +1.0))
+    dc_m = _with_sensor_columns(rp, _delta_bar(rp, t, -1.0))
     r_p = float(np.linalg.norm((ac + dc_p) @ xc - rp.lam * xc))
     r_m = float(np.linalg.norm((ac + dc_m) @ xc - rp.lam * xc))
     if r_p <= r_m:

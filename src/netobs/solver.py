@@ -12,19 +12,20 @@ which kills both the scale gauge and the spurious x = 0 solution branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
 
-from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
-                            verify_unobservability)
-from .radius_core import (CandidateTriple, PencilPair, Reconstruction,
-                          ReducedProblem, SpuriousTripleError, a_tilde,
-                          assemble_pencil, assemble_real_pencil, balanced_embed,
+from .network_model import (CanonicalForm, ConstraintMask, NetworkSystem,
+                            canonicalize, verify_unobservability)
+from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
+                          Reconstruction, ReducedProblem, SpuriousTripleError,
+                          _delta_bar, _with_sensor_columns, a_tilde,
                           build_reduced, embed_real_triple, normalize_triple,
-                          orthogonality_diagnostic, reconstruct_perturbation,
-                          system_residual)
+                          orthogonality_diagnostic, pencil_residual,
+                          reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class SolverConfig:
     conv_tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
-    spectrum_refresh: int = 1     # recompute spec(H, D) every k sweep steps
     sweep_iters: int = 20         # inverse-iteration steps before the polish
     polish_max_iter: int = 60
     polish_tol: float = 1e-12
@@ -51,8 +51,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.spectrum_refresh < 1:
-            raise ValueError("spectrum_refresh must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -61,15 +59,49 @@ class SpectrumResult:
     regular: bool
 
 
-def generalized_spectrum(pp: PencilPair, zero_tol=1e-8) -> SpectrumResult:
+# LAPACK ?ggev handle and its workspace size, per (dtype of H, dtype of D,
+# order). An entry depends on nothing but its key, so every caller can share it.
+_GGEV = {}
+
+
+def _qz(h, d):
+    """Homogeneous eigenvalues (alpha, beta) of the pencil (h, d) by QZ.
+
+    LAPACK ?ggev gets the arguments scipy.linalg.eigvals(h, d,
+    homogeneous_eigvals=True) gives it: no eigenvectors, inputs not
+    overwritten, the workspace size from ?ggev's own query. The values come
+    back in the same form (complex alpha and beta), bit for bit. Only the
+    wrapper work is saved: the handle and the workspace size are looked up
+    once per dtype and order, and the input is not validated again.
+    """
+    key = (h.dtype.char, d.dtype.char, h.shape[0])
+    entry = _GGEV.get(key)
+    if entry is None:
+        ggev, = sla.get_lapack_funcs(("ggev",), (h, d))
+        lwork = ggev(h, d, lwork=-1)[-2][0].real.astype(np.int_)
+        entry = _GGEV[key] = (ggev, lwork)
+    ggev, lwork = entry
+    out = ggev(h, d, 0, 0, lwork, 0, 0)
+    if out[-1] != 0:
+        raise np.linalg.LinAlgError(f"QZ failed in ?ggev (info {out[-1]})")
+    if ggev.typecode in "cz":
+        alpha, beta = out[0], out[1]
+    else:
+        alpha, beta = out[0] + 1j * out[1], out[2]
+    return alpha, beta.astype(complex)
+
+
+def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     """Finite part of spec(H, D) via QZ, with a regularity probe.
 
+    QZ is LAPACK ?ggev called through a cached handle (_qz), which returns
+    what scipy.linalg.eigvals(H, D, homogeneous_eigvals=True) would.
     Infinite eigenvalues (beta ~ 0 with alpha away from 0) come from Ker(D)
     and are dropped. If any alpha/beta pair is indeterminate (both ~ 0) the
     pencil may be singular; det(H - tD) is probed at a few fixed points and
     the pencil is flagged non-regular when all probes vanish.
     """
-    alpha, beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
+    alpha, beta = _qz(pp.h, pp.d)
     scale = max(1.0, float(np.abs(alpha).max()))
     # a second-order block at infinity splits under rounding into a huge
     # conjugate pair with |beta| ~ sqrt(eps); anything past eps^-0.4 of the
@@ -96,6 +128,17 @@ def _min_positive(values, zero_tol):
     if not ok.any():
         return None
     return float(re[ok].min())
+
+
+def _cond_exceeds(mmat, limit):
+    """Whether np.linalg.cond(mmat) > limit, from the singular values alone.
+
+    The 2-norm condition number is s_max / s_min; a zero s_min makes it
+    infinite, as np.linalg.cond reports it.
+    """
+    s = np.linalg.svd(mmat, compute_uv=False)
+    s_min = float(s[-1])
+    return s_min == 0.0 or float(s[0]) / s_min > limit
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +257,67 @@ def _real_fj(at, v_bar):
     return f_of, j_of
 
 
+def _triple_of(u, nx, real):
+    """Unit triple of a polish variable u = (x, y, sigma)."""
+    if real:
+        return embed_real_triple(u[-1], u[:nx], u[nx:-1])
+    return normalize_triple(u[-1], u[:nx], u[nx:-1])
+
+
+@dataclass(frozen=True, eq=False)
+class IterateTrace:
+    """The iterates of one fixed-lambda solve, kept raw.
+
+    sweep holds the sweep passes and polish the winning Gauss-Newton
+    sequence, each as a polish variable u = (x, y, sigma). Their distances
+    to the final perturbation are built on first access (distances), so a
+    restart whose result is dropped never pays for them.
+    """
+
+    rp: ReducedProblem
+    cf: CanonicalForm
+    real: bool
+    sign: float           # coupling sign of the final reconstruction
+    final: CandidateTriple
+    sweep: tuple
+    polish: tuple
+    keep_deltas: bool
+
+    @cached_property
+    def distances(self):
+        """(history, polish_start, delta_trace)."""
+        return _distance_history(self)
+
+
+def _distance_history(tr: IterateTrace):
+    """||Delta_i - Delta_final||_F for every iterate that maps to a triple,
+    the index where the polish iterates begin, and the Delta_i in original
+    coordinates (None unless kept). Every Delta_i is rebuilt with the final
+    reconstruction's coupling sign."""
+    rp = tr.rp
+    nx = rp.m if tr.real else 2 * rp.m
+    d_final = _delta_bar(rp, tr.final, tr.sign)
+
+    def snapshots(us):
+        hist = []
+        deltas = [] if tr.keep_deltas else None
+        for u in us:
+            try:
+                ti = _triple_of(u, nx, tr.real)
+            except ValueError:
+                continue
+            di = _delta_bar(rp, ti, tr.sign)
+            hist.append(float(np.linalg.norm(di - d_final)))
+            if deltas is not None:
+                deltas.append(tr.cf.to_original(_with_sensor_columns(rp, di)))
+        return hist, deltas
+
+    h_sweep, d_sweep = snapshots(tr.sweep)
+    h_gn, d_gn = snapshots(tr.polish)
+    deltas = None if d_sweep is None else tuple(d_sweep + d_gn)
+    return tuple(h_sweep + h_gn), len(h_sweep), deltas
+
+
 @dataclass(frozen=True)
 class FixedLambdaResult:
     lam: complex
@@ -224,11 +328,24 @@ class FixedLambdaResult:
     residual: float = np.inf       # ||H z - sigma_bar D z|| at the final triple
     sigma: float | None = None
     phi_plus_mu: float | None = None
-    history: tuple = ()            # per-iteration ||Delta_i - Delta_final||_F
-    polish_start: int = 0          # index in history where the polish phase begins
-    delta_trace: tuple | None = None
     verification: object = None
     failure: str | None = None
+    iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def history(self):
+        """Per-iteration ||Delta_i - Delta_final||_F."""
+        return () if self.iterates is None else self.iterates.distances[0]
+
+    @property
+    def polish_start(self):
+        """Index in history where the polish phase begins."""
+        return 0 if self.iterates is None else self.iterates.distances[1]
+
+    @property
+    def delta_trace(self):
+        """Delta_i in original coordinates, when the config keeps them."""
+        return None if self.iterates is None else self.iterates.distances[2]
 
     @property
     def perturbation(self):
@@ -250,48 +367,33 @@ def _rebalance(z, nx):
     return np.concatenate([zx / (np.sqrt(2.0) * nzx), zy / (np.sqrt(2.0) * nzy)])
 
 
-def _delta_bar_signed(rp, t, sign):
-    m, n = rp.m, rp.n
-    xr, xi = t.x[:m], t.x[m:]
-    y1, y2 = t.y[:n], t.y[n:]
-    return -t.sigma * (np.outer(y1, xr) + sign * np.outer(y2, xi)) * rp.v_bar
-
-
 def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
                       z0=None) -> FixedLambdaResult:
     """One solve of the fixed-lambda problem from one initial vector.
 
     Runs the shifted inverse-iteration sweep, then polishes the best sweep
     iterate (by stationarity residual) with Gauss-Newton, reconstructs the
-    perturbation, and reports the pencil residual and iteration trace.
-    Real lambda is routed through the half-size pencil unless the config
-    forces the full one.
+    perturbation, and reports the pencil residual. Real lambda is routed
+    through the half-size pencil unless the config forces the full one.
+
+    A sweep step does only the work that changes from step to step. H is
+    assembled once per call (PencilAssembly); each step fills D's diagonals
+    at the current iterate (one on the real route, four per block on the
+    complex one), takes the smallest positive eigenvalue of (H, D) from QZ,
+    shifts by mu = psi times that eigenvalue, backs psi off when the 2-norm
+    condition number of H - mu D (from its singular values) exceeds
+    cond_limit, and solves (H - mu D) w = D z.
+
+    The iterates are returned raw (iterates); history, polish_start and
+    delta_trace are built from them on first access.
     """
     use_real = rp.is_real and not cfg.force_full_pencil
-    n, m = rp.n, rp.m
-    at_full = a_tilde(rp)
+    ny = rp.n if use_real else 2 * rp.n
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
 
-    if use_real:
-        at = rp.a_bar - rp.n_bar
-        nx, ny = m, n
-        f_of, j_of = _real_fj(at, rp.v_bar)
-
-        def pencil_at(z):
-            return assemble_real_pencil(rp, z[:nx], z[nx:])
-
-        def triple_of(u):
-            return embed_real_triple(u[-1], u[:nx], u[nx:nx + ny])
-    else:
-        at = at_full
-        nx, ny = 2 * m, 2 * n
-        f_of, j_of = _full_fj(at, rp.v_bar)
-
-        def pencil_at(z):
-            return assemble_pencil(rp, z[:nx], z[nx:])
-
-        def triple_of(u):
-            return normalize_triple(u[-1], u[:nx], u[nx:nx + ny])
+    asm = PencilAssembly(rp, real=use_real)
+    nx = asm.nx
+    f_of, j_of = (_real_fj if use_real else _full_fj)(asm.a_tilde, rp.v_bar)
 
     if z0 is None:
         z = rng.standard_normal(nx + ny)
@@ -312,22 +414,20 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     best_seed = None
     best_merit = np.inf
     psi_cur = cfg.psi
-    mp = None
     phi_plus_mu = None
     sweep_budget = min(cfg.sweep_iters, cfg.max_iter)
     sweep_used = 0
     for it in range(sweep_budget):
-        pp = pencil_at(z)
-        if it % cfg.spectrum_refresh == 0:
-            spec = generalized_spectrum(pp, cfg.zero_tol)
-            if not spec.regular:
-                break
-            mp = _min_positive(spec.values, cfg.zero_tol)
+        pp = asm.pencil(z[:nx], z[nx:])
+        spec = generalized_spectrum(pp)
+        if not spec.regular:
+            break
+        mp = _min_positive(spec.values, cfg.zero_tol)
         if mp is None:
             break
         mu = psi_cur * mp
         mmat = pp.h - mu * pp.d
-        if np.linalg.cond(mmat) > cfg.cond_limit:
+        if _cond_exceeds(mmat, cfg.cond_limit):
             # shift sits on an eigenvalue; back psi off and retry next pass
             psi_cur = max(0.5 + 0.45 * (psi_cur - 0.5), 0.500001)
             mu = psi_cur * mp
@@ -358,7 +458,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
             best_seed = u
         z = zn
 
-    pp0 = pencil_at(z_init)
+    pp0 = asm.pencil(z_init[:nx], z_init[nx:])
     den0 = z_init @ (pp0.d @ z_init)
     sb0 = abs(z_init @ (pp0.h @ z_init) / den0) if den0 != 0 else 1.0
     init_seed = u_of(z_init, sb0)
@@ -399,7 +499,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
             failure = "stationary point with zero sigma"
             continue
         try:
-            t = triple_of(u)
+            t = _triple_of(u, nx, use_real)
             rec = reconstruct_perturbation(rp, t, cf)
         except (SpuriousTripleError, ValueError) as exc:
             failure = f"spurious stationary point: {exc}"
@@ -413,47 +513,19 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
                                  phi_plus_mu=phi_plus_mu, failure=failure)
 
     t, rec, u_fin, us_fin = final
-    res = _pencil_residual_full(rp, t)
+    res = pencil_residual(rp, t)
     converged = res <= cfg.conv_tol
-
-    # distance trace against the final perturbation, rebuilt with its sign;
     # iterates are the sweep passes followed by the winning polish sequence
-    sign = +1.0 if rec.sign == "plus" else -1.0
-    d_final = _delta_bar_signed(rp, t, sign)
-
-    def snapshots(us):
-        hist = []
-        deltas = [] if cfg.keep_delta_trace else None
-        for u in us:
-            try:
-                ti = triple_of(u)
-            except ValueError:
-                continue
-            di = _delta_bar_signed(rp, ti, sign)
-            hist.append(float(np.linalg.norm(di - d_final)))
-            if deltas is not None:
-                full = np.hstack([np.zeros((n, rp.p)), di])
-                deltas.append(cf.to_original(full))
-        return hist, deltas
-
-    h_sweep, d_sweep = snapshots(trace_u)
-    h_gn, d_gn = snapshots(us_fin + [u_fin])
-    history = h_sweep + h_gn
-    deltas = None if d_sweep is None else d_sweep + d_gn
+    iterates = IterateTrace(
+        rp=rp, cf=cf, real=use_real, sign=+1.0 if rec.sign == "plus" else -1.0,
+        final=t, sweep=tuple(trace_u), polish=tuple(us_fin) + (u_fin,),
+        keep_deltas=cfg.keep_delta_trace)
 
     return FixedLambdaResult(
         lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
         iterations=iterations, residual=res, sigma=t.sigma,
-        phi_plus_mu=phi_plus_mu, history=tuple(history),
-        polish_start=len(h_sweep),
-        delta_trace=None if deltas is None else tuple(deltas),
+        phi_plus_mu=phi_plus_mu, iterates=iterates,
         failure=None if converged else f"pencil residual {res:.3e} above tolerance")
-
-
-def _pencil_residual_full(rp, t):
-    z, sigma_bar = balanced_embed(t)
-    pp = assemble_pencil(rp, z[:2 * rp.m], z[2 * rp.m:])
-    return float(np.linalg.norm(pp.h @ z - sigma_bar * (pp.d @ z)))
 
 
 def _pbh_warm_start(cf, lam, use_real, rng):
@@ -489,29 +561,22 @@ def _pbh_warm_start(cf, lam, use_real, rng):
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
 
-def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
-                       cfg: SolverConfig = SolverConfig()) -> FixedLambdaResult:
-    """Best fixed-lambda result over cfg.restarts initializations.
+def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
+    """solve_fixed_lambda on a canonical form, without the verification.
 
-    Restart 0 is warm-started from the PBH singular vector at lam; the rest
-    draw random unit vectors from per-restart seeded streams. Winner is the
-    minimum-cost converged run, re-verified against the original system
-    before return. If nothing converges an explicit failure result comes
-    back rather than a silent wrong answer.
+    solve_radius solves its candidates through this and verifies only the
+    answer it returns.
     """
-    cf = canonicalize(net, mask)
     rp = build_reduced(cf, lam)
     use_real = rp.is_real and not cfg.force_full_pencil
+    size = (rp.m + rp.n) if use_real else (2 * rp.m + 2 * rp.n)
     best = None
     failures = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
-        if r == 0:
-            z0 = _pbh_warm_start(cf, lam, use_real, rng)
-            if z0 is None:
-                z0 = rng.standard_normal((rp.m + rp.n) if use_real else (2 * rp.m + 2 * rp.n))
-        else:
-            z0 = rng.standard_normal((rp.m + rp.n) if use_real else (2 * rp.m + 2 * rp.n))
+        z0 = _pbh_warm_start(cf, lam, use_real, rng) if r == 0 else None
+        if z0 is None:
+            z0 = rng.standard_normal(size)
         run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
         res = heuristic_iterate(rp, cf, run_cfg, z0=z0)
         if res.converged:
@@ -523,6 +588,22 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
         return FixedLambdaResult(lam=complex(lam), converged=False,
                                  failure="all restarts failed: " +
                                          "; ".join(sorted(set(f or "?" for f in failures))))
+    return best
+
+
+def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
+                       cfg: SolverConfig = SolverConfig()) -> FixedLambdaResult:
+    """Best fixed-lambda result over cfg.restarts initializations.
+
+    Restart 0 is warm-started from the PBH singular vector at lam; the rest
+    draw random unit vectors from per-restart seeded streams. Winner is the
+    minimum-cost converged run, re-verified against the original system
+    before return. If nothing converges an explicit failure result comes
+    back rather than a silent wrong answer.
+    """
+    best = _best_of_restarts(canonicalize(net, mask), lam, cfg)
+    if not best.converged:
+        return best
     report = verify_unobservability(net, best.perturbation, lam)
     return replace(best, verification=report)
 
@@ -621,8 +702,7 @@ def _continue_triple(rp, cf, t_prev, cfg):
     use_real = rp.is_real and not cfg.force_full_pencil
     m, n = rp.m, rp.n
     if use_real:
-        at = rp.a_bar - rp.n_bar
-        f_of, j_of = _real_fj(at, rp.v_bar)
+        f_of, j_of = _real_fj(rp.a_bar - rp.n_bar, rp.v_bar)
         xr = t_prev.x[:m]
         y1 = t_prev.y[:n]
         nx_, ny_ = np.linalg.norm(xr), np.linalg.norm(y1)
@@ -630,31 +710,24 @@ def _continue_triple(rp, cf, t_prev, cfg):
             return None
         u0 = np.concatenate([xr / nx_, y1 / ny_, [t_prev.sigma * nx_ * ny_]])
         nx = m
-        ny = n
-
-        def triple_of(u):
-            return embed_real_triple(u[-1], u[:nx], u[nx:nx + ny])
     else:
         f_of, j_of = _full_fj(a_tilde(rp), rp.v_bar)
         u0 = np.concatenate([t_prev.x, t_prev.y, [t_prev.sigma]])
-        nx, ny = 2 * m, 2 * n
-
-        def triple_of(u):
-            return normalize_triple(u[-1], u[:nx], u[nx:nx + ny])
+        nx = 2 * m
 
     u, its, ok, _ = _gn_core(f_of, j_of, u0, cfg.polish_max_iter, cfg.polish_tol)
-    if not ok or np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:nx + ny]) < 1e-6:
+    if not ok or np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
         return None
     if u[-1] < 0:
-        u = np.concatenate([-u[:nx], u[nx:nx + ny], [-u[-1]]])
+        u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
     if abs(u[-1]) < 1e-14:
         return None
     try:
-        t = triple_of(u)
+        t = _triple_of(u, nx, use_real)
         rec = reconstruct_perturbation(rp, t, cf)
     except (SpuriousTripleError, ValueError):
         return None
-    res = _pencil_residual_full(rp, t)
+    res = pencil_residual(rp, t)
     if res > cfg.conv_tol:
         return None
     return FixedLambdaResult(lam=rp.lam, converged=True, triple=t,
@@ -687,11 +760,13 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     incumbent triple. The pass runs only when the exact lambda-gradient of
     ||Delta||^2 at the grid winner is nonzero on the scale of (A, lambda);
     at a winner that is already stationary in lambda no probe can improve
-    to first order, and refine_evals stays 0.
+    to first order, and refine_evals stays 0. Only the returned answer is
+    verified against the original system, not every candidate.
     """
     cands = candidate_lambdas(net, mask, grid)
     if not cands:
         raise ValueError("empty lambda grid")
+    cf = canonicalize(net, mask)
     bounds = [(lam, _pbh_lower_bound(net, lam)) for lam in cands]
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None
@@ -702,7 +777,7 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
         if best is not None and bound >= best.cost - 1e-12:
             pruned += 1
             continue
-        res = solve_fixed_lambda(net, mask, lam, cfg)
+        res = _best_of_restarts(cf, lam, cfg)
         trace.append((lam, res.cost))
         if not res.converged:
             continue
@@ -711,7 +786,6 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                 (lam.real, lam.imag) < (best_lam.real, best_lam.imag)):
             best, best_lam = res, lam
     refine_evals = 0
-    cf = canonicalize(net, mask)
     if best is not None and cfg.refine_steps > 0 and not _flat_in_lambda(cf, best, cfg):
         h = 0.05 * max(1.0, abs(best_lam))
         for _ in range(cfg.refine_steps):

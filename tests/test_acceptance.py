@@ -96,6 +96,7 @@ def test_c2_star_corridor(star_ens, capsys):
     assert wall < 10.0
 
 
+@pytest.mark.slow
 def test_c3_three_node_convergence(conv, capsys):
     res, wall = conv
     rate = res.convergence_rate
@@ -181,6 +182,7 @@ def test_c5_pencil_property_suite(capsys):
     assert worst["pair"] <= 1e-8
 
 
+@pytest.mark.slow
 def test_c6_cost_identities(conv, solver_ens, capsys):
     recs = [r.reconstruction for r in conv[0].results]
     for res in solver_ens[0].values():
@@ -197,6 +199,7 @@ def test_c6_cost_identities(conv, solver_ens, capsys):
     assert len(recs) >= 900
 
 
+@pytest.mark.slow
 def test_c7_oracle_dominance(solver_ens, capsys):
     ens, wall = solver_ens
     gaps = []

@@ -50,6 +50,18 @@ def test_malformed_json_exit_1(tmp_path, capsys):
     assert "bad network input" in err
 
 
+def test_non_finite_weight_exit_1(net3_file, tmp_path, capsys):
+    doc = json.loads(open(net3_file[0]).read())
+    doc["edges"][0][2] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))  # written as the JSON token NaN
+    assert "NaN" in bad.read_text()
+    code, out, err = run(["radius", str(bad)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("bad network input: ")
+
+
 def test_unobservable_input_exit_2(tmp_path, capsys):
     doc = {"n": 2, "edges": [[1, 1, 0.5]], "sensors": [1]}
     f = tmp_path / "u.json"

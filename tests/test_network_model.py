@@ -211,6 +211,14 @@ def test_network_from_dict_duplicate_edge():
         network_from_dict(doc)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_network_from_dict_rejects_non_finite_weight(bad):
+    doc = _doc3()
+    doc["edges"][1][2] = bad
+    with pytest.raises(NetworkFormatError, match="non-finite weight"):
+        network_from_dict(doc)
+
+
 def test_load_network_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

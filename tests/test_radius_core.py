@@ -9,6 +9,7 @@ from netobs import (CandidateTriple, SpuriousTripleError, a_tilde,
                     embed_real_triple, normalize_triple,
                     orthogonality_diagnostic, pencil_residual,
                     reconstruct_perturbation, system_residual)
+from netobs.radius_core import PencilAssembly
 from conftest import line_matrix, net_of
 
 
@@ -183,6 +184,72 @@ def test_real_pencil_requires_real_lambda():
     rp, _ = reduced3(1j)
     with pytest.raises(ValueError):
         assemble_real_pencil(rp, np.ones(rp.m), np.ones(rp.n))
+
+
+def block_pencil(rp, x, y, real):
+    """Dense reference assembly of (H, D) and A_tilde with np.block."""
+    v = rp.v_bar
+    if real:
+        at = rp.a_bar - rp.n_bar
+        d_x, d_y = np.diag(v @ (x * x)), np.diag(v.T @ (y * y))
+    else:
+        an = rp.a_bar - rp.n_bar
+        at = np.block([[an, rp.m_bar], [-rp.m_bar, an]])
+        m, n = rp.m, rp.n
+        xr, xi, y1, y2 = x[:m], x[m:], y[:n], y[n:]
+        sx, tx, qx = v @ (xr * xr), v @ (xr * xi), v @ (xi * xi)
+        sy, ty, qy = v.T @ (y1 * y1), v.T @ (y1 * y2), v.T @ (y2 * y2)
+        d_x = np.block([[np.diag(sx), np.diag(tx)], [np.diag(tx), np.diag(qx)]])
+        d_y = np.block([[np.diag(sy), np.diag(ty)], [np.diag(ty), np.diag(qy)]])
+    k, l = at.shape
+    h = np.block([[np.zeros((l, l)), at.T], [at, np.zeros((k, k))]])
+    d = np.block([[d_y, np.zeros((l, k))], [np.zeros((k, l)), d_x]])
+    return h, d, at, d_x, d_y
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_pencil_fill_matches_block_assembly():
+    # H once, D's diagonals filled per point: the same bits as a dense
+    # np.block assembly, signed zeros included, at every point of one
+    # assembly (nothing left over from the previous point)
+    rng = np.random.default_rng(31)
+    checked = 0
+    for trial in range(40):
+        n = int(rng.integers(2, 9))
+        a = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        np.fill_diagonal(a, rng.uniform(0.1, 1.0, size=n))
+        try:
+            net, mask = net_of(a)
+        except ValueError:
+            continue
+        cf = canonicalize(net, mask)
+        real = trial % 2 == 0
+        lam = complex(rng.uniform(-1, 1), 0.0 if real else rng.uniform(-1, 1))
+        rp = build_reduced(cf, lam)
+        asm = PencilAssembly(rp, real=real)
+        nx, ny = (rp.m, rp.n) if real else (2 * rp.m, 2 * rp.n)
+        for _ in range(3):
+            x, y = rng.standard_normal(nx), rng.standard_normal(ny)
+            h, d, at, d_x, d_y = block_pencil(rp, x, y, real)
+            pp = asm.pencil(x, y)
+            assert pp.nx == nx
+            for got, ref in ((pp.h, h), (pp.d, d), (pp.a_tilde, at)):
+                assert_bitwise(got, ref)
+            one = (assemble_real_pencil if real else assemble_pencil)(rp, x, y)
+            assert_bitwise(one.h, h)
+            assert_bitwise(one.d, d)
+            if not real:
+                assert_bitwise(a_tilde(rp), at)
+                got_x, got_y = build_weightings(rp, x, y)
+                assert_bitwise(got_x, d_x)
+                assert_bitwise(got_y, d_y)
+        checked += 1
+    assert checked >= 30
 
 
 # ---------------------------------------------------------------------------

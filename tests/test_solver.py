@@ -6,10 +6,12 @@ from dataclasses import replace
 from netobs import (SolverConfig, assemble_pencil, build_reduced,
                     candidate_lambdas, canonicalize, generalized_spectrum,
                     heuristic_iterate, line3_optimal, line_radius,
-                    orthogonality_diagnostic, solve_fixed_lambda,
-                    solve_radius, star_radius)
+                    normalize_triple, orthogonality_diagnostic,
+                    solve_fixed_lambda, solve_radius, star_radius)
+from netobs import solver
 from netobs.montecarlo import sample_network
-from netobs.solver import _continue_triple, _full_fj
+from netobs.radius_core import _delta_bar, assemble_real_pencil
+from netobs.solver import _continue_triple, _full_fj, _qz
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -76,6 +78,45 @@ def test_spectrum_is_deterministic():
     v1 = generalized_spectrum(pp).values
     v2 = generalized_spectrum(pp).values
     np.testing.assert_array_equal(v1, v2)
+
+
+def reference_spectrum(pp):
+    """generalized_spectrum's filter and ordering on top of scipy's eigvals."""
+    alpha, beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 5e-7 * (1.0 + np.abs(alpha))
+    values = alpha[finite] / beta[finite]
+    return values[np.lexsort((values.imag, values.real))]
+
+
+def test_qz_handle_matches_scipy_eigvals_bitwise():
+    # half-size pencils of order 3 interleaved with full pencils of order up
+    # to 22, on an empty cache and smallest first: LAPACK's workspace for
+    # order 3 is too small for order 22, so a workspace size cached for the
+    # wrong order shows as an error, and any other slip as different bits
+    a = line_matrix([0.9, 0.35], [0.62], [0.27])
+    rp_real = build_reduced(canonicalize(*net_of(a)), 0.6)
+    rng = np.random.default_rng(2)
+    pencils = []
+    for seed in range(40):
+        out = random_pencil(seed)
+        if out is None:
+            continue
+        pencils.append(assemble_real_pencil(rp_real, rng.standard_normal(rp_real.m),
+                                            rng.standard_normal(rp_real.n)))
+        pencils.append(out[1])
+    orders = [pp.size for pp in pencils]
+    assert orders[0] == min(orders) == 3 and max(orders) == 22
+    solver._GGEV.clear()
+    for pp in pencils:
+        alpha, beta = _qz(pp.h, pp.d)
+        ref_alpha, ref_beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
+        for got, ref in ((alpha, ref_alpha), (beta, ref_beta)):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
+            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+        assert np.array_equal(generalized_spectrum(pp).values, reference_spectrum(pp))
+    assert {key[2] for key in solver._GGEV} == set(orders)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +253,69 @@ def test_heuristic_iterate_from_given_start():
         assert res.polish_start <= len(res.history)
 
 
+def eager_distances(res, rp, cf):
+    """Reference history, polish_start and delta_trace, built eagerly from
+    the kept iterates."""
+    tr = res.iterates
+    sign = +1.0 if res.reconstruction.sign == "plus" else -1.0
+    d_final = _delta_bar(rp, res.triple, sign)
+    nx = 2 * rp.m
+    parts = []
+    for us in (tr.sweep, tr.polish):
+        hist, deltas = [], []
+        for u in us:
+            try:
+                ti = normalize_triple(u[-1], u[:nx], u[nx:-1])
+            except ValueError:
+                continue
+            di = _delta_bar(rp, ti, sign)
+            hist.append(float(np.linalg.norm(di - d_final)))
+            deltas.append(cf.to_original(np.hstack([np.zeros((rp.n, rp.p)), di])))
+        parts.append((hist, deltas))
+    (h_sweep, d_sweep), (h_gn, d_gn) = parts
+    return tuple(h_sweep + h_gn), len(h_sweep), tuple(d_sweep + d_gn)
+
+
+def test_iterate_history_built_once_for_the_winner(monkeypatch):
+    # C3 settings: a 3-node chain at lambda = i, 12 restarts
+    net, mask, _ = sample_network("line", 3, 7, 0)
+    cfg = SolverConfig(restarts=12, sweep_iters=15, seed=7, keep_delta_trace=True)
+    builds = []
+    converged = []
+    build, iterate = solver._distance_history, solver.heuristic_iterate
+
+    def counting_build(tr):
+        builds.append(tr)
+        return build(tr)
+
+    def counting_iterate(*args, **kwargs):
+        res = iterate(*args, **kwargs)
+        converged.append(res.converged)
+        return res
+
+    monkeypatch.setattr(solver, "_distance_history", counting_build)
+    monkeypatch.setattr(solver, "heuristic_iterate", counting_iterate)
+    res = solve_fixed_lambda(net, mask, 1j, cfg)
+    assert res.converged
+    assert len(converged) == 12 and sum(converged) >= 2
+    assert builds == []
+    history, start, deltas = res.history, res.polish_start, res.delta_trace
+    assert res.history is history and res.delta_trace is deltas
+    assert len(builds) == 1 and builds[0] is res.iterates
+
+    cf = canonicalize(net, mask)
+    ref_history, ref_start, ref_deltas = eager_distances(res, build_reduced(cf, 1j), cf)
+    assert history == ref_history
+    assert start == ref_start
+    assert 0 < start < len(history)
+    assert len(deltas) == len(ref_deltas) == len(history)
+    for got, ref in zip(deltas, ref_deltas):
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+    assert history[-1] == 0.0
+    assert np.array_equal(deltas[-1], res.perturbation.delta)
+
+
 def block_jacobian(at, v_bar, u):
     """Reference Jacobian of the complex-route polish, assembled densely
     from its blocks."""
@@ -309,6 +413,25 @@ def test_radius_grid_containing_true_lambda():
                       SolverConfig(seed=8, restarts=6))
     assert rr.best.converged
     assert abs(rr.cost - ora.delta) < 1e-6
+
+
+def test_radius_verifies_only_its_answer(monkeypatch):
+    calls = []
+    verify = solver.verify_unobservability
+
+    def counting_verify(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "verify_unobservability", counting_verify)
+    net, mask, _ = sample_network("line", 5, 59, 3)
+    rr = solve_radius(net, mask, "topo", SolverConfig(seed=10, restarts=3))
+    assert rr.best.converged and rr.best.verification.verified
+    assert len(rr.search_trace) > 1
+    assert len(calls) == 1 and calls[0][1] is rr.best.perturbation
+    calls.clear()
+    res = solve_fixed_lambda(net, mask, rr.lambda_star, SolverConfig(seed=10, restarts=3))
+    assert res.verification.verified and len(calls) == 1
 
 
 def test_radius_search_trace_records_bound_pruning():
