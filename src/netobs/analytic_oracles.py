@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .network_model import NetworkSystem
+from .network_model import ConstraintMask, NetworkSystem
 
 
 class OracleFailure(RuntimeError):
@@ -281,49 +281,55 @@ def _disconnects(n, arcs_out, sensors, removed):
     return len(seen) < n
 
 
-def enumerate_cut_family(net: NetworkSystem, k=1) -> CutFamily:
-    """Greedy maximal family of pairwise-disjoint disconnecting k-cuts.
-
-    Exhaustive scan over k-subsets of the edge set in lexicographic order,
-    packing any disconnecting subset disjoint from the cuts taken so far.
-    Maximal, not maximum: good enough to instantiate the bound.
-    """
+def _cut_edges(net, mask, k):
+    """Support edges the mask lets a cut delete, and every support edge as
+    i -> [j] arcs (the graph the cut must disconnect)."""
     if k > 3:
         raise ValueError("cut enumeration is only supported for k <= 3")
     a = net.weights
-    n = net.n
-    edges = [(i, j) for i in range(n) for j in range(n) if a[i, j] != 0]
     arcs_out = {}
-    for i, j in edges:
+    edges = []
+    for i, j in zip(*np.nonzero(a)):
+        i, j = int(i), int(j)
         arcs_out.setdefault(i, []).append(j)
+        if mask.mask[i, j] != 0:
+            edges.append((i, j))
+    return edges, arcs_out
+
+
+def enumerate_cut_family(net: NetworkSystem, mask: ConstraintMask,
+                         k=1) -> CutFamily:
+    """Greedy maximal family of pairwise-disjoint disconnecting k-cuts.
+
+    Exhaustive scan over k-subsets of the deletable edges (in the support and
+    in the mask) in lexicographic order, packing any disconnecting subset
+    disjoint from the cuts taken so far. Maximal, not maximum: good enough to
+    instantiate the bound.
+    """
+    edges, arcs_out = _cut_edges(net, mask, k)
     cuts = []
     used = set()
     for subset in itertools.combinations(edges, k):
         if any(e in used for e in subset):
             continue
-        if _disconnects(n, arcs_out, net.sensors, set(subset)):
+        if _disconnects(net.n, arcs_out, net.sensors, set(subset)):
             cuts.append(frozenset(subset))
             used.update(subset)
     return CutFamily(cuts=tuple(cuts), k=k)
 
 
-def min_deletion_cost(net: NetworkSystem, k=1):
-    """Cheapest disconnecting k-cut: a feasible deletion perturbation, hence
-    an upper bound on the radius. Returns (cost, edges) or (inf, ()) if no
-    k-subset disconnects."""
-    if k > 3:
-        raise ValueError("cut enumeration is only supported for k <= 3")
+def min_deletion_cost(net: NetworkSystem, mask: ConstraintMask, k=1):
+    """Cheapest disconnecting k-cut among the edges in the support and in the
+    mask: a feasible deletion perturbation, hence an upper bound on the
+    radius. Returns (cost, edges) or (inf, ()) if no such k-subset
+    disconnects."""
     a = net.weights
-    n = net.n
-    edges = [(i, j) for i in range(n) for j in range(n) if a[i, j] != 0]
-    arcs_out = {}
-    for i, j in edges:
-        arcs_out.setdefault(i, []).append(j)
+    edges, arcs_out = _cut_edges(net, mask, k)
     best = (np.inf, ())
     for subset in itertools.combinations(edges, k):
         cost = float(np.sqrt(sum(a[i, j] ** 2 for i, j in subset)))
         if cost >= best[0]:
             continue
-        if _disconnects(n, arcs_out, net.sensors, set(subset)):
+        if _disconnects(net.n, arcs_out, net.sensors, set(subset)):
             best = (cost, subset)
     return best

@@ -92,7 +92,6 @@ def _result_payload(res, include_history=False):
         "sigma": res.sigma,
         "phi_plus_mu": res.phi_plus_mu,
         "residual": res.residual if np.isfinite(res.residual) else None,
-        "sign": rec.sign if rec else None,
         "cost_identity_rel": rec.cost_identity_rel if rec else None,
         "certificate": {
             "r_eig": ver.r_eig, "r_out": ver.r_out, "smin": ver.smin,
@@ -325,10 +324,7 @@ def _solve_checks(seed, inject_sign_flip=False, count=6):
         cf = canonicalize(net, mask)
         rp = build_reduced(cf, lam)
         t = res.triple
-        sign = +1.0 if res.reconstruction.sign == "plus" else -1.0
-        if inject_sign_flip:
-            sign = -sign
-        db = _delta_bar(rp, t, sign)
+        db = _delta_bar(rp, t, -1.0 if inject_sign_flip else 1.0)
         cost_sq = float(np.sum(db * db))
         identity = t.sigma * float(t.x @ (a_tilde(rp).T @ t.y))
         worst_identity = max(worst_identity,

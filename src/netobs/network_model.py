@@ -272,6 +272,16 @@ def verify_unobservability(net: NetworkSystem, pert: Perturbation, lam,
 # file format
 
 
+def _entry(entry, kind, form):
+    """(i, j) and, for an edge, the weight w of one [i, j(, w)] entry."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != form.count(",") + 1:
+        raise NetworkFormatError(f"{kind} entry {entry!r} must be {form}")
+    try:
+        return (int(entry[0]), int(entry[1])) + tuple(float(w) for w in entry[2:])
+    except (TypeError, ValueError) as exc:
+        raise NetworkFormatError(f"{kind} entry {entry!r} is not numeric: {exc}") from exc
+
+
 def network_from_dict(doc):
     """Build (NetworkSystem, ConstraintMask) from the JSON network schema.
 
@@ -280,16 +290,14 @@ def network_from_dict(doc):
     """
     try:
         n = int(doc["n"])
-        edges = doc["edges"]
-        sensors = doc["sensors"]
-    except (KeyError, TypeError) as exc:
+        edges = list(doc["edges"])
+        sens = tuple(int(s) - 1 for s in doc["sensors"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"missing or malformed field: {exc}") from exc
     a = np.zeros((n, n))
     seen = set()
     for entry in edges:
-        if len(entry) != 3:
-            raise NetworkFormatError(f"edge entry {entry!r} must be [i, j, w]")
-        i, j, w = int(entry[0]), int(entry[1]), float(entry[2])
+        i, j, w = _entry(entry, "edge", "[i, j, w]")
         if not (1 <= i <= n and 1 <= j <= n):
             raise NetworkFormatError(f"edge ({i},{j}) out of range for n={n}")
         if not np.isfinite(w):
@@ -298,19 +306,19 @@ def network_from_dict(doc):
             raise NetworkFormatError(f"duplicate edge ({i},{j})")
         seen.add((i, j))
         a[i - 1, j - 1] = w
-    sens = tuple(int(s) - 1 for s in sensors)
     constraint = doc.get("constraint", "same_as_graph")
     if constraint == "same_as_graph":
         v = np.zeros((n, n))
         for (i, j) in seen:
             v[i - 1, j - 1] = 1.0
+    elif not isinstance(constraint, (list, tuple)):
+        raise NetworkFormatError(
+            f'constraint must be "same_as_graph" or a list of [i, j], got {constraint!r}')
     else:
         v = np.zeros((n, n))
         cseen = set()
         for entry in constraint:
-            if len(entry) != 2:
-                raise NetworkFormatError(f"constraint entry {entry!r} must be [i, j]")
-            i, j = int(entry[0]), int(entry[1])
+            i, j = _entry(entry, "constraint", "[i, j]")
             if not (1 <= i <= n and 1 <= j <= n):
                 raise NetworkFormatError(f"constraint edge ({i},{j}) out of range")
             if (i, j) in cseen:

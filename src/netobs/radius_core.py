@@ -74,53 +74,67 @@ def a_tilde(rp: ReducedProblem):
     return at
 
 
-def _diagonal_positions(k, size, offset, blocks):
-    """Flat positions in a size x size array of the diagonals of k x k blocks
-    placed at (offset, offset).
+def _d_positions(v, nx, size, blocks):
+    """Flat positions of the diagonals of D = blkdiag(D_y, D_x), in the order
+    _weighting_diagonals gives them, in an array with rows of length size
+    whose x block has length nx: D_y at (0, 0), D_x at (nx, nx).
 
-    blocks=1 gives one diagonal; blocks=2 gives the four diagonals of a 2 x 2
-    array of diagonal blocks, in the order (0,0), (0,1), (1,0), (1,1).
+    blocks=1 gives one diagonal per weighting; blocks=2 the four diagonals of
+    its 2 x 2 array of diagonal blocks, in the order (0,0), (0,1), (1,0), (1,1).
     """
-    i = offset + np.arange(k)
-    if blocks == 1:
-        rows, cols = i, i
-    else:
-        rows = np.concatenate([i, i, i + k, i + k])
-        cols = np.concatenate([i, i + k, i, i + k])
-    return rows * size + cols
+    n, m = v.shape
+    out = []
+    for k, offset in ((m, 0), (n, nx)):
+        i = offset + np.arange(k)
+        rows = [i + r * k for r in range(blocks) for _ in range(blocks)]
+        cols = [i + c * k for _ in range(blocks) for c in range(blocks)]
+        out.append(np.concatenate(rows) * size + np.concatenate(cols))
+    return np.concatenate(out)
 
 
 def _filled(size, positions, values):
-    """A zero size x size array with values written at the flat positions.
+    """A zero size x size array with the arrays in values written, one after
+    another, at the flat positions.
 
     Off the filled diagonals the entries are +0.0, as in a dense block
     assembly from np.diag blocks, so the result is the same bit for bit.
     """
     out = np.zeros((size, size))
-    out.flat[positions] = values
+    out.flat[positions] = np.concatenate(values)
     return out
 
 
 def _weighting_diagonals(v, x, y):
-    """Diagonals of D_y, then of D_x: (s_y, t_y, t_y, q_y, s_x, t_x, t_x, q_x).
+    """Diagonals of D_y and of D_x, for float arrays x and y:
+    ((s_y, t_y, t_y, q_y), (s_x, t_x, t_x, q_x)), each in the block order
+    (0,0), (0,1), (1,0), (1,1).
 
     For the half-size pencil of a real lambda x and y have no imaginary
-    halves, and only (s_y, s_x) remain.
+    halves, and only ((s_y,), (s_x,)) remain.
     """
     n, m = v.shape
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    vt = v.T
     xr, y1 = x[:m], y[:n]
     sx = v @ (xr * xr)
-    sy = v.T @ (y1 * y1)
+    sy = vt @ (y1 * y1)
     if len(x) == m:
-        return np.concatenate([sy, sx])
+        return (sy,), (sx,)
     xi, y2 = x[m:], y[n:]
     tx = v @ (xr * xi)
     qx = v @ (xi * xi)
-    ty = v.T @ (y1 * y2)
-    qy = v.T @ (y2 * y2)
-    return np.concatenate([sy, ty, ty, qy, sx, tx, tx, qx])
+    ty = vt @ (y1 * y2)
+    qy = vt @ (y2 * y2)
+    return (sy, ty, ty, qy), (sx, tx, tx, qx)
+
+
+def _weighted(d, z):
+    """D z for one weighting D given by its diagonals d, as
+    _weighting_diagonals returns them."""
+    if len(d) == 1:
+        return d[0] * z
+    k = len(z) // 2
+    zr, zi = z[:k], z[k:]
+    return np.concatenate([d[0] * zr + d[1] * zi, d[2] * zr + d[3] * zi])
 
 
 def build_weightings(rp: ReducedProblem, x, y):
@@ -130,11 +144,9 @@ def build_weightings(rp: ReducedProblem, x, y):
     part; S_y/T_y/Q_y sum over rows with y1, y2. D_x is 2n x 2n and weights y;
     D_y is 2(n-p) x 2(n-p) and weights x.
     """
-    n, m = rp.v_bar.shape
-    diagonals = _weighting_diagonals(rp.v_bar, x, y)
-    d_x = _filled(2 * n, _diagonal_positions(n, 2 * n, 0, 2), diagonals[4 * m:])
-    d_y = _filled(2 * m, _diagonal_positions(m, 2 * m, 0, 2), diagonals[:4 * m])
-    return d_x, d_y
+    d = PencilAssembly(rp).pencil(x, y).d
+    nx = 2 * rp.m
+    return d[nx:, nx:], d[:nx, :nx]
 
 
 @dataclass(frozen=True)
@@ -177,14 +189,12 @@ class PencilAssembly:
         h[:l, l:] = at.T
         h[l:, :l] = at
         h.setflags(write=False)
-        self.a_tilde, self.h, self.nx, self.size = at, h, l, size
-        blocks = 1 if real else 2
-        self._positions = np.concatenate([
-            _diagonal_positions(rp.m, size, 0, blocks),
-            _diagonal_positions(rp.n, size, l, blocks)])
+        self.a_tilde, self.h, self.nx, self.size, self.real = at, h, l, size, real
+        self._positions = _d_positions(self.v, l, size, 1 if real else 2)
 
     def pencil(self, x, y) -> PencilPair:
-        d = _filled(self.size, self._positions, _weighting_diagonals(self.v, x, y))
+        d_y, d_x = _weighting_diagonals(self.v, x, y)
+        d = _filled(self.size, self._positions, d_y + d_x)
         return PencilPair(h=self.h, d=d, a_tilde=self.a_tilde, nx=self.nx)
 
 
@@ -251,9 +261,9 @@ def embed_real_triple(sigma, x_re, y1) -> CandidateTriple:
 def system_residual(rp: ReducedProblem, t: CandidateTriple):
     """Residual of the two stationarity equations at (sigma, x, y)."""
     at = a_tilde(rp)
-    d_x, d_y = build_weightings(rp, t.x, t.y)
-    r1 = at.T @ t.y - t.sigma * (d_y @ t.x)
-    r2 = at @ t.x - t.sigma * (d_x @ t.y)
+    d_y, d_x = _weighting_diagonals(rp.v_bar, t.x, t.y)
+    r1 = at.T @ t.y - t.sigma * _weighted(d_y, t.x)
+    r2 = at @ t.x - t.sigma * _weighted(d_x, t.y)
     return float(np.sqrt(np.dot(r1, r1) + np.dot(r2, r2)))
 
 
@@ -302,14 +312,17 @@ class Reconstruction:
     """Perturbation rebuilt from a stationary triple, with audit fields."""
 
     perturbation: Perturbation
-    sign: str                 # 'plus' or 'minus': which coupling variant won
-    r_eig: float              # eigen-equation residual of the winner
-    r_eig_other: float        # residual of the rejected variant
+    r_eig: float              # eigen-equation residual of the perturbation
     cost_identity_rel: float  # relative gap of ||Delta||_F^2 vs sigma * x' At' y
     cost_bound_slack: float   # sigma * ||At||_F - ||Delta||_F^2  (should be >= 0)
 
 
-def _delta_bar(rp, t, sign):
+def _delta_bar(rp, t, sign=1.0):
+    """Delta_bar = -sigma (y1 x_re' + sign * y2 x_im') o V_bar.
+
+    The reconstruction's coupling is sign = +1; the validate suite builds the
+    other one (sign = -1) to show that its checks catch it.
+    """
     m, n = rp.m, rp.n
     xr, xi = t.x[:m], t.x[m:]
     y1, y2 = t.y[:n], t.y[n:]
@@ -327,30 +340,22 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
                              cf: CanonicalForm, residual_tol=1e-8) -> Reconstruction:
     """Rebuild the minimum-norm perturbation from a stationary triple.
 
-    The coupling between the y2 and x_im factors is evaluated with both signs
-    and the variant with the smaller eigen-equation residual is kept (the two
-    appear inconsistently across derivations; constraint satisfaction is the
-    ground truth). Triples whose best variant still violates the eigen
-    constraint are rejected as spurious.
+    Delta_bar = -sigma (y1 x_re' + y2 x_im') o V_bar: the coupling is plus
+    because the weightings imply it, sigma^2 x' D_y x = ||Delta_bar||_F^2.
+    Triples whose perturbation still violates the eigen constraint are
+    rejected as spurious.
     """
     if system_residual(rp, t) > residual_tol:
         raise SpuriousTripleError("triple does not satisfy the stationarity system")
-    m, n, p = rp.m, rp.n, rp.p
+    m, p = rp.m, rp.p
     xr, xi = t.x[:m], t.x[m:]
     xc = np.concatenate([np.zeros(p), xr + 1j * xi])
     nxc = np.linalg.norm(xc)
     if nxc == 0:
         raise SpuriousTripleError("zero eigenvector")
     xc = xc / nxc
-    ac = cf.a_canonical
-    dc_p = _with_sensor_columns(rp, _delta_bar(rp, t, +1.0))
-    dc_m = _with_sensor_columns(rp, _delta_bar(rp, t, -1.0))
-    r_p = float(np.linalg.norm((ac + dc_p) @ xc - rp.lam * xc))
-    r_m = float(np.linalg.norm((ac + dc_m) @ xc - rp.lam * xc))
-    if r_p <= r_m:
-        sign_name, dc, r_eig, r_other = "plus", dc_p, r_p, r_m
-    else:
-        sign_name, dc, r_eig, r_other = "minus", dc_m, r_m, r_p
+    dc = _with_sensor_columns(rp, _delta_bar(rp, t))
+    r_eig = float(np.linalg.norm((cf.a_canonical + dc) @ xc - rp.lam * xc))
     if r_eig > residual_tol:
         raise SpuriousTripleError(
             f"reconstructed perturbation violates the eigen constraint "
@@ -364,6 +369,5 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
     cost = pert.frob_cost
     rel = abs(cost - identity) / max(abs(cost), 1e-300)
     slack = t.sigma * float(np.linalg.norm(at)) - cost
-    return Reconstruction(perturbation=pert, sign=sign_name, r_eig=r_eig,
-                          r_eig_other=r_other, cost_identity_rel=rel,
+    return Reconstruction(perturbation=pert, r_eig=r_eig, cost_identity_rel=rel,
                           cost_bound_slack=slack)

@@ -22,7 +22,8 @@ from .network_model import (CanonicalForm, ConstraintMask, NetworkSystem,
                             canonicalize, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, ReducedProblem, SpuriousTripleError,
-                          _delta_bar, _with_sensor_columns, a_tilde,
+                          _d_positions, _delta_bar, _weighted,
+                          _weighting_diagonals, _with_sensor_columns, a_tilde,
                           build_reduced, embed_real_triple, normalize_triple,
                           orthogonality_diagnostic, pencil_residual,
                           reconstruct_perturbation)
@@ -130,15 +131,13 @@ def _min_positive(values, zero_tol):
     return float(re[ok].min())
 
 
-def _cond_exceeds(mmat, limit):
-    """Whether np.linalg.cond(mmat) > limit, from the singular values alone.
-
-    The 2-norm condition number is s_max / s_min; a zero s_min makes it
-    infinite, as np.linalg.cond reports it.
-    """
-    s = np.linalg.svd(mmat, compute_uv=False)
-    s_min = float(s[-1])
-    return s_min == 0.0 or float(s[0]) / s_min > limit
+def _u_of_pencil(pp, z):
+    """Polish variable of a balanced pencil vector z: unit blocks, and sigma
+    at triple scale from the Rayleigh quotient |z'Hz / z'Dz| (1 when
+    z'Dz = 0)."""
+    den = z @ (pp.d @ z)
+    sigma_bar = abs(z @ (pp.h @ z) / den) if den != 0 else 1.0
+    return np.append(np.sqrt(2.0) * z, sigma_bar / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +146,10 @@ def _cond_exceeds(mmat, limit):
 # equations plus (|x|^2 - 1)/2 and (|y|^2 - 1)/2.
 
 
-def _gn_core(f_of, j_of, u0, max_iter, tol, record=False):
+def _gn_core(f_of, j_of, u0, max_iter, tol):
     u = u0.copy()
     f = f_of(u)
-    us = [u.copy()] if record else None
+    us = [u]
     its = 0
     for its in range(1, max_iter + 1):
         if np.linalg.norm(f, np.inf) <= tol:
@@ -168,33 +167,33 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, record=False):
             alpha *= 0.5
         if not moved:
             return u, its, False, us
-        if record:
-            us.append(u.copy())
+        us.append(u)
     return u, its, bool(np.linalg.norm(f, np.inf) <= tol), us
 
 
-def _full_fj(at, v_bar):
+def _stationarity_fj(at, v_bar):
+    """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
+
+    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows.
+    At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
+    diagonal blocks; on the half-size route of a real lambda it is
+    A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
+    left of each. D's diagonals come from _weighting_diagonals and sit in J
+    where PencilAssembly puts them in D.
+    """
     n, m = v_bar.shape
-    vt = v_bar.T
-    mx, ny = 2 * m, 2 * n
+    ny, nx = at.shape
+    blocks = ny // n
     att = at.T
-    vt4 = np.tile(vt, (2, 2))
-    # positions of the four diagonals of the block-diagonal weightings
-    im, in_ = np.arange(m), np.arange(n)
-    dy_rows = np.concatenate([im, im, m + im, m + im])
-    dy_cols = np.concatenate([im, m + im, im, m + im])
-    dx_rows = mx + np.concatenate([in_, in_, n + in_, n + in_])
-    dx_cols = mx + np.concatenate([in_, n + in_, in_, n + in_])
+    vtb = np.tile(v_bar.T, (blocks, blocks))
+    cols = nx + ny + 1
+    positions = _d_positions(v_bar, nx, cols, blocks)
 
     def f_of(u):
-        x, y, sig = u[:2 * m], u[2 * m:2 * m + 2 * n], u[-1]
-        xr, xi = x[:m], x[m:]
-        y1, y2 = y[:n], y[n:]
-        sy = vt @ (y1 * y1); ty = vt @ (y1 * y2); qy = vt @ (y2 * y2)
-        dyx = np.concatenate([sy * xr + ty * xi, ty * xr + qy * xi])
-        sx = v_bar @ (xr * xr); tx = v_bar @ (xr * xi); qx = v_bar @ (xi * xi)
-        dxy = np.concatenate([sx * y1 + tx * y2, tx * y1 + qx * y2])
-        return np.concatenate([at.T @ y - sig * dyx, at @ x - sig * dxy,
+        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
+        d_y, d_x = _weighting_diagonals(v_bar, x, y)
+        return np.concatenate([att @ y - sig * _weighted(d_y, x),
+                               at @ x - sig * _weighted(d_x, y),
                                [(x @ x - 1.0) / 2.0, (y @ y - 1.0) / 2.0]])
 
     def j_of(u):
@@ -204,64 +203,50 @@ def _full_fj(at, v_bar):
         # The zeros of the -sig * D_y and -sig * D_x blocks carry the sign
         # of -sig * 0.0, so the matrix equals the dense block product bit
         # for bit, signed zeros included.
-        x, y, sig = u[:mx], u[mx:mx + ny], u[-1]
-        xr, xi = x[:m], x[m:]
-        y1, y2 = y[:n], y[n:]
-        sy = vt @ (y1 * y1); ty = vt @ (y1 * y2); qy = vt @ (y2 * y2)
-        sx = v_bar @ (xr * xr); tx = v_bar @ (xr * xi); qx = v_bar @ (xi * xi)
+        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
+        d_y, d_x = _weighting_diagonals(v_bar, x, y)
         o = np.outer(x, y)
-        w = np.empty((mx, ny))
-        w[:m, :n] = 2 * o[:m, :n] + o[m:, n:]
-        w[:m, n:] = o[m:, :n]
-        w[m:, :n] = o[:m, n:]
-        w[m:, n:] = o[:m, :n] + 2 * o[m:, n:]
-        sw = sig * (vt4 * w)
-        j = np.zeros((mx + ny + 2, mx + ny + 1))
-        j[:mx, :mx] = -sig * 0.0
-        j[mx:mx + ny, mx:mx + ny] = -sig * 0.0
-        j[dy_rows, dy_cols] = -sig * np.concatenate([sy, ty, ty, qy])
-        j[dx_rows, dx_cols] = -sig * np.concatenate([sx, tx, tx, qx])
-        j[:mx, mx:mx + ny] = att - sw
-        j[mx:mx + ny, :mx] = at - sw.T
-        j[:mx, -1] = -np.concatenate([sy * xr + ty * xi, ty * xr + qy * xi])
-        j[mx:mx + ny, -1] = -np.concatenate([sx * y1 + tx * y2, tx * y1 + qx * y2])
-        j[-2, :mx] = x
-        j[-1, mx:mx + ny] = y
+        if blocks == 1:
+            w = 2 * o
+        else:
+            w = np.empty((nx, ny))
+            w[:m, :n] = 2 * o[:m, :n] + o[m:, n:]
+            w[:m, n:] = o[m:, :n]
+            w[m:, :n] = o[:m, n:]
+            w[m:, n:] = o[:m, :n] + 2 * o[m:, n:]
+        sw = sig * (vtb * w)
+        j = np.zeros((nx + ny + 2, cols))
+        j[:nx, :nx] = -sig * 0.0
+        j[nx:nx + ny, nx:nx + ny] = -sig * 0.0
+        j.flat[positions] = -sig * np.concatenate(d_y + d_x)
+        j[:nx, nx:nx + ny] = att - sw
+        j[nx:nx + ny, :nx] = at - sw.T
+        j[:nx, -1] = -_weighted(d_y, x)
+        j[nx:nx + ny, -1] = -_weighted(d_x, y)
+        j[-2, :nx] = x
+        j[-1, nx:nx + ny] = y
         return j
 
     return f_of, j_of
 
 
-def _real_fj(at, v_bar):
-    n, m = v_bar.shape
-    vt = v_bar.T
-
-    def f_of(u):
-        x, y, sig = u[:m], u[m:m + n], u[-1]
-        return np.concatenate([at.T @ y - sig * (vt @ (y * y)) * x,
-                               at @ x - sig * (v_bar @ (x * x)) * y,
-                               [(x @ x - 1.0) / 2.0, (y @ y - 1.0) / 2.0]])
-
-    def j_of(u):
-        x, y, sig = u[:m], u[m:m + n], u[-1]
-        sy = vt @ (y * y)
-        sx = v_bar @ (x * x)
-        top = np.hstack([-sig * np.diag(sy), at.T - 2 * sig * vt * np.outer(x, y),
-                         -(sy * x)[:, None]])
-        mid = np.hstack([at - 2 * sig * v_bar * np.outer(y, x), -sig * np.diag(sx),
-                         -(sx * y)[:, None]])
-        r1 = np.concatenate([x, np.zeros(n), [0.0]])[None, :]
-        r2 = np.concatenate([np.zeros(m), y, [0.0]])[None, :]
-        return np.vstack([top, mid, r1, r2])
-
-    return f_of, j_of
+def _triple_of(u, asm):
+    """Unit triple of a polish variable u = (x, y, sigma) on the route of
+    the pencil assembly asm."""
+    lift = embed_real_triple if asm.real else normalize_triple
+    return lift(u[-1], u[:asm.nx], u[asm.nx:-1])
 
 
-def _triple_of(u, nx, real):
-    """Unit triple of a polish variable u = (x, y, sigma)."""
-    if real:
-        return embed_real_triple(u[-1], u[:nx], u[nx:-1])
-    return normalize_triple(u[-1], u[:nx], u[nx:-1])
+def _u_of(t, asm):
+    """Polish variable of a unit triple, the inverse of _triple_of; None when
+    the real halves of x or y vanish on the half-size route."""
+    if not asm.real:
+        return np.concatenate([t.x, t.y, [t.sigma]])
+    xr, y1 = t.x[:len(t.x) // 2], t.y[:len(t.y) // 2]
+    nxr, ny1 = np.linalg.norm(xr), np.linalg.norm(y1)
+    if nxr < 1e-8 or ny1 < 1e-8:
+        return None
+    return np.concatenate([xr / nxr, y1 / ny1, [t.sigma * nxr * ny1]])
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +261,7 @@ class IterateTrace:
 
     rp: ReducedProblem
     cf: CanonicalForm
-    real: bool
-    sign: float           # coupling sign of the final reconstruction
+    asm: PencilAssembly
     final: CandidateTriple
     sweep: tuple
     polish: tuple
@@ -292,21 +276,19 @@ class IterateTrace:
 def _distance_history(tr: IterateTrace):
     """||Delta_i - Delta_final||_F for every iterate that maps to a triple,
     the index where the polish iterates begin, and the Delta_i in original
-    coordinates (None unless kept). Every Delta_i is rebuilt with the final
-    reconstruction's coupling sign."""
+    coordinates (None unless kept)."""
     rp = tr.rp
-    nx = rp.m if tr.real else 2 * rp.m
-    d_final = _delta_bar(rp, tr.final, tr.sign)
+    d_final = _delta_bar(rp, tr.final)
 
     def snapshots(us):
         hist = []
         deltas = [] if tr.keep_deltas else None
         for u in us:
             try:
-                ti = _triple_of(u, nx, tr.real)
+                ti = _triple_of(u, tr.asm)
             except ValueError:
                 continue
-            di = _delta_bar(rp, ti, tr.sign)
+            di = _delta_bar(rp, ti)
             hist.append(float(np.linalg.norm(di - d_final)))
             if deltas is not None:
                 deltas.append(tr.cf.to_original(_with_sensor_columns(rp, di)))
@@ -387,13 +369,11 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
     """
-    use_real = rp.is_real and not cfg.force_full_pencil
-    ny = rp.n if use_real else 2 * rp.n
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
 
-    asm = PencilAssembly(rp, real=use_real)
-    nx = asm.nx
-    f_of, j_of = (_real_fj if use_real else _full_fj)(asm.a_tilde, rp.v_bar)
+    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    nx, ny = asm.nx, asm.size - asm.nx
+    f_of, j_of = _stationarity_fj(asm.a_tilde, rp.v_bar)
 
     if z0 is None:
         z = rng.standard_normal(nx + ny)
@@ -404,11 +384,6 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  failure="degenerate initial vector")
     z_init = z.copy()
-
-    def u_of(z, sigma_bar):
-        # unit blocks and the triple-scale sigma for the polish variable
-        return np.concatenate([np.sqrt(2.0) * z[:nx], np.sqrt(2.0) * z[nx:],
-                               [sigma_bar / 2.0]])
 
     trace_u = []
     best_seed = None
@@ -427,8 +402,11 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
             break
         mu = psi_cur * mp
         mmat = pp.h - mu * pp.d
-        if _cond_exceeds(mmat, cfg.cond_limit):
-            # shift sits on an eigenvalue; back psi off and retry next pass
+        s = np.linalg.svd(mmat, compute_uv=False)
+        if s[-1] == 0.0 or s[0] / s[-1] > cfg.cond_limit:
+            # the 2-norm condition number (infinite when s_min = 0, as
+            # np.linalg.cond has it) says the shift sits on an eigenvalue;
+            # back psi off and retry next pass
             psi_cur = max(0.5 + 0.45 * (psi_cur - 0.5), 0.500001)
             mu = psi_cur * mp
             mmat = pp.h - mu * pp.d
@@ -446,11 +424,8 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
         if zn is None:
             break
         sweep_used = it + 1
-        num = zn @ (pp.h @ zn)
-        den = zn @ (pp.d @ zn)
-        sigma_bar = abs(num / den) if den != 0 else 1.0
         phi_plus_mu = mu + 1.0 / phi
-        u = u_of(zn, sigma_bar)
+        u = _u_of_pencil(pp, zn)
         merit = np.linalg.norm(f_of(u))
         trace_u.append(u)
         if merit < best_merit:
@@ -458,10 +433,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
             best_seed = u
         z = zn
 
-    pp0 = asm.pencil(z_init[:nx], z_init[nx:])
-    den0 = z_init @ (pp0.d @ z_init)
-    sb0 = abs(z_init @ (pp0.h @ z_init) / den0) if den0 != 0 else 1.0
-    init_seed = u_of(z_init, sb0)
+    init_seed = _u_of_pencil(asm.pencil(z_init[:nx], z_init[nx:]), z_init)
 
     seeds = []
     if best_seed is not None:
@@ -481,60 +453,65 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
         seeds.append(init_seed)
 
     polish_budget = min(cfg.polish_max_iter, max(1, cfg.max_iter - sweep_used))
-    final = None
     gn_used = 0
     failure = "did not converge"
     for u0 in seeds:
-        u, its, ok, us = _gn_core(f_of, j_of, u0, polish_budget, cfg.polish_tol,
-                                  record=True)
+        u, its, ok, us = _gn_core(f_of, j_of, u0, polish_budget, cfg.polish_tol)
         gn_used += its
         if not ok:
             continue
-        if np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:nx + ny]) < 1e-6:
-            failure = "collapsed onto the trivial solution branch"
-            continue
-        if u[-1] < 0:
-            u = np.concatenate([-u[:nx], u[nx:nx + ny], [-u[-1]]])
-        if abs(u[-1]) < 1e-14:
-            failure = "stationary point with zero sigma"
-            continue
-        try:
-            t = _triple_of(u, nx, use_real)
-            rec = reconstruct_perturbation(rp, t, cf)
-        except (SpuriousTripleError, ValueError) as exc:
-            failure = f"spurious stationary point: {exc}"
-            continue
-        final = (t, rec, u, us)
-        break
-
-    iterations = sweep_used + gn_used
-    if final is None:
-        return FixedLambdaResult(lam=rp.lam, converged=False, iterations=iterations,
+        res, detail = _accept(rp, cf, u, asm, cfg)
+        if res is not None:
+            break
+        failure = detail
+    else:  # no seed was accepted
+        return FixedLambdaResult(lam=rp.lam, converged=False,
+                                 iterations=sweep_used + gn_used,
                                  phi_plus_mu=phi_plus_mu, failure=failure)
 
-    t, rec, u_fin, us_fin = final
-    res = pencil_residual(rp, t)
-    converged = res <= cfg.conv_tol
     # iterates are the sweep passes followed by the winning polish sequence
     iterates = IterateTrace(
-        rp=rp, cf=cf, real=use_real, sign=+1.0 if rec.sign == "plus" else -1.0,
-        final=t, sweep=tuple(trace_u), polish=tuple(us_fin) + (u_fin,),
-        keep_deltas=cfg.keep_delta_trace)
+        rp=rp, cf=cf, asm=asm, final=res.triple, sweep=tuple(trace_u),
+        polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
+    return replace(res, iterations=sweep_used + gn_used, phi_plus_mu=phi_plus_mu,
+                   iterates=iterates)
 
+
+def _accept(rp, cf, u, asm, cfg):
+    """The step after a converged polish, for restarts and continuation alike.
+
+    Orients sigma > 0, rejects the collapsed (x or y ~ 0) and zero-sigma
+    branches, maps u to a unit triple, reconstructs the perturbation and
+    takes the pencil residual. Returns (result, oriented u), or (None, the
+    reason u was rejected).
+    """
+    nx = asm.nx
+    if np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
+        return None, "collapsed onto the trivial solution branch"
+    if u[-1] < 0:
+        u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
+    if abs(u[-1]) < 1e-14:
+        return None, "stationary point with zero sigma"
+    try:
+        t = _triple_of(u, asm)
+        rec = reconstruct_perturbation(rp, t, cf)
+    except (SpuriousTripleError, ValueError) as exc:
+        return None, f"spurious stationary point: {exc}"
+    res = pencil_residual(rp, t)
+    converged = res <= cfg.conv_tol
     return FixedLambdaResult(
         lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
-        iterations=iterations, residual=res, sigma=t.sigma,
-        phi_plus_mu=phi_plus_mu, iterates=iterates,
-        failure=None if converged else f"pencil residual {res:.3e} above tolerance")
+        residual=res, sigma=t.sigma,
+        failure=None if converged else f"pencil residual {res:.3e} above tolerance"), u
 
 
-def _pbh_warm_start(cf, lam, use_real, rng):
+def _pbh_warm_start(cf, lam, asm, rng):
     """Seed z with the PBH singular vector at lam: the unstructured optimum
-    is usually in the right basin for the structured one."""
-    ac = cf.a_canonical
+    is usually in the right basin for the structured one. On the half-size
+    route of a real lambda only its real part is kept."""
     n, p = cf.n, cf.p
     c = np.hstack([np.eye(p), np.zeros((p, n - p))])
-    stack = np.vstack([complex(lam) * np.eye(n) - ac, c])
+    stack = np.vstack([complex(lam) * np.eye(n) - cf.a_canonical, c])
     _, _, vh = np.linalg.svd(stack)
     xc = vh[-1].conj()[p:]
     if np.linalg.norm(xc) < 1e-8:
@@ -542,18 +519,10 @@ def _pbh_warm_start(cf, lam, use_real, rng):
     k = int(np.argmax(np.abs(xc)))
     xc = xc * np.exp(-1j * np.angle(xc[k]))
     xc = xc / np.linalg.norm(xc)
-    at = np.vstack([cf.a12, cf.a22])
-    m = n - p
-    if use_real:
-        x = xc.real
-        if np.linalg.norm(x) < 1e-8:
-            return None
-        x = x / np.linalg.norm(x)
-        y = (at - complex(lam).real * np.vstack([np.zeros((p, m)), np.eye(m)])) @ x
-    else:
-        x = np.concatenate([xc.real, xc.imag])
-        rp_at = a_tilde(build_reduced(cf, lam))
-        y = rp_at @ x
+    x = np.concatenate([xc.real, xc.imag])[:asm.nx]
+    if np.linalg.norm(x) < 1e-8:
+        return None
+    y = asm.a_tilde @ x
     ny = np.linalg.norm(y)
     if ny < 1e-12:
         y = rng.standard_normal(len(y))
@@ -568,15 +537,14 @@ def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
     answer it returns.
     """
     rp = build_reduced(cf, lam)
-    use_real = rp.is_real and not cfg.force_full_pencil
-    size = (rp.m + rp.n) if use_real else (2 * rp.m + 2 * rp.n)
+    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
     best = None
     failures = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
-        z0 = _pbh_warm_start(cf, lam, use_real, rng) if r == 0 else None
+        z0 = _pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
         if z0 is None:
-            z0 = rng.standard_normal(size)
+            z0 = rng.standard_normal(asm.size)
         run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
         res = heuristic_iterate(rp, cf, run_cfg, z0=z0)
         if res.converged:
@@ -699,40 +667,16 @@ class RadiusResult:
 
 def _continue_triple(rp, cf, t_prev, cfg):
     """Polish-only continuation of a triple to a neighboring lambda."""
-    use_real = rp.is_real and not cfg.force_full_pencil
-    m, n = rp.m, rp.n
-    if use_real:
-        f_of, j_of = _real_fj(rp.a_bar - rp.n_bar, rp.v_bar)
-        xr = t_prev.x[:m]
-        y1 = t_prev.y[:n]
-        nx_, ny_ = np.linalg.norm(xr), np.linalg.norm(y1)
-        if nx_ < 1e-8 or ny_ < 1e-8:
-            return None
-        u0 = np.concatenate([xr / nx_, y1 / ny_, [t_prev.sigma * nx_ * ny_]])
-        nx = m
-    else:
-        f_of, j_of = _full_fj(a_tilde(rp), rp.v_bar)
-        u0 = np.concatenate([t_prev.x, t_prev.y, [t_prev.sigma]])
-        nx = 2 * m
-
-    u, its, ok, _ = _gn_core(f_of, j_of, u0, cfg.polish_max_iter, cfg.polish_tol)
-    if not ok or np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
+    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    u0 = _u_of(t_prev, asm)
+    if u0 is None:
         return None
-    if u[-1] < 0:
-        u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
-    if abs(u[-1]) < 1e-14:
+    u, its, ok, _ = _gn_core(*_stationarity_fj(asm.a_tilde, rp.v_bar), u0,
+                             cfg.polish_max_iter, cfg.polish_tol)
+    res = _accept(rp, cf, u, asm, cfg)[0] if ok else None
+    if res is None or not res.converged:
         return None
-    try:
-        t = _triple_of(u, nx, use_real)
-        rec = reconstruct_perturbation(rp, t, cf)
-    except (SpuriousTripleError, ValueError):
-        return None
-    res = pencil_residual(rp, t)
-    if res > cfg.conv_tol:
-        return None
-    return FixedLambdaResult(lam=rp.lam, converged=True, triple=t,
-                             reconstruction=rec, iterations=its, residual=res,
-                             sigma=t.sigma)
+    return replace(res, iterations=its)
 
 
 def _flat_in_lambda(cf, res, cfg):

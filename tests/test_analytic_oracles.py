@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from netobs import (OracleFailure, Perturbation, cut_bound,
+from netobs import (ConstraintMask, OracleFailure, Perturbation, cut_bound,
                     cut_bound_asymptote, enumerate_cut_family, line3_optimal,
                     line_radius, min_deletion_cost, star_radius,
                     verify_unobservability)
@@ -197,7 +197,7 @@ def independent_disconnects(a, sensors, removed):
 
 def test_line_cut_family_is_superdiagonal():
     net, mask, _ = sample_network("line", 5, 97, 0)
-    fam = enumerate_cut_family(net, k=1)
+    fam = enumerate_cut_family(net, mask, k=1)
     assert fam.omega == 4
     cuts = {tuple(sorted(c)) for c in fam.cuts}
     assert cuts == {((i, i + 1),) for i in range(4)}
@@ -205,7 +205,7 @@ def test_line_cut_family_is_superdiagonal():
 
 def test_star_cut_family_is_spokes():
     net, mask, _ = sample_network("star", 5, 97, 1)
-    fam = enumerate_cut_family(net, k=1)
+    fam = enumerate_cut_family(net, mask, k=1)
     assert fam.omega == 4
     for cut in fam.cuts:
         ((i, j),) = tuple(cut)
@@ -215,15 +215,15 @@ def test_star_cut_family_is_spokes():
 def test_complete_graph_has_no_single_edge_cut():
     a = np.full((3, 3), 0.5)
     np.fill_diagonal(a, (0.3, 0.6, 0.9))
-    net, _ = net_of(a)
-    fam = enumerate_cut_family(net, k=1)
+    net, mask = net_of(a)
+    fam = enumerate_cut_family(net, mask, k=1)
     assert fam.omega == 0
 
 
 def test_cut_family_invariants_random():
     for trial in range(5):
         net, mask, _ = sample_network("line", 6, 101, trial)
-        fam = enumerate_cut_family(net, k=1)
+        fam = enumerate_cut_family(net, mask, k=1)
         a = net.weights
         seen = set()
         for cut in fam.cuts:
@@ -235,10 +235,25 @@ def test_cut_family_invariants_random():
 
 def test_min_deletion_cost_line():
     a = line_matrix([0.5, 0.6, 0.7], [0.3, 0.7], [0.2, 0.9])
-    net, _ = net_of(a)
-    cost, edges = min_deletion_cost(net, k=1)
+    net, mask = net_of(a)
+    cost, edges = min_deletion_cost(net, mask, k=1)
     assert cost == 0.3
     assert edges == ((0, 1),)
+
+
+def test_cut_oracles_delete_only_masked_edges():
+    # the cheapest cut (0, 1) is outside the mask: the bound must come from
+    # the next-cheapest superdiagonal edge inside it, (2, 3)
+    a = line_matrix([0.5, 0.6, 0.7, 0.8], [0.3, 0.8, 0.5], [0.2, 0.9, 0.4])
+    net, mask = net_of(a)
+    v = mask.mask.copy()
+    v[0, 1] = 0.0
+    mask = ConstraintMask(v)
+    cost, edges = min_deletion_cost(net, mask, k=1)
+    assert edges == ((2, 3),)
+    assert cost == 0.5
+    fam = enumerate_cut_family(net, mask, k=1)
+    assert {tuple(c) for c in fam.cuts} == {((1, 2),), ((2, 3),)}
 
 
 def test_oracle_failure_is_raised_not_swallowed():

@@ -60,6 +60,14 @@ def test_non_finite_weight_exit_1(net3_file, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("bad network input: ")
+    # malformed entries fail at parse time the same way
+    for edit in ({"edges": [5]}, {"edges": None}, {"constraint": [7]},
+                 {"edges": [[1, 1, "heavy"]]}):
+        bad.write_text(json.dumps(dict(doc, **edit)))
+        code, out, err = run(["radius", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad network input: ")
 
 
 def test_unobservable_input_exit_2(tmp_path, capsys):

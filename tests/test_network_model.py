@@ -219,6 +219,20 @@ def test_network_from_dict_rejects_non_finite_weight(bad):
         network_from_dict(doc)
 
 
+@pytest.mark.parametrize("edit", [
+    {"edges": [5]},                      # an edge entry that is a bare number
+    {"edges": None},
+    {"edges": [[1, 2, "heavy"]]},        # a non-numeric weight
+    {"constraint": [[1, 2], 7]},         # a bare number as a constraint entry
+    {"constraint": 5},
+    {"sensors": None},
+])
+def test_network_from_dict_rejects_malformed_entries(edit):
+    doc = dict(_doc3(), **edit)
+    with pytest.raises(NetworkFormatError):
+        network_from_dict(doc)
+
+
 def test_load_network_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -1,0 +1,37 @@
+"""Smoke tests of the figure scripts: each runs end to end on a tiny input,
+so a change to the result fields they read cannot break them silently."""
+import csv
+import importlib.util
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_fig1_convergence_runs(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert load("fig1_convergence").main(["--trials", "2", "--out", str(out)]) == 0
+    assert len(rows(out)) > 1
+    assert f"wrote {out}" in capsys.readouterr().out
+
+
+def test_fig3_expected_radius_runs(tmp_path, capsys):
+    prefix = tmp_path / "fig3"
+    code = load("fig3_expected_radius").main(
+        ["--trials", "2", "--sizes", "5", "--out-prefix", str(prefix)])
+    assert code == 0
+    for topo in ("line", "star"):
+        assert len(rows(f"{prefix}_{topo}_records.csv")) == 3
+        assert len(rows(f"{prefix}_{topo}_summary.csv")) == 2
+    assert "line n=  5" in capsys.readouterr().out

@@ -11,7 +11,7 @@ from netobs import (SolverConfig, assemble_pencil, build_reduced,
 from netobs import solver
 from netobs.montecarlo import sample_network
 from netobs.radius_core import _delta_bar, assemble_real_pencil
-from netobs.solver import _continue_triple, _full_fj, _qz
+from netobs.solver import _continue_triple, _qz, _stationarity_fj
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -257,8 +257,7 @@ def eager_distances(res, rp, cf):
     """Reference history, polish_start and delta_trace, built eagerly from
     the kept iterates."""
     tr = res.iterates
-    sign = +1.0 if res.reconstruction.sign == "plus" else -1.0
-    d_final = _delta_bar(rp, res.triple, sign)
+    d_final = _delta_bar(rp, res.triple)
     nx = 2 * rp.m
     parts = []
     for us in (tr.sweep, tr.polish):
@@ -268,7 +267,7 @@ def eager_distances(res, rp, cf):
                 ti = normalize_triple(u[-1], u[:nx], u[nx:-1])
             except ValueError:
                 continue
-            di = _delta_bar(rp, ti, sign)
+            di = _delta_bar(rp, ti)
             hist.append(float(np.linalg.norm(di - d_final)))
             deltas.append(cf.to_original(np.hstack([np.zeros((rp.n, rp.p)), di])))
         parts.append((hist, deltas))
@@ -343,22 +342,44 @@ def block_jacobian(at, v_bar, u):
     return np.vstack([top, mid, r1, r2])
 
 
-def test_full_jacobian_matches_block_assembly():
+def block_jacobian_real(at, v_bar, u):
+    """Reference Jacobian of the half-size (real lambda) polish, assembled
+    densely from its blocks."""
+    n, m = v_bar.shape
+    vt = v_bar.T
+    x, y, sig = u[:m], u[m:m + n], u[-1]
+    sy = vt @ (y * y)
+    sx = v_bar @ (x * x)
+    return np.block([
+        [-sig * np.diag(sy), at.T - 2 * sig * vt * np.outer(x, y), -(sy * x)[:, None]],
+        [at - 2 * sig * v_bar * np.outer(y, x), -sig * np.diag(sx), -(sx * y)[:, None]],
+        [x[None, :], np.zeros((1, n + 1))],
+        [np.zeros((1, m)), y[None, :], np.zeros((1, 1))]])
+
+
+@pytest.mark.parametrize("route", ["complex", "real"])
+def test_full_jacobian_matches_block_assembly(route):
     rng = np.random.default_rng(12)
+    blocks = 2 if route == "complex" else 1
     for trial in range(60):
         n = int(rng.integers(2, 9))
         m = int(rng.integers(1, n))
-        at = rng.standard_normal((2 * n, 2 * m))
+        at = rng.standard_normal((blocks * n, blocks * m))
         v_bar = (rng.uniform(size=(n, m)) < 0.6).astype(float)
-        u = rng.standard_normal(2 * m + 2 * n + 1)
+        u = rng.standard_normal(blocks * (m + n) + 1)
         if trial % 2:
             u[-1] = -u[-1]
-        f_of, j_of = _full_fj(at, v_bar)
+        f_of, j_of = _stationarity_fj(at, v_bar)
         jac = j_of(u)
-        ref = block_jacobian(at, v_bar, u)
-        # bit-identical, down to the sign of every zero
-        np.testing.assert_array_equal(jac, ref)
-        np.testing.assert_array_equal(np.signbit(jac), np.signbit(ref))
+        if route == "complex":
+            ref = block_jacobian(at, v_bar, u)
+            # bit-identical, down to the sign of every zero
+            np.testing.assert_array_equal(jac, ref)
+            np.testing.assert_array_equal(np.signbit(jac), np.signbit(ref))
+        else:
+            # the same entries; the products may round in another order
+            np.testing.assert_allclose(jac, block_jacobian_real(at, v_bar, u),
+                                       rtol=1e-14, atol=1e-14)
         # and it is the derivative of the residual
         h = 1e-6
         fd = np.column_stack([(f_of(u + h * e) - f_of(u - h * e)) / (2 * h)
@@ -470,6 +491,22 @@ def test_lambda_gradient_matches_central_difference():
         assert np.hypot(*grad) > 1e-2  # a nontrivial check, not 0 == 0
         checked += 1
     assert checked == 4
+
+
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_continuation_at_own_lambda_keeps_cost(route):
+    # continuing a converged triple to its own lambda is a polish from a
+    # stationary point: the same acceptance step must hand back the same cost
+    net, mask, _ = sample_network("line", 4, 42, 1)
+    lam = complex(np.diag(net.weights)[-1], 0.0) if route == "real" else 0.3 + 0.5j
+    cfg = SolverConfig(seed=42, restarts=4, sweep_iters=12)
+    res = solve_fixed_lambda(net, mask, lam, cfg)
+    assert res.converged
+    cf = canonicalize(net, mask)
+    cont = _continue_triple(build_reduced(cf, lam), cf, res.triple, cfg)
+    assert cont is not None and cont.converged
+    assert cont.lam == lam
+    assert cont.cost == pytest.approx(res.cost, rel=1e-12)
 
 
 @pytest.mark.parametrize("topology,seed,trial", [("line", 4040, 0),
