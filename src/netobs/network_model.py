@@ -9,6 +9,7 @@ rows of the state.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -272,12 +273,23 @@ def verify_unobservability(net: NetworkSystem, pert: Perturbation, lam,
 # file format
 
 
+def _integer(v, what):
+    """v as an int when it is an integral number; booleans, strings and
+    fractions are rejected rather than truncated."""
+    if isinstance(v, numbers.Integral) and not isinstance(v, bool):
+        return int(v)
+    if isinstance(v, float) and v.is_integer():
+        return int(v)
+    raise NetworkFormatError(f"{what} {v!r} is not an integer")
+
+
 def _entry(entry, kind, form):
     """(i, j) and, for an edge, the weight w of one [i, j(, w)] entry."""
     if not isinstance(entry, (list, tuple)) or len(entry) != form.count(",") + 1:
         raise NetworkFormatError(f"{kind} entry {entry!r} must be {form}")
+    ij = tuple(_integer(v, f"{kind} entry {entry!r} index") for v in entry[:2])
     try:
-        return (int(entry[0]), int(entry[1])) + tuple(float(w) for w in entry[2:])
+        return ij + tuple(float(w) for w in entry[2:])
     except (TypeError, ValueError) as exc:
         raise NetworkFormatError(f"{kind} entry {entry!r} is not numeric: {exc}") from exc
 
@@ -289,11 +301,13 @@ def network_from_dict(doc):
     "constraint": "same_as_graph" | [[i, j], ...]}, 1-based indices.
     """
     try:
-        n = int(doc["n"])
+        n = _integer(doc["n"], "n")
         edges = list(doc["edges"])
-        sens = tuple(int(s) - 1 for s in doc["sensors"])
+        sens = tuple(_integer(s, "sensor") - 1 for s in doc["sensors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFormatError(f"missing or malformed field: {exc}") from exc
+    if n < 2:
+        raise NetworkFormatError(f"need at least 2 nodes, got n={n}")
     a = np.zeros((n, n))
     seen = set()
     for entry in edges:

@@ -4,10 +4,11 @@ The fixed-lambda problem is attacked in two stages. A shifted inverse
 iteration on the nonlinear pencil (the weightings are rebuilt from the
 iterate every sweep step, shift mu = psi * smallest positive generalized
 eigenvalue) explores the landscape; it is kept faithful to the update rule
-but is not locally contractive at stationary points, so a Gauss-Newton
-polish on the normalized stationarity system finishes the job. The polish
-works on unknowns (x, y, sigma) with explicit unit-norm rows appended,
-which kills both the scale gauge and the spurious x = 0 solution branch.
+but is not locally contractive at stationary points, so a
+Levenberg-Marquardt polish on the normalized stationarity system finishes
+the job. The polish works on unknowns (x, y, sigma) with explicit unit-norm
+rows appended, which kills both the scale gauge and the spurious x = 0
+solution branch.
 """
 
 from __future__ import annotations
@@ -141,32 +142,62 @@ def _u_of_pencil(pp, z):
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Newton polish on the normalized stationarity system.
+# Levenberg-Marquardt polish on the normalized stationarity system.
 # Unknown u = (x, y, sigma); residual F(u) stacks the two stationarity
 # equations plus (|x|^2 - 1)/2 and (|y|^2 - 1)/2.
 
 
 def _gn_core(f_of, j_of, u0, max_iter, tol):
+    """Levenberg-Marquardt on ||F(u)||_2 from u0.
+
+    One SVD J = U diag(s) V' per Jacobian serves every trial at that point:
+    the step with damping mu is -V diag(s / (s^2 + mu)) U'F, and a trial
+    costs one residual. The first trial at each point is the undamped
+    Gauss-Newton step (mu = 0), with singular values at or below lstsq's
+    default cut-off (eps * max(J.shape) * s_max) dropped. A trial is
+    accepted when the gain ratio rho, the actual over the predicted decrease
+    of ||F||^2, exceeds 1e-4. After a rejection mu follows Nielsen's update:
+    it starts at 1e-3 * s_max^2, or where the last accepted damped step left
+    it (mu *= max(1/3, 1 - (2 rho - 1)^3)), and each further rejection
+    takes mu *= nu, nu *= 2 with nu = 2 at first. An accepted undamped step
+    clears the carried mu. The run fails when the predicted decrease drops
+    to the rounding of ||F||^2, where no trial can be told apart from u.
+    Returns (u, Jacobians taken, converged, accepted iterates); ||F|| falls
+    strictly along the accepted iterates.
+    """
+    eps = np.finfo(float).eps
     u = u0.copy()
     f = f_of(u)
     us = [u]
+    mu = 0.0
     its = 0
     for its in range(1, max_iter + 1):
         if np.linalg.norm(f, np.inf) <= tol:
             return u, its - 1, True, us
-        step, *_ = np.linalg.lstsq(j_of(u), -f, rcond=None)
-        base = np.linalg.norm(f)
-        alpha = 1.0
-        moved = False
-        for _ in range(25):
-            trial = u + alpha * step
+        jac = j_of(u)
+        left, s, vt = np.linalg.svd(jac, full_matrices=False)
+        g = left.T @ f
+        ff = f @ f
+        w = np.divide(1.0, s, out=np.zeros_like(s),
+                      where=s > eps * max(jac.shape) * s[0])
+        damp, nu = 0.0, 2.0
+        while True:
+            r = s * w
+            pred = float(np.sum(g * g * r * (2.0 - r)))
+            if not pred > eps * ff:  # NaN in F fails here too
+                return u, its, False, us
+            trial = u - vt.T @ (w * g)
             ft = f_of(trial)
-            if np.linalg.norm(ft) < (1.0 - 1e-4 * alpha) * base:
-                u, f, moved = trial, ft, True
+            gain = ff - ft @ ft
+            if gain > 1e-4 * pred:
                 break
-            alpha *= 0.5
-        if not moved:
-            return u, its, False, us
+            if damp == 0.0:
+                damp = mu or 1e-3 * s[0] ** 2
+            else:
+                damp, nu = damp * nu, 2.0 * nu
+            w = s / (s * s + damp)
+        mu = damp * max(1.0 / 3.0, 1.0 - (2.0 * gain / pred - 1.0) ** 3)
+        u, f = trial, ft
         us.append(u)
     return u, its, bool(np.linalg.norm(f, np.inf) <= tol), us
 
@@ -253,7 +284,7 @@ def _u_of(t, asm):
 class IterateTrace:
     """The iterates of one fixed-lambda solve, kept raw.
 
-    sweep holds the sweep passes and polish the winning Gauss-Newton
+    sweep holds the sweep passes and polish the winning Levenberg-Marquardt
     sequence, each as a polish variable u = (x, y, sigma). Their distances
     to the final perturbation are built on first access (distances), so a
     restart whose result is dropped never pays for them.
@@ -354,9 +385,10 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     """One solve of the fixed-lambda problem from one initial vector.
 
     Runs the shifted inverse-iteration sweep, then polishes the best sweep
-    iterate (by stationarity residual) with Gauss-Newton, reconstructs the
-    perturbation, and reports the pencil residual. Real lambda is routed
-    through the half-size pencil unless the config forces the full one.
+    iterate (by stationarity residual) with Levenberg-Marquardt,
+    reconstructs the perturbation, and reports the pencil residual. Real
+    lambda is routed through the half-size pencil unless the config forces
+    the full one.
 
     A sweep step does only the work that changes from step to step. H is
     assembled once per call (PencilAssembly); each step fills D's diagonals

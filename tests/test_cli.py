@@ -51,7 +51,8 @@ def test_malformed_json_exit_1(tmp_path, capsys):
 
 
 def test_non_finite_weight_exit_1(net3_file, tmp_path, capsys):
-    doc = json.loads(open(net3_file[0]).read())
+    good = json.loads(open(net3_file[0]).read())
+    doc = json.loads(json.dumps(good))
     doc["edges"][0][2] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))  # written as the JSON token NaN
@@ -60,10 +61,14 @@ def test_non_finite_weight_exit_1(net3_file, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("bad network input: ")
-    # malformed entries fail at parse time the same way
+    # malformed entries of an otherwise valid document fail at parse time
+    # the same way; non-integral or boolean counts and indices are not
+    # truncated, and n < 2 is caught before any array is built
     for edit in ({"edges": [5]}, {"edges": None}, {"constraint": [7]},
-                 {"edges": [[1, 1, "heavy"]]}):
-        bad.write_text(json.dumps(dict(doc, **edit)))
+                 {"edges": [[1, 1, "heavy"]]}, {"n": 2.7}, {"n": True},
+                 {"n": -1}, {"constraint": [[1, 2.9]]}, {"sensors": [1.5]},
+                 {"edges": [[1, 2.0, 0.5], [True, 1, 0.5]]}):
+        bad.write_text(json.dumps(dict(good, **edit)))
         code, out, err = run(["radius", str(bad)], capsys)
         assert code == 1
         assert out == ""

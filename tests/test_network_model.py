@@ -226,6 +226,15 @@ def test_network_from_dict_rejects_non_finite_weight(bad):
     {"constraint": [[1, 2], 7]},         # a bare number as a constraint entry
     {"constraint": 5},
     {"sensors": None},
+    {"n": 2.7},                          # a fractional n is not truncated
+    {"n": True},
+    {"n": -1},                           # rejected before any array is built
+    {"n": 1},
+    {"edges": [[1.5, 2, 0.5]]},          # a fractional edge index
+    {"constraint": [[1, 2.9]]},          # would mask edge (1, 2) if truncated
+    {"constraint": [[1, True]]},
+    {"sensors": [1.5]},                  # would become node 1 if truncated
+    {"sensors": [False]},
 ])
 def test_network_from_dict_rejects_malformed_entries(edit):
     doc = dict(_doc3(), **edit)

@@ -388,6 +388,117 @@ def test_full_jacobian_matches_block_assembly(route):
 
 
 # ---------------------------------------------------------------------------
+# Levenberg-Marquardt polish
+
+
+C3_CFG = SolverConfig(restarts=12, sweep_iters=15, seed=7, keep_delta_trace=True)
+ENSEMBLE_CFG = SolverConfig(restarts=4, sweep_iters=12, seed=4040)
+
+
+def record_polish(mp):
+    """Wrap solver._gn_core; every call appends a record of its residual
+    and Jacobian evaluations, its return value and its inputs."""
+    runs = []
+    core = solver._gn_core
+
+    def recording(f_of, j_of, u0, max_iter, tol):
+        calls = {"f": 0, "j": 0}
+
+        def f_counted(u):
+            calls["f"] += 1
+            return f_of(u)
+
+        def j_counted(u):
+            calls["j"] += 1
+            return j_of(u)
+
+        out = core(f_counted, j_counted, u0, max_iter, tol)
+        runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=out,
+                         f_of=f_of, j_of=j_of, u0=u0, max_iter=max_iter, tol=tol))
+        return out
+
+    mp.setattr(solver, "_gn_core", recording)
+    return runs
+
+
+def line6_candidate(index):
+    net, mask, _ = sample_network("line", 6, 4040, 0)
+    return net, mask, candidate_lambdas(net, mask, "topo")[index]
+
+
+@pytest.fixture(scope="module")
+def c3_polish_runs():
+    """Every polish run of C3's solves of chains 0..5 (seed 7, lambda = i)."""
+    with pytest.MonkeyPatch.context() as mp:
+        runs = record_polish(mp)
+        for trial in range(6):
+            net, mask, _ = sample_network("line", 3, 7, trial)
+            assert solve_fixed_lambda(net, mask, 1j, C3_CFG).converged
+    return runs
+
+
+def assert_residual_falls(runs):
+    for run in runs:
+        norms = [np.linalg.norm(run["f_of"](u)) for u in run["out"][3]]
+        assert all(b < a for a, b in zip(norms, norms[1:])), norms
+
+
+def test_polish_residual_strictly_decreasing_on_c3_chains(c3_polish_runs):
+    # C3's monotone tail rests on this: ||F|| falls at every accepted iterate
+    assert sum(len(run["out"][3]) > 5 for run in c3_polish_runs) >= 20
+    assert_residual_falls(c3_polish_runs)
+
+
+def test_polish_residual_strictly_decreasing_on_real_route(monkeypatch):
+    # a real candidate of a 6-node line whose polish runs take damped steps
+    net, mask, lam = line6_candidate(14)
+    runs = record_polish(monkeypatch)
+    assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
+    assert any(run["residuals"] > run["jacobians"] + 1 for run in runs)
+    assert_residual_falls(runs)
+
+
+def test_polish_counts_jacobians_and_spends_few_residuals(c3_polish_runs):
+    # its counts Jacobians; the damping trials at a point share one SVD and
+    # cost one residual each, so the residuals per Jacobian stay near 1
+    for run in c3_polish_runs:
+        assert run["out"][1] == run["jacobians"]
+    residuals = sum(run["residuals"] for run in c3_polish_runs)
+    jacobians = sum(run["jacobians"] for run in c3_polish_runs)
+    assert residuals <= 2 * jacobians, residuals / jacobians
+
+
+def reference_gauss_newton(f_of, j_of, u0, max_iter, tol):
+    """Iterates of the undamped Gauss-Newton loop with lstsq steps."""
+    us = [u0]
+    u, f = u0, f_of(u0)
+    while len(us) <= max_iter and np.linalg.norm(f, np.inf) > tol:
+        u = u + np.linalg.lstsq(j_of(u), -f, rcond=None)[0]
+        f = f_of(u)
+        us.append(u)
+    return us
+
+
+def test_polish_takes_full_gauss_newton_steps_where_they_are_accepted(monkeypatch):
+    # a real candidate of a 6-node line (the C7 ensemble's first instance)
+    # where every full step is accepted: one residual per Jacobian, plus the
+    # one at the start, and the iterates of undamped Gauss-Newton
+    net, mask, lam = line6_candidate(4)
+    runs = record_polish(monkeypatch)
+    assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
+    assert len(runs) == 4 and all(run["jacobians"] >= 3 for run in runs)
+    for run in runs:
+        u, its, ok, us = run["out"]
+        assert ok
+        assert run["residuals"] == run["jacobians"] + 1
+        ref = reference_gauss_newton(run["f_of"], run["j_of"], run["u0"],
+                                     run["max_iter"], run["tol"])
+        assert len(us) == len(ref)
+        for got, want in zip(us, ref):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
 # lambda search
 
 
