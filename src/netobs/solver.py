@@ -162,6 +162,19 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     takes mu *= nu, nu *= 2 with nu = 2 at first. An accepted undamped step
     clears the carried mu. The run fails when the predicted decrease drops
     to the rounding of ||F||^2, where no trial can be told apart from u.
+
+    The run also fails, before any trial at a point, when that point is
+    stationary for ||F|| at a nonzero residual: the relative gradient
+    ||J'F|| / (||J||_2 ||F||) is at or below 1e-6 (Madsen, Nielsen &
+    Tingleff, "Methods for Non-Linear Least Squares Problems", 2004, 3.2).
+    Both norms come from the SVD: ||J'F|| = ||s * U'F|| and ||J||_2 = s[0].
+    Along the runs that converge, the smallest relative gradient measured
+    was 1.6e-4 on the benchmark pools, 4.6e-4 on C3's 100 chains and 1.5e-5
+    on C7's 1,000 instances, where a few runs pass close to a saddle of
+    ||F|| before they converge; the threshold sits 15 times below the
+    lowest. A run that stops here fails like any other, and
+    heuristic_iterate reports it as "did not converge".
+
     Returns (u, Jacobians taken, converged, accepted iterates); ||F|| falls
     strictly along the accepted iterates.
     """
@@ -178,6 +191,9 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
         left, s, vt = np.linalg.svd(jac, full_matrices=False)
         g = left.T @ f
         ff = f @ f
+        # the relative gradient: stationary for ||F|| with F != 0
+        if np.linalg.norm(s * g) <= 1e-6 * s[0] * np.sqrt(ff):
+            return u, its, False, us
         w = np.divide(1.0, s, out=np.zeros_like(s),
                       where=s > eps * max(jac.shape) * s[0])
         damp, nu = 0.0, 2.0
@@ -615,11 +631,12 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
-    "default": eigenvalues of all trailing principal submatrices of the
-    non-sensor block plus a coarse 21x21 rectangle on [-2, 2]^2.
-    "submatrix": the trailing-submatrix eigenvalues only.
+    "submatrix": eigenvalues of all trailing principal submatrices of the
+    non-sensor block.
     "topo": submatrix eigenvalues plus pairwise means of the non-sensor
     diagonal (covers symmetry-type optima on hub topologies).
+    "default": the "topo" candidates plus a coarse 21x21 rectangle on
+    [-2, 2]^2.
     "rect:re0,re1,im0,im1,nre,nim": explicit rectangle.
     Or pass an explicit iterable of complex numbers.
     Conjugates are folded onto the closed upper half plane.
@@ -634,6 +651,11 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
             vals.extend(np.linalg.eigvals(a22[k:, k:]))
         return vals
 
+    def diagonal_means():
+        diag = np.diag(a22)
+        return [complex((diag[i] + diag[j]) / 2.0)
+                for i in range(m) for j in range(i + 1, m)]
+
     def rect(re0, re1, im0, im1, nre, nim):
         return [complex(re, im)
                 for re in np.linspace(re0, re1, int(nre))
@@ -641,14 +663,11 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
 
     if isinstance(grid, str):
         if grid == "default":
-            vals = submatrix_eigs() + rect(-2, 2, -2, 2, 21, 21)
+            vals = submatrix_eigs() + diagonal_means() + rect(-2, 2, -2, 2, 21, 21)
         elif grid == "submatrix":
             vals = submatrix_eigs()
         elif grid == "topo":
-            diag = np.diag(a22)
-            means = [(diag[i] + diag[j]) / 2.0
-                     for i in range(m) for j in range(i + 1, m)]
-            vals = submatrix_eigs() + [complex(v) for v in means]
+            vals = submatrix_eigs() + diagonal_means()
         elif grid.startswith("rect:"):
             parts = [float(s) for s in grid[5:].split(",")]
             if len(parts) != 6:

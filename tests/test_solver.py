@@ -498,6 +498,60 @@ def test_polish_takes_full_gauss_newton_steps_where_they_are_accepted(monkeypatc
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
+def relative_gradient(f_of, j_of, u):
+    """||J'F|| / (||J||_2 ||F||) at u, from numpy's own norms."""
+    f, j = f_of(u), j_of(u)
+    return np.linalg.norm(j.T @ f) / (np.linalg.norm(j, 2) * np.linalg.norm(f))
+
+
+# the relative gradient at or below which _gn_core gives a run up
+STATIONARY_EXIT = 1e-6
+
+
+def test_polish_stops_at_a_nonzero_residual_minimum():
+    # F(t) = (t + 1, c t^2 + t - 1) has its least-squares minimum at t = 0
+    # with ||F|| = sqrt(2) for every c; near it Gauss-Newton contracts only
+    # by about c per step, so with c = 0.99 the run would crawl through its
+    # whole budget. The relative-gradient exit ends it within a few steps.
+    c = 0.99
+
+    def f_of(u):
+        return np.array([u[0] + 1.0, c * u[0] ** 2 + u[0] - 1.0])
+
+    def j_of(u):
+        return np.array([[1.0], [2.0 * c * u[0] + 1.0]])
+
+    u, its, ok, us = solver._gn_core(f_of, j_of, np.array([1e-4]), 60, 1e-12)
+    assert not ok
+    assert its <= 5
+    assert abs(u[0]) < 1e-4
+    assert np.linalg.norm(f_of(u)) == pytest.approx(np.sqrt(2.0), rel=1e-8)
+    assert relative_gradient(f_of, j_of, u) <= STATIONARY_EXIT
+
+
+def assert_relative_gradient_margin(runs):
+    # a converging run never comes within 10x of the exit's threshold
+    converged = [run for run in runs if run["out"][2]]
+    assert converged
+    for run in converged:
+        for u in run["out"][3][:-1]:  # the last iterate takes no Jacobian
+            assert (relative_gradient(run["f_of"], run["j_of"], u)
+                    >= 10 * STATIONARY_EXIT)
+
+
+def test_converging_polish_keeps_clear_of_the_stationary_exit(c3_polish_runs):
+    assert_relative_gradient_margin(c3_polish_runs)
+
+
+@pytest.mark.parametrize("index", [4, 14])
+def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
+        monkeypatch, index):
+    net, mask, lam = line6_candidate(index)
+    runs = record_polish(monkeypatch)
+    assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
+    assert_relative_gradient_margin(runs)
+
+
 # ---------------------------------------------------------------------------
 # lambda search
 
@@ -509,6 +563,7 @@ def test_candidate_grids():
     assert len(sub) == len(set(sub))
     topo = candidate_lambdas(net, mask, "topo")
     assert set(sub) <= set(topo)
+    assert set(topo) <= set(candidate_lambdas(net, mask, "default"))
     rect = candidate_lambdas(net, mask, "rect:-1,1,0,1,5,3")
     assert len(rect) <= 15
     explicit = candidate_lambdas(net, mask, [0.5, 0.5 - 0.25j])
@@ -519,6 +574,20 @@ def test_candidate_grids():
         candidate_lambdas(net, mask, [])
     with pytest.raises(ValueError):
         candidate_lambdas(net, mask, "nope")
+
+
+@pytest.mark.slow
+def test_default_grid_finds_the_star_optima():
+    # C7's star generator (seed 4041): without the pairwise diagonal means,
+    # the default grid overshot star_radius on (n, trial) = (5, 4), (6, 0),
+    # (7, 1) and (8, 4), by 0.9% to 11.6%
+    for n in range(4, 9):
+        for trial in range(8):
+            net, mask, _ = sample_network("star", n, 4041, trial)
+            rr = solve_radius(net, mask, "default", SolverConfig())
+            assert rr.best.converged, (n, trial)
+            assert rr.cost == pytest.approx(star_radius(net.weights).delta,
+                                            rel=1e-4), (n, trial)
 
 
 def test_radius_line_matches_min_superdiagonal():
