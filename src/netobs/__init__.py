@@ -5,53 +5,46 @@ makes a sensed linear network system unobservable, plus closed-form oracles
 for special topologies and Monte Carlo ensemble tooling.
 """
 
-from .network_model import (CanonicalForm, ConstraintMask, NetworkFormatError,
-                            NetworkSystem, MaskSupportError, Perturbation,
-                            UnobservabilityReport, UnobservableSystemError,
-                            canonicalize, is_observable, load_network,
-                            network_from_dict, pbh_margin,
-                            perturbation_from_dict, perturbation_to_dict,
-                            verify_unobservability)
-from .radius_core import (CandidateTriple, PencilPair, Reconstruction,
-                          ReducedProblem, SpuriousTripleError, a_tilde,
+from .network_model import (ConstraintMask, NetworkFormatError, NetworkSystem,
+                            MaskSupportError, Perturbation,
+                            UnobservableSystemError, canonicalize,
+                            is_observable, load_network, network_from_dict,
+                            pbh_margin, perturbation_from_dict,
+                            perturbation_to_dict, verify_unobservability)
+from .radius_core import (CandidateTriple, SpuriousTripleError, a_tilde,
                           assemble_pencil, assemble_real_pencil,
                           balanced_embed, build_reduced, build_weightings,
                           embed_real_triple, normalize_triple,
                           orthogonality_diagnostic, pencil_residual,
                           reconstruct_perturbation, system_residual)
-from .solver import (FixedLambdaResult, RadiusResult, SolverConfig,
-                     SpectrumResult, candidate_lambdas, generalized_spectrum,
+from .solver import (SolverConfig, candidate_lambdas, generalized_spectrum,
                      heuristic_iterate, solve_fixed_lambda, solve_radius)
-from .analytic_oracles import (CutFamily, OracleFailure, OracleResult,
-                               cut_bound, cut_bound_asymptote,
+from .analytic_oracles import (OracleFailure, cut_bound, cut_bound_asymptote,
                                enumerate_cut_family, line3_optimal,
                                line_radius, min_deletion_cost, star_radius)
-from .montecarlo import (ConvergenceResult, EnsembleResult, EnsembleSpec,
-                         SizeSummary, TrialRecord, convergence_experiment,
-                         dkw_epsilon, estimate_expected_radius,
-                         sample_network, survival_deviation)
+from .montecarlo import (EnsembleSpec, convergence_experiment, dkw_epsilon,
+                         estimate_expected_radius, sample_network,
+                         survival_deviation)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalForm", "ConstraintMask", "NetworkFormatError", "NetworkSystem",
-    "MaskSupportError", "Perturbation", "UnobservabilityReport",
-    "UnobservableSystemError", "canonicalize", "is_observable", "load_network",
-    "network_from_dict", "pbh_margin", "perturbation_from_dict",
-    "perturbation_to_dict", "verify_unobservability",
-    "CandidateTriple", "PencilPair", "Reconstruction", "ReducedProblem",
-    "SpuriousTripleError", "a_tilde", "assemble_pencil", "assemble_real_pencil",
-    "balanced_embed", "build_reduced", "build_weightings", "embed_real_triple",
-    "normalize_triple", "orthogonality_diagnostic", "pencil_residual",
-    "reconstruct_perturbation", "system_residual",
-    "FixedLambdaResult", "RadiusResult", "SolverConfig", "SpectrumResult",
-    "candidate_lambdas", "generalized_spectrum", "heuristic_iterate",
-    "solve_fixed_lambda", "solve_radius",
-    "CutFamily", "OracleFailure", "OracleResult", "cut_bound",
-    "cut_bound_asymptote", "enumerate_cut_family", "line3_optimal",
-    "line_radius", "min_deletion_cost", "star_radius",
-    "ConvergenceResult", "EnsembleResult", "EnsembleSpec", "SizeSummary",
-    "TrialRecord", "convergence_experiment", "dkw_epsilon",
+    "ConstraintMask", "NetworkFormatError", "NetworkSystem",
+    "MaskSupportError", "Perturbation", "UnobservableSystemError",
+    "canonicalize", "is_observable", "load_network", "network_from_dict",
+    "pbh_margin", "perturbation_from_dict", "perturbation_to_dict",
+    "verify_unobservability",
+    "CandidateTriple", "SpuriousTripleError", "a_tilde", "assemble_pencil",
+    "assemble_real_pencil", "balanced_embed", "build_reduced",
+    "build_weightings", "embed_real_triple", "normalize_triple",
+    "orthogonality_diagnostic", "pencil_residual", "reconstruct_perturbation",
+    "system_residual",
+    "SolverConfig", "candidate_lambdas", "generalized_spectrum",
+    "heuristic_iterate", "solve_fixed_lambda", "solve_radius",
+    "OracleFailure", "cut_bound", "cut_bound_asymptote",
+    "enumerate_cut_family", "line3_optimal", "line_radius",
+    "min_deletion_cost", "star_radius",
+    "EnsembleSpec", "convergence_experiment", "dkw_epsilon",
     "estimate_expected_radius", "sample_network", "survival_deviation",
     "__version__",
 ]

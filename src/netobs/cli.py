@@ -17,14 +17,13 @@ import numpy as np
 
 from . import analytic_oracles as oracles
 from . import montecarlo as mc
-from .network_model import (NetworkFormatError, UnobservableSystemError,
-                            canonicalize, load_network,
-                            perturbation_from_dict, perturbation_to_dict,
-                            verify_unobservability)
-from .radius_core import (_delta_bar, a_tilde, assemble_pencil, build_reduced,
-                          build_weightings)
-from .solver import (SolverConfig, generalized_spectrum, heuristic_iterate,
-                     solve_fixed_lambda, solve_radius)
+from . import properties
+from .network_model import (ConstraintMask, NetworkFormatError, NetworkSystem,
+                            UnobservableSystemError, canonicalize,
+                            load_network, perturbation_from_dict,
+                            perturbation_to_dict, verify_unobservability)
+from .radius_core import assemble_pencil, build_reduced
+from .solver import SolverConfig, solve_fixed_lambda, solve_radius
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -65,7 +64,7 @@ def _default_seed(args):
 
 def _cfg(args):
     return SolverConfig(
-        psi=args.psi, max_iter=args.max_iter, conv_tol=args.tol,
+        psi=args.psi, conv_tol=args.tol,
         restarts=args.restarts, seed=_default_seed(args))
 
 
@@ -216,7 +215,6 @@ def cmd_montecarlo(args):
 
 def _mixed_instances(seed, count):
     """Random observable instances with line, star, or dense random masks."""
-    from .network_model import ConstraintMask, NetworkSystem
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC8EC)))
     out = []
     while len(out) < count:
@@ -237,165 +235,73 @@ def _mixed_instances(seed, count):
     return out
 
 
-def _spectrum_checks(seed, count=40):
-    worst_zero = 0.0
-    worst_imag = 0.0
-    worst_pair = 0.0
+def _pencil_points(seed, count, tag):
+    """Validate's instances as (reduced problem, x, y), with x and y drawn
+    from a stream keyed by (seed, n, tag)."""
     for net, mask, lam in _mixed_instances(seed, count):
-        cf = canonicalize(net, mask)
-        rp = build_reduced(cf, lam)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, net.n, 0x5EC)))
-        x = rng.standard_normal(2 * rp.m)
-        y = rng.standard_normal(2 * rp.n)
-        pp = assemble_pencil(rp, x / np.linalg.norm(x), y / np.linalg.norm(y))
-        spec = generalized_spectrum(pp)
-        if not spec.regular or len(spec.values) == 0:
-            continue
-        vals = spec.values
-        scale = max(1.0, float(np.abs(vals.real).max()))
-        worst_zero = max(worst_zero, float(np.min(np.abs(vals))) / scale)
-        worst_imag = max(worst_imag, float(np.abs(vals.imag).max()) / scale)
-        re = np.sort(vals.real)
-        worst_pair = max(worst_pair, float(np.abs(re + re[::-1]).max()) / scale)
-    return worst_zero, worst_imag, worst_pair
+        rp = build_reduced(canonicalize(net, mask), lam)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, net.n, tag)))
+        yield rp, rng.standard_normal(2 * rp.m), rng.standard_normal(2 * rp.n)
 
 
-def _shift_check(seed, count=10):
-    worst = 0.0
-    for net, mask, lam in _mixed_instances(seed, count):
-        cf = canonicalize(net, mask)
-        rp = build_reduced(cf, lam)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, net.n, 0x51F7)))
-        x = rng.standard_normal(2 * rp.m)
-        y = rng.standard_normal(2 * rp.n)
-        pp = assemble_pencil(rp, x / np.linalg.norm(x), y / np.linalg.norm(y))
-        spec = generalized_spectrum(pp)
-        if not spec.regular or len(spec.values) == 0:
-            continue
-        real = spec.values.real[np.abs(spec.values.imag) < 1e-8]
-        pos = real[real > 1e-8 * max(1.0, np.abs(real).max())]
-        if len(pos) == 0:
-            continue
-        mu = 0.9 * float(pos.min())
-        import scipy.linalg as sla
-        shifted = sla.eigvals(pp.h - mu * pp.d, pp.d, homogeneous_eigvals=True)
-        fin = np.abs(shifted[1]) > 1e-10 * (1 + np.abs(shifted[0]))
-        sh = shifted[0][fin] / shifted[1][fin]
-        for s in pos[:3]:
-            worst = max(worst, float(np.min(np.abs(sh - (s - mu)))) /
-                        max(1.0, abs(s)))
-    return worst
+def _unit_pencils(seed, count, tag):
+    for rp, x, y in _pencil_points(seed, count, tag):
+        yield assemble_pencil(rp, x / np.linalg.norm(x), y / np.linalg.norm(y))
 
 
-def _scaling_check(seed):
-    worst = 0.0
-    for net, mask, lam in _mixed_instances(seed, 8):
-        cf = canonicalize(net, mask)
-        rp = build_reduced(cf, lam)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, net.n, 0x5CA1)))
-        x = rng.standard_normal(2 * rp.m)
-        y = rng.standard_normal(2 * rp.n)
-        alpha = 1.7
-        dx1, dy1 = build_weightings(rp, x, y)
-        dx2, dy2 = build_weightings(rp, alpha * x, y)
-        worst = max(worst, float(np.abs(dx2 - alpha**2 * dx1).max()))
-        del dy1, dy2
-    return worst
+def _worst(residuals):
+    """The largest residual and 0; None marks an instance that does not apply."""
+    return max([0.0] + [r for r in residuals if r is not None])
 
 
-def _solve_checks(seed, inject_sign_flip=False, count=6):
-    """Identity, bound, and oracle agreement on solved 3-node instances."""
-    worst_identity = 0.0
-    worst_bound = 0.0
-    worst_oracle = 0.0
-    lam = 1j
+def _line3_checks(seed, count=6):
+    """Cost identity, cost bound and oracle agreement on 3-node chains solved
+    at lambda = i; all inf when no solve converges."""
     cfg = SolverConfig(restarts=6, sweep_iters=15, seed=seed)
-    solved = 0
+    rows = []
     for trial in range(count):
         net, mask, _ = mc.sample_network("line", 3, seed, trial)
         try:
-            ora = oracles.line3_optimal(net.weights, lam)
+            res, gap = properties.line3_oracle_gap(net, mask, 1j, cfg)
         except oracles.OracleFailure:
             continue
-        res = solve_fixed_lambda(net, mask, lam, cfg)
-        if not res.converged:
-            continue
-        solved += 1
-        cf = canonicalize(net, mask)
-        rp = build_reduced(cf, lam)
-        t = res.triple
-        db = _delta_bar(rp, t, -1.0 if inject_sign_flip else 1.0)
-        cost_sq = float(np.sum(db * db))
-        identity = t.sigma * float(t.x @ (a_tilde(rp).T @ t.y))
-        worst_identity = max(worst_identity,
-                             abs(cost_sq - identity) / max(cost_sq, 1e-300))
-        worst_bound = max(worst_bound,
-                          cost_sq - t.sigma * float(np.linalg.norm(a_tilde(rp))))
-        worst_oracle = max(worst_oracle,
-                           float(np.linalg.norm(res.perturbation.delta
-                                                - ora.perturbation)))
-    if solved == 0:
+        if res.converged:
+            rows.append((*properties.cost_identity_residuals(res.reconstruction), gap))
+    if not rows:
         return np.inf, np.inf, np.inf
-    return worst_identity, worst_bound, worst_oracle
-
-
-def _real_route_check(seed, count=4):
-    from dataclasses import replace as _rep
-    worst = 0.0
-    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
-    full_cfg = _rep(cfg, force_full_pencil=True)
-    for trial in range(count):
-        net, mask, _ = mc.sample_network("line", 4, seed, trial)
-        lam = complex(np.diag(net.weights)[-1], 0.0)
-        res_half = solve_fixed_lambda(net, mask, lam, cfg)
-        if not res_half.converged:
-            continue
-        # formulation agreement, not restart luck: warm-start the full
-        # system from the half-route solution (agreement means that point is
-        # stationary for the full system at the same cost); the cold full
-        # solve only guards against the full route finding something cheaper
-        cf = canonicalize(net, mask)
-        rp = build_reduced(cf, lam)
-        t = res_half.triple
-        warm = heuristic_iterate(rp, cf, full_cfg,
-                                 z0=np.concatenate([t.x, t.y]))
-        cold = solve_fixed_lambda(net, mask, lam, full_cfg)
-        costs = [r.cost for r in (warm, cold) if r.converged]
-        if not costs:
-            return np.inf
-        worst = max(worst, abs(res_half.cost - min(costs)))
-    return worst
-
-
-def _topology_check(seed):
-    worst = 0.0
-    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
-    for topology in ("line", "star"):
-        net, mask, _ = mc.sample_network(topology, 5, seed, 0)
-        ora = (oracles.line_radius(net.weights) if topology == "line"
-               else oracles.star_radius(net.weights))
-        rr = solve_radius(net, mask, "topo", cfg)
-        if not rr.best.converged:
-            return np.inf
-        worst = max(worst, abs(rr.cost - ora.delta))
-    return worst
+    return tuple(map(_worst, zip(*rows)))
 
 
 def cmd_validate(args):
     seed = _default_seed(args)
-    z, im, pair = _spectrum_checks(seed)
-    identity, bound, oracle_gap = _solve_checks(seed, args.inject_sign_flip)
+    spectra = [r for r in map(properties.spectrum_residuals,
+                              _unit_pencils(seed, 40, 0x5EC)) if r is not None]
+    zero, imag, pair = map(_worst, zip((0.0, 0.0, 0.0), *spectra))
+    shift = _worst(properties.shift_residual(pp, 0.9, 3)
+                   for pp in _unit_pencils(seed, 10, 0x51F7))
+    scaling = _worst(properties.weighting_scaling_residual(rp, x, y, 1.7)
+                     for rp, x, y in _pencil_points(seed, 8, 0x5CA1))
+    identity, bound, oracle_gap = _line3_checks(seed)
+    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
+    real_route, topology = [], []
+    for trial in range(4):
+        net, mask, _ = mc.sample_network("line", 4, seed, trial)
+        lam = complex(net.weights[-1, -1], 0.0)
+        real_route.append(properties.real_route_gap(net, mask, lam, cfg))
+    for kind in ("line", "star"):
+        net, mask, _ = mc.sample_network(kind, 5, seed, 0)
+        topology.append(properties.oracle_radius_gap(net, mask, kind, cfg)[1])
     checks = [
-        ("pencil_zero_eigenvalue", z, 1e-8),
-        ("pencil_spectrum_real", im, 1e-8),
+        ("pencil_zero_eigenvalue", zero, 1e-8),
+        ("pencil_spectrum_real", imag, 1e-8),
         ("pencil_spectrum_pairing", pair, 1e-8),
-        ("shift_relation", _shift_check(seed), 1e-8),
-        ("weighting_quadratic_scaling", _scaling_check(seed), 1e-12),
+        ("shift_relation", shift, 1e-8),
+        ("weighting_quadratic_scaling", scaling, 1e-12),
         ("reconstruction_cost_identity", identity, 1e-6),
         ("reconstruction_cost_bound", bound, 1e-9),
         ("oracle_agreement_3node", oracle_gap, 1e-5),
-        ("real_lambda_route_equivalence", _real_route_check(seed), 1e-8),
-        ("topology_radius_agreement", _topology_check(seed), 1e-4),
+        ("real_lambda_route_equivalence", _worst(real_route), 1e-8),
+        ("topology_radius_agreement", _worst(topology), 1e-4),
     ]
     print("check,status,residual,threshold")
     failed = False
@@ -419,7 +325,6 @@ def build_parser():
 
     def add_solver_opts(sp):
         sp.add_argument("--psi", type=float, default=0.9)
-        sp.add_argument("--max-iter", type=int, default=500)
         sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--restarts", type=int, default=8)
         sp.add_argument("--seed", type=int, default=None,
@@ -430,7 +335,7 @@ def build_parser():
     sp.add_argument("network")
     sp.add_argument("--lambda", dest="lam", default=None, help="fixed eigenvalue 're,im'")
     sp.add_argument("--grid", default="default",
-                    help="lambda search grid: default|submatrix|topo|rect:...")
+                    help="lambda search grid: default|topo")
     add_solver_opts(sp)
     sp.set_defaults(fn=cmd_radius)
 
@@ -461,8 +366,6 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="run the built-in property suite")
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--inject-sign-flip", action="store_true",
-                    help=argparse.SUPPRESS)  # test harness hook
     sp.set_defaults(fn=cmd_validate)
     return p
 

@@ -317,16 +317,12 @@ class Reconstruction:
     cost_bound_slack: float   # sigma * ||At||_F - ||Delta||_F^2  (should be >= 0)
 
 
-def _delta_bar(rp, t, sign=1.0):
-    """Delta_bar = -sigma (y1 x_re' + sign * y2 x_im') o V_bar.
-
-    The reconstruction's coupling is sign = +1; the validate suite builds the
-    other one (sign = -1) to show that its checks catch it.
-    """
+def _delta_bar(rp, t):
+    """Delta_bar = -sigma (y1 x_re' + y2 x_im') o V_bar."""
     m, n = rp.m, rp.n
     xr, xi = t.x[:m], t.x[m:]
     y1, y2 = t.y[:n], t.y[n:]
-    return -t.sigma * (np.outer(y1, xr) + sign * np.outer(y2, xi)) * rp.v_bar
+    return -t.sigma * (np.outer(y1, xr) + np.outer(y2, xi)) * rp.v_bar
 
 
 def _with_sensor_columns(rp, delta_bar):

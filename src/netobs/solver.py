@@ -33,7 +33,6 @@ from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
 @dataclass(frozen=True)
 class SolverConfig:
     psi: float = 0.9              # shift factor, open interval (0.5, 1)
-    max_iter: int = 500
     conv_tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
@@ -49,8 +48,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.5 < self.psi < 1.0):
             raise ValueError(f"psi must lie in (0.5, 1), got {self.psi}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.conv_tol < np.inf:
+            raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
 
@@ -438,9 +437,8 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     best_merit = np.inf
     psi_cur = cfg.psi
     phi_plus_mu = None
-    sweep_budget = min(cfg.sweep_iters, cfg.max_iter)
     sweep_used = 0
-    for it in range(sweep_budget):
+    for it in range(cfg.sweep_iters):
         pp = asm.pencil(z[:nx], z[nx:])
         spec = generalized_spectrum(pp)
         if not spec.regular:
@@ -500,11 +498,10 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     if trace_u:
         seeds.append(init_seed)
 
-    polish_budget = min(cfg.polish_max_iter, max(1, cfg.max_iter - sweep_used))
     gn_used = 0
     failure = "did not converge"
     for u0 in seeds:
-        u, its, ok, us = _gn_core(f_of, j_of, u0, polish_budget, cfg.polish_tol)
+        u, its, ok, us = _gn_core(f_of, j_of, u0, cfg.polish_max_iter, cfg.polish_tol)
         gn_used += its
         if not ok:
             continue
@@ -631,50 +628,29 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
-    "submatrix": eigenvalues of all trailing principal submatrices of the
-    non-sensor block.
-    "topo": submatrix eigenvalues plus pairwise means of the non-sensor
-    diagonal (covers symmetry-type optima on hub topologies).
+    "topo": eigenvalues of all trailing principal submatrices of the
+    non-sensor block, plus pairwise means of its diagonal (covers
+    symmetry-type optima on hub topologies).
     "default": the "topo" candidates plus a coarse 21x21 rectangle on
-    [-2, 2]^2.
-    "rect:re0,re1,im0,im1,nre,nim": explicit rectangle.
+    [-2, 2]^2. The rectangle stays because "topo" alone misses optima at
+    negative real lambda on some sparse random graphs, where it returns the
+    cheapest single-edge cut instead.
     Or pass an explicit iterable of complex numbers.
     Conjugates are folded onto the closed upper half plane.
     """
     cf = canonicalize(net, mask)
     a22 = cf.a22
     m = a22.shape[0]
-
-    def submatrix_eigs():
-        vals = []
-        for k in range(m):
-            vals.extend(np.linalg.eigvals(a22[k:, k:]))
-        return vals
-
-    def diagonal_means():
-        diag = np.diag(a22)
-        return [complex((diag[i] + diag[j]) / 2.0)
-                for i in range(m) for j in range(i + 1, m)]
-
-    def rect(re0, re1, im0, im1, nre, nim):
-        return [complex(re, im)
-                for re in np.linspace(re0, re1, int(nre))
-                for im in np.linspace(im0, im1, int(nim))]
-
     if isinstance(grid, str):
-        if grid == "default":
-            vals = submatrix_eigs() + diagonal_means() + rect(-2, 2, -2, 2, 21, 21)
-        elif grid == "submatrix":
-            vals = submatrix_eigs()
-        elif grid == "topo":
-            vals = submatrix_eigs() + diagonal_means()
-        elif grid.startswith("rect:"):
-            parts = [float(s) for s in grid[5:].split(",")]
-            if len(parts) != 6:
-                raise ValueError(f"bad rectangle grid spec {grid!r}")
-            vals = rect(*parts)
-        else:
+        if grid not in ("default", "topo"):
             raise ValueError(f"unknown grid spec {grid!r}")
+        diag = np.diag(a22)
+        vals = [v for k in range(m) for v in np.linalg.eigvals(a22[k:, k:])]
+        vals += [complex((diag[i] + diag[j]) / 2.0)
+                 for i in range(m) for j in range(i + 1, m)]
+        if grid == "default":
+            vals += [complex(re, im) for re in np.linspace(-2, 2, 21)
+                     for im in np.linspace(-2, 2, 21)]
     else:
         vals = [complex(v) for v in grid]
         if not vals:

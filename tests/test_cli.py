@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from netobs import cli
+from netobs import cli, radius_core
 from netobs.montecarlo import sample_network
 
 
@@ -89,6 +89,15 @@ def test_bad_lambda_exit_1(net3_file, capsys):
     code, _, err = run(["radius", path, "--lambda", "i"], capsys)
     assert code == 1
     assert "input error" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_bad_tol_exit_1(line4_file, capsys, tol):
+    path, _ = line4_file
+    code, out, err = run(["radius", path, "--lambda", "0,1", "--tol", tol], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "conv_tol" in err
 
 
 def test_usage_error_exit_1(capsys):
@@ -212,13 +221,25 @@ def test_validate_green_path(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "check,status,residual,threshold"
-    assert len(lines) >= 10
+    assert [ln.split(",")[0] for ln in lines[1:]] == [
+        "pencil_zero_eigenvalue", "pencil_spectrum_real",
+        "pencil_spectrum_pairing", "shift_relation",
+        "weighting_quadratic_scaling", "reconstruction_cost_identity",
+        "reconstruction_cost_bound", "oracle_agreement_3node",
+        "real_lambda_route_equivalence", "topology_radius_agreement"]
     assert all(",pass," in ln for ln in lines[1:])
 
 
-def test_validate_sign_flip_injection_fails(capsys):
-    code, out, err = run(["validate", "--seed", "3", "--inject-sign-flip"],
-                         capsys)
+def test_validate_sign_flip_injection_fails(capsys, monkeypatch):
+    # the minus coupling -sigma (y1 x_re' - y2 x_im') o V_bar in place of the
+    # one the weightings imply: validate must catch it
+    def minus_coupling(rp, t):
+        m, n = rp.m, rp.n
+        return -t.sigma * (np.outer(t.y[:n], t.x[:m])
+                           - np.outer(t.y[n:], t.x[m:])) * rp.v_bar
+
+    monkeypatch.setattr(radius_core, "_delta_bar", minus_coupling)
+    code, out, err = run(["validate", "--seed", "3"], capsys)
     assert code == 4
     assert "reconstruction_cost_identity,FAIL" in out
     assert "validation failed" in err

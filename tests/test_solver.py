@@ -5,10 +5,10 @@ from dataclasses import replace
 
 from netobs import (SolverConfig, assemble_pencil, build_reduced,
                     candidate_lambdas, canonicalize, generalized_spectrum,
-                    heuristic_iterate, line3_optimal, line_radius,
+                    heuristic_iterate, line_radius, min_deletion_cost,
                     normalize_triple, orthogonality_diagnostic,
                     solve_fixed_lambda, solve_radius, star_radius)
-from netobs import solver
+from netobs import properties, solver
 from netobs.montecarlo import sample_network
 from netobs.radius_core import _delta_bar, assemble_real_pencil
 from netobs.solver import _continue_triple, _qz, _stationarity_fj
@@ -41,17 +41,14 @@ def test_spectrum_real_paired_with_zero():
         out = random_pencil(seed)
         if out is None:
             continue
-        _, pp = out
-        spec = generalized_spectrum(pp)
-        if not spec.regular or len(spec.values) == 0:
+        residuals = properties.spectrum_residuals(out[1])
+        if residuals is None:
             continue
         checked += 1
-        vals = spec.values
-        scale = max(1.0, np.abs(vals).max())
-        assert np.abs(vals.imag).max() <= 1e-8 * scale
-        assert np.min(np.abs(vals)) <= 1e-8 * scale
-        re = np.sort(vals.real)
-        assert np.abs(re + re[::-1]).max() <= 1e-8 * scale
+        zero, imag, pair = residuals
+        assert imag <= 1e-8
+        assert zero <= 1e-8
+        assert pair <= 1e-8
     assert checked >= 25
 
 
@@ -59,17 +56,9 @@ def test_shift_moves_spectrum():
     # sigma in spec(H, D) iff sigma - mu in spec(H - mu D, D)
     out = random_pencil(3)
     assert out is not None
-    _, pp = out
-    spec = generalized_spectrum(pp)
-    vals = spec.values.real
-    pos = np.sort(vals[vals > 1e-8])
-    assert len(pos) > 0
-    mu = 0.6 * pos[0]
-    alpha, beta = sla.eigvals(pp.h - mu * pp.d, pp.d, homogeneous_eigvals=True)
-    fin = np.abs(beta) > 1e-10 * (1 + np.abs(alpha))
-    shifted = (alpha[fin] / beta[fin]).real
-    for s in pos[:4]:
-        assert np.min(np.abs(shifted - (s - mu))) < 1e-8 * max(1.0, s)
+    residual = properties.shift_residual(out[1], 0.6, 4)
+    assert residual is not None
+    assert residual < 1e-8
 
 
 def test_spectrum_is_deterministic():
@@ -129,9 +118,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(psi=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(max_iter=0)
-    with pytest.raises(ValueError):
         SolverConfig(restarts=0)
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="conv_tol"):
+            SolverConfig(conv_tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +144,9 @@ def test_three_node_matches_root_oracle():
     cfg = SolverConfig(restarts=12, sweep_iters=10, seed=5)
     for trial in range(5):
         net, mask, _ = sample_network("line", 3, 5, trial)
-        ora = line3_optimal(net.weights, lam)
-        res = solve_fixed_lambda(net, mask, lam, cfg)
+        res, gap = properties.line3_oracle_gap(net, mask, lam, cfg)
         assert res.converged
-        assert np.linalg.norm(res.perturbation.delta - ora.perturbation) < 1e-8
+        assert gap < 1e-8
 
 
 def test_star_symmetry_feasible_point_bound():
@@ -558,14 +547,10 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
 
 def test_candidate_grids():
     net, mask, _ = sample_network("line", 5, 41, 0)
-    sub = candidate_lambdas(net, mask, "submatrix")
-    assert all(l.imag >= 0 for l in sub)
-    assert len(sub) == len(set(sub))
     topo = candidate_lambdas(net, mask, "topo")
-    assert set(sub) <= set(topo)
+    assert all(l.imag >= 0 for l in topo)
+    assert len(topo) == len(set(topo))
     assert set(topo) <= set(candidate_lambdas(net, mask, "default"))
-    rect = candidate_lambdas(net, mask, "rect:-1,1,0,1,5,3")
-    assert len(rect) <= 15
     explicit = candidate_lambdas(net, mask, [0.5, 0.5 - 0.25j])
     assert explicit == (0.5 + 0.0j, 0.5 + 0.25j)  # folded to upper half plane
     with pytest.raises(ValueError):
@@ -590,21 +575,51 @@ def test_default_grid_finds_the_star_optima():
                                             rel=1e-4), (n, trial)
 
 
+# perfbench.workloads.random_sparse(8, 1) and (5, 3): sparse random graphs
+# whose optimum sits at a negative real lambda (-0.1178 and -0.1598) that
+# only the default grid's 21x21 rectangle reaches. The "topo" grid returns
+# the cheapest single-edge cut there, 0.18537 and 0.15614.
+RECTANGLE_GRAPHS = [
+    [[0.3848791126673835, 0.0, 0.6787285378586676, 0.3718653937112826, 0.0, 0.0, 0.0, 0.0],
+     [0.7323854999832594, 0.5043109211449907, 0.5497963041939613, 0.0, 0.17521907238791334, 0.38252702404038075, 0.7219176493952201, 0.0],
+     [0.0, 0.6900678032951408, 0.46453167117654204, 0.8742210935351404, 0.0, 0.0, 0.0, 0.0],
+     [0.0, 0.8057235818348285, 0.0, 0.2225072017509977, 0.0, 0.5716062220556649, 0.0, 0.0],
+     [0.29074070678318786, 0.0, 0.0, 0.0, 0.5360163042635753, 0.8293405228421208, 0.5055580724757186, 0.0],
+     [0.0, 0.0, 0.19353636346019898, 0.0, 0.0, 0.9162164326588572, 0.0, 0.18537036488711578],
+     [0.0, 0.0, 0.0, 0.0, 0.9655624770113932, 0.0, 0.949419858518582, 0.0],
+     [0.0, 0.0, 0.5492036547222132, 0.3274509534886989, 0.0, 0.6655905904098901, 0.0, 0.3141632821339918]],
+    [[0.6382542709124965, 0.0, 0.20618433385947377, 0.0, 0.0],
+     [0.5166898767104239, 0.2507935055677428, 0.9732641927539101, 0.0, 0.38170398485456203],
+     [0.6451460749099084, 0.9887484016290731, 0.529303075119165, 0.15613843414052853, 0.8960753767103953],
+     [0.0, 0.8265615855475409, 0.4257178760828795, 0.7287086411743471, 0.44060875562249135],
+     [0.3058426353541114, 0.9481725774172665, 0.0, 0.0, 0.7353569857052163]],
+]
+
+
+@pytest.mark.parametrize("a", RECTANGLE_GRAPHS, ids=["n8", "n5"])
+def test_default_grid_beats_the_cheapest_cut_off_the_topo_grid(a):
+    net, mask = net_of(a)
+    rr = solve_radius(net, mask, "default", SolverConfig(restarts=4, sweep_iters=12))
+    assert rr.best.converged
+    assert rr.best.verification.verified
+    assert rr.cost < 0.6 * min_deletion_cost(net, mask, 1)[0]
+
+
 def test_radius_line_matches_min_superdiagonal():
     net, mask, _ = sample_network("line", 5, 43, 1)
-    ora = line_radius(net.weights)
-    rr = solve_radius(net, mask, "topo", SolverConfig(seed=4, restarts=4))
+    rr, gap = properties.oracle_radius_gap(net, mask, "line",
+                                           SolverConfig(seed=4, restarts=4))
     assert rr.best.converged
-    assert rr.cost == pytest.approx(ora.delta, abs=1e-4)
-    assert rr.cost >= ora.delta - 1e-6
+    assert gap <= 1e-4
+    assert rr.cost >= line_radius(net.weights).delta - 1e-6
 
 
 def test_radius_star_matches_oracle():
     net, mask, _ = sample_network("star", 5, 47, 2)
-    ora = star_radius(net.weights)
-    rr = solve_radius(net, mask, "topo", SolverConfig(seed=6, restarts=4))
+    rr, gap = properties.oracle_radius_gap(net, mask, "star",
+                                           SolverConfig(seed=6, restarts=4))
     assert rr.best.converged
-    assert rr.cost == pytest.approx(ora.delta, abs=1e-4)
+    assert gap <= 1e-4
 
 
 def test_radius_grid_containing_true_lambda():
