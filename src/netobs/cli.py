@@ -45,9 +45,12 @@ class _Parser(argparse.ArgumentParser):
 def _parse_lambda(text):
     try:
         re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        lam = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise CliInputError(f"--lambda expects 're,im', got {text!r}") from exc
+    if not np.isfinite(lam):
+        raise CliInputError(f"--lambda must be finite, got {text!r}")
+    return lam
 
 
 def _default_seed(args):

@@ -171,7 +171,19 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     was 1.6e-4 on the benchmark pools, 4.6e-4 on C3's 100 chains and 1.5e-5
     on C7's 1,000 instances, where a few runs pass close to a saddle of
     ||F|| before they converge; the threshold sits 15 times below the
-    lowest. A run that stops here fails like any other, and
+    lowest.
+
+    The run fails as well, before the Jacobian at a point, when it makes no
+    progress (the same reference, 3.2): ||F|| there is above (1 - 1e-4)
+    times ||F|| where the Jacobian 10 steps back was taken. Such runs crawl
+    far from any stationary point (||F|| ~ 0.19 on the 4-node line of the
+    CLI benchmark pool) and would use up the budget. Along the runs that
+    converge, the smallest relative fall of ||F|| over any 10 Jacobians was
+    1.3e-3 on C7 (saddle passages), 1.8e-3 on the CLI pool, 2.1e-2 on C3
+    and 8.9e-2 on the chain3 pool; the threshold sits 13 times below the
+    lowest.
+
+    A run that stops at either exit fails like any other, and
     heuristic_iterate reports it as "did not converge".
 
     Returns (u, Jacobians taken, converged, accepted iterates); ||F|| falls
@@ -181,17 +193,22 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     u = u0.copy()
     f = f_of(u)
     us = [u]
+    norms = []  # ||F|| at every point the loop reaches
     mu = 0.0
     its = 0
     for its in range(1, max_iter + 1):
         if np.linalg.norm(f, np.inf) <= tol:
             return u, its - 1, True, us
+        ff = f @ f
+        norms.append(np.sqrt(ff))
+        # no progress: ||F|| fell by less than 1e-4 relative over 10 Jacobians
+        if its > 10 and norms[-1] > (1.0 - 1e-4) * norms[-11]:
+            return u, its - 1, False, us
         jac = j_of(u)
         left, s, vt = np.linalg.svd(jac, full_matrices=False)
         g = left.T @ f
-        ff = f @ f
         # the relative gradient: stationary for ||F|| with F != 0
-        if np.linalg.norm(s * g) <= 1e-6 * s[0] * np.sqrt(ff):
+        if np.linalg.norm(s * g) <= 1e-6 * s[0] * norms[-1]:
             return u, its, False, us
         w = np.divide(1.0, s, out=np.zeros_like(s),
                       where=s > eps * max(jac.shape) * s[0])
@@ -728,11 +745,15 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     that order; a candidate whose bound already exceeds the incumbent cost is
     pruned. One coordinate-descent pass (step halving, refine_steps budget)
     then polishes lambda locally, warm-starting each probe from the
-    incumbent triple. The pass runs only when the exact lambda-gradient of
-    ||Delta||^2 at the grid winner is nonzero on the scale of (A, lambda);
-    at a winner that is already stationary in lambda no probe can improve
-    to first order, and refine_evals stays 0. Only the returned answer is
-    verified against the original system, not every candidate.
+    incumbent triple. A compass step probes each distinct lambda once: at a
+    real incumbent the moves (0, h) and (0, -h) both fold onto lambda + ih,
+    and the continuation from one triple to one lambda is deterministic, so
+    a second probe could only repeat the first. The pass runs only when the
+    exact lambda-gradient of ||Delta||^2 at the grid winner is nonzero on
+    the scale of (A, lambda); at a winner that is already stationary in
+    lambda no probe can improve to first order, and refine_evals stays 0.
+    Only the returned answer is verified against the original system, not
+    every candidate.
     """
     cands = candidate_lambdas(net, mask, grid)
     if not cands:
@@ -763,10 +784,14 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
             if h < 1e-7:
                 break
             improved = False
+            probed = set()
             for d_re, d_im in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
                 lam_try = complex(best_lam.real + d_re, abs(best_lam.imag + d_im))
                 if abs(lam_try.imag) < 1e-12:
                     lam_try = complex(lam_try.real, 0.0)
+                if lam_try in probed:  # (0, h) and (0, -h) at a real incumbent
+                    continue
+                probed.add(lam_try)
                 rp_try = build_reduced(cf, lam_try)
                 res = _continue_triple(rp_try, cf, best.triple, cfg)
                 refine_evals += 1

@@ -91,6 +91,16 @@ def test_bad_lambda_exit_1(net3_file, capsys):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("lam", ["nan,0", "inf,1", "0,-inf"])
+def test_non_finite_lambda_exit_1(line4_file, capsys, lam):
+    # rejected at parse time, before any solve
+    path, _ = line4_file
+    code, out, err = run(["radius", path, "--lambda", lam], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and "finite" in err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_bad_tol_exit_1(line4_file, capsys, tol):
     path, _ = line4_file

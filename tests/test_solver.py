@@ -495,6 +495,8 @@ def relative_gradient(f_of, j_of, u):
 
 # the relative gradient at or below which _gn_core gives a run up
 STATIONARY_EXIT = 1e-6
+# the relative fall of ||F|| over 10 Jacobians below which it gives up too
+NO_PROGRESS_EXIT = 1e-4
 
 
 def test_polish_stops_at_a_nonzero_residual_minimum():
@@ -518,18 +520,41 @@ def test_polish_stops_at_a_nonzero_residual_minimum():
     assert relative_gradient(f_of, j_of, u) <= STATIONARY_EXIT
 
 
-def assert_relative_gradient_margin(runs):
-    # a converging run never comes within 10x of the exit's threshold
+def test_polish_gives_up_runs_that_make_no_progress(monkeypatch):
+    # the 4-node line of the CLI benchmark pool (master seed 2611) at a
+    # complex lambda where ten restarts crawl at ||F|| ~ 0.36 through the
+    # whole 60-Jacobian budget without the no-progress exit
+    net, mask, _ = sample_network("line", 4, 2611, 0)
+    runs = record_polish(monkeypatch)
+    res = solve_fixed_lambda(net, mask, 1.4 + 0.4j, SolverConfig())
+    failed = [run for run in runs if not run["out"][2]]
+    assert len(failed) >= 5
+    assert all(run["out"][1] <= 30 for run in failed)
+    assert res.converged
+    # the cost the solve returned before the exit existed
+    assert res.cost == pytest.approx(1.369563764841636, rel=1e-12)
+
+
+def assert_exit_margins(runs):
+    # a converging run never comes within 10x of either exit's threshold:
+    # the relative gradient where each Jacobian is taken, and the relative
+    # fall of ||F|| over the 10 Jacobians before each one
     converged = [run for run in runs if run["out"][2]]
     assert converged
     for run in converged:
-        for u in run["out"][3][:-1]:  # the last iterate takes no Jacobian
+        us = run["out"][3]
+        for u in us[:-1]:  # the last iterate takes no Jacobian
             assert (relative_gradient(run["f_of"], run["j_of"], u)
                     >= 10 * STATIONARY_EXIT)
+        norms = [np.linalg.norm(run["f_of"](u)) for u in us]
+        for i in range(10, len(us) - 1):
+            assert 1.0 - norms[i] / norms[i - 10] >= 10 * NO_PROGRESS_EXIT
 
 
 def test_converging_polish_keeps_clear_of_the_stationary_exit(c3_polish_runs):
-    assert_relative_gradient_margin(c3_polish_runs)
+    # some converging runs are long enough for a 10-Jacobian window
+    assert any(run["out"][2] and len(run["out"][3]) > 11 for run in c3_polish_runs)
+    assert_exit_margins(c3_polish_runs)
 
 
 @pytest.mark.parametrize("index", [4, 14])
@@ -538,7 +563,7 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
     net, mask, lam = line6_candidate(index)
     runs = record_polish(monkeypatch)
     assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
-    assert_relative_gradient_margin(runs)
+    assert_exit_margins(runs)
 
 
 # ---------------------------------------------------------------------------
@@ -720,14 +745,27 @@ def test_refinement_skipped_at_lambda_stationary_winner(topology, seed, trial):
     assert abs(rr.cost - ora.delta) < 1e-9
 
 
-def test_refinement_runs_and_lowers_cost_off_stationary_lambda():
+def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     # a one-point grid beside the optimum: the gradient there is nonzero and
     # the compass search walks back to the oracle's eigenvalue
     net, mask, _ = sample_network("line", 5, 4040, 0)
     ora = line_radius(net.weights)
     lam0 = ora.lambda_star + 0.05
+    probes = []
+    cont = solver._continue_triple
+
+    def recording(rp, cf, t_prev, cfg):
+        probes.append((t_prev, rp.lam))
+        return cont(rp, cf, t_prev, cfg)
+
+    monkeypatch.setattr(solver, "_continue_triple", recording)
     rr = solve_radius(net, mask, [lam0],
                       SolverConfig(restarts=4, sweep_iters=12, seed=4040))
+    # the incumbent is real, where (0, h) and (0, -h) fold onto one lambda;
+    # no lambda is probed twice from the same incumbent triple (the list
+    # holds every triple, so no id is reused)
+    assert len(probes) == rr.refine_evals
+    assert len({(id(t), lam) for t, lam in probes}) == len(probes)
     grid_cost = rr.search_trace[0][1]
     assert rr.search_trace[0][0] == lam0
     assert rr.refine_evals > 0
