@@ -94,47 +94,74 @@ def _d_positions(v, nx, size, blocks):
 
 def _filled(size, positions, values):
     """A zero size x size array with the arrays in values written, one after
-    another, at the flat positions.
+    another, at the flat positions; with values of shape (..., k) one such
+    array for every leading index.
 
     Off the filled diagonals the entries are +0.0, as in a dense block
     assembly from np.diag blocks, so the result is the same bit for bit.
     """
-    out = np.zeros((size, size))
-    out.flat[positions] = np.concatenate(values)
+    lead = values[0].shape[:-1]
+    out = np.zeros(lead + (size, size))
+    out.reshape(lead + (-1,))[..., positions] = np.concatenate(values, axis=-1)
     return out
+
+
+def _mv(a, x):
+    """a @ x for a vector x, or for every row of a stack x of shape (..., k);
+    a may be a stack too.
+
+    np.matmul on a trailing column runs the matrix-vector kernel that a @ x
+    runs, so every row equals a @ x[i] bit for bit. x @ a.T does not: it goes
+    through the matrix-matrix kernel. A single vector takes a @ x itself,
+    which saves the polish the reshaping.
+    """
+    if x.ndim == 1:
+        return a @ x
+    return np.matmul(a, x[..., None])[..., 0]
+
+
+def _rowdot(a, b):
+    """a @ b for vectors, or row by row for stacks of shape (..., k), kept
+    as a trailing axis of length 1.
+
+    Each entry equals a[i] @ b[i] bit for bit, and its square root equals
+    np.linalg.norm; einsum and (a * b).sum(-1) sum in another order.
+    """
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
 
 
 def _weighting_diagonals(v, x, y):
     """Diagonals of D_y and of D_x, for float arrays x and y:
     ((s_y, t_y, t_y, q_y), (s_x, t_x, t_x, q_x)), each in the block order
-    (0,0), (0,1), (1,0), (1,1).
+    (0,0), (0,1), (1,0), (1,1). For stacks x and y of shape (..., k) every
+    diagonal is a stack too.
 
     For the half-size pencil of a real lambda x and y have no imaginary
     halves, and only ((s_y,), (s_x,)) remain.
     """
     n, m = v.shape
     vt = v.T
-    xr, y1 = x[:m], y[:n]
-    sx = v @ (xr * xr)
-    sy = vt @ (y1 * y1)
-    if len(x) == m:
+    xr, y1 = x[..., :m], y[..., :n]
+    sx = _mv(v, xr * xr)
+    sy = _mv(vt, y1 * y1)
+    if x.shape[-1] == m:
         return (sy,), (sx,)
-    xi, y2 = x[m:], y[n:]
-    tx = v @ (xr * xi)
-    qx = v @ (xi * xi)
-    ty = vt @ (y1 * y2)
-    qy = vt @ (y2 * y2)
+    xi, y2 = x[..., m:], y[..., n:]
+    tx = _mv(v, xr * xi)
+    qx = _mv(v, xi * xi)
+    ty = _mv(vt, y1 * y2)
+    qy = _mv(vt, y2 * y2)
     return (sy, ty, ty, qy), (sx, tx, tx, qx)
 
 
 def _weighted(d, z):
     """D z for one weighting D given by its diagonals d, as
-    _weighting_diagonals returns them."""
+    _weighting_diagonals returns them; row by row for stacks."""
     if len(d) == 1:
         return d[0] * z
-    k = len(z) // 2
-    zr, zi = z[:k], z[k:]
-    return np.concatenate([d[0] * zr + d[1] * zi, d[2] * zr + d[3] * zi])
+    k = z.shape[-1] // 2
+    zr, zi = z[..., :k], z[..., k:]
+    return np.concatenate([d[0] * zr + d[1] * zi, d[2] * zr + d[3] * zi], axis=-1)
 
 
 def build_weightings(rp: ReducedProblem, x, y):
@@ -172,10 +199,11 @@ class PencilAssembly:
 
     H = [[0, At'], [At, 0]] depends only on lambda and is assembled once; each
     call of pencil() fills only the diagonals of D = blkdiag(D_y, D_x) into a
-    zeroed array. With real=True this is the half-size pencil of a real
-    candidate eigenvalue: At = A_bar - lam I_bar, and only the S weightings
-    survive, one diagonal each. H is shared by every pencil built here and is
-    read-only.
+    zeroed array, or, for stacks of points (the rows of x and y), one D per
+    row into an array of shape (rows, size, size). With real=True this is
+    the half-size pencil of a real candidate eigenvalue: At = A_bar - lam
+    I_bar, and only the S weightings survive, one diagonal each. H is
+    shared by every pencil built here and is read-only.
     """
 
     def __init__(self, rp: ReducedProblem, real=False):

@@ -23,7 +23,7 @@ from .network_model import (CanonicalForm, ConstraintMask, NetworkSystem,
                             canonicalize, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, ReducedProblem, SpuriousTripleError,
-                          _d_positions, _delta_bar, _weighted,
+                          _d_positions, _delta_bar, _mv, _rowdot, _weighted,
                           _weighting_diagonals, _with_sensor_columns, a_tilde,
                           build_reduced, embed_real_triple, normalize_triple,
                           orthogonality_diagnostic, pencil_residual,
@@ -92,6 +92,28 @@ def _qz(h, d):
     return alpha, beta.astype(complex)
 
 
+def _classify(alpha, beta):
+    """(finite, indeterminate) masks of QZ's homogeneous eigenvalues, for
+    one pencil or row by row for stacks of shape (..., order).
+
+    A second-order block at infinity splits under rounding into a huge
+    conjugate pair with |beta| ~ sqrt(eps); anything past eps^-0.4 of the
+    pencil scale is indistinguishable from infinity and classified as such.
+    """
+    abs_alpha, abs_beta = np.abs(alpha), np.abs(beta)
+    scale = np.fmax(1.0, abs_alpha.max(axis=-1, keepdims=True))
+    finite = abs_beta > 5e-7 * (1.0 + abs_alpha)
+    indeterminate = (abs_alpha <= 1e-12 * scale) & (abs_beta <= 1e-12)
+    return finite, indeterminate
+
+
+def _regular(h, d):
+    """Whether det(H - tD) is away from zero at one of a few fixed points."""
+    hnorm = max(1.0, float(np.abs(h).max()), float(np.abs(d).max()))
+    return any(np.linalg.svd(h - t * d, compute_uv=False)[-1] > 1e-12 * hnorm
+               for t in (0.37281, -1.11803, 2.64575))
+
+
 def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     """Finite part of spec(H, D) via QZ, with a regularity probe.
 
@@ -103,41 +125,33 @@ def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     the pencil is flagged non-regular when all probes vanish.
     """
     alpha, beta = _qz(pp.h, pp.d)
-    scale = max(1.0, float(np.abs(alpha).max()))
-    # a second-order block at infinity splits under rounding into a huge
-    # conjugate pair with |beta| ~ sqrt(eps); anything past eps^-0.4 of the
-    # pencil scale is indistinguishable from infinity and classified as such
-    finite = np.abs(beta) > 5e-7 * (1.0 + np.abs(alpha))
-    indeterminate = (np.abs(alpha) <= 1e-12 * scale) & (np.abs(beta) <= 1e-12)
-    regular = True
-    if indeterminate.any():
-        hnorm = max(1.0, float(np.abs(pp.h).max()), float(np.abs(pp.d).max()))
-        regular = any(
-            np.linalg.svd(pp.h - t * pp.d, compute_uv=False)[-1] > 1e-12 * hnorm
-            for t in (0.37281, -1.11803, 2.64575))
+    finite, indeterminate = _classify(alpha, beta)
+    regular = not indeterminate.any() or _regular(pp.h, pp.d)
     values = alpha[finite] / beta[finite]
     order = np.lexsort((values.imag, values.real))
     return SpectrumResult(values=values[order], regular=regular)
 
 
-def _min_positive(values, zero_tol):
-    if len(values) == 0:
-        return None
+def _min_positive(alpha, beta, finite, zero_tol):
+    """Smallest positive real finite eigenvalue of each pencil of a stack,
+    from QZ's (alpha, beta) of shape (rows, order); NaN where there is none.
+    Real means an imaginary part within 1e-6 of the scale of the real parts.
+    """
+    values = np.divide(alpha, beta, out=np.zeros_like(alpha), where=finite)
     re = values.real
-    scale = max(1.0, float(np.abs(re).max()))
-    ok = (re > zero_tol * scale) & (np.abs(values.imag) <= 1e-6 * scale)
-    if not ok.any():
-        return None
-    return float(re[ok].min())
+    scale = np.fmax(1.0, np.abs(re).max(axis=1, keepdims=True))
+    ok = finite & (re > zero_tol * scale) & (np.abs(values.imag) <= 1e-6 * scale)
+    return np.where(ok.any(axis=1), np.where(ok, re, np.inf).min(axis=1), np.nan)
 
 
-def _u_of_pencil(pp, z):
-    """Polish variable of a balanced pencil vector z: unit blocks, and sigma
-    at triple scale from the Rayleigh quotient |z'Hz / z'Dz| (1 when
-    z'Dz = 0)."""
-    den = z @ (pp.d @ z)
-    sigma_bar = abs(z @ (pp.h @ z) / den) if den != 0 else 1.0
-    return np.append(np.sqrt(2.0) * z, sigma_bar / 2.0)
+def _u_of_pencil(h, d, z):
+    """Polish variables of balanced pencil vectors, the rows of z (D stacked
+    to match): unit blocks, and sigma at triple scale from the Rayleigh
+    quotient |z'Hz / z'Dz| (1 when z'Dz = 0)."""
+    den = _rowdot(z, _mv(d, z))
+    sigma_bar = np.abs(np.divide(_rowdot(z, _mv(h, z)), den,
+                                 out=np.ones_like(den), where=den != 0))
+    return np.concatenate([np.sqrt(2.0) * z, sigma_bar / 2.0], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +251,8 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
 def _stationarity_fj(at, v_bar):
     """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
 
-    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows.
+    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows;
+    f_of takes one u or a stack of them (rows).
     At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
     diagonal blocks; on the half-size route of a real lambda it is
     A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
@@ -253,11 +268,13 @@ def _stationarity_fj(at, v_bar):
     positions = _d_positions(v_bar, nx, cols, blocks)
 
     def f_of(u):
-        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
+        # one u, or row by row for a stack of them (the sweep's merit)
+        x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
         d_y, d_x = _weighting_diagonals(v_bar, x, y)
-        return np.concatenate([att @ y - sig * _weighted(d_y, x),
-                               at @ x - sig * _weighted(d_x, y),
-                               [(x @ x - 1.0) / 2.0, (y @ y - 1.0) / 2.0]])
+        return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
+                               _mv(at, x) - sig * _weighted(d_x, y),
+                               (_rowdot(x, x) - 1.0) / 2.0,
+                               (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
 
     def j_of(u):
         # one preallocated Jacobian, rows (x-equations, y-equations, the two
@@ -405,15 +422,118 @@ class FixedLambdaResult:
 
 
 def _rebalance(z, nx):
-    zx, zy = z[:nx], z[nx:]
-    nzx, nzy = np.linalg.norm(zx), np.linalg.norm(zy)
-    if nzx < 1e-300 or nzy < 1e-300:
-        return None
-    return np.concatenate([zx / (np.sqrt(2.0) * nzx), zy / (np.sqrt(2.0) * nzy)])
+    """The rows of z scaled to blocks of norm 1/sqrt(2), and the mask of the
+    rows that could be (neither block norm below 1e-300); only those rows
+    come back."""
+    zx, zy = z[:, :nx], z[:, nx:]
+    nzx, nzy = np.sqrt(_rowdot(zx, zx)), np.sqrt(_rowdot(zy, zy))
+    ok = ~((nzx < 1e-300) | (nzy < 1e-300))[:, 0]
+    scale = np.sqrt(2.0)
+    return np.concatenate([zx[ok] / (scale * nzx[ok]), zy[ok] / (scale * nzy[ok])],
+                          axis=1), ok
+
+
+@dataclass(eq=False)
+class _Sweep:
+    """One start's pass through the sweep: the polish variable of its
+    balanced start (init, None when the start degenerates), that of every
+    completed step (trace), the step of least merit ||F(u)|| (best, the
+    first of equals) and the last step's mu + 1/phi."""
+
+    init: np.ndarray | None = None
+    trace: list = field(default_factory=list)
+    best: np.ndarray | None = None
+    merit: float = np.inf
+    phi_plus_mu: float | None = None
+
+
+def _sweep(asm, f_of, starts, cfg):
+    """Shifted inverse iteration from every start vector, in lockstep.
+
+    The rows of one (rows, size) block advance together, and a row leaves
+    the block where its own sweep ends: a pencil that is not regular or has
+    no positive eigenvalue, a singular shifted solve, phi non-finite or
+    below 1e-300, or an iterate that cannot be rebalanced. Each step fills
+    D's diagonals for every row, takes QZ row by row (_qz), shifts by
+    mu = psi times the smallest positive eigenvalue, backs psi off per row
+    where the 2-norm condition number of H - mu D (its singular values, one
+    stacked SVD) exceeds cond_limit, and solves (H - mu D) w = D z in one
+    stacked solve. Returns one _Sweep per start.
+
+    Every row gets the bits a sweep of that start alone would. Stacked
+    np.linalg.svd and np.linalg.solve run LAPACK slice by slice. Matrix
+    times vector goes through _mv and dot products and norms through
+    _rowdot, which equal a @ x and np.linalg.norm row by row, where x @ a.T,
+    einsum and sums over an axis do not. The solve stays numpy's: scipy's
+    ?gesv comes from another BLAS build and differs in the last bits.
+    """
+    h, nx = asm.h, asm.nx
+    rows = [_Sweep() for _ in starts]
+    z, ok = _rebalance(np.array(starts, dtype=float), nx)
+    live = np.flatnonzero(ok)
+    d = asm.pencil(z[:, :nx], z[:, nx:]).d
+    for row, u in zip([rows[i] for i in live], _u_of_pencil(h, d, z)):
+        row.init = u
+    psi = np.full(len(live), cfg.psi)
+    for it in range(cfg.sweep_iters):
+        if not len(live):
+            break
+        if it:
+            d = asm.pencil(z[:, :nx], z[:, nx:]).d
+        alpha, beta = (np.array(part) for part in zip(*[_qz(h, dk) for dk in d]))
+        finite, indeterminate = _classify(alpha, beta)
+        mp = _min_positive(alpha, beta, finite, cfg.zero_tol)
+        keep = ~np.isnan(mp)
+        for k in np.flatnonzero(keep & indeterminate.any(axis=1)):
+            keep[k] = _regular(h, d[k])
+        live, z, d, psi, mp = live[keep], z[keep], d[keep], psi[keep], mp[keep]
+
+        mu = psi * mp
+        mmat = h - mu[:, None, None] * d
+        s = np.linalg.svd(mmat, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # the 2-norm condition number (infinite when s_min = 0, as
+            # np.linalg.cond has it) says the shift sits on an eigenvalue;
+            # back psi off for that row and retry next pass
+            back = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > cfg.cond_limit)
+        for k in np.flatnonzero(back):
+            psi[k] = max(0.5 + 0.45 * (psi[k] - 0.5), 0.500001)
+            mu[k] = psi[k] * mp[k]
+            mmat[k] = h - mu[k] * d[k]
+        rhs = np.matmul(d, z[..., None])
+        keep = np.ones(len(live), dtype=bool)
+        try:
+            w = np.linalg.solve(mmat, rhs)[..., 0]
+        except np.linalg.LinAlgError:
+            # one singular row fails the whole stack: solve row by row
+            w = np.zeros_like(z)
+            for k in range(len(live)):
+                try:
+                    w[k] = np.linalg.solve(mmat[k], rhs[k])[:, 0]
+                except np.linalg.LinAlgError:
+                    keep[k] = False
+        phi = np.sqrt(_rowdot(w, w))[:, 0]
+        keep &= np.isfinite(phi) & (phi >= 1e-300)
+        live, z, d, psi, mu, w, phi = (a[keep] for a in (live, z, d, psi, mu, w, phi))
+
+        zn = w / phi[:, None]
+        zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
+        zn, keep = _rebalance(zn, nx)
+        live, d, psi, mu, phi = (a[keep] for a in (live, d, psi, mu, phi))
+        u = _u_of_pencil(h, d, zn)
+        f = f_of(u)
+        merit = np.sqrt(_rowdot(f, f))[:, 0]
+        for k, row in enumerate([rows[i] for i in live]):
+            row.trace.append(u[k])
+            row.phi_plus_mu = mu[k] + 1.0 / phi[k]
+            if merit[k] < row.merit:
+                row.merit, row.best = merit[k], u[k]
+        z = zn
+    return rows
 
 
 def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
-                      z0=None) -> FixedLambdaResult:
+                      z0=None, *, sweep=None) -> FixedLambdaResult:
     """One solve of the fixed-lambda problem from one initial vector.
 
     Runs the shifted inverse-iteration sweep, then polishes the best sweep
@@ -422,13 +542,12 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     lambda is routed through the half-size pencil unless the config forces
     the full one.
 
-    A sweep step does only the work that changes from step to step. H is
-    assembled once per call (PencilAssembly); each step fills D's diagonals
-    at the current iterate (one on the real route, four per block on the
-    complex one), takes the smallest positive eigenvalue of (H, D) from QZ,
-    shifts by mu = psi times that eigenvalue, backs psi off when the 2-norm
-    condition number of H - mu D (from its singular values) exceeds
-    cond_limit, and solves (H - mu D) w = D z.
+    The sweep is the lockstep kernel _sweep on a block of one row; H is
+    assembled once per call (PencilAssembly), and each step fills only D's
+    diagonals (one on the real route, four per block on the complex one).
+    _best_of_restarts sweeps all its restarts in one block and hands each
+    restart its row as sweep; z0 is then not used, and the result is, bit
+    for bit, the one that restart's z0 gives on its own.
 
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
@@ -439,64 +558,14 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     nx, ny = asm.nx, asm.size - asm.nx
     f_of, j_of = _stationarity_fj(asm.a_tilde, rp.v_bar)
 
-    if z0 is None:
-        z = rng.standard_normal(nx + ny)
-    else:
-        z = np.array(z0, dtype=float, copy=True)
-    z = _rebalance(z, nx)
-    if z is None:
+    if sweep is None:
+        if z0 is None:
+            z0 = rng.standard_normal(nx + ny)
+        sweep, = _sweep(asm, f_of, [z0], cfg)
+    if sweep.init is None:
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  failure="degenerate initial vector")
-    z_init = z.copy()
-
-    trace_u = []
-    best_seed = None
-    best_merit = np.inf
-    psi_cur = cfg.psi
-    phi_plus_mu = None
-    sweep_used = 0
-    for it in range(cfg.sweep_iters):
-        pp = asm.pencil(z[:nx], z[nx:])
-        spec = generalized_spectrum(pp)
-        if not spec.regular:
-            break
-        mp = _min_positive(spec.values, cfg.zero_tol)
-        if mp is None:
-            break
-        mu = psi_cur * mp
-        mmat = pp.h - mu * pp.d
-        s = np.linalg.svd(mmat, compute_uv=False)
-        if s[-1] == 0.0 or s[0] / s[-1] > cfg.cond_limit:
-            # the 2-norm condition number (infinite when s_min = 0, as
-            # np.linalg.cond has it) says the shift sits on an eigenvalue;
-            # back psi off and retry next pass
-            psi_cur = max(0.5 + 0.45 * (psi_cur - 0.5), 0.500001)
-            mu = psi_cur * mp
-            mmat = pp.h - mu * pp.d
-        try:
-            w = np.linalg.solve(mmat, pp.d @ z)
-        except np.linalg.LinAlgError:
-            break
-        phi = np.linalg.norm(w)
-        if not np.isfinite(phi) or phi < 1e-300:
-            break
-        zn = w / phi
-        if zn @ z < 0:
-            zn = -zn
-        zn = _rebalance(zn, nx)
-        if zn is None:
-            break
-        sweep_used = it + 1
-        phi_plus_mu = mu + 1.0 / phi
-        u = _u_of_pencil(pp, zn)
-        merit = np.linalg.norm(f_of(u))
-        trace_u.append(u)
-        if merit < best_merit:
-            best_merit = merit
-            best_seed = u
-        z = zn
-
-    init_seed = _u_of_pencil(asm.pencil(z_init[:nx], z_init[nx:]), z_init)
+    trace_u, best_seed = sweep.trace, sweep.best
 
     seeds = []
     if best_seed is not None:
@@ -508,13 +577,14 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
         # a start with zero imaginary blocks at real lambda): that vector is
         # the only information available, so polish it before any random
         # fallback instead of dropping it on the floor
-        seeds.append(init_seed)
+        seeds.append(sweep.init)
     xs = rng.standard_normal(nx)
     ys = rng.standard_normal(ny)
     seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys), [0.5]]))
     if trace_u:
-        seeds.append(init_seed)
+        seeds.append(sweep.init)
 
+    sweep_used = len(trace_u)
     gn_used = 0
     failure = "did not converge"
     for u0 in seeds:
@@ -529,14 +599,14 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     else:  # no seed was accepted
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  iterations=sweep_used + gn_used,
-                                 phi_plus_mu=phi_plus_mu, failure=failure)
+                                 phi_plus_mu=sweep.phi_plus_mu, failure=failure)
 
     # iterates are the sweep passes followed by the winning polish sequence
     iterates = IterateTrace(
         rp=rp, cf=cf, asm=asm, final=res.triple, sweep=tuple(trace_u),
         polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
-    return replace(res, iterations=sweep_used + gn_used, phi_plus_mu=phi_plus_mu,
-                   iterates=iterates)
+    return replace(res, iterations=sweep_used + gn_used,
+                   phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
 
 
 def _accept(rp, cf, u, asm, cfg):
@@ -595,20 +665,30 @@ def _pbh_warm_start(cf, lam, asm, rng):
 def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
     """solve_fixed_lambda on a canonical form, without the verification.
 
+    Every restart's start vector is drawn first, from the restart's own
+    stream in the order a restart on its own would draw it. All starts then
+    go through the sweep in lockstep (_sweep, one block), and each restart's
+    polish runs in heuristic_iterate on its row of that block. The results
+    are those of one restart at a time, bit for bit.
+
     solve_radius solves its candidates through this and verifies only the
     answer it returns.
     """
     rp = build_reduced(cf, lam)
     asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
-    best = None
-    failures = []
+    starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
         z0 = _pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
+        starts.append(z0)
+    sweeps = _sweep(asm, _stationarity_fj(asm.a_tilde, rp.v_bar)[0], starts, cfg)
+    best = None
+    failures = []
+    for r, sweep in enumerate(sweeps):
         run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
-        res = heuristic_iterate(rp, cf, run_cfg, z0=z0)
+        res = heuristic_iterate(rp, cf, run_cfg, sweep=sweep)
         if res.converged:
             if best is None or res.cost < best.cost - 1e-15:
                 best = res
@@ -688,12 +768,16 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     return tuple(dedup)
 
 
-def _pbh_lower_bound(net, lam):
-    """Unstructured distance at lam: a valid lower bound on the structured
-    radius since restricting the support can only cost more."""
+def _pbh_lower_bounds(net, lams):
+    """Unstructured distance at each lam: a valid lower bound on the
+    structured radius since restricting the support can only cost more.
+    One complex SVD over the stack of [lam I - A; C]."""
     n = net.n
-    stack = np.vstack([complex(lam) * np.eye(n) - net.weights, net.c_matrix])
-    return float(np.linalg.svd(stack, compute_uv=False)[-1])
+    lams = np.array(lams, dtype=complex)
+    stack = np.empty((len(lams), n + net.c_matrix.shape[0], n), dtype=complex)
+    stack[:, :n] = lams[:, None, None] * np.eye(n) - net.weights
+    stack[:, n:] = net.c_matrix
+    return np.linalg.svd(stack, compute_uv=False)[:, -1].tolist()
 
 
 @dataclass(frozen=True)
@@ -759,7 +843,7 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     if not cands:
         raise ValueError("empty lambda grid")
     cf = canonicalize(net, mask)
-    bounds = [(lam, _pbh_lower_bound(net, lam)) for lam in cands]
+    bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None
     best_lam = None

@@ -11,7 +11,7 @@ from netobs import (SolverConfig, assemble_pencil, build_reduced,
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
 from netobs.radius_core import _delta_bar, assemble_real_pencil
-from netobs.solver import _continue_triple, _qz, _stationarity_fj
+from netobs.solver import _Sweep, _continue_triple, _qz, _stationarity_fj
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -564,6 +564,207 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
     runs = record_polish(monkeypatch)
     assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
     assert_exit_margins(runs)
+
+
+# ---------------------------------------------------------------------------
+# lockstep sweep
+
+
+def reference_sweep(asm, f_of, z0, cfg):
+    """The sweep of one start as a loop over steps with one-vector numpy
+    calls (@, np.linalg.norm, a solve per step): what every row of the
+    lockstep block must reproduce bit for bit. Returns (init, trace, best,
+    phi_plus_mu), with init None when the start degenerates."""
+    nx = asm.nx
+
+    def rebalance(z):
+        nzx, nzy = np.linalg.norm(z[:nx]), np.linalg.norm(z[nx:])
+        if nzx < 1e-300 or nzy < 1e-300:
+            return None
+        return np.concatenate([z[:nx] / (np.sqrt(2.0) * nzx),
+                               z[nx:] / (np.sqrt(2.0) * nzy)])
+
+    def u_of(pp, z):
+        den = z @ (pp.d @ z)
+        sigma_bar = abs(z @ (pp.h @ z) / den) if den != 0 else 1.0
+        return np.append(np.sqrt(2.0) * z, sigma_bar / 2.0)
+
+    z = rebalance(np.array(z0, dtype=float))
+    if z is None:
+        return None, [], None, None
+    init = u_of(asm.pencil(z[:nx], z[nx:]), z)
+    trace, best, best_merit, psi, phi_plus_mu = [], None, np.inf, cfg.psi, None
+    for _ in range(cfg.sweep_iters):
+        pp = asm.pencil(z[:nx], z[nx:])
+        spec = generalized_spectrum(pp)
+        re, im = spec.values.real, spec.values.imag
+        if not spec.regular or not len(re):
+            break
+        scale = max(1.0, float(np.abs(re).max()))
+        ok = (re > cfg.zero_tol * scale) & (np.abs(im) <= 1e-6 * scale)
+        if not ok.any():
+            break
+        mp = float(re[ok].min())
+        mu = psi * mp
+        mmat = pp.h - mu * pp.d
+        s = np.linalg.svd(mmat, compute_uv=False)
+        if s[-1] == 0.0 or s[0] / s[-1] > cfg.cond_limit:
+            psi = max(0.5 + 0.45 * (psi - 0.5), 0.500001)
+            mu = psi * mp
+            mmat = pp.h - mu * pp.d
+        try:
+            w = np.linalg.solve(mmat, pp.d @ z)
+        except np.linalg.LinAlgError:
+            break
+        phi = np.linalg.norm(w)
+        if not np.isfinite(phi) or phi < 1e-300:
+            break
+        zn = w / phi
+        zn = rebalance(-zn if zn @ z < 0 else zn)
+        if zn is None:
+            break
+        phi_plus_mu = mu + 1.0 / phi
+        u = u_of(pp, zn)
+        trace.append(u)
+        merit = np.linalg.norm(f_of(u))
+        if merit < best_merit:
+            best_merit, best = merit, u
+        z = zn
+    return init, trace, best, phi_plus_mu
+
+
+def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
+    """(sweep row, result) of every restart: from _best_of_restarts, which
+    sweeps its restarts in lockstep, and from heuristic_iterate run alone on
+    each restart's start vector, drawn as a restart loop draws it; and the
+    reference_sweep of each start."""
+    cf = canonicalize(net, mask)
+    rows, results = [], []
+    sweep, iterate = solver._sweep, solver.heuristic_iterate
+
+    def recording_sweep(*args):
+        out = sweep(*args)
+        rows.extend(out)
+        return out
+
+    def recording_iterate(*args, **kwargs):
+        res = iterate(*args, **kwargs)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(solver, "_sweep", recording_sweep)
+    monkeypatch.setattr(solver, "heuristic_iterate", recording_iterate)
+    solver._best_of_restarts(cf, lam, cfg)
+    lockstep = list(zip(rows, results))
+    rows.clear()
+    results.clear()
+    rp = build_reduced(cf, lam)
+    asm = solver.PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    f_of = _stationarity_fj(asm.a_tilde, rp.v_bar)[0]
+    reference = []
+    for r in range(cfg.restarts):
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
+        z0 = solver._pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
+        if z0 is None:
+            z0 = rng.standard_normal(asm.size)
+        recording_iterate(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0=z0)
+        reference.append(reference_sweep(asm, f_of, z0, cfg))
+    alone = list(zip(rows, results))
+    assert len(lockstep) == len(alone) == cfg.restarts
+    return lockstep, alone, reference
+
+
+def raw(a):
+    return None if a is None else np.asarray(a).tobytes()
+
+
+def assert_same_restarts(lockstep, alone, reference):
+    for (row, res), (row1, res1), (init, trace, best, phi_plus_mu) in zip(
+            lockstep, alone, reference):
+        for other in (row1, _Sweep(init, trace, best, phi_plus_mu=phi_plus_mu)):
+            assert raw(row.init) == raw(other.init)
+            assert [raw(u) for u in row.trace] == [raw(u) for u in other.trace]
+            assert raw(row.best) == raw(other.best)
+            assert row.phi_plus_mu == other.phi_plus_mu
+        assert res.converged == res1.converged
+        assert res.failure == res1.failure
+        assert res.iterations == res1.iterations
+        assert res.phi_plus_mu == res1.phi_plus_mu
+        assert res.cost == res1.cost
+        assert raw(res.perturbation and res.perturbation.delta) == \
+            raw(res1.perturbation and res1.perturbation.delta)
+        if res.converged:
+            assert [raw(u) for u in res.iterates.sweep] == \
+                [raw(u) for u in res1.iterates.sweep]
+
+
+def c3_chain3():
+    # C3's trial 3: some restarts leave the sweep before its 15 steps
+    net, mask, _ = sample_network("line", 3, 7, 3)
+    return net, mask, 1j
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line"])
+def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
+    if case == "c3_chain3":
+        (net, mask, lam), cfg = c3_chain3(), C3_CFG
+    else:
+        (net, mask, lam), cfg = line6_candidate(4), ENSEMBLE_CFG
+        assert lam.imag == 0.0  # the half-size route
+    lockstep, alone, reference = lockstep_and_alone(monkeypatch, net, mask, lam, cfg)
+    assert_same_restarts(lockstep, alone, reference)
+    steps = sum(len(row.trace) for row, _ in lockstep)
+    if case == "c3_chain3":
+        assert steps < cfg.restarts * cfg.sweep_iters
+    assert sum(res.converged for _, res in lockstep) >= 2
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lockstep_sweep_backs_psi_off_row_by_row(monkeypatch):
+    # with cond_limit = 1e6 the shift backs off on some rows of a step and
+    # not on others; the stacked SVD's singular values show which
+    cfg = replace(C3_CFG, cond_limit=1e6)
+    svd, backed_off = np.linalg.svd, []
+
+    def recording_svd(a, *args, **kwargs):
+        s = svd(a, *args, **kwargs)
+        if kwargs.get("compute_uv") is False and s.ndim == 2:
+            backed_off.append(s[:, 0] / s[:, -1] > cfg.cond_limit)
+        return s
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    lockstep, alone, reference = lockstep_and_alone(monkeypatch, *c3_chain3(), cfg)
+    assert_same_restarts(lockstep, alone, reference)
+    # the stacked SVDs of _best_of_restarts come first, one per step
+    assert any(b.any() and not b.all() for b in backed_off[:cfg.sweep_iters])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
+    # make the shifted matrix of one restart at sweep step 3 singular: the
+    # stacked solve then fails as a whole, and only that row may leave
+    solve, matrices = np.linalg.solve, []
+
+    def recording_solve(a, b):
+        matrices.append(a.copy())
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording_solve)
+    cf = canonicalize(*c3_chain3()[:2])
+    solver._best_of_restarts(cf, 1j, C3_CFG)
+    singular = matrices[3][5].tobytes()
+
+    def singular_solve(a, b):
+        if any(m.tobytes() == singular for m in a.reshape(-1, *a.shape[-2:])):
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    lockstep, alone, reference = lockstep_and_alone(monkeypatch, *c3_chain3(), C3_CFG)
+    assert_same_restarts(lockstep, alone, reference)
+    assert len(lockstep[5][0].trace) == 3
+    assert sum(len(row.trace) > 3 for row, _ in lockstep) >= 6
 
 
 # ---------------------------------------------------------------------------
