@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -185,13 +186,20 @@ class CanonicalForm:
     def p(self):
         return self.a11.shape[0]
 
-    @property
-    def a_canonical(self):
-        return np.block([[self.a11, self.a12], [self.a21, self.a22]])
+    # built on first access and kept, read-only: every reconstruction reads them
 
-    @property
+    @cached_property
+    def a_canonical(self):
+        return _as_readonly(np.block([[self.a11, self.a12], [self.a21, self.a22]]))
+
+    @cached_property
     def v_canonical(self):
-        return np.block([[self.v11, self.v12], [self.v21, self.v22]])
+        return _as_readonly(np.block([[self.v11, self.v12], [self.v21, self.v22]]))
+
+    @cached_property
+    def mask(self):
+        """The constraint mask in original node order."""
+        return ConstraintMask(self.to_original(self.v_canonical))
 
     @property
     def v_bar(self):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_model import CanonicalForm, ConstraintMask, Perturbation
+from .network_model import CanonicalForm, Perturbation
 
 
 class SpuriousTripleError(ValueError):
@@ -385,9 +385,7 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
             f"reconstructed perturbation violates the eigen constraint "
             f"(residual {r_eig:.3e})"
         )
-    delta = cf.to_original(dc)
-    mask = ConstraintMask(cf.to_original(cf.v_canonical))
-    pert = Perturbation(delta, mask)
+    pert = Perturbation(cf.to_original(dc), cf.mask)
     at = a_tilde(rp)
     identity = t.sigma * float(t.x @ (at.T @ t.y))
     cost = pert.frob_cost

@@ -248,6 +248,20 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     return u, its, bool(np.linalg.norm(f, np.inf) <= tol), us
 
 
+def _residual(at, att, v_bar, u):
+    """F(u) of the normalized stationarity system (_stationarity_fj) with
+    At = at and At' = att, for one u or row by row for a stack of them;
+    with a stack of At, one per row. att is a transposed view of at
+    (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs."""
+    ny, nx = at.shape[-2:]
+    x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
+    d_y, d_x = _weighting_diagonals(v_bar, x, y)
+    return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
+                           _mv(at, x) - sig * _weighted(d_x, y),
+                           (_rowdot(x, x) - 1.0) / 2.0,
+                           (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
+
+
 def _stationarity_fj(at, v_bar):
     """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
 
@@ -268,13 +282,7 @@ def _stationarity_fj(at, v_bar):
     positions = _d_positions(v_bar, nx, cols, blocks)
 
     def f_of(u):
-        # one u, or row by row for a stack of them (the sweep's merit)
-        x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
-        d_y, d_x = _weighting_diagonals(v_bar, x, y)
-        return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
-                               _mv(at, x) - sig * _weighted(d_x, y),
-                               (_rowdot(x, x) - 1.0) / 2.0,
-                               (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
+        return _residual(at, att, v_bar, u)
 
     def j_of(u):
         # one preallocated Jacobian, rows (x-equations, y-equations, the two
@@ -447,32 +455,54 @@ class _Sweep:
     phi_plus_mu: float | None = None
 
 
-def _sweep(asm, f_of, starts, cfg):
+def _sweep(asms, starts, cfg):
     """Shifted inverse iteration from every start vector, in lockstep.
 
-    The rows of one (rows, size) block advance together, and a row leaves
-    the block where its own sweep ends: a pencil that is not regular or has
-    no positive eigenvalue, a singular shifted solve, phi non-finite or
-    below 1e-300, or an iterate that cannot be rebalanced. Each step fills
-    D's diagonals for every row, takes QZ row by row (_qz), shifts by
-    mu = psi times the smallest positive eigenvalue, backs psi off per row
-    where the 2-norm condition number of H - mu D (its singular values, one
-    stacked SVD) exceeds cond_limit, and solves (H - mu D) w = D z in one
-    stacked solve. Returns one _Sweep per start.
+    asms holds the pencil assemblies of one or more candidate lambdas, all
+    on one route (so the pencils have one order), and starts[k] the start
+    vectors of candidate k. The rows of one (rows, size) block advance
+    together, and a row leaves the block where its own sweep ends: a pencil
+    that is not regular or has no positive eigenvalue, a singular shifted
+    solve, phi non-finite or below 1e-300, or an iterate that cannot be
+    rebalanced. Each step fills D's diagonals for every row, takes QZ row by
+    row (_qz), shifts by mu = psi times the smallest positive eigenvalue,
+    backs psi off per row where the 2-norm condition number of H - mu D (its
+    singular values, one stacked SVD) exceeds cond_limit, and solves
+    (H - mu D) w = D z in one stacked solve. Returns one _Sweep per start,
+    candidate by candidate.
+
+    H and A_tilde depend on lambda, D only on V_bar and the route, so the
+    first assembly fills D for every row. The H and A_tilde of each
+    candidate are stacked once, and an index from row to candidate is
+    filtered with the rows and gathers them per step; QZ and the regularity
+    probe read the candidate's own H. A block of one candidate uses its H
+    and A_tilde as they are, without a copy per row.
 
     Every row gets the bits a sweep of that start alone would. Stacked
     np.linalg.svd and np.linalg.solve run LAPACK slice by slice. Matrix
     times vector goes through _mv and dot products and norms through
     _rowdot, which equal a @ x and np.linalg.norm row by row, where x @ a.T,
-    einsum and sums over an axis do not. The solve stays numpy's: scipy's
-    ?gesv comes from another BLAS build and differs in the last bits.
+    einsum and sums over an axis do not; the merit's At' is a transposed
+    view of the gathered A_tilde, as it is of A_tilde for one row. The
+    solve stays numpy's: scipy's ?gesv comes from another BLAS build and
+    differs in the last bits.
     """
-    h, nx = asm.h, asm.nx
-    rows = [_Sweep() for _ in starts]
-    z, ok = _rebalance(np.array(starts, dtype=float), nx)
-    live = np.flatnonzero(ok)
+    asm, one = asms[0], len(asms) == 1
+    nx, v = asm.nx, asm.v
+    hs = asm.h[None] if one else np.stack([a.h for a in asms])
+    ats = asm.a_tilde[None] if one else np.stack([a.a_tilde for a in asms])
+    cand = np.repeat(np.arange(len(asms)), [len(s) for s in starts])
+
+    def rows_of(stack):
+        # the candidate's matrix for every live row; with one candidate its
+        # matrix itself, which the arithmetic broadcasts over the rows
+        return stack[0] if one else stack[cand]
+
+    rows = [_Sweep() for s in starts for _ in s]
+    z, ok = _rebalance(np.array([z0 for s in starts for z0 in s], dtype=float), nx)
+    live, cand = np.flatnonzero(ok), cand[ok]
     d = asm.pencil(z[:, :nx], z[:, nx:]).d
-    for row, u in zip([rows[i] for i in live], _u_of_pencil(h, d, z)):
+    for row, u in zip([rows[i] for i in live], _u_of_pencil(rows_of(hs), d, z)):
         row.init = u
     psi = np.full(len(live), cfg.psi)
     for it in range(cfg.sweep_iters):
@@ -480,16 +510,17 @@ def _sweep(asm, f_of, starts, cfg):
             break
         if it:
             d = asm.pencil(z[:, :nx], z[:, nx:]).d
-        alpha, beta = (np.array(part) for part in zip(*[_qz(h, dk) for dk in d]))
+        alpha, beta = (np.array(part)
+                       for part in zip(*[_qz(hs[c], dk) for c, dk in zip(cand, d)]))
         finite, indeterminate = _classify(alpha, beta)
         mp = _min_positive(alpha, beta, finite, cfg.zero_tol)
         keep = ~np.isnan(mp)
         for k in np.flatnonzero(keep & indeterminate.any(axis=1)):
-            keep[k] = _regular(h, d[k])
-        live, z, d, psi, mp = live[keep], z[keep], d[keep], psi[keep], mp[keep]
+            keep[k] = _regular(hs[cand[k]], d[k])
+        live, cand, z, d, psi, mp = (a[keep] for a in (live, cand, z, d, psi, mp))
 
         mu = psi * mp
-        mmat = h - mu[:, None, None] * d
+        mmat = rows_of(hs) - mu[:, None, None] * d
         s = np.linalg.svd(mmat, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the 2-norm condition number (infinite when s_min = 0, as
@@ -499,7 +530,7 @@ def _sweep(asm, f_of, starts, cfg):
         for k in np.flatnonzero(back):
             psi[k] = max(0.5 + 0.45 * (psi[k] - 0.5), 0.500001)
             mu[k] = psi[k] * mp[k]
-            mmat[k] = h - mu[k] * d[k]
+            mmat[k] = hs[cand[k]] - mu[k] * d[k]
         rhs = np.matmul(d, z[..., None])
         keep = np.ones(len(live), dtype=bool)
         try:
@@ -514,14 +545,16 @@ def _sweep(asm, f_of, starts, cfg):
                     keep[k] = False
         phi = np.sqrt(_rowdot(w, w))[:, 0]
         keep &= np.isfinite(phi) & (phi >= 1e-300)
-        live, z, d, psi, mu, w, phi = (a[keep] for a in (live, z, d, psi, mu, w, phi))
+        live, cand, z, d, psi, mu, w, phi = (
+            a[keep] for a in (live, cand, z, d, psi, mu, w, phi))
 
         zn = w / phi[:, None]
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
-        live, d, psi, mu, phi = (a[keep] for a in (live, d, psi, mu, phi))
-        u = _u_of_pencil(h, d, zn)
-        f = f_of(u)
+        live, cand, d, psi, mu, phi = (a[keep] for a in (live, cand, d, psi, mu, phi))
+        u = _u_of_pencil(rows_of(hs), d, zn)
+        at = rows_of(ats)
+        f = _residual(at, np.swapaxes(at, -1, -2), v, u)
         merit = np.sqrt(_rowdot(f, f))[:, 0]
         for k, row in enumerate([rows[i] for i in live]):
             row.trace.append(u[k])
@@ -533,7 +566,7 @@ def _sweep(asm, f_of, starts, cfg):
 
 
 def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
-                      z0=None, *, sweep=None) -> FixedLambdaResult:
+                      z0=None, *, sweep=None, pencil=None) -> FixedLambdaResult:
     """One solve of the fixed-lambda problem from one initial vector.
 
     Runs the shifted inverse-iteration sweep, then polishes the best sweep
@@ -547,21 +580,25 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     diagonals (one on the real route, four per block on the complex one).
     _best_of_restarts sweeps all its restarts in one block and hands each
     restart its row as sweep; z0 is then not used, and the result is, bit
-    for bit, the one that restart's z0 gives on its own.
+    for bit, the one that restart's z0 gives on its own. It also hands over
+    pencil, the candidate's (PencilAssembly, f_of, j_of), which a call on
+    its own builds from rp and cfg.
 
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
 
-    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    if pencil is None:
+        asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+        pencil = (asm, *_stationarity_fj(asm.a_tilde, rp.v_bar))
+    asm, f_of, j_of = pencil
     nx, ny = asm.nx, asm.size - asm.nx
-    f_of, j_of = _stationarity_fj(asm.a_tilde, rp.v_bar)
 
     if sweep is None:
         if z0 is None:
             z0 = rng.standard_normal(nx + ny)
-        sweep, = _sweep(asm, f_of, [z0], cfg)
+        sweep, = _sweep([asm], [[z0]], cfg)
     if sweep.init is None:
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  failure="degenerate initial vector")
@@ -601,9 +638,11 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
                                  iterations=sweep_used + gn_used,
                                  phi_plus_mu=sweep.phi_plus_mu, failure=failure)
 
-    # iterates are the sweep passes followed by the winning polish sequence
+    # iterates are the sweep passes followed by the winning polish sequence;
+    # the sweep passes are rows of the whole block's iterates, so they are
+    # copied out, and a kept result holds its own rows only
     iterates = IterateTrace(
-        rp=rp, cf=cf, asm=asm, final=res.triple, sweep=tuple(trace_u),
+        rp=rp, cf=cf, asm=asm, final=res.triple, sweep=tuple(np.array(trace_u)),
         polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
     return replace(res, iterations=sweep_used + gn_used,
                    phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
@@ -662,18 +701,25 @@ def _pbh_warm_start(cf, lam, asm, rng):
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
 
-def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
-    """solve_fixed_lambda on a canonical form, without the verification.
+@dataclass(eq=False)
+class _Candidate:
+    """What the restarts of one candidate lambda share: its reduced problem,
+    its pencil (PencilAssembly, f_of, j_of) and every restart's start
+    vector."""
 
-    Every restart's start vector is drawn first, from the restart's own
-    stream in the order a restart on its own would draw it. All starts then
-    go through the sweep in lockstep (_sweep, one block), and each restart's
-    polish runs in heuristic_iterate on its row of that block. The results
-    are those of one restart at a time, bit for bit.
+    rp: ReducedProblem
+    pencil: tuple
+    starts: list
 
-    solve_radius solves its candidates through this and verifies only the
-    answer it returns.
-    """
+    @property
+    def asm(self):
+        return self.pencil[0]
+
+
+def _candidate(cf, lam, cfg):
+    """The _Candidate of lam. Every restart's start vector is drawn from the
+    restart's own stream, in the order a restart on its own would draw it:
+    restart 0 from the PBH singular vector when there is one."""
     rp = build_reduced(cf, lam)
     asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
     starts = []
@@ -683,22 +729,57 @@ def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
         starts.append(z0)
-    sweeps = _sweep(asm, _stationarity_fj(asm.a_tilde, rp.v_bar)[0], starts, cfg)
+    return _Candidate(rp, (asm, *_stationarity_fj(asm.a_tilde, rp.v_bar)), starts)
+
+
+def _sweep_candidates(cands, cfg):
+    """The sweep rows of every restart of every candidate, one list per
+    candidate. The candidates of each route go through _sweep as one block:
+    half-size real pencils and full complex ones differ in order."""
+    out = [None] * len(cands)
+    for real in (False, True):
+        group = [k for k, c in enumerate(cands) if c.asm.real == real]
+        if not group:
+            continue
+        rows = iter(_sweep([cands[k].asm for k in group],
+                           [cands[k].starts for k in group], cfg))
+        for k in group:
+            out[k] = [next(rows) for _ in cands[k].starts]
+    return out
+
+
+def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
+    """The best converged restart of one candidate: each restart's polish
+    runs in heuristic_iterate on its sweep row."""
     best = None
     failures = []
     for r, sweep in enumerate(sweeps):
         run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
-        res = heuristic_iterate(rp, cf, run_cfg, sweep=sweep)
+        res = heuristic_iterate(cand.rp, cf, run_cfg, sweep=sweep, pencil=cand.pencil)
         if res.converged:
             if best is None or res.cost < best.cost - 1e-15:
                 best = res
         else:
             failures.append(res.failure)
     if best is None:
-        return FixedLambdaResult(lam=complex(lam), converged=False,
+        return FixedLambdaResult(lam=cand.rp.lam, converged=False,
                                  failure="all restarts failed: " +
                                          "; ".join(sorted(set(f or "?" for f in failures))))
     return best
+
+
+def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
+    """solve_fixed_lambda on a canonical form, without the verification.
+
+    Every restart's start vector is drawn first (_candidate). All starts
+    then go through the sweep in lockstep (_sweep, one block), and each
+    restart's polish runs in heuristic_iterate on its row of that block.
+    The results are those of one restart at a time, bit for bit. This is
+    the one-candidate case of solve_radius's sweep-ahead blocks.
+    """
+    cand = _candidate(cf, lam, cfg)
+    sweeps, = _sweep_candidates([cand], cfg)
+    return _polish_restarts(cf, cand, sweeps, cfg)
 
 
 def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
@@ -720,6 +801,11 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 
 # ---------------------------------------------------------------------------
 # search over candidate eigenvalues
+
+# Most sweep rows (candidates times restarts) of one sweep-ahead block in
+# solve_radius. The cap bounds the memory of a block, whose stacked pencils
+# grow with the rows; it does not change any answer.
+_BLOCK_ROWS = 64
 
 
 def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
@@ -827,7 +913,23 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
 
     Candidates are ranked by the unstructured PBH lower bound and solved in
     that order; a candidate whose bound already exceeds the incumbent cost is
-    pruned. One coordinate-descent pass (step halving, refine_steps budget)
+    pruned. Only the returned answer is verified against the original
+    system, not every candidate.
+
+    The sweep runs ahead of the polish. The bounds ascend and the incumbent
+    cost never rises, so pruning only ever cuts a suffix of the bound
+    order: a candidate whose bound lies below the incumbent cost now may be
+    pruned later, but one above it is never solved. A candidate without a
+    sweep is therefore swept together with the candidates after it whose
+    bounds already lie below the incumbent cost (alone while there is no
+    incumbent, and at most _BLOCK_ROWS restarts in all), one lockstep block
+    per route (_sweep_candidates). The polish then takes the candidates one
+    at a time in bound order, with the prune test before each, exactly as
+    if each had been swept alone; a candidate swept ahead and then pruned
+    is dropped unpolished and never enters search_trace. Every output is
+    that of sweeping one candidate at a time, bit for bit.
+
+    One coordinate-descent pass (step halving, refine_steps budget)
     then polishes lambda locally, warm-starting each probe from the
     incumbent triple. A compass step probes each distinct lambda once: at a
     real incumbent the moves (0, h) and (0, -h) both fold onto lambda + ih,
@@ -836,8 +938,6 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     exact lambda-gradient of ||Delta||^2 at the grid winner is nonzero on
     the scale of (A, lambda); at a winner that is already stationary in
     lambda no probe can improve to first order, and refine_evals stays 0.
-    Only the returned answer is verified against the original system, not
-    every candidate.
     """
     cands = candidate_lambdas(net, mask, grid)
     if not cands:
@@ -849,11 +949,23 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     best_lam = None
     trace = []
     pruned = 0
-    for lam, bound in bounds:
+    ahead = max(1, _BLOCK_ROWS // cfg.restarts)
+    swept = {}  # position in bounds -> (_Candidate, its sweep rows)
+    for i, (lam, bound) in enumerate(bounds):
         if best is not None and bound >= best.cost - 1e-12:
             pruned += 1
             continue
-        res = _best_of_restarts(cf, lam, cfg)
+        if i not in swept:
+            # sweep ahead: the next candidates whose bounds already lie below
+            # the incumbent cost join this one
+            stop = i + 1
+            while (best is not None and stop < min(len(bounds), i + ahead)
+                   and bounds[stop][1] < best.cost - 1e-12):
+                stop += 1
+            block = range(i, stop)
+            cands = [_candidate(cf, bounds[j][0], cfg) for j in block]
+            swept.update(zip(block, zip(cands, _sweep_candidates(cands, cfg))))
+        res = _polish_restarts(cf, *swept.pop(i), cfg)
         trace.append((lam, res.cost))
         if not res.converged:
             continue

@@ -767,6 +767,50 @@ def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
     assert sum(len(row.trace) > 3 for row, _ in lockstep) >= 6
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["c3", "backs_psi_off", "singular_row"])
+def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
+    # three complex candidates of C3's trial 3 in one block: rows of every
+    # candidate leave before the 15 steps, so the row -> candidate index is
+    # filtered mid-block. cond_limit = 1e6 backs psi off on some rows; a
+    # singular shifted matrix of the first candidate at step 3 drops its row
+    # in the per-row fallback of the stacked solve
+    net, mask, lam = c3_chain3()
+    cf = canonicalize(net, mask)
+    cfg = replace(C3_CFG, cond_limit=1e6) if case == "backs_psi_off" else C3_CFG
+    cands = [solver._candidate(cf, lam, cfg) for lam in (lam, 0.5 + 0.8j, 1.2j)]
+    if case == "singular_row":
+        solve, matrices = np.linalg.solve, []
+
+        def recording_solve(a, b):
+            matrices.append(a.copy())
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        solver._sweep([cands[0].asm], [cands[0].starts], cfg)
+        singular = matrices[3][5].tobytes()
+
+        def singular_solve(a, b):
+            if any(m.tobytes() == singular for m in a.reshape(-1, *a.shape[-2:])):
+                raise np.linalg.LinAlgError("Singular matrix")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", singular_solve)
+    block = solver._sweep([c.asm for c in cands], [c.starts for c in cands], cfg)
+    alone = [row for c in cands for row in solver._sweep([c.asm], [c.starts], cfg)]
+    assert len(block) == len(alone) == 3 * cfg.restarts
+    for row, row1 in zip(block, alone):
+        assert raw(row.init) == raw(row1.init)
+        assert [raw(u) for u in row.trace] == [raw(u) for u in row1.trace]
+        assert raw(row.best) == raw(row1.best)
+        assert row.phi_plus_mu == row1.phi_plus_mu
+    for k in range(len(cands)):
+        rows = block[k * cfg.restarts:(k + 1) * cfg.restarts]
+        assert any(len(row.trace) < cfg.sweep_iters for row in rows)
+    if case == "singular_row":
+        assert any(len(row.trace) == 3 for row in block[:cfg.restarts])
+
+
 # ---------------------------------------------------------------------------
 # lambda search
 
@@ -884,6 +928,75 @@ def test_radius_search_trace_records_bound_pruning():
     assert len(evaluated) >= 1
     assert min(evaluated) == pytest.approx(rr.best.cost, rel=1e-9)
     assert rr.pruned >= 0
+
+
+def radius_recorded(net, mask, grid, cfg):
+    """solve_radius with its sweep rows and polished restarts recorded:
+    (result, every row _sweep returned, (lambda, row) per heuristic_iterate
+    call)."""
+    swept, polished = [], []
+    sweep, iterate = solver._sweep, solver.heuristic_iterate
+
+    def recording_sweep(*args):
+        out = sweep(*args)
+        swept.extend(out)
+        return out
+
+    def recording_iterate(rp, *args, **kwargs):
+        polished.append((rp.lam, kwargs["sweep"]))
+        return iterate(rp, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_sweep", recording_sweep)
+        mp.setattr(solver, "heuristic_iterate", recording_iterate)
+        rr = solve_radius(net, mask, grid, cfg)
+    return rr, swept, polished
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
+    cases = [
+        # the C7 ensemble's 5-node line: 16 candidates, 11 solved; with 64
+        # rows a block sweeps some candidates that are then pruned
+        ("ensemble_line5", sample_network("line", 5, 4040, 0)[:2], "topo",
+         SolverConfig(restarts=4, sweep_iters=12, seed=4040)),
+        # the CLI pool's 4-node line: 37 candidates solved, 15 of them
+        # complex, so real and complex rows share a block
+        ("cli_line4", sample_network("line", 4, 2611, 0)[:2], "default",
+         SolverConfig()),
+    ]
+    for name, (net, mask), grid, cfg in cases:
+        blocks, swept, polished = radius_recorded(net, mask, grid, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_BLOCK_ROWS", cfg.restarts)
+            alone, swept1, polished1 = radius_recorded(net, mask, grid, cfg)
+        assert blocks.best.converged, name
+        assert blocks.cost == alone.cost
+        assert blocks.lambda_star == alone.lambda_star
+        assert raw(blocks.best.perturbation.delta) == raw(alone.best.perturbation.delta)
+        assert blocks.best.iterations == alone.best.iterations
+        assert blocks.best.history == alone.best.history
+        assert blocks.search_trace == alone.search_trace
+        assert blocks.pruned == alone.pruned
+        assert blocks.refine_evals == alone.refine_evals
+        lams = [lam for lam, _ in polished]
+        assert lams == [lam for lam, _ in polished1]
+        # one candidate per block sweeps only what it polishes
+        assert {id(row) for row in swept1} == {id(row) for _, row in polished1}
+
+        # the polished candidates are a prefix of the bound order
+        cands = candidate_lambdas(net, mask, grid)
+        order = [lam for lam, _ in sorted(zip(cands, solver._pbh_lower_bounds(net, cands)),
+                                          key=lambda t: (t[1], t[0].real, t[0].imag))]
+        solved = list(dict.fromkeys(lams))
+        assert solved == order[:len(solved)]
+        assert len(lams) == cfg.restarts * len(solved)
+        if name == "ensemble_line5":
+            # whole candidates are swept ahead and dropped unpolished
+            unpolished = {id(row) for row in swept} - {id(row) for _, row in polished}
+            assert unpolished and len(unpolished) % cfg.restarts == 0
+        else:
+            assert any(lam.imag for lam in solved) and not all(lam.imag for lam in solved)
 
 
 def test_lambda_gradient_matches_central_difference():
