@@ -13,9 +13,8 @@ from .network_model import (ConstraintMask, NetworkFormatError, NetworkSystem,
                             perturbation_to_dict, verify_unobservability)
 from .radius_core import (CandidateTriple, SpuriousTripleError, a_tilde,
                           assemble_pencil, assemble_real_pencil,
-                          balanced_embed, build_reduced, build_weightings,
-                          embed_real_triple, normalize_triple,
-                          orthogonality_diagnostic, pencil_residual,
+                          build_reduced, build_weightings, embed_real_triple,
+                          normalize_triple, orthogonality_diagnostic,
                           reconstruct_perturbation, system_residual)
 from .solver import (SolverConfig, candidate_lambdas, generalized_spectrum,
                      heuristic_iterate, solve_fixed_lambda, solve_radius)
@@ -35,10 +34,9 @@ __all__ = [
     "pbh_margin", "perturbation_from_dict", "perturbation_to_dict",
     "verify_unobservability",
     "CandidateTriple", "SpuriousTripleError", "a_tilde", "assemble_pencil",
-    "assemble_real_pencil", "balanced_embed", "build_reduced",
-    "build_weightings", "embed_real_triple", "normalize_triple",
-    "orthogonality_diagnostic", "pencil_residual", "reconstruct_perturbation",
-    "system_residual",
+    "assemble_real_pencil", "build_reduced", "build_weightings",
+    "embed_real_triple", "normalize_triple", "orthogonality_diagnostic",
+    "reconstruct_perturbation", "system_residual",
     "SolverConfig", "candidate_lambdas", "generalized_spectrum",
     "heuristic_iterate", "solve_fixed_lambda", "solve_radius",
     "OracleFailure", "cut_bound", "cut_bound_asymptote",

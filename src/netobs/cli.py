@@ -1,9 +1,10 @@
 """Command line surface: radius solves, perturbation export, ensemble runs,
 closed-form oracles, and a built-in validation suite.
 
-Exit codes: 0 success, 1 input/parse problem, 2 unobservable input system,
-3 solver failure, 4 validation failure. stdout carries machine-readable
-payload only; diagnostics go to stderr.
+Exit codes: 0 success, 1 input/parse problem or an output file that cannot
+be written, 2 unobservable input system, 3 solver failure, 4 validation
+failure. stdout carries machine-readable payload only; diagnostics go to
+stderr.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .network_model import (ConstraintMask, NetworkFormatError, NetworkSystem,
                             load_network, perturbation_from_dict,
                             perturbation_to_dict, verify_unobservability)
 from .radius_core import assemble_pencil, build_reduced
-from .solver import SolverConfig, solve_fixed_lambda, solve_radius
+from .solver import GRIDS, SolverConfig, solve_fixed_lambda, solve_radius
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,10 +81,10 @@ def _emit(payload, output):
             fh.write(text + "\n")
 
 
-def _result_payload(res, include_history=False):
+def _result_payload(res):
     rec = res.reconstruction
     ver = res.verification
-    payload = {
+    return {
         "delta_frobenius": res.cost,
         "frob_cost": res.perturbation.frob_cost if res.perturbation else None,
         "lambda_star": [res.lam.real, res.lam.imag],
@@ -100,9 +101,6 @@ def _result_payload(res, include_history=False):
             "verified": bool(ver.verified),
         } if ver else None,
     }
-    if include_history:
-        payload["history"] = [float(h) for h in res.history]
-    return payload
 
 
 def cmd_radius(args):
@@ -337,15 +335,15 @@ def build_parser():
     sp = sub.add_parser("radius", help="smallest unobservability perturbation")
     sp.add_argument("network")
     sp.add_argument("--lambda", dest="lam", default=None, help="fixed eigenvalue 're,im'")
-    sp.add_argument("--grid", default="default",
-                    help="lambda search grid: default|topo")
+    sp.add_argument("--grid", choices=GRIDS, default="default",
+                    help="lambda search grid")
     add_solver_opts(sp)
     sp.set_defaults(fn=cmd_radius)
 
     sp = sub.add_parser("perturb", help="export the optimal perturbation")
     sp.add_argument("network")
     sp.add_argument("--lambda", dest="lam", default=None)
-    sp.add_argument("--grid", default="default")
+    sp.add_argument("--grid", choices=GRIDS, default="default")
     add_solver_opts(sp)
     sp.set_defaults(fn=cmd_perturb)
 
@@ -362,7 +360,7 @@ def build_parser():
     sp.add_argument("--trials", type=int, default=100)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--method", choices=("oracle", "solver"), default="oracle")
-    sp.add_argument("--grid", default="topo")
+    sp.add_argument("--grid", choices=GRIDS, default="topo")
     sp.add_argument("--out-prefix", default=None,
                     help="write PREFIX_records.csv and PREFIX_summary.csv")
     sp.set_defaults(fn=cmd_montecarlo)
@@ -387,7 +385,8 @@ def main(argv=None):
     except UnobservableSystemError as exc:
         print(f"unobservable input: {exc}", file=sys.stderr)
         return EXIT_UNOBSERVABLE
-    except (oracles.OracleFailure, ValueError) as exc:
+    except (oracles.OracleFailure, ValueError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,7 +16,7 @@ import scipy.linalg as sla
 from . import analytic_oracles as oracles
 from .network_model import canonicalize
 from .radius_core import build_reduced, build_weightings
-from .solver import (generalized_spectrum, heuristic_iterate,
+from .solver import (_continue_triple, generalized_spectrum,
                      solve_fixed_lambda, solve_radius)
 
 
@@ -87,21 +87,19 @@ def real_route_gap(net, mask, lam, cfg):
     """|cost_half - min cost_full| at a real lam; None when the half-size
     solve fails, inf when no full solve converges.
 
-    Formulation agreement, not restart luck: the full system starts warm
-    from the half-size triple (agreement means that point is stationary for
-    it at the same cost); a cold full solve guards against the full route
-    finding something cheaper.
+    Formulation agreement, not restart luck: the full system's polish starts
+    warm from the half-size triple (agreement means that point is stationary
+    for it at the same cost); a cold full solve guards against the full
+    route finding something cheaper.
     """
     full_cfg = replace(cfg, force_full_pencil=True)
     half = solve_fixed_lambda(net, mask, lam, cfg)
     if not half.converged:
         return None
     cf = canonicalize(net, mask)
-    t = half.triple
-    warm = heuristic_iterate(build_reduced(cf, lam), cf, full_cfg,
-                             z0=np.concatenate([t.x, t.y]))
+    warm = _continue_triple(build_reduced(cf, lam), cf, half.triple, full_cfg)
     cold = solve_fixed_lambda(net, mask, lam, full_cfg)
-    costs = [r.cost for r in (warm, cold) if r.converged]
+    costs = [r.cost for r in (warm, cold) if r is not None and r.converged]
     if not costs:
         return np.inf
     return abs(half.cost - min(costs))

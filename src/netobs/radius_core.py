@@ -295,24 +295,6 @@ def system_residual(rp: ReducedProblem, t: CandidateTriple):
     return float(np.sqrt(np.dot(r1, r1) + np.dot(r2, r2)))
 
 
-def balanced_embed(t: CandidateTriple):
-    """Map a unit triple onto the pencil variable z = (x, y)/sqrt(2).
-
-    The balanced z is an eigenvector of the pencil assembled at itself with
-    eigenvalue 2*sigma (the weightings are quadratic, so halving the block
-    norms doubles the generalized eigenvalue).
-    """
-    z = np.concatenate([t.x, t.y]) / np.sqrt(2.0)
-    return z, 2.0 * t.sigma
-
-
-def pencil_residual(rp: ReducedProblem, t: CandidateTriple):
-    """||H z - sigma_bar D(z) z|| at the balanced embedding of the triple."""
-    z, sigma_bar = balanced_embed(t)
-    pp = assemble_pencil(rp, z[:2 * rp.m], z[2 * rp.m:])
-    return float(np.linalg.norm(pp.h @ z - sigma_bar * (pp.d @ z)))
-
-
 def orthogonality_diagnostic(rp: ReducedProblem, t: CandidateTriple):
     """Inner products (c_re, c_im) that give the exact lambda-gradient of the cost.
 
@@ -340,6 +322,7 @@ class Reconstruction:
     """Perturbation rebuilt from a stationary triple, with audit fields."""
 
     perturbation: Perturbation
+    r_stat: float             # system_residual of the triple
     r_eig: float              # eigen-equation residual of the perturbation
     cost_identity_rel: float  # relative gap of ||Delta||_F^2 vs sigma * x' At' y
     cost_bound_slack: float   # sigma * ||At||_F - ||Delta||_F^2  (should be >= 0)
@@ -366,10 +349,12 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
 
     Delta_bar = -sigma (y1 x_re' + y2 x_im') o V_bar: the coupling is plus
     because the weightings imply it, sigma^2 x' D_y x = ||Delta_bar||_F^2.
-    Triples whose perturbation still violates the eigen constraint are
-    rejected as spurious.
+    Triples whose stationarity residual (system_residual, kept as r_stat)
+    or whose perturbation's eigen-constraint residual exceeds residual_tol
+    are rejected as spurious.
     """
-    if system_residual(rp, t) > residual_tol:
+    r_stat = system_residual(rp, t)
+    if r_stat > residual_tol:
         raise SpuriousTripleError("triple does not satisfy the stationarity system")
     m, p = rp.m, rp.p
     xr, xi = t.x[:m], t.x[m:]
@@ -391,5 +376,5 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
     cost = pert.frob_cost
     rel = abs(cost - identity) / max(abs(cost), 1e-300)
     slack = t.sigma * float(np.linalg.norm(at)) - cost
-    return Reconstruction(perturbation=pert, r_eig=r_eig, cost_identity_rel=rel,
-                          cost_bound_slack=slack)
+    return Reconstruction(perturbation=pert, r_stat=r_stat, r_eig=r_eig,
+                          cost_identity_rel=rel, cost_bound_slack=slack)

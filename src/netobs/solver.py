@@ -26,8 +26,7 @@ from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           _d_positions, _delta_bar, _mv, _rowdot, _weighted,
                           _weighting_diagonals, _with_sensor_columns, a_tilde,
                           build_reduced, embed_real_triple, normalize_triple,
-                          orthogonality_diagnostic, pencil_residual,
-                          reconstruct_perturbation)
+                          orthogonality_diagnostic, reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -37,11 +36,6 @@ class SolverConfig:
     restarts: int = 8
     seed: int = 0
     sweep_iters: int = 20         # inverse-iteration steps before the polish
-    polish_max_iter: int = 60
-    polish_tol: float = 1e-12
-    zero_tol: float = 1e-8
-    cond_limit: float = 1e14
-    refine_steps: int = 20
     keep_delta_trace: bool = False
     force_full_pencil: bool = False
 
@@ -52,6 +46,21 @@ class SolverConfig:
             raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+
+
+# Levenberg-Marquardt budget and convergence test (inf-norm of F) of every
+# polish, restart or continuation
+_POLISH_MAX_ITER = 60
+_POLISH_TOL = 1e-12
+# a sweep's shift eigenvalue must exceed this times the scale of the real parts
+_POSITIVE_TOL = 1e-8
+# 2-norm condition number of H - mu D above which a sweep row backs psi off
+_COND_LIMIT = 1e14
+# compass steps of the lambda refinement in solve_radius
+_REFINE_STEPS = 20
+# lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below which a grid
+# winner is stationary in lambda and not refined
+_FLAT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,15 +141,16 @@ def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     return SpectrumResult(values=values[order], regular=regular)
 
 
-def _min_positive(alpha, beta, finite, zero_tol):
+def _min_positive(alpha, beta, finite):
     """Smallest positive real finite eigenvalue of each pencil of a stack,
     from QZ's (alpha, beta) of shape (rows, order); NaN where there is none.
-    Real means an imaginary part within 1e-6 of the scale of the real parts.
+    Positive means above _POSITIVE_TOL times the scale of the real parts,
+    and real an imaginary part within 1e-6 of that scale.
     """
     values = np.divide(alpha, beta, out=np.zeros_like(alpha), where=finite)
     re = values.real
     scale = np.fmax(1.0, np.abs(re).max(axis=1, keepdims=True))
-    ok = finite & (re > zero_tol * scale) & (np.abs(values.imag) <= 1e-6 * scale)
+    ok = finite & (re > _POSITIVE_TOL * scale) & (np.abs(values.imag) <= 1e-6 * scale)
     return np.where(ok.any(axis=1), np.where(ok, re, np.inf).min(axis=1), np.nan)
 
 
@@ -395,7 +405,10 @@ class FixedLambdaResult:
     triple: CandidateTriple | None = None
     reconstruction: Reconstruction | None = None
     iterations: int = 0
-    residual: float = np.inf       # ||H z - sigma_bar D z|| at the final triple
+    # ||H z - sigma_bar D z|| at the balanced embedding z = (x, y)/sqrt(2),
+    # sigma_bar = 2 sigma, of the final triple: its stationarity residual
+    # (Reconstruction.r_stat) over sqrt(2)
+    residual: float = np.inf
     sigma: float | None = None
     phi_plus_mu: float | None = None
     verification: object = None
@@ -467,16 +480,15 @@ def _sweep(asms, starts, cfg):
     rebalanced. Each step fills D's diagonals for every row, takes QZ row by
     row (_qz), shifts by mu = psi times the smallest positive eigenvalue,
     backs psi off per row where the 2-norm condition number of H - mu D (its
-    singular values, one stacked SVD) exceeds cond_limit, and solves
+    singular values, one stacked SVD) exceeds _COND_LIMIT, and solves
     (H - mu D) w = D z in one stacked solve. Returns one _Sweep per start,
     candidate by candidate.
 
     H and A_tilde depend on lambda, D only on V_bar and the route, so the
     first assembly fills D for every row. The H and A_tilde of each
     candidate are stacked once, and an index from row to candidate is
-    filtered with the rows and gathers them per step; QZ and the regularity
-    probe read the candidate's own H. A block of one candidate uses its H
-    and A_tilde as they are, without a copy per row.
+    filtered with the rows and gathers them per step, one candidate or
+    many; QZ and the regularity probe read the candidate's own H.
 
     Every row gets the bits a sweep of that start alone would. Stacked
     np.linalg.svd and np.linalg.solve run LAPACK slice by slice. Matrix
@@ -487,22 +499,16 @@ def _sweep(asms, starts, cfg):
     solve stays numpy's: scipy's ?gesv comes from another BLAS build and
     differs in the last bits.
     """
-    asm, one = asms[0], len(asms) == 1
+    asm = asms[0]
     nx, v = asm.nx, asm.v
-    hs = asm.h[None] if one else np.stack([a.h for a in asms])
-    ats = asm.a_tilde[None] if one else np.stack([a.a_tilde for a in asms])
+    hs = np.stack([a.h for a in asms])
+    ats = np.stack([a.a_tilde for a in asms])
     cand = np.repeat(np.arange(len(asms)), [len(s) for s in starts])
-
-    def rows_of(stack):
-        # the candidate's matrix for every live row; with one candidate its
-        # matrix itself, which the arithmetic broadcasts over the rows
-        return stack[0] if one else stack[cand]
-
     rows = [_Sweep() for s in starts for _ in s]
     z, ok = _rebalance(np.array([z0 for s in starts for z0 in s], dtype=float), nx)
     live, cand = np.flatnonzero(ok), cand[ok]
     d = asm.pencil(z[:, :nx], z[:, nx:]).d
-    for row, u in zip([rows[i] for i in live], _u_of_pencil(rows_of(hs), d, z)):
+    for row, u in zip([rows[i] for i in live], _u_of_pencil(hs[cand], d, z)):
         row.init = u
     psi = np.full(len(live), cfg.psi)
     for it in range(cfg.sweep_iters):
@@ -513,20 +519,20 @@ def _sweep(asms, starts, cfg):
         alpha, beta = (np.array(part)
                        for part in zip(*[_qz(hs[c], dk) for c, dk in zip(cand, d)]))
         finite, indeterminate = _classify(alpha, beta)
-        mp = _min_positive(alpha, beta, finite, cfg.zero_tol)
+        mp = _min_positive(alpha, beta, finite)
         keep = ~np.isnan(mp)
         for k in np.flatnonzero(keep & indeterminate.any(axis=1)):
             keep[k] = _regular(hs[cand[k]], d[k])
         live, cand, z, d, psi, mp = (a[keep] for a in (live, cand, z, d, psi, mp))
 
         mu = psi * mp
-        mmat = rows_of(hs) - mu[:, None, None] * d
+        mmat = hs[cand] - mu[:, None, None] * d
         s = np.linalg.svd(mmat, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):
             # the 2-norm condition number (infinite when s_min = 0, as
             # np.linalg.cond has it) says the shift sits on an eigenvalue;
             # back psi off for that row and retry next pass
-            back = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > cfg.cond_limit)
+            back = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > _COND_LIMIT)
         for k in np.flatnonzero(back):
             psi[k] = max(0.5 + 0.45 * (psi[k] - 0.5), 0.500001)
             mu[k] = psi[k] * mp[k]
@@ -552,8 +558,8 @@ def _sweep(asms, starts, cfg):
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
         live, cand, d, psi, mu, phi = (a[keep] for a in (live, cand, d, psi, mu, phi))
-        u = _u_of_pencil(rows_of(hs), d, zn)
-        at = rows_of(ats)
+        u = _u_of_pencil(hs[cand], d, zn)
+        at = ats[cand]
         f = _residual(at, np.swapaxes(at, -1, -2), v, u)
         merit = np.sqrt(_rowdot(f, f))[:, 0]
         for k, row in enumerate([rows[i] for i in live]):
@@ -565,40 +571,24 @@ def _sweep(asms, starts, cfg):
     return rows
 
 
-def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
-                      z0=None, *, sweep=None, pencil=None) -> FixedLambdaResult:
-    """One solve of the fixed-lambda problem from one initial vector.
+def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
+                      sweep: _Sweep, pencil) -> FixedLambdaResult:
+    """The polish of one restart, from its row of a sweep block.
 
-    Runs the shifted inverse-iteration sweep, then polishes the best sweep
-    iterate (by stationarity residual) with Levenberg-Marquardt,
-    reconstructs the perturbation, and reports the pencil residual. Real
-    lambda is routed through the half-size pencil unless the config forces
-    the full one.
-
-    The sweep is the lockstep kernel _sweep on a block of one row; H is
-    assembled once per call (PencilAssembly), and each step fills only D's
-    diagonals (one on the real route, four per block on the complex one).
-    _best_of_restarts sweeps all its restarts in one block and hands each
-    restart its row as sweep; z0 is then not used, and the result is, bit
-    for bit, the one that restart's z0 gives on its own. It also hands over
-    pencil, the candidate's (PencilAssembly, f_of, j_of), which a call on
-    its own builds from rp and cfg.
+    sweep is the restart's _Sweep, as _sweep returned it, and pencil the
+    candidate's (PencilAssembly, f_of, j_of), on the route the sweep ran on.
+    Levenberg-Marquardt polishes, until one is accepted (_accept): the best
+    sweep iterate (by stationarity residual), the last one, a random draw
+    from the restart's seed and the start (ahead of the draw when the sweep
+    took no step). _accept reconstructs the perturbation and reports
+    ||H z - sigma_bar D z||.
 
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
-
-    if pencil is None:
-        asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
-        pencil = (asm, *_stationarity_fj(asm.a_tilde, rp.v_bar))
     asm, f_of, j_of = pencil
     nx, ny = asm.nx, asm.size - asm.nx
-
-    if sweep is None:
-        if z0 is None:
-            z0 = rng.standard_normal(nx + ny)
-        sweep, = _sweep([asm], [[z0]], cfg)
     if sweep.init is None:
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  failure="degenerate initial vector")
@@ -625,7 +615,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig,
     gn_used = 0
     failure = "did not converge"
     for u0 in seeds:
-        u, its, ok, us = _gn_core(f_of, j_of, u0, cfg.polish_max_iter, cfg.polish_tol)
+        u, its, ok, us = _gn_core(f_of, j_of, u0, _POLISH_MAX_ITER, _POLISH_TOL)
         gn_used += its
         if not ok:
             continue
@@ -652,9 +642,12 @@ def _accept(rp, cf, u, asm, cfg):
     """The step after a converged polish, for restarts and continuation alike.
 
     Orients sigma > 0, rejects the collapsed (x or y ~ 0) and zero-sigma
-    branches, maps u to a unit triple, reconstructs the perturbation and
-    takes the pencil residual. Returns (result, oriented u), or (None, the
-    reason u was rejected).
+    branches, maps u to a unit triple and reconstructs the perturbation.
+    The residual reported and held against conv_tol is ||H z - sigma_bar D z||
+    at the balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma: D is
+    quadratic in z, so it is the stationarity residual that the
+    reconstruction already took (r_stat) over sqrt(2). Returns (result,
+    oriented u), or (None, the reason u was rejected).
     """
     nx = asm.nx
     if np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
@@ -668,7 +661,7 @@ def _accept(rp, cf, u, asm, cfg):
         rec = reconstruct_perturbation(rp, t, cf)
     except (SpuriousTripleError, ValueError) as exc:
         return None, f"spurious stationary point: {exc}"
-    res = pencil_residual(rp, t)
+    res = rec.r_stat / np.sqrt(2.0)
     converged = res <= cfg.conv_tol
     return FixedLambdaResult(
         lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
@@ -802,6 +795,9 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 # ---------------------------------------------------------------------------
 # search over candidate eigenvalues
 
+# the named candidate grids of candidate_lambdas
+GRIDS = ("default", "topo")
+
 # Most sweep rows (candidates times restarts) of one sweep-ahead block in
 # solve_radius. The cap bounds the memory of a block, whose stacked pencils
 # grow with the rows; it does not change any answer.
@@ -825,7 +821,7 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     a22 = cf.a22
     m = a22.shape[0]
     if isinstance(grid, str):
-        if grid not in ("default", "topo"):
+        if grid not in GRIDS:
             raise ValueError(f"unknown grid spec {grid!r}")
         diag = np.diag(a22)
         vals = [v for k in range(m) for v in np.linalg.eigvals(a22[k:, k:])]
@@ -886,25 +882,25 @@ def _continue_triple(rp, cf, t_prev, cfg):
     if u0 is None:
         return None
     u, its, ok, _ = _gn_core(*_stationarity_fj(asm.a_tilde, rp.v_bar), u0,
-                             cfg.polish_max_iter, cfg.polish_tol)
+                             _POLISH_MAX_ITER, _POLISH_TOL)
     res = _accept(rp, cf, u, asm, cfg)[0] if ok else None
     if res is None or not res.converged:
         return None
     return replace(res, iterations=its)
 
 
-def _flat_in_lambda(cf, res, cfg):
+def _flat_in_lambda(cf, res):
     """Whether the lambda-gradient of ||Delta||^2 vanishes at a fixed-lambda
     optimum, on the scale of (A, lambda).
 
     sigma * |c| from orthogonality_diagnostic is half the gradient's length.
-    It is compared with zero_tol times ||A_tilde||_F, which scales with
+    It is compared with _FLAT_TOL times ||A_tilde||_F, which scales with
     (A, lambda) like the gradient does.
     """
     rp = build_reduced(cf, res.lam)
     c_re, c_im = orthogonality_diagnostic(rp, res.triple)
     slope = res.sigma * float(np.hypot(c_re, c_im))
-    return slope <= cfg.zero_tol * float(np.linalg.norm(a_tilde(rp)))
+    return slope <= _FLAT_TOL * float(np.linalg.norm(a_tilde(rp)))
 
 
 def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
@@ -929,7 +925,7 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     is dropped unpolished and never enters search_trace. Every output is
     that of sweeping one candidate at a time, bit for bit.
 
-    One coordinate-descent pass (step halving, refine_steps budget)
+    One coordinate-descent pass (step halving, _REFINE_STEPS budget)
     then polishes lambda locally, warm-starting each probe from the
     incumbent triple. A compass step probes each distinct lambda once: at a
     real incumbent the moves (0, h) and (0, -h) both fold onto lambda + ih,
@@ -974,9 +970,9 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                 (lam.real, lam.imag) < (best_lam.real, best_lam.imag)):
             best, best_lam = res, lam
     refine_evals = 0
-    if best is not None and cfg.refine_steps > 0 and not _flat_in_lambda(cf, best, cfg):
+    if best is not None and not _flat_in_lambda(cf, best):
         h = 0.05 * max(1.0, abs(best_lam))
-        for _ in range(cfg.refine_steps):
+        for _ in range(_REFINE_STEPS):
             if h < 1e-7:
                 break
             improved = False

@@ -115,6 +115,37 @@ def test_usage_error_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["radius", "perturb", "montecarlo"])
+def test_unknown_grid_exit_1(line4_file, capsys, monkeypatch, command):
+    # rejected by the parser, before any network is loaded or sampled
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "load_network", no_work)
+    monkeypatch.setattr(cli.mc, "estimate_expected_radius", no_work)
+    if command == "montecarlo":
+        args = [command, "--topology", "line", "--sizes", "5", "--trials", "3"]
+    else:
+        args = [command, line4_file[0]]
+    code, out, err = run(args + ["--grid", "bogus"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and "--grid" in err
+
+
+def test_unwritable_output_exit_1(net3_file, tmp_path, capsys):
+    # an output path in a missing directory: one error line, no traceback
+    path, _ = net3_file
+    missing = tmp_path / "no" / "such"
+    for args in (["radius", path, "--lambda", "0,1", "-o", str(missing / "x.json")],
+                 ["montecarlo", "--topology", "line", "--sizes", "5", "--trials", "3",
+                  "--out-prefix", str(missing / "run")]):
+        code, out, err = run(args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # radius and oracle agreement
 

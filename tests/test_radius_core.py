@@ -3,13 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netobs import (CandidateTriple, SpuriousTripleError, a_tilde,
-                    assemble_pencil, assemble_real_pencil, balanced_embed,
+from netobs import (CandidateTriple, SolverConfig, SpuriousTripleError,
+                    a_tilde, assemble_pencil, assemble_real_pencil,
                     build_reduced, build_weightings, canonicalize,
                     embed_real_triple, normalize_triple,
-                    orthogonality_diagnostic, pencil_residual,
-                    reconstruct_perturbation, system_residual)
+                    orthogonality_diagnostic, reconstruct_perturbation,
+                    solve_fixed_lambda, system_residual)
 from netobs import properties
+from netobs.montecarlo import sample_network
 from netobs.radius_core import PencilAssembly
 from conftest import line_matrix, net_of
 
@@ -283,18 +284,29 @@ def test_normalize_triple_gauge(sigma, seed):
                                rtol=1e-10, atol=1e-12)
 
 
-def test_balanced_embed_residual_relation():
-    rp, _ = reduced3(0.6j)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        x = rng.standard_normal(2 * rp.m); x /= np.linalg.norm(x)
-        y = rng.standard_normal(2 * rp.n); y /= np.linalg.norm(y)
-        t = CandidateTriple(sigma=abs(rng.standard_normal()) + 0.1, x=x, y=y)
-        z, sigma_bar = balanced_embed(t)
-        assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-12)
-        assert sigma_bar == pytest.approx(2 * t.sigma, rel=1e-14)
-        assert pencil_residual(rp, t) == pytest.approx(
-            system_residual(rp, t) / np.sqrt(2.0), rel=1e-10)
+def test_result_residual_is_the_balanced_pencil_residual():
+    # FixedLambdaResult.residual is ||H z - sigma_bar D(z) z|| at the balanced
+    # embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma, taken as the
+    # stationarity residual over sqrt(2); checked against the dense pencil
+    # on C3's chains at lambda = i and on a candidate of the half-size route
+    cases = [(sample_network("line", 3, 7, trial)[:2], 1j,
+              SolverConfig(restarts=12, sweep_iters=15, seed=7))
+             for trial in range(6)]
+    net, mask, _ = sample_network("line", 4, 42, 1)
+    cases.append(((net, mask), complex(np.diag(net.weights)[-1], 0.0),
+                  SolverConfig(seed=42, restarts=4, sweep_iters=12)))
+    for (net, mask), lam, cfg in cases:
+        res = solve_fixed_lambda(net, mask, lam, cfg)
+        assert res.converged
+        assert res.iterates.asm.real == (lam.imag == 0.0)
+        rp = build_reduced(canonicalize(net, mask), lam)
+        t = res.triple
+        z = np.concatenate([t.x, t.y]) / np.sqrt(2.0)
+        pp = PencilAssembly(rp).pencil(z[:2 * rp.m], z[2 * rp.m:])
+        dense = float(np.linalg.norm(pp.h @ z - 2.0 * t.sigma * (pp.d @ z)))
+        assert abs(res.residual - dense) <= 1e-14
+        assert res.residual == res.reconstruction.r_stat / np.sqrt(2.0)
+        assert 0.0 < res.residual <= cfg.conv_tol
 
 
 # ---------------------------------------------------------------------------

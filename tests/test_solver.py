@@ -5,9 +5,9 @@ from dataclasses import replace
 
 from netobs import (SolverConfig, assemble_pencil, build_reduced,
                     candidate_lambdas, canonicalize, generalized_spectrum,
-                    heuristic_iterate, line_radius, min_deletion_cost,
-                    normalize_triple, orthogonality_diagnostic,
-                    solve_fixed_lambda, solve_radius, star_radius)
+                    line_radius, min_deletion_cost, normalize_triple,
+                    orthogonality_diagnostic, solve_fixed_lambda, solve_radius,
+                    star_radius)
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
 from netobs.radius_core import _delta_bar, assemble_real_pencil
@@ -212,6 +212,16 @@ def test_real_lambda_routes_agree():
     assert agreed >= 2
 
 
+def iterate_alone(rp, cf, cfg, z0):
+    """The restart of one start vector z0 on its own: its sweep as a block
+    of one row (solver._sweep), then solver.heuristic_iterate on that row,
+    both on a pencil built here for rp and cfg."""
+    asm = solver.PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    row, = solver._sweep([asm], [[z0]], cfg)
+    return solver.heuristic_iterate(
+        rp, cf, cfg, sweep=row, pencil=(asm, *_stationarity_fj(asm.a_tilde, rp.v_bar)))
+
+
 def test_warm_start_survives_singular_sweep_pencil():
     # a start with zero imaginary blocks makes the full pencil singular at
     # real lambda; the start must still reach the polish instead of being
@@ -224,22 +234,11 @@ def test_warm_start_survives_singular_sweep_pencil():
     cf = canonicalize(net, mask)
     rp = build_reduced(cf, lam)
     t = half.triple
-    warm = heuristic_iterate(rp, cf, replace(cfg, force_full_pencil=True),
-                             z0=np.concatenate([t.x, t.y]))
+    warm = iterate_alone(rp, cf, replace(cfg, force_full_pencil=True),
+                         np.concatenate([t.x, t.y]))
     assert warm.converged
+    assert warm.iterates.sweep == ()  # the sweep took no step
     assert abs(warm.cost - half.cost) < 1e-10
-
-
-def test_heuristic_iterate_from_given_start():
-    net, mask, _ = sample_network("line", 3, 29, 0)
-    cf = canonicalize(net, mask)
-    rp = build_reduced(cf, 1j)
-    rng = np.random.default_rng(0)
-    z0 = rng.standard_normal(2 * rp.m + 2 * rp.n)
-    res = heuristic_iterate(rp, cf, SolverConfig(seed=0), z0=z0)
-    if res.converged:
-        assert res.sigma > 0
-        assert res.polish_start <= len(res.history)
 
 
 def eager_distances(res, rp, cf):
@@ -601,14 +600,14 @@ def reference_sweep(asm, f_of, z0, cfg):
         if not spec.regular or not len(re):
             break
         scale = max(1.0, float(np.abs(re).max()))
-        ok = (re > cfg.zero_tol * scale) & (np.abs(im) <= 1e-6 * scale)
+        ok = (re > solver._POSITIVE_TOL * scale) & (np.abs(im) <= 1e-6 * scale)
         if not ok.any():
             break
         mp = float(re[ok].min())
         mu = psi * mp
         mmat = pp.h - mu * pp.d
         s = np.linalg.svd(mmat, compute_uv=False)
-        if s[-1] == 0.0 or s[0] / s[-1] > cfg.cond_limit:
+        if s[-1] == 0.0 or s[0] / s[-1] > solver._COND_LIMIT:
             psi = max(0.5 + 0.45 * (psi - 0.5), 0.500001)
             mu = psi * mp
             mmat = pp.h - mu * pp.d
@@ -635,8 +634,8 @@ def reference_sweep(asm, f_of, z0, cfg):
 
 def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
     """(sweep row, result) of every restart: from _best_of_restarts, which
-    sweeps its restarts in lockstep, and from heuristic_iterate run alone on
-    each restart's start vector, drawn as a restart loop draws it; and the
+    sweeps its restarts in lockstep, and from iterate_alone on each
+    restart's start vector, drawn as a restart loop draws it; and the
     reference_sweep of each start."""
     cf = canonicalize(net, mask)
     rows, results = [], []
@@ -667,7 +666,7 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
         z0 = solver._pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
-        recording_iterate(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0=z0)
+        iterate_alone(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0)
         reference.append(reference_sweep(asm, f_of, z0, cfg))
     alone = list(zip(rows, results))
     assert len(lockstep) == len(alone) == cfg.restarts
@@ -722,22 +721,22 @@ def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_sweep_backs_psi_off_row_by_row(monkeypatch):
-    # with cond_limit = 1e6 the shift backs off on some rows of a step and
-    # not on others; the stacked SVD's singular values show which
-    cfg = replace(C3_CFG, cond_limit=1e6)
+    # with a condition limit of 1e6 the shift backs off on some rows of a
+    # step and not on others; the stacked SVD's singular values show which
+    monkeypatch.setattr(solver, "_COND_LIMIT", 1e6)
     svd, backed_off = np.linalg.svd, []
 
     def recording_svd(a, *args, **kwargs):
         s = svd(a, *args, **kwargs)
         if kwargs.get("compute_uv") is False and s.ndim == 2:
-            backed_off.append(s[:, 0] / s[:, -1] > cfg.cond_limit)
+            backed_off.append(s[:, 0] / s[:, -1] > 1e6)
         return s
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    lockstep, alone, reference = lockstep_and_alone(monkeypatch, *c3_chain3(), cfg)
+    lockstep, alone, reference = lockstep_and_alone(monkeypatch, *c3_chain3(), C3_CFG)
     assert_same_restarts(lockstep, alone, reference)
     # the stacked SVDs of _best_of_restarts come first, one per step
-    assert any(b.any() and not b.all() for b in backed_off[:cfg.sweep_iters])
+    assert any(b.any() and not b.all() for b in backed_off[:C3_CFG.sweep_iters])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -772,12 +771,14 @@ def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
 def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
     # three complex candidates of C3's trial 3 in one block: rows of every
     # candidate leave before the 15 steps, so the row -> candidate index is
-    # filtered mid-block. cond_limit = 1e6 backs psi off on some rows; a
-    # singular shifted matrix of the first candidate at step 3 drops its row
-    # in the per-row fallback of the stacked solve
+    # filtered mid-block. A condition limit of 1e6 backs psi off on some
+    # rows; a singular shifted matrix of the first candidate at step 3 drops
+    # its row in the per-row fallback of the stacked solve
     net, mask, lam = c3_chain3()
     cf = canonicalize(net, mask)
-    cfg = replace(C3_CFG, cond_limit=1e6) if case == "backs_psi_off" else C3_CFG
+    cfg = C3_CFG
+    if case == "backs_psi_off":
+        monkeypatch.setattr(solver, "_COND_LIMIT", 1e6)
     cands = [solver._candidate(cf, lam, cfg) for lam in (lam, 0.5 + 0.8j, 1.2j)]
     if case == "singular_row":
         solve, matrices = np.linalg.solve, []
@@ -1045,7 +1046,8 @@ def test_continuation_at_own_lambda_keeps_cost(route):
 
 @pytest.mark.parametrize("topology,seed,trial", [("line", 4040, 0),
                                                  ("star", 4041, 1)])
-def test_refinement_skipped_at_lambda_stationary_winner(topology, seed, trial):
+def test_refinement_skipped_at_lambda_stationary_winner(
+        monkeypatch, topology, seed, trial):
     # C7 instances: the topo-grid winner is the oracle's eigenvalue, where
     # the lambda-gradient vanishes, so no refinement probe is spent
     net, mask, _ = sample_network(topology, 5, seed, trial)
@@ -1054,8 +1056,8 @@ def test_refinement_skipped_at_lambda_stationary_winner(topology, seed, trial):
     rr = solve_radius(net, mask, "topo", cfg)
     assert rr.best.converged
     assert rr.refine_evals == 0
-    assert rr.cost == solve_radius(net, mask, "topo",
-                                   replace(cfg, refine_steps=0)).cost
+    monkeypatch.setattr(solver, "_REFINE_STEPS", 0)
+    assert rr.cost == solve_radius(net, mask, "topo", cfg).cost
     assert abs(rr.cost - ora.delta) < 1e-9
 
 
