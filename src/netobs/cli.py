@@ -191,14 +191,15 @@ def cmd_montecarlo(args):
     sizes = tuple(int(s) for s in args.sizes.split(","))
     spec = mc.EnsembleSpec(topology=args.topology, sizes=sizes,
                            trials=args.trials, seed=_default_seed(args))
+    if args.out_prefix:
+        paths = (args.out_prefix + "_records.csv", args.out_prefix + "_summary.csv")
+        for path in paths:  # an unwritable prefix fails here, before the run
+            open(path, "w").close()
     result = mc.estimate_expected_radius(spec, method=args.method, grid=args.grid)
     if args.out_prefix:
-        rec_path = args.out_prefix + "_records.csv"
-        sum_path = args.out_prefix + "_summary.csv"
-        mc.write_records_csv(result, rec_path)
-        mc.write_summary_csv(result, sum_path)
-        _emit({"records": rec_path, "summary": sum_path,
-               "valid": result.valid}, None)
+        mc.write_records_csv(result, paths[0])
+        mc.write_summary_csv(result, paths[1])
+        _emit({"records": paths[0], "summary": paths[1], "valid": result.valid}, None)
     else:
         cols = mc.SUMMARY_COLUMNS
         print(",".join(cols))

@@ -27,7 +27,6 @@ class EnsembleSpec:
     sizes: tuple
     trials: int
     seed: int = 0
-    weight_dist: str = "uniform01"  # fixed; kept explicit for the record
 
     def __post_init__(self):
         if self.topology not in TOPOLOGIES:
@@ -37,8 +36,6 @@ class EnsembleSpec:
         sizes = tuple(int(s) for s in self.sizes)
         if any(s < 3 for s in sizes):
             raise ValueError("sizes must all be >= 3")
-        if self.weight_dist != "uniform01":
-            raise ValueError("only uniform [0,1] weights are supported")
         object.__setattr__(self, "sizes", sizes)
 
 

@@ -56,10 +56,8 @@ _POLISH_TOL = 1e-12
 _POSITIVE_TOL = 1e-8
 # 2-norm condition number of H - mu D above which a sweep row backs psi off
 _COND_LIMIT = 1e14
-# compass steps of the lambda refinement in solve_radius
-_REFINE_STEPS = 20
-# lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below which a grid
-# winner is stationary in lambda and not refined
+# half the lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below
+# which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
 
 
@@ -810,10 +808,10 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     "topo": eigenvalues of all trailing principal submatrices of the
     non-sensor block, plus pairwise means of its diagonal (covers
     symmetry-type optima on hub topologies).
-    "default": the "topo" candidates plus a coarse 21x21 rectangle on
-    [-2, 2]^2. The rectangle stays because "topo" alone misses optima at
-    negative real lambda on some sparse random graphs, where it returns the
-    cheapest single-edge cut instead.
+    "default": the "topo" candidates plus 21 real points on [-2, 2], for
+    optima at negative real lambda that "topo" alone misses on some sparse
+    random graphs (it returns the cheapest single-edge cut there). Complex
+    optima off the "topo" points are left to solve_radius's lambda descent.
     Or pass an explicit iterable of complex numbers.
     Conjugates are folded onto the closed upper half plane.
     """
@@ -828,8 +826,7 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
         vals += [complex((diag[i] + diag[j]) / 2.0)
                  for i in range(m) for j in range(i + 1, m)]
         if grid == "default":
-            vals += [complex(re, im) for re in np.linspace(-2, 2, 21)
-                     for im in np.linspace(-2, 2, 21)]
+            vals += [complex(re, 0.0) for re in np.linspace(-2, 2, 21)]
     else:
         vals = [complex(v) for v in grid]
         if not vals:
@@ -889,23 +886,54 @@ def _continue_triple(rp, cf, t_prev, cfg):
     return replace(res, iterations=its)
 
 
-def _flat_in_lambda(cf, res):
-    """Whether the lambda-gradient of ||Delta||^2 vanishes at a fixed-lambda
-    optimum, on the scale of (A, lambda).
-
-    sigma * |c| from orthogonality_diagnostic is half the gradient's length.
-    It is compared with _FLAT_TOL times ||A_tilde||_F, which scales with
-    (A, lambda) like the gradient does.
+def _descent_direction(rp, res):
+    """Unit direction of steepest descent of ||Delta||^2 in lambda at the
+    fixed-lambda optimum res on rp. The gradient is 2 sigma (-c_re + i c_im)
+    (orthogonality_diagnostic). None where res is stationary in lambda:
+    sigma |c|, half the gradient's length, at or below _FLAT_TOL times
+    ||A_tilde||_F, which scales with (A, lambda) like the gradient does.
     """
-    rp = build_reduced(cf, res.lam)
     c_re, c_im = orthogonality_diagnostic(rp, res.triple)
-    slope = res.sigma * float(np.hypot(c_re, c_im))
-    return slope <= _FLAT_TOL * float(np.linalg.norm(a_tilde(rp)))
+    slope = float(np.hypot(c_re, c_im))
+    if res.sigma * slope <= _FLAT_TOL * float(np.linalg.norm(a_tilde(rp))):
+        return None
+    return complex(c_re, -c_im) / slope
+
+
+def _descend_lambda(cf, best, lam, cfg, trace):
+    """Steepest descent on ||Delta(lambda)||^2 from the grid winner best at lam.
+
+    A trial moves the incumbent by h along _descent_direction, folded onto
+    the closed upper half plane, and continues the incumbent triple there
+    (_continue_triple). A cost below the incumbent's by more than 1e-12 is
+    accepted and doubles h; anything else halves h, which starts at
+    0.05 max(1, |lam|). The descent stops at an incumbent stationary in
+    lambda or when h falls below 1e-7. From a real incumbent on the
+    half-size route (x_im = y2 = 0, so c_im = 0) it stays on the real axis.
+    Converged trials join trace. Returns (incumbent, its lambda, trials).
+    """
+    step = _descent_direction(build_reduced(cf, lam), best)
+    h = 0.05 * max(1.0, abs(lam))
+    probes = 0
+    while step is not None and h >= 1e-7:
+        lam_try = lam + h * step
+        lam_try = complex(lam_try.real, 0.0 if abs(lam_try.imag) < 1e-12 else abs(lam_try.imag))
+        rp_try = build_reduced(cf, lam_try)
+        res = _continue_triple(rp_try, cf, best.triple, cfg)
+        probes += 1
+        if res is not None:
+            trace.append((lam_try, res.cost))
+        if res is not None and res.cost < best.cost - 1e-12:
+            best, lam, h = res, lam_try, 2.0 * h
+            step = _descent_direction(rp_try, best)
+        else:
+            h *= 0.5
+    return best, lam, probes
 
 
 def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                  cfg: SolverConfig = SolverConfig()) -> RadiusResult:
-    """Minimize the fixed-lambda cost over a candidate grid, then refine.
+    """Minimize the fixed-lambda cost over a candidate grid, then descend in lambda.
 
     Candidates are ranked by the unstructured PBH lower bound and solved in
     that order; a candidate whose bound already exceeds the incumbent cost is
@@ -925,15 +953,11 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     is dropped unpolished and never enters search_trace. Every output is
     that of sweeping one candidate at a time, bit for bit.
 
-    One coordinate-descent pass (step halving, _REFINE_STEPS budget)
-    then polishes lambda locally, warm-starting each probe from the
-    incumbent triple. A compass step probes each distinct lambda once: at a
-    real incumbent the moves (0, h) and (0, -h) both fold onto lambda + ih,
-    and the continuation from one triple to one lambda is deterministic, so
-    a second probe could only repeat the first. The pass runs only when the
-    exact lambda-gradient of ||Delta||^2 at the grid winner is nonzero on
-    the scale of (A, lambda); at a winner that is already stationary in
-    lambda no probe can improve to first order, and refine_evals stays 0.
+    A steepest descent on ||Delta(lambda)||^2 then moves the grid winner
+    along the exact lambda-gradient (_descend_lambda), each probe warm-started
+    from the incumbent triple; refine_evals counts the probes. At a winner
+    that is already stationary in lambda no probe is spent and refine_evals
+    stays 0.
     """
     cands = candidate_lambdas(net, mask, grid)
     if not cands:
@@ -969,38 +993,12 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                 abs(res.cost - best.cost) <= 1e-15 and
                 (lam.real, lam.imag) < (best_lam.real, best_lam.imag)):
             best, best_lam = res, lam
-    refine_evals = 0
-    if best is not None and not _flat_in_lambda(cf, best):
-        h = 0.05 * max(1.0, abs(best_lam))
-        for _ in range(_REFINE_STEPS):
-            if h < 1e-7:
-                break
-            improved = False
-            probed = set()
-            for d_re, d_im in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-                lam_try = complex(best_lam.real + d_re, abs(best_lam.imag + d_im))
-                if abs(lam_try.imag) < 1e-12:
-                    lam_try = complex(lam_try.real, 0.0)
-                if lam_try in probed:  # (0, h) and (0, -h) at a real incumbent
-                    continue
-                probed.add(lam_try)
-                rp_try = build_reduced(cf, lam_try)
-                res = _continue_triple(rp_try, cf, best.triple, cfg)
-                refine_evals += 1
-                if res is not None:
-                    trace.append((lam_try, res.cost))
-                if res is not None and res.cost < best.cost - 1e-12:
-                    best, best_lam = res, lam_try
-                    improved = True
-                    break
-            if not improved:
-                h *= 0.5
     if best is None:
         return RadiusResult(
             best=FixedLambdaResult(lam=0j, converged=False,
                                    failure="no candidate converged"),
-            lambda_star=None, search_trace=tuple(trace), pruned=pruned,
-            refine_evals=refine_evals)
+            lambda_star=None, search_trace=tuple(trace), pruned=pruned)
+    best, best_lam, refine_evals = _descend_lambda(cf, best, best_lam, cfg, trace)
     best = replace(best, verification=verify_unobservability(net, best.perturbation,
                                                              best.lam))
     return RadiusResult(best=best, lambda_star=best_lam, search_trace=tuple(trace),

@@ -133,8 +133,13 @@ def test_unknown_grid_exit_1(line4_file, capsys, monkeypatch, command):
     assert err.startswith("input error: ") and "--grid" in err
 
 
-def test_unwritable_output_exit_1(net3_file, tmp_path, capsys):
-    # an output path in a missing directory: one error line, no traceback
+def test_unwritable_output_exit_1(net3_file, tmp_path, capsys, monkeypatch):
+    # an output path in a missing directory: one error line, no traceback;
+    # montecarlo fails before the ensemble runs
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli.mc, "estimate_expected_radius", no_work)
     path, _ = net3_file
     missing = tmp_path / "no" / "such"
     for args in (["radius", path, "--lambda", "0,1", "-o", str(missing / "x.json")],

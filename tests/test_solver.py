@@ -832,7 +832,6 @@ def test_candidate_grids():
         candidate_lambdas(net, mask, "nope")
 
 
-@pytest.mark.slow
 def test_default_grid_finds_the_star_optima():
     # C7's star generator (seed 4041): without the pairwise diagonal means,
     # the default grid overshot star_radius on (n, trial) = (5, 4), (6, 0),
@@ -848,8 +847,8 @@ def test_default_grid_finds_the_star_optima():
 
 # perfbench.workloads.random_sparse(8, 1) and (5, 3): sparse random graphs
 # whose optimum sits at a negative real lambda (-0.1178 and -0.1598) that
-# only the default grid's 21x21 rectangle reaches. The "topo" grid returns
-# the cheapest single-edge cut there, 0.18537 and 0.15614.
+# only the default grid's real segment on [-2, 2] reaches. The "topo" grid
+# returns the cheapest single-edge cut there, 0.18537 and 0.15614.
 RECTANGLE_GRAPHS = [
     [[0.3848791126673835, 0.0, 0.6787285378586676, 0.3718653937112826, 0.0, 0.0, 0.0, 0.0],
      [0.7323854999832594, 0.5043109211449907, 0.5497963041939613, 0.0, 0.17521907238791334, 0.38252702404038075, 0.7219176493952201, 0.0],
@@ -961,10 +960,13 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         # rows a block sweeps some candidates that are then pruned
         ("ensemble_line5", sample_network("line", 5, 4040, 0)[:2], "topo",
          SolverConfig(restarts=4, sweep_iters=12, seed=4040)),
-        # the CLI pool's 4-node line: 37 candidates solved, 15 of them
-        # complex, so real and complex rows share a block
-        ("cli_line4", sample_network("line", 4, 2611, 0)[:2], "default",
-         SolverConfig()),
+        # perfbench.workloads.random_sparse(5, 7): 12 candidates solved, the
+        # first of them complex, so both routes are swept; the winner is
+        # complex, and the lambda descent moves it in both coordinates
+        ("random5", net_of(from_entries(5, RANDOM_5_7)), "default", SolverConfig()),
+        # RECTANGLE_GRAPHS' 5-node graph: one sweep-ahead block holds real
+        # and complex candidates, so it is split by route
+        ("rectangle_n5", net_of(RECTANGLE_GRAPHS[1]), "default", SolverConfig()),
     ]
     for name, (net, mask), grid, cfg in cases:
         blocks, swept, polished = radius_recorded(net, mask, grid, cfg)
@@ -1001,7 +1003,7 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
 
 
 def test_lambda_gradient_matches_central_difference():
-    # the refinement gate in solve_radius relies on this identity:
+    # the lambda descent in solve_radius steps and stops on this identity:
     # d||Delta||^2/dRe(lam) = -2 sigma c_re, d||Delta||^2/dIm(lam) = +2 sigma c_im
     cfg = SolverConfig(seed=1, restarts=4)
     h = 1e-5
@@ -1049,21 +1051,23 @@ def test_continuation_at_own_lambda_keeps_cost(route):
 def test_refinement_skipped_at_lambda_stationary_winner(
         monkeypatch, topology, seed, trial):
     # C7 instances: the topo-grid winner is the oracle's eigenvalue, where
-    # the lambda-gradient vanishes, so no refinement probe is spent
+    # the lambda-gradient vanishes, so the lambda descent spends no probe
+    def no_probe(*args):
+        raise AssertionError("the lambda descent probed a stationary winner")
+
+    monkeypatch.setattr(solver, "_continue_triple", no_probe)
     net, mask, _ = sample_network(topology, 5, seed, trial)
     ora = (line_radius if topology == "line" else star_radius)(net.weights)
     cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
     rr = solve_radius(net, mask, "topo", cfg)
     assert rr.best.converged
     assert rr.refine_evals == 0
-    monkeypatch.setattr(solver, "_REFINE_STEPS", 0)
-    assert rr.cost == solve_radius(net, mask, "topo", cfg).cost
     assert abs(rr.cost - ora.delta) < 1e-9
 
 
 def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     # a one-point grid beside the optimum: the gradient there is nonzero and
-    # the compass search walks back to the oracle's eigenvalue
+    # the lambda descent walks back to the oracle's eigenvalue
     net, mask, _ = sample_network("line", 5, 4040, 0)
     ora = line_radius(net.weights)
     lam0 = ora.lambda_star + 0.05
@@ -1077,9 +1081,9 @@ def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     monkeypatch.setattr(solver, "_continue_triple", recording)
     rr = solve_radius(net, mask, [lam0],
                       SolverConfig(restarts=4, sweep_iters=12, seed=4040))
-    # the incumbent is real, where (0, h) and (0, -h) fold onto one lambda;
-    # no lambda is probed twice from the same incumbent triple (the list
-    # holds every triple, so no id is reused)
+    # the incumbent is real, so the descent stays on the real axis; no
+    # lambda is probed twice from the same incumbent triple (the list holds
+    # every triple, so no id is reused)
     assert len(probes) == rr.refine_evals
     assert len({(id(t), lam) for t, lam in probes}) == len(probes)
     grid_cost = rr.search_trace[0][1]
@@ -1088,3 +1092,71 @@ def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     assert rr.cost < grid_cost - 1e-3
     assert rr.cost >= ora.delta - 1e-9
     assert rr.cost == pytest.approx(ora.delta, abs=1e-6)
+
+
+def from_entries(n, entries):
+    """The n x n matrix with the {(row, col): weight} entries, zero elsewhere."""
+    a = np.zeros((n, n))
+    for (i, j), w in entries.items():
+        a[i, j] = w
+    return a
+
+
+# perfbench.workloads.random_sparse(n, seed) as {(row, col): weight}
+RANDOM_5_7 = {
+    (0, 0): 0.3280524273204354, (0, 3): 0.4600394234996644, (0, 4): 0.4105703205637019,
+    (1, 1): 0.3215858003740858, (1, 3): 0.5195425378079709, (2, 0): 0.9186678649490221,
+    (2, 2): 0.49515185030547637, (2, 4): 0.8214243511147936, (3, 0): 0.8837855182053062,
+    (3, 1): 0.9566863198002332, (3, 2): 0.6314204021440919, (3, 3): 0.3563152921824574,
+    (3, 4): 0.30497180431315696, (4, 0): 0.36828768690927727, (4, 1): 0.0727373487647408,
+    (4, 4): 0.6722602231600852}
+RANDOM_10_15 = {
+    (0, 0): 0.8382674055978878, (0, 1): 0.8381767707450666, (0, 3): 0.24701156631646992,
+    (0, 4): 0.8268304055823289, (1, 1): 0.7764568207580675, (1, 5): 0.20072461447878032,
+    (2, 2): 0.9323934314231315, (2, 4): 0.791888794773107, (3, 3): 0.9090129155362516,
+    (3, 6): 0.7896904537681662, (4, 4): 0.34843577808178283, (5, 4): 0.6198215671330062,
+    (5, 5): 0.2902665997806577, (5, 6): 0.2807344882193987, (5, 8): 0.12139914867679258,
+    (6, 5): 0.7194168348689338, (6, 6): 0.4743151068775453, (6, 7): 0.6349314853198883,
+    (7, 0): 0.8806542411822047, (7, 7): 0.2352981685767338, (7, 9): 0.9004629825798856,
+    (8, 2): 0.8356857201299946, (8, 8): 0.0672196430278783, (9, 2): 0.09450769103585666,
+    (9, 7): 0.21709659683100413, (9, 9): 0.2374275298129107}
+RANDOM_6_4 = {
+    (0, 0): 0.03531373960190243, (0, 2): 0.7143177570748067, (0, 3): 0.42420198943722853,
+    (0, 5): 0.6497810307730831, (1, 0): 0.5861813399454989, (1, 1): 0.11309450265391441,
+    (1, 2): 0.18152199285683834, (1, 3): 0.11363029310882777, (1, 5): 0.4782094235676757,
+    (2, 1): 0.7637097097452387, (2, 2): 0.6281855282768471, (2, 3): 0.9504286070121262,
+    (2, 4): 0.577456208446713, (3, 3): 0.5841413209192869, (3, 4): 0.4671851097656905,
+    (4, 3): 0.008021112743214043, (4, 4): 0.5454782256951665, (5, 1): 0.07876076895081285,
+    (5, 2): 0.5722444860854555, (5, 5): 0.7378598987000398}
+RANDOM_12_10 = {
+    (0, 0): 0.3379139798475823, (0, 2): 0.831220419993463, (0, 8): 0.8080751952427954,
+    (0, 11): 0.7174402490851536, (1, 0): 0.512082874210049, (1, 1): 0.8654064422825204,
+    (1, 2): 0.46414067937974457, (1, 9): 0.9831448209057568, (1, 11): 0.023409407479765942,
+    (2, 2): 0.6223205628814058, (2, 4): 0.4282786126247915, (2, 8): 0.898209554222929,
+    (2, 10): 0.7516466069761315, (3, 3): 0.49488722708787103, (3, 9): 0.4331930263673688,
+    (4, 4): 0.14960399888878806, (4, 7): 0.047407091076477004, (4, 11): 0.6107390251674926,
+    (5, 2): 0.12609430250151232, (5, 5): 0.11557894775271216, (6, 5): 0.40279819092476954,
+    (6, 6): 0.49544071071918394, (7, 7): 0.38553100410882524, (7, 9): 0.5369919185288035,
+    (7, 11): 0.4529718398979027, (8, 0): 0.978607627060848, (8, 1): 0.6936136961930982,
+    (8, 3): 0.8871403950383299, (8, 4): 0.8471474113680372, (8, 6): 0.5428027184956594,
+    (8, 8): 0.8783781442561439, (9, 3): 0.2054383630015958, (9, 9): 0.34030383671923414,
+    (10, 9): 0.9894433942888656, (10, 10): 0.5365864622365619, (11, 11): 0.8726951955982439}
+
+
+@pytest.mark.parametrize("n,entries,scale,radius", [
+    (10, RANDOM_10_15, 0.5, 0.5 * 0.018061764376),
+    (10, RANDOM_10_15, 1.0, 0.018061764376),
+    (10, RANDOM_10_15, 2.0, 2.0 * 0.018061764376),
+    (6, RANDOM_6_4, 1.0, 0.000388041139),
+    (12, RANDOM_12_10, 1.0, 0.004986570422),
+], ids=["n10_x0.5", "n10", "n10_x2", "n6", "n12"])
+def test_lambda_descent_reaches_the_minimum(n, entries, scale, radius):
+    # the minima of ||Delta(lambda)|| lie a long walk in lambda from the grid
+    # winner, so a search that stops on a step count rather than on the
+    # gradient returns a radius 26% to 73% too high, and every other check
+    # passes. The scaled copies of one graph must reach the scaled radius.
+    net, mask = net_of(scale * from_entries(n, entries))
+    rr = solve_radius(net, mask, "default", SolverConfig())
+    assert rr.best.converged and rr.best.verification.verified
+    assert rr.refine_evals > 0
+    assert rr.cost <= radius * (1.0 + 1e-6)
