@@ -11,7 +11,7 @@ from .network_model import (ConstraintMask, NetworkFormatError, NetworkSystem,
                             is_observable, load_network, network_from_dict,
                             pbh_margin, perturbation_from_dict,
                             perturbation_to_dict, verify_unobservability)
-from .radius_core import (CandidateTriple, SpuriousTripleError, a_tilde,
+from .radius_core import (CandidateTriple, SpuriousTripleError,
                           assemble_pencil, assemble_real_pencil,
                           build_reduced, build_weightings, embed_real_triple,
                           normalize_triple, orthogonality_diagnostic,
@@ -33,7 +33,7 @@ __all__ = [
     "canonicalize", "is_observable", "load_network", "network_from_dict",
     "pbh_margin", "perturbation_from_dict", "perturbation_to_dict",
     "verify_unobservability",
-    "CandidateTriple", "SpuriousTripleError", "a_tilde", "assemble_pencil",
+    "CandidateTriple", "SpuriousTripleError", "assemble_pencil",
     "assemble_real_pencil", "build_reduced", "build_weightings",
     "embed_real_triple", "normalize_triple", "orthogonality_diagnostic",
     "reconstruct_perturbation", "system_residual",

@@ -55,15 +55,17 @@ def _parse_lambda(text):
 
 
 def _default_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("NETOBS_SEED")
-    if env is not None:
+    """--seed, else NETOBS_SEED, else 0; a negative seed is an input error."""
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get("NETOBS_SEED", "0")
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise CliInputError(f"NETOBS_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if seed < 0:
+        raise CliInputError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _cfg(args):
@@ -103,39 +105,37 @@ def _result_payload(res):
     }
 
 
-def cmd_radius(args):
-    net, mask = load_network(args.network)
+def _solve(args):
+    """(network, result, RadiusResult) of the solve that radius and perturb
+    ask for: at --lambda (no RadiusResult, None), else over --grid."""
     cfg = _cfg(args)
+    net, mask = load_network(args.network)
     if args.lam is not None:
-        res = solve_fixed_lambda(net, mask, _parse_lambda(args.lam), cfg)
-        if not res.converged:
-            print(f"solver failed: {res.failure}", file=sys.stderr)
-            return EXIT_SOLVER
-        _emit(_result_payload(res), args.output)
-        return EXIT_OK
+        return net, solve_fixed_lambda(net, mask, _parse_lambda(args.lam), cfg), None
     rr = solve_radius(net, mask, args.grid, cfg)
-    if not rr.best.converged:
-        print(f"solver failed: {rr.best.failure}", file=sys.stderr)
+    return net, rr.best, rr
+
+
+def cmd_radius(args):
+    _, res, rr = _solve(args)
+    if not res.converged:
+        print(f"solver failed: {res.failure}", file=sys.stderr)
         return EXIT_SOLVER
-    payload = _result_payload(rr.best)
-    payload["search"] = {
-        "grid": args.grid,
-        "evaluated": [[lam.real, lam.imag, cost if np.isfinite(cost) else None]
-                      for lam, cost in rr.search_trace],
-        "pruned": rr.pruned,
-        "refine_evals": rr.refine_evals,
-    }
+    payload = _result_payload(res)
+    if rr is not None:
+        payload["search"] = {
+            "grid": args.grid,
+            "evaluated": [[lam.real, lam.imag, cost if np.isfinite(cost) else None]
+                          for lam, cost in rr.search_trace],
+            "pruned": rr.pruned,
+            "refine_evals": rr.refine_evals,
+        }
     _emit(payload, args.output)
     return EXIT_OK
 
 
 def cmd_perturb(args):
-    net, mask = load_network(args.network)
-    cfg = _cfg(args)
-    if args.lam is not None:
-        res = solve_fixed_lambda(net, mask, _parse_lambda(args.lam), cfg)
-    else:
-        res = solve_radius(net, mask, args.grid, cfg).best
+    net, res, _ = _solve(args)
     if not res.converged:
         print(f"solver failed: {res.failure}", file=sys.stderr)
         return EXIT_SOLVER
@@ -222,12 +222,10 @@ def _mixed_instances(seed, count):
     while len(out) < count:
         n = int(rng.integers(3, 9))
         kind = ("line", "star", "random")[int(rng.integers(3))]
-        if kind == "line":
-            a = mc._draw_line(n, rng)
-        elif kind == "star":
-            a = mc._draw_star(n, rng)
-        else:
+        if kind == "random":
             a = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        else:
+            a = mc._DRAW[kind](n, rng)
         try:
             net = NetworkSystem(a, (0,))
         except (UnobservableSystemError, NetworkFormatError):

@@ -19,6 +19,8 @@ from .network_model import (ConstraintMask, NetworkSystem,
 from .solver import SolverConfig, solve_fixed_lambda, solve_radius
 
 TOPOLOGIES = ("line", "star")
+# draws of one trial before its seed stream is declared broken
+_MAX_ATTEMPTS = 16
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,12 @@ class EnsembleSpec:
         object.__setattr__(self, "sizes", sizes)
 
 
-def _trial_rng(master_seed, n, trial, attempt):
-    return np.random.default_rng(np.random.SeedSequence((master_seed, n, trial, attempt)))
+def _draws(topology, n, master_seed, trial):
+    """(attempt, A) for each of a trial's _MAX_ATTEMPTS draws, each from its
+    own stream."""
+    for attempt in range(_MAX_ATTEMPTS):
+        rng = np.random.default_rng(np.random.SeedSequence((master_seed, n, trial, attempt)))
+        yield attempt, _DRAW[topology](n, rng)
 
 
 def _draw_line(n, rng):
@@ -84,7 +90,7 @@ def _degenerate(topology, a):
                 or np.any(np.diff(diag) == 0.0))
 
 
-def sample_network(topology, n, master_seed=0, trial=0, max_attempts=16):
+def sample_network(topology, n, master_seed=0, trial=0):
     """Draw one random instance, resampling on observability rejection.
 
     Returns (net, mask, attempts); attempts counts draws including the
@@ -93,22 +99,18 @@ def sample_network(topology, n, master_seed=0, trial=0, max_attempts=16):
     """
     if topology not in TOPOLOGIES:
         raise ValueError(f"topology must be one of {TOPOLOGIES}")
-    for attempt in range(max_attempts):
-        rng = _trial_rng(master_seed, n, trial, attempt)
-        a = _DRAW[topology](n, rng)
+    for attempt, a in _draws(topology, n, master_seed, trial):
         try:
             net = NetworkSystem(a, (0,))
         except UnobservableSystemError:
             continue
         return net, ConstraintMask.same_as_graph(net), attempt + 1
-    raise RuntimeError(f"{max_attempts} degenerate draws in a row; seed stream broken?")
+    raise RuntimeError(f"{_MAX_ATTEMPTS} degenerate draws in a row; seed stream broken?")
 
 
-def _oracle_trial(topology, n, master_seed, trial, max_attempts=16):
+def _oracle_trial(topology, n, master_seed, trial):
     """Fast path: closed-form radius straight from the drawn entries."""
-    for attempt in range(max_attempts):
-        rng = _trial_rng(master_seed, n, trial, attempt)
-        a = _DRAW[topology](n, rng)
+    for attempt, a in _draws(topology, n, master_seed, trial):
         if not _degenerate(topology, a):
             break
     else:
@@ -359,26 +361,24 @@ def _fmt(v):
     return str(v)
 
 
-def write_records_csv(result: EnsembleResult, path):
+def _write_csv(path, header, rows):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(RECORD_COLUMNS)
-        for r in result.records:
-            w.writerow([_fmt(getattr(r, c)) for c in RECORD_COLUMNS])
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_records_csv(result: EnsembleResult, path):
+    _write_csv(path, RECORD_COLUMNS,
+               ([_fmt(getattr(r, c)) for c in RECORD_COLUMNS] for r in result.records))
 
 
 def write_summary_csv(result: EnsembleResult, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(SUMMARY_COLUMNS)
-        for s in result.summaries:
-            w.writerow([_fmt(getattr(s, c)) for c in SUMMARY_COLUMNS])
+    _write_csv(path, SUMMARY_COLUMNS,
+               ([_fmt(getattr(s, c)) for c in SUMMARY_COLUMNS] for s in result.summaries))
 
 
 def write_convergence_csv(result: ConvergenceResult, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("iteration", "mean_gap", "std_gap"))
-        for i in range(result.iterations):
-            w.writerow((i + 1, _fmt(float(result.mean_gap[i])),
-                        _fmt(float(result.std_gap[i]))))
+    _write_csv(path, ("iteration", "mean_gap", "std_gap"),
+               ((i + 1, _fmt(float(result.mean_gap[i])), _fmt(float(result.std_gap[i])))
+                for i in range(result.iterations)))

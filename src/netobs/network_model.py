@@ -34,38 +34,55 @@ def _as_readonly(arr):
     return out
 
 
+# PBH margin at or below which a system counts as unobservable, and the one
+# at or below which verify_unobservability accepts its certificate
+_OBS_TOL = 1e-10
+_VERIFY_TOL = 1e-8
+
+
+def sensor_matrix(n, sensors):
+    """C_O: the len(sensors) x n matrix that selects the sensor rows of the state."""
+    c = np.zeros((len(sensors), n))
+    c[np.arange(len(sensors)), np.asarray(sensors, dtype=int)] = 1.0
+    return c
+
+
+def pbh_stack(a, c, lams):
+    """The PBH matrices [lam I - a; c], one per lam along the first axis, in
+    the dtype of lams and a together (real for real lams)."""
+    lams = np.asarray(lams)
+    n = a.shape[0]
+    stack = np.empty((len(lams), n + c.shape[0], n), dtype=np.result_type(lams, a))
+    stack[:, :n] = lams[:, None, None] * np.eye(n) - a
+    stack[:, n:] = c
+    return stack
+
+
 def pbh_margin(weights, sensors):
     """Smallest singular value of [lam*I - A; C_O] minimized over eigenvalues of A.
 
     Zero margin means some eigenvector of A is invisible from the sensors.
+    Returns (margin, the first eigenvalue that attains it).
     """
     a = np.asarray(weights, dtype=float)
-    n = a.shape[0]
-    c = np.zeros((len(sensors), n))
-    for k, s in enumerate(sensors):
-        c[k, s] = 1.0
-    margin = np.inf
-    worst = None
-    for lam in np.linalg.eigvals(a):
-        smin = np.linalg.svd(np.vstack([lam * np.eye(n) - a, c]), compute_uv=False)[-1]
-        if smin < margin:
-            margin = float(smin)
-            worst = complex(lam)
-    return margin, worst
+    lams = np.linalg.eigvals(a)
+    smin = np.linalg.svd(pbh_stack(a, sensor_matrix(a.shape[0], sensors), lams),
+                         compute_uv=False)[:, -1]
+    k = int(np.argmin(smin))
+    return float(smin[k]), complex(lams[k])
 
 
 @dataclass(frozen=True)
 class NetworkSystem:
     """Network matrix A plus an ordered sensor set O.
 
-    Constructed observable by default (margin > obs_tol); pass
+    Constructed observable by default (PBH margin above _OBS_TOL); pass
     check_observability=False to represent deliberately degenerate systems,
     e.g. when probing unobservable inputs.
     """
 
     weights: np.ndarray
     sensors: tuple
-    obs_tol: float = 1e-10
     check_observability: bool = True
 
     def __post_init__(self):
@@ -86,7 +103,7 @@ class NetworkSystem:
         object.__setattr__(self, "sensors", sens)
         if self.check_observability:
             margin, worst = pbh_margin(a, sens)
-            if margin <= self.obs_tol:
+            if margin <= _OBS_TOL:
                 raise UnobservableSystemError(
                     f"system unobservable from sensors {sens}: "
                     f"margin {margin:.3e} at eigenvalue {worst}"
@@ -102,10 +119,7 @@ class NetworkSystem:
 
     @property
     def c_matrix(self):
-        c = np.zeros((self.p, self.n))
-        for k, s in enumerate(self.sensors):
-            c[k, s] = 1.0
-        return c
+        return sensor_matrix(self.n, self.sensors)
 
 
 @dataclass(frozen=True)
@@ -243,7 +257,7 @@ def is_observable(net: NetworkSystem):
     Returns (flag, margin) where margin is the PBH minimum over eigenvalues.
     """
     margin, _ = pbh_margin(net.weights, net.sensors)
-    return margin > net.obs_tol, margin
+    return margin > _OBS_TOL, margin
 
 
 @dataclass(frozen=True)
@@ -255,26 +269,24 @@ class UnobservabilityReport:
     x: np.ndarray           # certificate eigenvector (complex, unit norm)
 
 
-def verify_unobservability(net: NetworkSystem, pert: Perturbation, lam,
-                           threshold=1e-8) -> UnobservabilityReport:
+def verify_unobservability(net: NetworkSystem, pert: Perturbation,
+                           lam) -> UnobservabilityReport:
     """Check that lam is an unobservable eigenvalue of A + Delta.
 
     The certificate vector is the right singular vector of the stacked PBH
     matrix at its smallest singular value, which minimizes the combined
-    residual. verified is smin <= threshold.
+    residual. verified is smin <= _VERIFY_TOL.
     """
     lam = complex(lam)
     b = net.weights + pert.delta
-    n = net.n
-    stack = np.vstack([lam * np.eye(n) - b, net.c_matrix])
-    _, svals, vh = np.linalg.svd(stack)
+    _, svals, vh = np.linalg.svd(pbh_stack(b, net.c_matrix, [lam])[0])
     smin = float(svals[-1])
     x = vh[-1].conj()
     x = x / np.linalg.norm(x)
     r_eig = float(np.linalg.norm(b @ x - lam * x))
     r_out = float(np.linalg.norm(net.c_matrix @ x))
     return UnobservabilityReport(r_eig=r_eig, r_out=r_out, smin=smin,
-                                 verified=smin <= threshold, x=x)
+                                 verified=smin <= _VERIFY_TOL, x=x)
 
 
 # ---------------------------------------------------------------------------

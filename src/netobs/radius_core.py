@@ -11,6 +11,7 @@ y = (y1, y2), length 2n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,11 @@ from .network_model import CanonicalForm, Perturbation
 
 class SpuriousTripleError(ValueError):
     """Candidate triple fails the eigen-constraint residual check."""
+
+
+# stationarity and eigen-constraint residual above which
+# reconstruct_perturbation rejects a triple as spurious
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,22 @@ class ReducedProblem:
     def is_real(self):
         return self.lam.imag == 0.0
 
+    @cached_property
+    def a_tilde(self):
+        """Real-split constraint operator, 2n x 2(n-p), built once, read-only.
+        Maps stacked (x_re, x_im) to the residuals of the two real eigen-
+        equations when Delta = 0; its kernel would be an unobservable
+        eigenvector of A itself."""
+        n, m = self.n, self.m
+        an = self.a_bar - self.n_bar
+        at = np.empty((2 * n, 2 * m))
+        at[:n, :m] = an
+        at[:n, m:] = self.m_bar
+        at[n:, :m] = -self.m_bar
+        at[n:, m:] = an
+        at.setflags(write=False)
+        return at
+
 
 def build_reduced(cf: CanonicalForm, lam) -> ReducedProblem:
     """Assemble the reduced blocks for a fixed candidate eigenvalue."""
@@ -56,22 +78,6 @@ def build_reduced(cf: CanonicalForm, lam) -> ReducedProblem:
     n_bar = np.vstack([np.zeros((p, m)), lam.real * np.eye(m)])
     return ReducedProblem(a_bar=a_bar, m_bar=m_bar, n_bar=n_bar,
                           v_bar=cf.v_bar.copy(), lam=lam)
-
-
-def a_tilde(rp: ReducedProblem):
-    """Real-split constraint operator, 2n x 2(n-p).
-
-    Maps stacked (x_re, x_im) to the residuals of the two real eigen-equations
-    when Delta = 0; its kernel would be an unobservable eigenvector of A itself.
-    """
-    n, m = rp.n, rp.m
-    an = rp.a_bar - rp.n_bar
-    at = np.empty((2 * n, 2 * m))
-    at[:n, :m] = an
-    at[:n, m:] = rp.m_bar
-    at[n:, :m] = -rp.m_bar
-    at[n:, m:] = an
-    return at
 
 
 def _d_positions(v, nx, size, blocks):
@@ -90,20 +96,6 @@ def _d_positions(v, nx, size, blocks):
         cols = [i + c * k for _ in range(blocks) for c in range(blocks)]
         out.append(np.concatenate(rows) * size + np.concatenate(cols))
     return np.concatenate(out)
-
-
-def _filled(size, positions, values):
-    """A zero size x size array with the arrays in values written, one after
-    another, at the flat positions; with values of shape (..., k) one such
-    array for every leading index.
-
-    Off the filled diagonals the entries are +0.0, as in a dense block
-    assembly from np.diag blocks, so the result is the same bit for bit.
-    """
-    lead = values[0].shape[:-1]
-    out = np.zeros(lead + (size, size))
-    out.reshape(lead + (-1,))[..., positions] = np.concatenate(values, axis=-1)
-    return out
 
 
 def _mv(a, x):
@@ -164,6 +156,76 @@ def _weighted(d, z):
     return np.concatenate([d[0] * zr + d[1] * zi, d[2] * zr + d[3] * zi], axis=-1)
 
 
+def _residual(at, att, v_bar, u):
+    """F(u) of the normalized stationarity system (_stationarity_fj) with
+    At = at and At' = att, for one u or row by row for a stack of them;
+    with a stack of At, one per row. att is a transposed view of at
+    (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs."""
+    ny, nx = at.shape[-2:]
+    x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
+    d_y, d_x = _weighting_diagonals(v_bar, x, y)
+    return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
+                           _mv(at, x) - sig * _weighted(d_x, y),
+                           (_rowdot(x, x) - 1.0) / 2.0,
+                           (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
+
+
+def _stationarity_fj(at, v_bar):
+    """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
+
+    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows;
+    f_of takes one u or a stack of them (rows).
+    At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
+    diagonal blocks; on the half-size route of a real lambda it is
+    A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
+    left of each. D's diagonals come from _weighting_diagonals and sit in J
+    where PencilAssembly puts them in D.
+    """
+    n, m = v_bar.shape
+    ny, nx = at.shape
+    blocks = ny // n
+    att = at.T
+    vtb = np.tile(v_bar.T, (blocks, blocks))
+    cols = nx + ny + 1
+    positions = _d_positions(v_bar, nx, cols, blocks)
+
+    def f_of(u):
+        return _residual(at, att, v_bar, u)
+
+    def j_of(u):
+        # one preallocated Jacobian, rows (x-equations, y-equations, the two
+        # norm rows) by columns (x, y, sigma). The derivative of the
+        # y-equations in x is the transpose of that of the x-equations in y.
+        # The zeros of the -sig * D_y and -sig * D_x blocks carry the sign
+        # of -sig * 0.0, so the matrix equals the dense block product bit
+        # for bit, signed zeros included.
+        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
+        d_y, d_x = _weighting_diagonals(v_bar, x, y)
+        o = np.outer(x, y)
+        if blocks == 1:
+            w = 2 * o
+        else:
+            w = np.empty((nx, ny))
+            w[:m, :n] = 2 * o[:m, :n] + o[m:, n:]
+            w[:m, n:] = o[m:, :n]
+            w[m:, :n] = o[:m, n:]
+            w[m:, n:] = o[:m, :n] + 2 * o[m:, n:]
+        sw = sig * (vtb * w)
+        j = np.zeros((nx + ny + 2, cols))
+        j[:nx, :nx] = -sig * 0.0
+        j[nx:nx + ny, nx:nx + ny] = -sig * 0.0
+        j.flat[positions] = -sig * np.concatenate(d_y + d_x)
+        j[:nx, nx:nx + ny] = att - sw
+        j[nx:nx + ny, :nx] = at - sw.T
+        j[:nx, -1] = -_weighted(d_y, x)
+        j[nx:nx + ny, -1] = -_weighted(d_x, y)
+        j[-2, :nx] = x
+        j[-1, nx:nx + ny] = y
+        return j
+
+    return f_of, j_of
+
+
 def build_weightings(rp: ReducedProblem, x, y):
     """Diagonal S/T/Q weightings assembled into (D_x, D_y).
 
@@ -186,8 +248,6 @@ class PencilPair:
 
     h: np.ndarray
     d: np.ndarray
-    a_tilde: np.ndarray
-    nx: int  # length of the x block of z
 
     @property
     def size(self):
@@ -195,35 +255,60 @@ class PencilPair:
 
 
 class PencilAssembly:
-    """The pencil (H, D) of one reduced problem, for many points (x, y).
+    """The stationarity system of one reduced problem rp on one route: its
+    operator At (a_tilde), the pencil (H, D) at many points (x, y), the
+    polish's residual F and Jacobian J (f_of, j_of) and the maps between the
+    polish variable u = (x, y, sigma) and unit triples (triple, u_of).
 
-    H = [[0, At'], [At, 0]] depends only on lambda and is assembled once; each
-    call of pencil() fills only the diagonals of D = blkdiag(D_y, D_x) into a
-    zeroed array, or, for stacks of points (the rows of x and y), one D per
-    row into an array of shape (rows, size, size). With real=True this is
-    the half-size pencil of a real candidate eigenvalue: At = A_bar - lam
-    I_bar, and only the S weightings survive, one diagonal each. H is
-    shared by every pencil built here and is read-only.
+    At is rp.a_tilde; with real=True this is the half-size system of a real
+    lambda instead: At = A_bar - lam I_bar, x_im = y2 = 0, and only the S
+    weightings survive, one diagonal each.
+
+    H = [[0, At'], [At, 0]] is assembled once, read-only and shared by every
+    pencil built here. pencil() writes only the diagonals of
+    D = blkdiag(D_y, D_x) into a zeroed array (+0.0 elsewhere, as in a dense
+    block assembly, bit for bit), or for stacks of points (the rows of x and
+    y) one D per row into an array of shape (rows, size, size).
     """
 
     def __init__(self, rp: ReducedProblem, real=False):
         if real and not rp.is_real:
             raise ValueError("real pencil requires a real lambda")
-        self.v = rp.v_bar
-        at = rp.a_bar - rp.n_bar if real else a_tilde(rp)
+        self.rp, self.v, self.real = rp, rp.v_bar, real
+        at = rp.a_bar - rp.n_bar if real else rp.a_tilde
         k, l = at.shape
         size = l + k
         h = np.zeros((size, size))
         h[:l, l:] = at.T
         h[l:, :l] = at
         h.setflags(write=False)
-        self.a_tilde, self.h, self.nx, self.size, self.real = at, h, l, size, real
+        self.a_tilde, self.h, self.nx, self.size = at, h, l, size
         self._positions = _d_positions(self.v, l, size, 1 if real else 2)
+        self.f_of, self.j_of = _stationarity_fj(at, self.v)
 
     def pencil(self, x, y) -> PencilPair:
         d_y, d_x = _weighting_diagonals(self.v, x, y)
-        d = _filled(self.size, self._positions, d_y + d_x)
-        return PencilPair(h=self.h, d=d, a_tilde=self.a_tilde, nx=self.nx)
+        values = np.concatenate(d_y + d_x, axis=-1)
+        lead = values.shape[:-1]
+        d = np.zeros(lead + (self.size, self.size))
+        d.reshape(lead + (-1,))[..., self._positions] = values
+        return PencilPair(h=self.h, d=d)
+
+    def triple(self, u):
+        """Unit triple of a polish variable u = (x, y, sigma)."""
+        lift = embed_real_triple if self.real else normalize_triple
+        return lift(u[-1], u[:self.nx], u[self.nx:-1])
+
+    def u_of(self, t):
+        """Polish variable of a unit triple, the inverse of triple; None when
+        the real halves of x or y vanish on the half-size route."""
+        if not self.real:
+            return np.concatenate([t.x, t.y, [t.sigma]])
+        xr, y1 = t.x[:len(t.x) // 2], t.y[:len(t.y) // 2]
+        nxr, ny1 = np.linalg.norm(xr), np.linalg.norm(y1)
+        if nxr < 1e-8 or ny1 < 1e-8:
+            return None
+        return np.concatenate([xr / nxr, y1 / ny1, [t.sigma * nxr * ny1]])
 
 
 def assemble_pencil(rp: ReducedProblem, x, y) -> PencilPair:
@@ -288,10 +373,9 @@ def embed_real_triple(sigma, x_re, y1) -> CandidateTriple:
 
 def system_residual(rp: ReducedProblem, t: CandidateTriple):
     """Residual of the two stationarity equations at (sigma, x, y)."""
-    at = a_tilde(rp)
-    d_y, d_x = _weighting_diagonals(rp.v_bar, t.x, t.y)
-    r1 = at.T @ t.y - t.sigma * _weighted(d_y, t.x)
-    r2 = at @ t.x - t.sigma * _weighted(d_x, t.y)
+    at = rp.a_tilde
+    r = _residual(at, at.T, rp.v_bar, np.concatenate([t.x, t.y, [t.sigma]]))
+    r1, r2 = r[:len(t.x)], r[len(t.x):-2]
     return float(np.sqrt(np.dot(r1, r1) + np.dot(r2, r2)))
 
 
@@ -344,17 +428,17 @@ def _with_sensor_columns(rp, delta_bar):
 
 
 def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
-                             cf: CanonicalForm, residual_tol=1e-8) -> Reconstruction:
+                             cf: CanonicalForm) -> Reconstruction:
     """Rebuild the minimum-norm perturbation from a stationary triple.
 
     Delta_bar = -sigma (y1 x_re' + y2 x_im') o V_bar: the coupling is plus
     because the weightings imply it, sigma^2 x' D_y x = ||Delta_bar||_F^2.
     Triples whose stationarity residual (system_residual, kept as r_stat)
-    or whose perturbation's eigen-constraint residual exceeds residual_tol
+    or whose perturbation's eigen-constraint residual exceeds _RESIDUAL_TOL
     are rejected as spurious.
     """
     r_stat = system_residual(rp, t)
-    if r_stat > residual_tol:
+    if r_stat > _RESIDUAL_TOL:
         raise SpuriousTripleError("triple does not satisfy the stationarity system")
     m, p = rp.m, rp.p
     xr, xi = t.x[:m], t.x[m:]
@@ -365,13 +449,13 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
     xc = xc / nxc
     dc = _with_sensor_columns(rp, _delta_bar(rp, t))
     r_eig = float(np.linalg.norm((cf.a_canonical + dc) @ xc - rp.lam * xc))
-    if r_eig > residual_tol:
+    if r_eig > _RESIDUAL_TOL:
         raise SpuriousTripleError(
             f"reconstructed perturbation violates the eigen constraint "
             f"(residual {r_eig:.3e})"
         )
     pert = Perturbation(cf.to_original(dc), cf.mask)
-    at = a_tilde(rp)
+    at = rp.a_tilde
     identity = t.sigma * float(t.x @ (at.T @ t.y))
     cost = pert.frob_cost
     rel = abs(cost - identity) / max(abs(cost), 1e-300)

@@ -20,12 +20,12 @@ import numpy as np
 import scipy.linalg as sla
 
 from .network_model import (CanonicalForm, ConstraintMask, NetworkSystem,
-                            canonicalize, verify_unobservability)
+                            canonicalize, pbh_stack, sensor_matrix,
+                            verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, ReducedProblem, SpuriousTripleError,
-                          _d_positions, _delta_bar, _mv, _rowdot, _weighted,
-                          _weighting_diagonals, _with_sensor_columns, a_tilde,
-                          build_reduced, embed_real_triple, normalize_triple,
+                          _delta_bar, _mv, _residual, _rowdot,
+                          _with_sensor_columns, build_reduced,
                           orthogonality_diagnostic, reconstruct_perturbation)
 
 
@@ -256,95 +256,6 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     return u, its, bool(np.linalg.norm(f, np.inf) <= tol), us
 
 
-def _residual(at, att, v_bar, u):
-    """F(u) of the normalized stationarity system (_stationarity_fj) with
-    At = at and At' = att, for one u or row by row for a stack of them;
-    with a stack of At, one per row. att is a transposed view of at
-    (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs."""
-    ny, nx = at.shape[-2:]
-    x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
-    d_y, d_x = _weighting_diagonals(v_bar, x, y)
-    return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
-                           _mv(at, x) - sig * _weighted(d_x, y),
-                           (_rowdot(x, x) - 1.0) / 2.0,
-                           (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
-
-
-def _stationarity_fj(at, v_bar):
-    """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
-
-    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows;
-    f_of takes one u or a stack of them (rows).
-    At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
-    diagonal blocks; on the half-size route of a real lambda it is
-    A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
-    left of each. D's diagonals come from _weighting_diagonals and sit in J
-    where PencilAssembly puts them in D.
-    """
-    n, m = v_bar.shape
-    ny, nx = at.shape
-    blocks = ny // n
-    att = at.T
-    vtb = np.tile(v_bar.T, (blocks, blocks))
-    cols = nx + ny + 1
-    positions = _d_positions(v_bar, nx, cols, blocks)
-
-    def f_of(u):
-        return _residual(at, att, v_bar, u)
-
-    def j_of(u):
-        # one preallocated Jacobian, rows (x-equations, y-equations, the two
-        # norm rows) by columns (x, y, sigma). The derivative of the
-        # y-equations in x is the transpose of that of the x-equations in y.
-        # The zeros of the -sig * D_y and -sig * D_x blocks carry the sign
-        # of -sig * 0.0, so the matrix equals the dense block product bit
-        # for bit, signed zeros included.
-        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
-        d_y, d_x = _weighting_diagonals(v_bar, x, y)
-        o = np.outer(x, y)
-        if blocks == 1:
-            w = 2 * o
-        else:
-            w = np.empty((nx, ny))
-            w[:m, :n] = 2 * o[:m, :n] + o[m:, n:]
-            w[:m, n:] = o[m:, :n]
-            w[m:, :n] = o[:m, n:]
-            w[m:, n:] = o[:m, :n] + 2 * o[m:, n:]
-        sw = sig * (vtb * w)
-        j = np.zeros((nx + ny + 2, cols))
-        j[:nx, :nx] = -sig * 0.0
-        j[nx:nx + ny, nx:nx + ny] = -sig * 0.0
-        j.flat[positions] = -sig * np.concatenate(d_y + d_x)
-        j[:nx, nx:nx + ny] = att - sw
-        j[nx:nx + ny, :nx] = at - sw.T
-        j[:nx, -1] = -_weighted(d_y, x)
-        j[nx:nx + ny, -1] = -_weighted(d_x, y)
-        j[-2, :nx] = x
-        j[-1, nx:nx + ny] = y
-        return j
-
-    return f_of, j_of
-
-
-def _triple_of(u, asm):
-    """Unit triple of a polish variable u = (x, y, sigma) on the route of
-    the pencil assembly asm."""
-    lift = embed_real_triple if asm.real else normalize_triple
-    return lift(u[-1], u[:asm.nx], u[asm.nx:-1])
-
-
-def _u_of(t, asm):
-    """Polish variable of a unit triple, the inverse of _triple_of; None when
-    the real halves of x or y vanish on the half-size route."""
-    if not asm.real:
-        return np.concatenate([t.x, t.y, [t.sigma]])
-    xr, y1 = t.x[:len(t.x) // 2], t.y[:len(t.y) // 2]
-    nxr, ny1 = np.linalg.norm(xr), np.linalg.norm(y1)
-    if nxr < 1e-8 or ny1 < 1e-8:
-        return None
-    return np.concatenate([xr / nxr, y1 / ny1, [t.sigma * nxr * ny1]])
-
-
 @dataclass(frozen=True, eq=False)
 class IterateTrace:
     """The iterates of one fixed-lambda solve, kept raw.
@@ -355,7 +266,6 @@ class IterateTrace:
     restart whose result is dropped never pays for them.
     """
 
-    rp: ReducedProblem
     cf: CanonicalForm
     asm: PencilAssembly
     final: CandidateTriple
@@ -373,7 +283,7 @@ def _distance_history(tr: IterateTrace):
     """||Delta_i - Delta_final||_F for every iterate that maps to a triple,
     the index where the polish iterates begin, and the Delta_i in original
     coordinates (None unless kept)."""
-    rp = tr.rp
+    rp = tr.asm.rp
     d_final = _delta_bar(rp, tr.final)
 
     def snapshots(us):
@@ -381,7 +291,7 @@ def _distance_history(tr: IterateTrace):
         deltas = [] if tr.keep_deltas else None
         for u in us:
             try:
-                ti = _triple_of(u, tr.asm)
+                ti = tr.asm.triple(u)
             except ValueError:
                 continue
             di = _delta_bar(rp, ti)
@@ -403,15 +313,22 @@ class FixedLambdaResult:
     triple: CandidateTriple | None = None
     reconstruction: Reconstruction | None = None
     iterations: int = 0
-    # ||H z - sigma_bar D z|| at the balanced embedding z = (x, y)/sqrt(2),
-    # sigma_bar = 2 sigma, of the final triple: its stationarity residual
-    # (Reconstruction.r_stat) over sqrt(2)
-    residual: float = np.inf
-    sigma: float | None = None
     phi_plus_mu: float | None = None
     verification: object = None
     failure: str | None = None
     iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def sigma(self):
+        return None if self.triple is None else self.triple.sigma
+
+    @property
+    def residual(self):
+        """||H z - sigma_bar D z|| at the balanced embedding z = (x, y)/sqrt(2),
+        sigma_bar = 2 sigma, of the final triple: its stationarity residual
+        (Reconstruction.r_stat) over sqrt(2); inf without a reconstruction."""
+        rec = self.reconstruction
+        return np.inf if rec is None else rec.r_stat / np.sqrt(2.0)
 
     @property
     def history(self):
@@ -574,7 +491,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     """The polish of one restart, from its row of a sweep block.
 
     sweep is the restart's _Sweep, as _sweep returned it, and pencil the
-    candidate's (PencilAssembly, f_of, j_of), on the route the sweep ran on.
+    candidate's PencilAssembly of rp, on the route the sweep ran on.
     Levenberg-Marquardt polishes, until one is accepted (_accept): the best
     sweep iterate (by stationarity residual), the last one, a random draw
     from the restart's seed and the start (ahead of the draw when the sweep
@@ -585,8 +502,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     delta_trace are built from them on first access.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
-    asm, f_of, j_of = pencil
-    nx, ny = asm.nx, asm.size - asm.nx
+    nx, ny = pencil.nx, pencil.size - pencil.nx
     if sweep.init is None:
         return FixedLambdaResult(lam=rp.lam, converged=False,
                                  failure="degenerate initial vector")
@@ -613,11 +529,12 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     gn_used = 0
     failure = "did not converge"
     for u0 in seeds:
-        u, its, ok, us = _gn_core(f_of, j_of, u0, _POLISH_MAX_ITER, _POLISH_TOL)
+        u, its, ok, us = _gn_core(pencil.f_of, pencil.j_of, u0, _POLISH_MAX_ITER,
+                                  _POLISH_TOL)
         gn_used += its
         if not ok:
             continue
-        res, detail = _accept(rp, cf, u, asm, cfg)
+        res, detail = _accept(pencil, cf, u, cfg)
         if res is not None:
             break
         failure = detail
@@ -630,14 +547,15 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     # the sweep passes are rows of the whole block's iterates, so they are
     # copied out, and a kept result holds its own rows only
     iterates = IterateTrace(
-        rp=rp, cf=cf, asm=asm, final=res.triple, sweep=tuple(np.array(trace_u)),
+        cf=cf, asm=pencil, final=res.triple, sweep=tuple(np.array(trace_u)),
         polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
     return replace(res, iterations=sweep_used + gn_used,
                    phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
 
 
-def _accept(rp, cf, u, asm, cfg):
-    """The step after a converged polish, for restarts and continuation alike.
+def _accept(asm, cf, u, cfg):
+    """The step after a converged polish on the assembly asm, for restarts
+    and continuation alike.
 
     Orients sigma > 0, rejects the collapsed (x or y ~ 0) and zero-sigma
     branches, maps u to a unit triple and reconstructs the perturbation.
@@ -654,8 +572,9 @@ def _accept(rp, cf, u, asm, cfg):
         u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
     if abs(u[-1]) < 1e-14:
         return None, "stationary point with zero sigma"
+    rp = asm.rp
     try:
-        t = _triple_of(u, asm)
+        t = asm.triple(u)
         rec = reconstruct_perturbation(rp, t, cf)
     except (SpuriousTripleError, ValueError) as exc:
         return None, f"spurious stationary point: {exc}"
@@ -663,7 +582,6 @@ def _accept(rp, cf, u, asm, cfg):
     converged = res <= cfg.conv_tol
     return FixedLambdaResult(
         lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
-        residual=res, sigma=t.sigma,
         failure=None if converged else f"pencil residual {res:.3e} above tolerance"), u
 
 
@@ -671,10 +589,9 @@ def _pbh_warm_start(cf, lam, asm, rng):
     """Seed z with the PBH singular vector at lam: the unstructured optimum
     is usually in the right basin for the structured one. On the half-size
     route of a real lambda only its real part is kept."""
-    n, p = cf.n, cf.p
-    c = np.hstack([np.eye(p), np.zeros((p, n - p))])
-    stack = np.vstack([complex(lam) * np.eye(n) - cf.a_canonical, c])
-    _, _, vh = np.linalg.svd(stack)
+    p = cf.p
+    stack = pbh_stack(cf.a_canonical, sensor_matrix(cf.n, range(p)), [complex(lam)])
+    _, _, vh = np.linalg.svd(stack[0])
     xc = vh[-1].conj()[p:]
     if np.linalg.norm(xc) < 1e-8:
         return None
@@ -692,27 +609,26 @@ def _pbh_warm_start(cf, lam, asm, rng):
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
 
+def _assembly(rp, cfg):
+    """The PencilAssembly of rp on its route: the half-size system of a real
+    lambda, unless cfg forces the full pencil."""
+    return PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+
+
 @dataclass(eq=False)
 class _Candidate:
-    """What the restarts of one candidate lambda share: its reduced problem,
-    its pencil (PencilAssembly, f_of, j_of) and every restart's start
-    vector."""
+    """What the restarts of one candidate lambda share: its PencilAssembly
+    (which holds its reduced problem) and every restart's start vector."""
 
-    rp: ReducedProblem
-    pencil: tuple
+    asm: PencilAssembly
     starts: list
-
-    @property
-    def asm(self):
-        return self.pencil[0]
 
 
 def _candidate(cf, lam, cfg):
     """The _Candidate of lam. Every restart's start vector is drawn from the
     restart's own stream, in the order a restart on its own would draw it:
     restart 0 from the PBH singular vector when there is one."""
-    rp = build_reduced(cf, lam)
-    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    asm = _assembly(build_reduced(cf, lam), cfg)
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
@@ -720,7 +636,7 @@ def _candidate(cf, lam, cfg):
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
         starts.append(z0)
-    return _Candidate(rp, (asm, *_stationarity_fj(asm.a_tilde, rp.v_bar)), starts)
+    return _Candidate(asm, starts)
 
 
 def _sweep_candidates(cands, cfg):
@@ -746,14 +662,14 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
     failures = []
     for r, sweep in enumerate(sweeps):
         run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
-        res = heuristic_iterate(cand.rp, cf, run_cfg, sweep=sweep, pencil=cand.pencil)
+        res = heuristic_iterate(cand.asm.rp, cf, run_cfg, sweep=sweep, pencil=cand.asm)
         if res.converged:
             if best is None or res.cost < best.cost - 1e-15:
                 best = res
         else:
             failures.append(res.failure)
     if best is None:
-        return FixedLambdaResult(lam=cand.rp.lam, converged=False,
+        return FixedLambdaResult(lam=cand.asm.rp.lam, converged=False,
                                  failure="all restarts failed: " +
                                          "; ".join(sorted(set(f or "?" for f in failures))))
     return best
@@ -802,6 +718,13 @@ GRIDS = ("default", "topo")
 _BLOCK_ROWS = 64
 
 
+def _fold(lam):
+    """lam mirrored onto the closed upper half plane, with an imaginary part
+    below 1e-12 set to 0."""
+    lam = complex(lam)
+    return complex(lam.real, 0.0 if abs(lam.imag) < 1e-12 else abs(lam.imag))
+
+
 def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
@@ -831,15 +754,7 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
         vals = [complex(v) for v in grid]
         if not vals:
             raise ValueError("explicit candidate grid is empty")
-    folded = []
-    for v in vals:
-        v = complex(v)
-        if v.imag < 0:
-            v = v.conjugate()
-        if abs(v.imag) < 1e-12:
-            v = complex(v.real, 0.0)
-        folded.append(v)
-    folded.sort(key=lambda v: (v.real, v.imag))
+    folded = sorted(map(_fold, vals), key=lambda v: (v.real, v.imag))
     dedup = []
     for v in folded:
         if not dedup or abs(v - dedup[-1]) > 1e-9:
@@ -851,11 +766,7 @@ def _pbh_lower_bounds(net, lams):
     """Unstructured distance at each lam: a valid lower bound on the
     structured radius since restricting the support can only cost more.
     One complex SVD over the stack of [lam I - A; C]."""
-    n = net.n
-    lams = np.array(lams, dtype=complex)
-    stack = np.empty((len(lams), n + net.c_matrix.shape[0], n), dtype=complex)
-    stack[:, :n] = lams[:, None, None] * np.eye(n) - net.weights
-    stack[:, n:] = net.c_matrix
+    stack = pbh_stack(net.weights, net.c_matrix, np.array(lams, dtype=complex))
     return np.linalg.svd(stack, compute_uv=False)[:, -1].tolist()
 
 
@@ -874,13 +785,12 @@ class RadiusResult:
 
 def _continue_triple(rp, cf, t_prev, cfg):
     """Polish-only continuation of a triple to a neighboring lambda."""
-    asm = PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
-    u0 = _u_of(t_prev, asm)
+    asm = _assembly(rp, cfg)
+    u0 = asm.u_of(t_prev)
     if u0 is None:
         return None
-    u, its, ok, _ = _gn_core(*_stationarity_fj(asm.a_tilde, rp.v_bar), u0,
-                             _POLISH_MAX_ITER, _POLISH_TOL)
-    res = _accept(rp, cf, u, asm, cfg)[0] if ok else None
+    u, its, ok, _ = _gn_core(asm.f_of, asm.j_of, u0, _POLISH_MAX_ITER, _POLISH_TOL)
+    res = _accept(asm, cf, u, cfg)[0] if ok else None
     if res is None or not res.converged:
         return None
     return replace(res, iterations=its)
@@ -895,7 +805,7 @@ def _descent_direction(rp, res):
     """
     c_re, c_im = orthogonality_diagnostic(rp, res.triple)
     slope = float(np.hypot(c_re, c_im))
-    if res.sigma * slope <= _FLAT_TOL * float(np.linalg.norm(a_tilde(rp))):
+    if res.sigma * slope <= _FLAT_TOL * float(np.linalg.norm(rp.a_tilde)):
         return None
     return complex(c_re, -c_im) / slope
 
@@ -916,8 +826,7 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     h = 0.05 * max(1.0, abs(lam))
     probes = 0
     while step is not None and h >= 1e-7:
-        lam_try = lam + h * step
-        lam_try = complex(lam_try.real, 0.0 if abs(lam_try.imag) < 1e-12 else abs(lam_try.imag))
+        lam_try = _fold(lam + h * step)
         rp_try = build_reduced(cf, lam_try)
         res = _continue_triple(rp_try, cf, best.triple, cfg)
         probes += 1
@@ -960,8 +869,6 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     stays 0.
     """
     cands = candidate_lambdas(net, mask, grid)
-    if not cands:
-        raise ValueError("empty lambda grid")
     cf = canonicalize(net, mask)
     bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))

@@ -258,6 +258,29 @@ def test_netobs_seed_env_invalid(net3_file, capsys, monkeypatch):
     assert "NETOBS_SEED" in err
 
 
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("command", ["radius", "perturb", "montecarlo", "validate"])
+def test_negative_seed_is_an_input_error(command, source, tmp_path, capsys, monkeypatch):
+    # rejected where the seed is resolved, before any network is read (the
+    # file does not exist) and before any output file is created
+    args = {
+        "radius": ["radius", str(tmp_path / "missing.json")],
+        "perturb": ["perturb", str(tmp_path / "missing.json")],
+        "montecarlo": ["montecarlo", "--topology", "line", "--sizes", "5",
+                       "--trials", "2", "--out-prefix", str(tmp_path / "run")],
+        "validate": ["validate"],
+    }[command]
+    if source == "flag":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("NETOBS_SEED", "-1")
+    code, out, err = run(args, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("input error: ") and "seed" in err and "-1" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # validation suite
 

@@ -70,6 +70,46 @@ def test_observable_margin_positive_everywhere(line3):
     assert margin > 1e-6
 
 
+def reference_pbh_margin(weights, sensors):
+    """pbh_margin as a loop over the eigenvalues of A, one SVD each, keeping
+    the first minimum."""
+    a = np.asarray(weights, dtype=float)
+    n = a.shape[0]
+    c = np.zeros((len(sensors), n))
+    for k, s in enumerate(sensors):
+        c[k, s] = 1.0
+    margin, worst = np.inf, None
+    for lam in np.linalg.eigvals(a):
+        smin = np.linalg.svd(np.vstack([lam * np.eye(n) - a, c]), compute_uv=False)[-1]
+        if smin < margin:
+            margin, worst = float(smin), complex(lam)
+    return margin, worst
+
+
+def test_pbh_margin_matches_a_loop_over_eigenvalues():
+    # bit for bit, on real spectra (symmetric and triangular A, which take
+    # real SVDs), complex ones, and repeated eigenvalues (block-diagonal
+    # copies), where the first of equal minima must be the one reported
+    rng = np.random.default_rng(8)
+    kinds = set()
+    for trial in range(400):
+        n = int(rng.integers(2, 9))
+        a = rng.standard_normal((n, n)) * (rng.uniform(size=(n, n)) < 0.6)
+        if trial % 4 == 0:
+            a = a + a.T
+        elif trial % 4 == 1:
+            a = np.triu(a)
+        elif trial % 4 == 2:
+            a = np.kron(np.eye(2), a[:max(1, n // 2), :max(1, n // 2)])
+            n = a.shape[0]
+        sensors = tuple(int(s) for s in rng.permutation(n)[:int(rng.integers(1, n))])
+        kinds.add(np.linalg.eigvals(a).dtype.kind)
+        margin, worst = pbh_margin(a, sensors)
+        ref_margin, ref_worst = reference_pbh_margin(a, sensors)
+        assert repr((margin, worst)) == repr((ref_margin, ref_worst))
+    assert kinds == {"f", "c"}
+
+
 # ---------------------------------------------------------------------------
 # canonical form
 

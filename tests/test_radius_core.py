@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netobs import (CandidateTriple, SolverConfig, SpuriousTripleError,
-                    a_tilde, assemble_pencil, assemble_real_pencil,
+                    assemble_pencil, assemble_real_pencil,
                     build_reduced, build_weightings, canonicalize,
                     embed_real_triple, normalize_triple,
                     orthogonality_diagnostic, reconstruct_perturbation,
@@ -74,7 +74,7 @@ def test_blocks_single_column_when_one_free_node():
 
 def test_a_tilde_layout():
     rp, _ = reduced3(0.3 + 0.6j)
-    at = a_tilde(rp)
+    at = rp.a_tilde
     n, m = rp.n, rp.m
     assert at.shape == (2 * n, 2 * m)
     np.testing.assert_array_equal(at[:n, :m], rp.a_bar - rp.n_bar)
@@ -179,7 +179,7 @@ def test_pencil_structure():
 
 def test_a_tilde_full_column_rank_observable():
     rp, _ = reduced3(0.45 + 0.3j)
-    assert np.linalg.matrix_rank(a_tilde(rp)) == 2 * rp.m
+    assert np.linalg.matrix_rank(rp.a_tilde) == 2 * rp.m
 
 
 def test_real_pencil_requires_real_lambda():
@@ -239,14 +239,14 @@ def test_pencil_fill_matches_block_assembly():
             x, y = rng.standard_normal(nx), rng.standard_normal(ny)
             h, d, at, d_x, d_y = block_pencil(rp, x, y, real)
             pp = asm.pencil(x, y)
-            assert pp.nx == nx
-            for got, ref in ((pp.h, h), (pp.d, d), (pp.a_tilde, at)):
+            assert asm.nx == nx
+            for got, ref in ((pp.h, h), (pp.d, d), (asm.a_tilde, at)):
                 assert_bitwise(got, ref)
             one = (assemble_real_pencil if real else assemble_pencil)(rp, x, y)
             assert_bitwise(one.h, h)
             assert_bitwise(one.d, d)
             if not real:
-                assert_bitwise(a_tilde(rp), at)
+                assert_bitwise(rp.a_tilde, at)
                 got_x, got_y = build_weightings(rp, x, y)
                 assert_bitwise(got_x, d_x)
                 assert_bitwise(got_y, d_y)
@@ -256,6 +256,32 @@ def test_pencil_fill_matches_block_assembly():
 
 # ---------------------------------------------------------------------------
 # triples
+
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "half_size"])
+def test_assembly_maps_round_trip(real):
+    # u_of inverts triple on both routes; on the half-size route a triple
+    # whose real half of x or of y vanishes has no polish variable
+    rp, _ = reduced3(0.4 + 0j if real else 0.3 + 0.6j)
+    asm = PencilAssembly(rp, real=real)
+    if not real:
+        assert asm.a_tilde is rp.a_tilde and not rp.a_tilde.flags.writeable
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        x, y = rng.standard_normal(asm.nx), rng.standard_normal(asm.size - asm.nx)
+        u = np.concatenate([x / np.linalg.norm(x), y / np.linalg.norm(y),
+                            [rng.uniform(0.1, 2.0)]])
+        np.testing.assert_allclose(asm.u_of(asm.triple(u)), u, rtol=1e-14, atol=1e-15)
+    m, n = rp.m, rp.n
+    imag_x = np.concatenate([np.zeros(m), np.ones(m) / np.sqrt(m)])
+    imag_y = np.concatenate([np.zeros(n), np.ones(n) / np.sqrt(n)])
+    real_y = np.concatenate([np.ones(n) / np.sqrt(n), np.zeros(n)])
+    for t in (CandidateTriple(0.5, imag_x, imag_y), CandidateTriple(0.5, imag_x, real_y)):
+        u = asm.u_of(t)
+        if real:
+            assert u is None
+        else:
+            assert np.array_equal(u, np.concatenate([t.x, t.y, [0.5]]))
 
 
 def test_triple_validation():

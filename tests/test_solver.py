@@ -10,8 +10,9 @@ from netobs import (SolverConfig, assemble_pencil, build_reduced,
                     star_radius)
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
-from netobs.radius_core import _delta_bar, assemble_real_pencil
-from netobs.solver import _Sweep, _continue_triple, _qz, _stationarity_fj
+from netobs.radius_core import (ReducedProblem, _delta_bar, _stationarity_fj,
+                                assemble_real_pencil)
+from netobs.solver import _Sweep, _continue_triple, _qz
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -215,11 +216,10 @@ def test_real_lambda_routes_agree():
 def iterate_alone(rp, cf, cfg, z0):
     """The restart of one start vector z0 on its own: its sweep as a block
     of one row (solver._sweep), then solver.heuristic_iterate on that row,
-    both on a pencil built here for rp and cfg."""
-    asm = solver.PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    both on an assembly built here for rp and cfg."""
+    asm = solver._assembly(rp, cfg)
     row, = solver._sweep([asm], [[z0]], cfg)
-    return solver.heuristic_iterate(
-        rp, cf, cfg, sweep=row, pencil=(asm, *_stationarity_fj(asm.a_tilde, rp.v_bar)))
+    return solver.heuristic_iterate(rp, cf, cfg, sweep=row, pencil=asm)
 
 
 def test_warm_start_survives_singular_sweep_pencil():
@@ -569,7 +569,7 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
 # lockstep sweep
 
 
-def reference_sweep(asm, f_of, z0, cfg):
+def reference_sweep(asm, z0, cfg):
     """The sweep of one start as a loop over steps with one-vector numpy
     calls (@, np.linalg.norm, a solve per step): what every row of the
     lockstep block must reproduce bit for bit. Returns (init, trace, best,
@@ -625,7 +625,7 @@ def reference_sweep(asm, f_of, z0, cfg):
         phi_plus_mu = mu + 1.0 / phi
         u = u_of(pp, zn)
         trace.append(u)
-        merit = np.linalg.norm(f_of(u))
+        merit = np.linalg.norm(asm.f_of(u))
         if merit < best_merit:
             best_merit, best = merit, u
         z = zn
@@ -658,8 +658,7 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
     rows.clear()
     results.clear()
     rp = build_reduced(cf, lam)
-    asm = solver.PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
-    f_of = _stationarity_fj(asm.a_tilde, rp.v_bar)[0]
+    asm = solver._assembly(rp, cfg)
     reference = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
@@ -667,7 +666,7 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
         iterate_alone(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0)
-        reference.append(reference_sweep(asm, f_of, z0, cfg))
+        reference.append(reference_sweep(asm, z0, cfg))
     alone = list(zip(rows, results))
     assert len(lockstep) == len(alone) == cfg.restarts
     return lockstep, alone, reference
@@ -1160,3 +1159,33 @@ def test_lambda_descent_reaches_the_minimum(n, entries, scale, radius):
     assert rr.best.converged and rr.best.verification.verified
     assert rr.refine_evals > 0
     assert rr.cost <= radius * (1.0 + 1e-6)
+
+
+def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
+    # the assemblies, system_residual, reconstruct_perturbation and the
+    # lambda descent all read ReducedProblem.a_tilde: it is built once per
+    # reduced problem, however many reconstructions and descent steps read it
+    built = []
+    build = ReducedProblem.a_tilde.func
+
+    def counting(rp):
+        built.append(rp)
+        return build(rp)
+
+    # the property's own builder, counted; its caching is left as it is
+    monkeypatch.setattr(ReducedProblem.a_tilde, "func", counting)
+    reconstructions = []
+    reconstruct = solver.reconstruct_perturbation
+
+    def recording(rp, t, cf):
+        reconstructions.append(rp)
+        return reconstruct(rp, t, cf)
+
+    monkeypatch.setattr(solver, "reconstruct_perturbation", recording)
+    # the winner is complex and the descent moves it in both coordinates
+    rr = solve_radius(*net_of(from_entries(5, RANDOM_5_7)), "default", SolverConfig())
+    assert rr.best.converged and rr.refine_evals > 0
+    assert len({id(rp) for rp in built}) == len(built)
+    # each reconstruction reads a_tilde twice; far fewer builds than reads
+    assert {id(rp) for rp in reconstructions} <= {id(rp) for rp in built}
+    assert 2 * len(reconstructions) > 3 * len(built)
