@@ -29,7 +29,7 @@ class MaskSupportError(ValueError):
 
 
 def _as_readonly(arr):
-    out = np.array(arr, dtype=float, copy=True)
+    out = np.array(arr, dtype=float, copy=True, order="C")
     out.setflags(write=False)
     return out
 
@@ -92,6 +92,12 @@ class NetworkSystem:
         n = a.shape[0]
         if n < 2:
             raise NetworkFormatError("need at least 2 nodes")
+        # the JSON path reports its bad edges here too, so they are 1-based
+        bad = np.argwhere(~np.isfinite(a))
+        if len(bad):
+            i, j = bad[0]
+            raise NetworkFormatError(
+                f"edge ({i + 1},{j + 1}) has non-finite weight {a[i, j]}")
         sens = tuple(int(s) for s in self.sensors)
         if len(sens) != len(set(sens)):
             raise NetworkFormatError("duplicate sensor indices")
@@ -114,12 +120,15 @@ class NetworkSystem:
         return self.weights.shape[0]
 
     @property
-    def p(self):
-        return len(self.sensors)
-
-    @property
     def c_matrix(self):
         return sensor_matrix(self.n, self.sensors)
+
+    @cached_property
+    def free(self):
+        """The non-sensor nodes in ascending order, read-only."""
+        free = np.setdiff1d(np.arange(self.n), self.sensors)
+        free.setflags(write=False)
+        return free
 
 
 @dataclass(frozen=True)
@@ -180,75 +189,24 @@ class Perturbation:
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Sensor-first relabeling of (A, V) with the four blocks of each."""
+    """The problem in the input's node order, with the columns of A and V at
+    the non-sensor nodes: an unobservable eigenvector vanishes on the
+    sensors, so the reduction reads no other columns."""
 
-    permutation: tuple  # canonical index k holds original node permutation[k]
-    a11: np.ndarray
-    a12: np.ndarray
-    a21: np.ndarray
-    a22: np.ndarray
-    v11: np.ndarray
-    v12: np.ndarray
-    v21: np.ndarray
-    v22: np.ndarray
-
-    @property
-    def n(self):
-        return self.a11.shape[0] + self.a22.shape[0]
-
-    @property
-    def p(self):
-        return self.a11.shape[0]
-
-    # built on first access and kept, read-only: every reconstruction reads them
-
-    @cached_property
-    def a_canonical(self):
-        return _as_readonly(np.block([[self.a11, self.a12], [self.a21, self.a22]]))
-
-    @cached_property
-    def v_canonical(self):
-        return _as_readonly(np.block([[self.v11, self.v12], [self.v21, self.v22]]))
-
-    @cached_property
-    def mask(self):
-        """The constraint mask in original node order."""
-        return ConstraintMask(self.to_original(self.v_canonical))
-
-    @property
-    def v_bar(self):
-        """Mask columns that the reduced perturbation may touch: [V12; V22]."""
-        return np.vstack([self.v12, self.v22])
-
-    def to_original(self, mat_canonical):
-        """Map a canonical-coordinates n x n matrix back to original node order."""
-        perm = np.asarray(self.permutation)
-        inv = np.empty_like(perm)
-        inv[perm] = np.arange(len(perm))
-        m = np.asarray(mat_canonical)
-        return m[np.ix_(inv, inv)]
+    net: NetworkSystem      # A and the sensors
+    mask: ConstraintMask    # the caller's mask V
+    free: np.ndarray        # net.free, the non-sensor nodes in ascending order
+    a_bar: np.ndarray       # A[:, free], read-only and C-contiguous
+    v_bar: np.ndarray       # V[:, free], likewise
 
 
 def canonicalize(net: NetworkSystem, mask: ConstraintMask) -> CanonicalForm:
-    """Relabel nodes so sensors come first and C_O becomes [I_p 0].
-
-    Sensors keep their given order; non-sensors keep ascending order. The
-    permutation is stored explicitly so results map back exactly.
-    """
+    """The CanonicalForm of (net, mask); its column blocks are built once."""
     if mask.n != net.n:
         raise NetworkFormatError(f"mask size {mask.n} != network size {net.n}")
-    perm = list(net.sensors) + [i for i in range(net.n) if i not in net.sensors]
-    idx = np.asarray(perm)
-    ac = net.weights[np.ix_(idx, idx)]
-    vc = mask.mask[np.ix_(idx, idx)]
-    p = net.p
-    return CanonicalForm(
-        permutation=tuple(perm),
-        a11=_as_readonly(ac[:p, :p]), a12=_as_readonly(ac[:p, p:]),
-        a21=_as_readonly(ac[p:, :p]), a22=_as_readonly(ac[p:, p:]),
-        v11=_as_readonly(vc[:p, :p]), v12=_as_readonly(vc[:p, p:]),
-        v21=_as_readonly(vc[p:, :p]), v22=_as_readonly(vc[p:, p:]),
-    )
+    return CanonicalForm(net=net, mask=mask, free=net.free,
+                         a_bar=_as_readonly(net.weights[:, net.free]),
+                         v_bar=_as_readonly(mask.mask[:, net.free]))
 
 
 def is_observable(net: NetworkSystem):
@@ -334,8 +292,6 @@ def network_from_dict(doc):
         i, j, w = _entry(entry, "edge", "[i, j, w]")
         if not (1 <= i <= n and 1 <= j <= n):
             raise NetworkFormatError(f"edge ({i},{j}) out of range for n={n}")
-        if not np.isfinite(w):
-            raise NetworkFormatError(f"edge ({i},{j}) has non-finite weight {w}")
         if (i, j) in seen:
             raise NetworkFormatError(f"duplicate edge ({i},{j})")
         seen.add((i, j))

@@ -1,11 +1,11 @@
 """Reduced minimization, eigenvector-dependent weightings, and the pencil.
 
-Everything here works in canonical (sensor-first) coordinates. The reduced
-unknown is the block Delta_bar = [Delta12; Delta22]: only the columns of A
-hitting non-sensor states can help hide an eigenvector from the sensors.
-Complex quantities are split into stacked real parts throughout: the reduced
-eigenvector is x = (x_re, x_im), length 2(n-p), and the multiplier is
-y = (y1, y2), length 2n.
+Everything here works in the input's node order. The reduced unknown is
+Delta_bar, the columns of Delta at the non-sensor nodes (free): only those
+columns of A can help hide an eigenvector from the sensors, since the
+eigenvector vanishes on them. Complex quantities are split into stacked real
+parts throughout: the reduced eigenvector is x = (x_re, x_im), length
+2(n-p), and the multiplier is y = (y1, y2), length 2n.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ _RESIDUAL_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    a_bar: np.ndarray       # n x (n-p), columns of A over non-sensor states
-    m_bar: np.ndarray       # n x (n-p), [0; lam_im * I]
-    n_bar: np.ndarray       # n x (n-p), [0; lam_re * I]
-    v_bar: np.ndarray       # n x (n-p) mask block [V12; V22]
+    a_bar: np.ndarray       # n x (n-p), A[:, free]
+    v_bar: np.ndarray       # n x (n-p), V[:, free]
+    free: np.ndarray        # the non-sensor nodes: I_bar is the identity in these rows
     lam: complex
 
     @property
@@ -45,39 +44,34 @@ class ReducedProblem:
         return self.a_bar.shape[1]
 
     @property
-    def p(self):
-        return self.n - self.m
-
-    @property
     def is_real(self):
         return self.lam.imag == 0.0
 
     @cached_property
     def a_tilde(self):
-        """Real-split constraint operator, 2n x 2(n-p), built once, read-only.
+        """Real-split constraint operator, 2n x 2(n-p), built once, read-only:
+        [[A_bar - lam_re I_bar, lam_im I_bar], [-lam_im I_bar, A_bar - lam_re I_bar]].
         Maps stacked (x_re, x_im) to the residuals of the two real eigen-
         equations when Delta = 0; its kernel would be an unobservable
-        eigenvector of A itself."""
-        n, m = self.n, self.m
-        an = self.a_bar - self.n_bar
-        at = np.empty((2 * n, 2 * m))
-        at[:n, :m] = an
-        at[:n, m:] = self.m_bar
-        at[n:, :m] = -self.m_bar
-        at[n:, m:] = an
+        eigenvector of A itself. Its zeros carry the signs of that dense block
+        product, -0.0 in the sensor rows of -lam_im I_bar among them."""
+        n, m, free = self.n, self.m, self.free
+        im = self.lam.imag * np.eye(m)
+        an = self.a_bar.copy()
+        an[free] -= self.lam.real * np.eye(m)
+        at = np.zeros((2 * n, 2 * m))
+        at[:n, :m] = at[n:, m:] = an
+        at[n:, :m] = -0.0
+        at[free, m:] = im
+        at[n + free, :m] = -im
         at.setflags(write=False)
         return at
 
 
 def build_reduced(cf: CanonicalForm, lam) -> ReducedProblem:
-    """Assemble the reduced blocks for a fixed candidate eigenvalue."""
-    lam = complex(lam)
-    p, m = cf.p, cf.n - cf.p
-    a_bar = np.vstack([cf.a12, cf.a22])
-    m_bar = np.vstack([np.zeros((p, m)), lam.imag * np.eye(m)])
-    n_bar = np.vstack([np.zeros((p, m)), lam.real * np.eye(m)])
-    return ReducedProblem(a_bar=a_bar, m_bar=m_bar, n_bar=n_bar,
-                          v_bar=cf.v_bar.copy(), lam=lam)
+    """The reduced problem at a fixed candidate eigenvalue; it shares cf's
+    read-only column blocks."""
+    return ReducedProblem(a_bar=cf.a_bar, v_bar=cf.v_bar, free=cf.free, lam=complex(lam))
 
 
 def _d_positions(v, nx, size, blocks):
@@ -261,8 +255,8 @@ class PencilAssembly:
     polish variable u = (x, y, sigma) and unit triples (triple, u_of).
 
     At is rp.a_tilde; with real=True this is the half-size system of a real
-    lambda instead: At = A_bar - lam I_bar, x_im = y2 = 0, and only the S
-    weightings survive, one diagonal each.
+    lambda instead: At = A_bar - lam I_bar, the leading block of rp.a_tilde,
+    x_im = y2 = 0, and only the S weightings survive, one diagonal each.
 
     H = [[0, At'], [At, 0]] is assembled once, read-only and shared by every
     pencil built here. pencil() writes only the diagonals of
@@ -275,7 +269,7 @@ class PencilAssembly:
         if real and not rp.is_real:
             raise ValueError("real pencil requires a real lambda")
         self.rp, self.v, self.real = rp, rp.v_bar, real
-        at = rp.a_bar - rp.n_bar if real else rp.a_tilde
+        at = np.ascontiguousarray(rp.a_tilde[:rp.n, :rp.m]) if real else rp.a_tilde
         k, l = at.shape
         size = l + k
         h = np.zeros((size, size))
@@ -392,10 +386,9 @@ def orthogonality_diagnostic(rp: ReducedProblem, t: CandidateTriple):
     Both vanish when lambda is itself stationary for the radius; a nonzero
     value means the radius shrinks at a neighboring lambda.
     """
-    m, n, p = rp.m, rp.n, rp.p
+    m, n, free = rp.m, rp.n, rp.free
     xr, xi = t.x[:m], t.x[m:]
-    y1, y2 = t.y[:n], t.y[n:]
-    y1t, y2t = y1[p:], y2[p:]
+    y1t, y2t = t.y[free], t.y[n + free]
     c_re = float(y1t @ xr + y2t @ xi)
     c_im = float(y1t @ xi - y2t @ xr)
     return c_re, c_im
@@ -420,10 +413,10 @@ def _delta_bar(rp, t):
     return -t.sigma * (np.outer(y1, xr) + np.outer(y2, xi)) * rp.v_bar
 
 
-def _with_sensor_columns(rp, delta_bar):
-    """Delta in canonical coordinates: zero sensor columns, then Delta_bar."""
+def _in_columns(rp, delta_bar):
+    """Delta: Delta_bar in the columns free, zero sensor columns."""
     out = np.zeros((rp.n, rp.n))
-    out[:, rp.p:] = delta_bar
+    out[:, rp.free] = delta_bar
     return out
 
 
@@ -440,21 +433,20 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
     r_stat = system_residual(rp, t)
     if r_stat > _RESIDUAL_TOL:
         raise SpuriousTripleError("triple does not satisfy the stationarity system")
-    m, p = rp.m, rp.p
-    xr, xi = t.x[:m], t.x[m:]
-    xc = np.concatenate([np.zeros(p), xr + 1j * xi])
+    xc = np.zeros(rp.n, dtype=complex)
+    xc[rp.free] = t.x[:rp.m] + 1j * t.x[rp.m:]
     nxc = np.linalg.norm(xc)
     if nxc == 0:
         raise SpuriousTripleError("zero eigenvector")
     xc = xc / nxc
-    dc = _with_sensor_columns(rp, _delta_bar(rp, t))
-    r_eig = float(np.linalg.norm((cf.a_canonical + dc) @ xc - rp.lam * xc))
+    delta = _in_columns(rp, _delta_bar(rp, t))
+    r_eig = float(np.linalg.norm((cf.net.weights + delta) @ xc - rp.lam * xc))
     if r_eig > _RESIDUAL_TOL:
         raise SpuriousTripleError(
             f"reconstructed perturbation violates the eigen constraint "
             f"(residual {r_eig:.3e})"
         )
-    pert = Perturbation(cf.to_original(dc), cf.mask)
+    pert = Perturbation(delta, cf.mask)
     at = rp.a_tilde
     identity = t.sigma * float(t.x @ (at.T @ t.y))
     cost = pert.frob_cost

@@ -19,14 +19,13 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg as sla
 
-from .network_model import (CanonicalForm, ConstraintMask, NetworkSystem,
-                            canonicalize, pbh_stack, sensor_matrix,
-                            verify_unobservability)
+from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
+                            pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, ReducedProblem, SpuriousTripleError,
-                          _delta_bar, _mv, _residual, _rowdot,
-                          _with_sensor_columns, build_reduced,
-                          orthogonality_diagnostic, reconstruct_perturbation)
+                          _delta_bar, _in_columns, _mv, _residual, _rowdot,
+                          build_reduced, orthogonality_diagnostic,
+                          reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,6 @@ class IterateTrace:
     restart whose result is dropped never pays for them.
     """
 
-    cf: CanonicalForm
     asm: PencilAssembly
     final: CandidateTriple
     sweep: tuple
@@ -281,8 +279,8 @@ class IterateTrace:
 
 def _distance_history(tr: IterateTrace):
     """||Delta_i - Delta_final||_F for every iterate that maps to a triple,
-    the index where the polish iterates begin, and the Delta_i in original
-    coordinates (None unless kept)."""
+    the index where the polish iterates begin, and the Delta_i (None unless
+    kept)."""
     rp = tr.asm.rp
     d_final = _delta_bar(rp, tr.final)
 
@@ -297,7 +295,7 @@ def _distance_history(tr: IterateTrace):
             di = _delta_bar(rp, ti)
             hist.append(float(np.linalg.norm(di - d_final)))
             if deltas is not None:
-                deltas.append(tr.cf.to_original(_with_sensor_columns(rp, di)))
+                deltas.append(_in_columns(rp, di))
         return hist, deltas
 
     h_sweep, d_sweep = snapshots(tr.sweep)
@@ -342,7 +340,7 @@ class FixedLambdaResult:
 
     @property
     def delta_trace(self):
-        """Delta_i in original coordinates, when the config keeps them."""
+        """Delta_i, when the config keeps them."""
         return None if self.iterates is None else self.iterates.distances[2]
 
     @property
@@ -520,7 +518,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
         # fallback instead of dropping it on the floor
         seeds.append(sweep.init)
     xs = rng.standard_normal(nx)
-    ys = rng.standard_normal(ny)
+    ys = _sensors_drawn_first(cf, rng.standard_normal(ny))
     seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys), [0.5]]))
     if trace_u:
         seeds.append(sweep.init)
@@ -547,7 +545,7 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     # the sweep passes are rows of the whole block's iterates, so they are
     # copied out, and a kept result holds its own rows only
     iterates = IterateTrace(
-        cf=cf, asm=pencil, final=res.triple, sweep=tuple(np.array(trace_u)),
+        asm=pencil, final=res.triple, sweep=tuple(np.array(trace_u)),
         polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
     return replace(res, iterations=sweep_used + gn_used,
                    phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
@@ -585,14 +583,23 @@ def _accept(asm, cf, u, cfg):
         failure=None if converged else f"pencil residual {res:.3e} above tolerance"), u
 
 
+def _sensors_drawn_first(cf, draw):
+    """The random multiplier y, in node order, of a draw that fills each half
+    of y sensor rows first (in the order given), then the rows free: moving
+    the sensors moves a random start's rows along with the nodes."""
+    rows = np.concatenate([cf.net.sensors, cf.free])
+    y = np.empty_like(draw)
+    y.reshape(-1, len(rows))[:, rows] = draw.reshape(-1, len(rows))
+    return y
+
+
 def _pbh_warm_start(cf, lam, asm, rng):
     """Seed z with the PBH singular vector at lam: the unstructured optimum
     is usually in the right basin for the structured one. On the half-size
     route of a real lambda only its real part is kept."""
-    p = cf.p
-    stack = pbh_stack(cf.a_canonical, sensor_matrix(cf.n, range(p)), [complex(lam)])
+    stack = pbh_stack(cf.net.weights, cf.net.c_matrix, [complex(lam)])
     _, _, vh = np.linalg.svd(stack[0])
-    xc = vh[-1].conj()[p:]
+    xc = vh[-1].conj()[cf.free]
     if np.linalg.norm(xc) < 1e-8:
         return None
     k = int(np.argmax(np.abs(xc)))
@@ -604,7 +611,7 @@ def _pbh_warm_start(cf, lam, asm, rng):
     y = asm.a_tilde @ x
     ny = np.linalg.norm(y)
     if ny < 1e-12:
-        y = rng.standard_normal(len(y))
+        y = _sensors_drawn_first(cf, rng.standard_normal(len(y)))
         ny = np.linalg.norm(y)
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
@@ -635,6 +642,7 @@ def _candidate(cf, lam, cfg):
         z0 = _pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
+            z0[asm.nx:] = _sensors_drawn_first(cf, z0[asm.nx:])
         starts.append(z0)
     return _Candidate(asm, starts)
 
@@ -729,23 +737,23 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
     "topo": eigenvalues of all trailing principal submatrices of the
-    non-sensor block, plus pairwise means of its diagonal (covers
-    symmetry-type optima on hub topologies).
+    non-sensor block A[free][:, free] (net.free), plus pairwise means of its
+    diagonal (covers symmetry-type optima on hub topologies).
     "default": the "topo" candidates plus 21 real points on [-2, 2], for
     optima at negative real lambda that "topo" alone misses on some sparse
     random graphs (it returns the cheapest single-edge cut there). Complex
     optima off the "topo" points are left to solve_radius's lambda descent.
     Or pass an explicit iterable of complex numbers.
-    Conjugates are folded onto the closed upper half plane.
+    Conjugates are folded onto the closed upper half plane. The grids come
+    from A and the sensors alone; mask is not read.
     """
-    cf = canonicalize(net, mask)
-    a22 = cf.a22
-    m = a22.shape[0]
+    block = net.weights[np.ix_(net.free, net.free)]
+    m = block.shape[0]
     if isinstance(grid, str):
         if grid not in GRIDS:
             raise ValueError(f"unknown grid spec {grid!r}")
-        diag = np.diag(a22)
-        vals = [v for k in range(m) for v in np.linalg.eigvals(a22[k:, k:])]
+        diag = np.diag(block)
+        vals = [v for k in range(m) for v in np.linalg.eigvals(block[k:, k:])]
         vals += [complex((diag[i] + diag[j]) / 2.0)
                  for i in range(m) for j in range(i + 1, m)]
         if grid == "default":
@@ -822,7 +830,7 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     half-size route (x_im = y2 = 0, so c_im = 0) it stays on the real axis.
     Converged trials join trace. Returns (incumbent, its lambda, trials).
     """
-    step = _descent_direction(build_reduced(cf, lam), best)
+    step = _descent_direction(best.iterates.asm.rp, best)
     h = 0.05 * max(1.0, abs(lam))
     probes = 0
     while step is not None and h >= 1e-7:
@@ -868,8 +876,8 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     that is already stationary in lambda no probe is spent and refine_evals
     stays 0.
     """
-    cands = candidate_lambdas(net, mask, grid)
     cf = canonicalize(net, mask)
+    cands = candidate_lambdas(net, mask, grid)
     bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None

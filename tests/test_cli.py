@@ -312,3 +312,21 @@ def test_validate_sign_flip_injection_fails(capsys, monkeypatch):
     assert code == 4
     assert "reconstruction_cost_identity,FAIL" in out
     assert "validation failed" in err
+
+
+def test_radius_with_two_sensors_verifies(tmp_path, capsys):
+    # sensors at nodes 4 and 2 of a 5-node line: the perturbation lives in
+    # the columns of nodes 1, 3 and 5, and the certificate holds
+    net, _, _ = sample_network("line", 5, 11, 0)
+    a = net.weights
+    doc = {"n": 5, "sensors": [4, 2],
+           "edges": [[i + 1, j + 1, float(a[i, j])]
+                     for i in range(5) for j in range(5) if a[i, j] != 0]}
+    path = tmp_path / "two_sensors.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(["radius", str(path), "--grid", "topo"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] and payload["certificate"]["verified"]
+    delta = np.array(payload["perturbation"])
+    assert not delta[:, [1, 3]].any() and delta.any()

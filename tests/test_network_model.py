@@ -31,6 +31,16 @@ def test_rejects_duplicate_and_out_of_range_sensors():
         NetworkSystem(a, (3,))
 
 
+@pytest.mark.parametrize("check_observability", [True, False])
+def test_rejects_non_finite_weights(check_observability):
+    a = np.array([[np.nan, 1.0, 0.0], [1.0, 0.5, 0.2], [0.0, 0.3, 0.1]])
+    with pytest.raises(NetworkFormatError, match=r"edge \(1,1\) has non-finite weight nan"):
+        NetworkSystem(a, (0,), check_observability=check_observability)
+    a[0, 0], a[2, 1] = 0.7, -np.inf
+    with pytest.raises(NetworkFormatError, match=r"edge \(3,2\) has non-finite weight -inf"):
+        NetworkSystem(a, (0,), check_observability=check_observability)
+
+
 def test_rejects_unobservable_by_default():
     with pytest.raises(UnobservableSystemError):
         NetworkSystem(np.zeros((2, 2)), (0,))
@@ -114,46 +124,43 @@ def test_pbh_margin_matches_a_loop_over_eigenvalues():
 # canonical form
 
 
-def test_canonicalize_identity_when_sensor_first(line3):
+def assert_column_block(block, full, free):
+    np.testing.assert_array_equal(block, full[:, free])
+    assert block.flags.c_contiguous and not block.flags.writeable
+
+
+def test_canonicalize_keeps_the_input_order(line3):
     net, mask = line3
     cf = canonicalize(net, mask)
-    assert tuple(cf.permutation) == (0, 1, 2)
-    assert cf.a11.shape == (1, 1) and cf.a11[0, 0] == net.weights[0, 0]
-    np.testing.assert_array_equal(cf.a12, net.weights[0:1, 1:])
-
-
-def test_canonicalize_sensor_last_roundtrip():
-    a = line_matrix([0.7, 0.4, 0.9], [0.5, 0.3], [0.6, 0.8])
-    net, mask = net_of(a, sensors=(2,))
-    cf = canonicalize(net, mask)
-    assert cf.permutation[0] == 2
-    np.testing.assert_array_equal(cf.to_original(cf.a_canonical), a)
-
-
-def test_canonical_c_matrix_is_identity_block(line3):
-    net, mask = line3
-    cf = canonicalize(net, mask)
-    # sensors-first relabeling puts C_O = [I_p 0]
-    perm = list(cf.permutation)
-    c = net.c_matrix[:, perm]
-    np.testing.assert_array_equal(c, np.hstack([np.eye(1), np.zeros((1, 2))]))
+    assert cf.net is net and cf.mask is mask
+    assert cf.free.tolist() == [1, 2] and not cf.free.flags.writeable
+    assert_column_block(cf.a_bar, net.weights, [1, 2])
+    assert_column_block(cf.v_bar, mask.mask, [1, 2])
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(3, 7), st.integers(0, 10 ** 6))
-def test_canonicalize_roundtrip_random(n, seed):
+def test_canonicalize_column_blocks_random(n, seed):
+    # sensors anywhere and in any order: free is every other node, ascending
     rng = np.random.default_rng(seed)
     a = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.7)
     np.fill_diagonal(a, rng.uniform(0.1, 1.0, size=n))
-    sensors = tuple(sorted(rng.choice(n, size=rng.integers(1, n), replace=False)))
+    sensors = tuple(int(s) for s in rng.choice(n, size=rng.integers(1, n), replace=False))
     try:
         net, mask = net_of(a, sensors=sensors)
     except UnobservableSystemError:
         return
     cf = canonicalize(net, mask)
-    np.testing.assert_array_equal(cf.to_original(cf.a_canonical), a)
-    np.testing.assert_array_equal(cf.v_canonical[: net.p, net.p:], cf.v12)
-    assert cf.v_bar.shape == (n, n - net.p)
+    free = [i for i in range(n) if i not in sensors]
+    assert cf.free.tolist() == free and cf.net.sensors == sensors
+    assert_column_block(cf.a_bar, a, free)
+    assert_column_block(cf.v_bar, mask.mask, free)
+
+
+def test_canonicalize_rejects_a_mask_of_another_size(line3):
+    net, _ = line3
+    with pytest.raises(NetworkFormatError, match="mask size"):
+        canonicalize(net, ConstraintMask(np.ones((4, 4))))
 
 
 # ---------------------------------------------------------------------------

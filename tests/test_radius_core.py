@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,38 +51,55 @@ def loop_weightings(v_bar, x, y):
 # reduced problem blocks
 
 
+def lambda_blocks(rp):
+    """(M_bar, N_bar): lam_im I_bar and lam_re I_bar as dense n x (n-p)
+    blocks, the identity in the rows free and +0.0 in the sensor rows."""
+    m_bar, n_bar = np.zeros((rp.n, rp.m)), np.zeros((rp.n, rp.m))
+    m_bar[rp.free] = rp.lam.imag * np.eye(rp.m)
+    n_bar[rp.free] = rp.lam.real * np.eye(rp.m)
+    return m_bar, n_bar
+
+
 def test_blocks_at_purely_imaginary_lambda():
     rp, _ = reduced3(1j)
-    m = rp.m
-    np.testing.assert_array_equal(rp.n_bar, np.zeros((rp.n, m)))
-    np.testing.assert_array_equal(rp.m_bar[rp.p:, :], np.eye(m))
-    np.testing.assert_array_equal(rp.m_bar[: rp.p, :], np.zeros((rp.p, m)))
+    n, m = rp.n, rp.m
+    at = rp.a_tilde
+    np.testing.assert_array_equal(at[:n, :m], rp.a_bar)
+    np.testing.assert_array_equal(at[rp.free, m:], np.eye(m))
+    np.testing.assert_array_equal(at[n + rp.free, :m], -np.eye(m))
+    # the sensor rows of lam_im I_bar are +0.0, those of -lam_im I_bar -0.0
+    assert not np.signbit(at[0, m:]).any() and np.signbit(at[n, :m]).all()
 
 
 def test_blocks_at_real_lambda():
     rp, _ = reduced3(0.4)
+    n, m = rp.n, rp.m
     assert rp.is_real
-    np.testing.assert_array_equal(rp.m_bar, np.zeros((rp.n, rp.m)))
-    np.testing.assert_array_equal(rp.n_bar[rp.p:, :], 0.4 * np.eye(rp.m))
+    at = rp.a_tilde
+    assert not at[:n, m:].any() and not at[n:, :m].any()
+    np.testing.assert_array_equal(at[rp.free, :m], rp.a_bar[rp.free] - 0.4 * np.eye(m))
+    np.testing.assert_array_equal(at[0, :m], rp.a_bar[0])
 
 
 def test_blocks_single_column_when_one_free_node():
     a = line_matrix([0.5, 0.8], [0.6], [0.3])
     net, mask = net_of(a)
     rp = build_reduced(canonicalize(net, mask), 0.25 + 0.1j)
-    for blk in (rp.a_bar, rp.m_bar, rp.n_bar, rp.v_bar):
+    for blk in (rp.a_bar, rp.v_bar):
         assert blk.shape[1] == 1
+    assert rp.free.tolist() == [1] and rp.a_tilde.shape == (4, 2)
 
 
 def test_a_tilde_layout():
-    rp, _ = reduced3(0.3 + 0.6j)
-    at = rp.a_tilde
-    n, m = rp.n, rp.m
-    assert at.shape == (2 * n, 2 * m)
-    np.testing.assert_array_equal(at[:n, :m], rp.a_bar - rp.n_bar)
-    np.testing.assert_array_equal(at[:n, m:], rp.m_bar)
-    np.testing.assert_array_equal(at[n:, :m], -rp.m_bar)
-    np.testing.assert_array_equal(at[n:, m:], rp.a_bar - rp.n_bar)
+    # the dense block form, signed zeros included, wherever the sensors sit
+    a = line_matrix([0.7, 0.4, 0.9, 0.2], [0.5, 0.3, 0.6], [0.6, 0.8, 0.1])
+    for sensors in ((0,), (2,), (3, 1)):
+        net, mask = net_of(a, sensors=sensors)
+        for lam in (0.3 + 0.6j, -0.2 - 0.5j):
+            rp = build_reduced(canonicalize(net, mask), lam)
+            m_bar, n_bar = lambda_blocks(rp)
+            an = rp.a_bar - n_bar
+            assert_bitwise(rp.a_tilde, np.block([[an, m_bar], [-m_bar, an]]))
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +131,7 @@ def test_weightings_line3_hand_case():
 
 def test_weightings_all_ones_mask_real_vector():
     rp, _ = reduced3(1j)
-    rp_full = type(rp)(a_bar=rp.a_bar, m_bar=rp.m_bar, n_bar=rp.n_bar,
-                       v_bar=np.ones_like(rp.v_bar), lam=rp.lam)
+    rp_full = replace(rp, v_bar=np.ones_like(rp.v_bar))
     xr = np.array([0.6, 0.8])
     x = np.concatenate([xr, np.zeros(2)])
     d_x, _ = build_weightings(rp_full, x, np.zeros(2 * rp.n))
@@ -123,8 +141,7 @@ def test_weightings_all_ones_mask_real_vector():
 
 def test_weightings_zero_mask_degenerate():
     rp, _ = reduced3(1j)
-    rp0 = type(rp)(a_bar=rp.a_bar, m_bar=rp.m_bar, n_bar=rp.n_bar,
-                   v_bar=np.zeros_like(rp.v_bar), lam=rp.lam)
+    rp0 = replace(rp, v_bar=np.zeros_like(rp.v_bar))
     x = np.ones(2 * rp.m)
     y = np.ones(2 * rp.n)
     d_x, d_y = build_weightings(rp0, x, y)
@@ -146,8 +163,7 @@ def test_weighting_scaling_is_quadratic(alpha, seed):
 
 def test_weighting_traces_full_mask_unit_vectors():
     rp, _ = reduced3(1j)
-    rp_full = type(rp)(a_bar=rp.a_bar, m_bar=rp.m_bar, n_bar=rp.n_bar,
-                       v_bar=np.ones_like(rp.v_bar), lam=rp.lam)
+    rp_full = replace(rp, v_bar=np.ones_like(rp.v_bar))
     rng = np.random.default_rng(3)
     x = rng.standard_normal(2 * rp.m); x /= np.linalg.norm(x)
     y = rng.standard_normal(2 * rp.n); y /= np.linalg.norm(y)
@@ -167,7 +183,7 @@ def test_pencil_structure():
     y = rng.standard_normal(2 * rp.n); y /= np.linalg.norm(y)
     pp = assemble_pencil(rp, x, y)
     k = pp.size
-    assert k == 4 * rp.n - 2 * rp.p
+    assert k == 2 * rp.n + 2 * rp.m
     np.testing.assert_array_equal(pp.h, pp.h.T)
     np.testing.assert_array_equal(pp.h[: 2 * rp.m, : 2 * rp.m], np.zeros((2 * rp.m,) * 2))
     np.testing.assert_array_equal(pp.h[2 * rp.m:, 2 * rp.m:], np.zeros((2 * rp.n,) * 2))
@@ -191,12 +207,13 @@ def test_real_pencil_requires_real_lambda():
 def block_pencil(rp, x, y, real):
     """Dense reference assembly of (H, D) and A_tilde with np.block."""
     v = rp.v_bar
+    m_bar, n_bar = lambda_blocks(rp)
     if real:
-        at = rp.a_bar - rp.n_bar
+        at = rp.a_bar - n_bar
         d_x, d_y = np.diag(v @ (x * x)), np.diag(v.T @ (y * y))
     else:
-        an = rp.a_bar - rp.n_bar
-        at = np.block([[an, rp.m_bar], [-rp.m_bar, an]])
+        an = rp.a_bar - n_bar
+        at = np.block([[an, m_bar], [-m_bar, an]])
         m, n = rp.m, rp.n
         xr, xi, y1, y2 = x[:m], x[m:], y[:n], y[n:]
         sx, tx, qx = v @ (xr * xr), v @ (xr * xi), v @ (xi * xi)

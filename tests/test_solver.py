@@ -3,11 +3,11 @@ import pytest
 import scipy.linalg as sla
 from dataclasses import replace
 
-from netobs import (SolverConfig, assemble_pencil, build_reduced,
-                    candidate_lambdas, canonicalize, generalized_spectrum,
-                    line_radius, min_deletion_cost, normalize_triple,
-                    orthogonality_diagnostic, solve_fixed_lambda, solve_radius,
-                    star_radius)
+from netobs import (SolverConfig, UnobservableSystemError, assemble_pencil,
+                    build_reduced, candidate_lambdas, canonicalize,
+                    generalized_spectrum, line_radius, min_deletion_cost,
+                    normalize_triple, orthogonality_diagnostic,
+                    solve_fixed_lambda, solve_radius, star_radius)
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
 from netobs.radius_core import (ReducedProblem, _delta_bar, _stationarity_fj,
@@ -257,7 +257,9 @@ def eager_distances(res, rp, cf):
                 continue
             di = _delta_bar(rp, ti)
             hist.append(float(np.linalg.norm(di - d_final)))
-            deltas.append(cf.to_original(np.hstack([np.zeros((rp.n, rp.p)), di])))
+            full = np.zeros((rp.n, rp.n))
+            full[:, cf.free] = di
+            deltas.append(full)
         parts.append((hist, deltas))
     (h_sweep, d_sweep), (h_gn, d_gn) = parts
     return tuple(h_sweep + h_gn), len(h_sweep), tuple(d_sweep + d_gn)
@@ -1189,3 +1191,59 @@ def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
     # each reconstruction reads a_tilde twice; far fewer builds than reads
     assert {id(rp) for rp in reconstructions} <= {id(rp) for rp in built}
     assert 2 * len(reconstructions) > 3 * len(built)
+
+
+def test_the_grid_winner_is_not_built_twice(monkeypatch):
+    # the lambda descent starts from the reduced problem the winner's
+    # assembly holds: no lambda of one solve is built twice
+    built = []
+    build = solver.build_reduced
+
+    def counting(cf, lam):
+        built.append(complex(lam))
+        return build(cf, lam)
+
+    monkeypatch.setattr(solver, "build_reduced", counting)
+    net, mask = net_of(from_entries(5, RANDOM_5_7))
+    rr = solve_radius(net, mask, "default", SolverConfig())
+    assert rr.best.converged and rr.refine_evals > 0
+    assert len(set(built)) == len(built)
+    assert len(built) <= len(candidate_lambdas(net, mask, "default")) + rr.refine_evals
+
+
+def sensed_anywhere(seed):
+    """A random graph with n from 4 to 7 and one or two sensors anywhere,
+    but not node 0 alone."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n = int(rng.integers(4, 8))
+        a = rng.uniform(0.1, 1.0, size=(n, n)) * (rng.uniform(size=(n, n)) < 0.5)
+        np.fill_diagonal(a, rng.uniform(0.1, 1.0, size=n))
+        sensors = tuple(int(s) for s in
+                        rng.choice(n, size=int(rng.integers(1, 3)), replace=False))
+        if sensors != (0,):
+            try:
+                return net_of(a, sensors=sensors)
+            except UnobservableSystemError:
+                pass
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_radius_does_not_depend_on_where_the_sensors_sit(seed):
+    # the input against its relabeling with the sensors first (in the order
+    # given) and the other nodes in ascending order: the reduction reads the
+    # columns free and the lambda-gradient the rows free wherever they sit,
+    # and a random start's rows move with the nodes (graph 0 lands 15% higher
+    # when they are drawn in node order)
+    net, mask = sensed_anywhere(seed)
+    order = list(net.sensors) + [i for i in range(net.n) if i not in net.sensors]
+    moved, moved_mask = net_of(net.weights[np.ix_(order, order)],
+                               sensors=range(len(net.sensors)))
+    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
+    rr = solve_radius(net, mask, "topo", cfg)
+    ref = solve_radius(moved, moved_mask, "topo", cfg)
+    assert rr.best.verification.verified and ref.best.verification.verified
+    assert rr.cost == pytest.approx(ref.cost, rel=1e-9)
+    assert rr.lambda_star == pytest.approx(ref.lambda_star, rel=1e-9)
+    delta = rr.best.perturbation.delta[np.ix_(order, order)]
+    assert np.abs(delta - ref.best.perturbation.delta).max() <= 1e-9 * ref.cost
