@@ -208,6 +208,7 @@ def star_radius(a) -> OracleResult:
     diag = np.diag(a)[1:]
     order = np.argsort(diag, kind="stable")
     diffs = np.diff(diag[order])
+    # the closest pair is adjacent once sorted: solver.candidate_lambdas relies on it
     j = int(np.argmin(diffs))
     gamma = float(diffs[j]) / np.sqrt(2.0)
     if cost_spoke <= gamma:

@@ -315,6 +315,9 @@ class FixedLambdaResult:
     verification: object = None
     failure: str | None = None
     iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
+    # a restart's later seeds while its triple awaits reconstruction
+    # (heuristic_iterate, _polish_seeds)
+    later: object = field(default=None, repr=False, compare=False)
 
     @property
     def sigma(self):
@@ -486,24 +489,52 @@ def _sweep(asms, starts, cfg):
 
 def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
                       sweep: _Sweep, pencil) -> FixedLambdaResult:
-    """The polish of one restart, from its row of a sweep block.
+    """The polish of one restart, from its row of a sweep block, up to its
+    first triple that passes the cheap checks.
 
     sweep is the restart's _Sweep, as _sweep returned it, and pencil the
     candidate's PencilAssembly of rp, on the route the sweep ran on.
-    Levenberg-Marquardt polishes, until one is accepted (_accept): the best
-    sweep iterate (by stationarity residual), the last one, a random draw
-    from the restart's seed and the start (ahead of the draw when the sweep
-    took no step). _accept reconstructs the perturbation and reports
-    ||H z - sigma_bar D z||.
+    Levenberg-Marquardt polishes, until one converges to a triple that
+    passes _checked_triple (not collapsed, sigma nonzero, a unit triple):
+    the best sweep iterate (by stationarity residual), the last one, a
+    random draw from the restart's seed and the start (ahead of the draw
+    when the sweep took no step).
+
+    Nothing is reconstructed here. A restart that finds such a triple comes
+    back converged with the triple but no perturbation (its cost reads inf),
+    and later holds its remaining seeds, polished on demand (_polish_seeds).
+    _polish_restarts ranks the restarts of a candidate by the cost their
+    triples will have and reconstructs in rank order until one passes; a
+    triple rejected there as spurious sends its restart on to its next seed,
+    as a rejection here would. Only the rejection of a triple ranked below
+    the winner, which is never reconstructed, can make the winner differ
+    from the one that reconstructing every restart would give.
 
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
     """
+    return _next_triple(_polish_seeds(rp, cf, cfg, sweep, pencil))
+
+
+def _next_triple(polishes, reason=None):
+    """The next result of a restart's _polish_seeds, resumed with the reason
+    its last triple was rejected (None to start it); a converged result
+    keeps polishes as later."""
+    res = polishes.send(reason)
+    return replace(res, later=polishes) if res.converged else res
+
+
+def _polish_seeds(rp, cf, cfg, sweep, pencil):
+    """heuristic_iterate's restart as a generator: yields one converged,
+    unreconstructed result per seed whose polish passes _checked_triple, and
+    is resumed by send(reason) when that triple is rejected later on; yields
+    the restart's failure when the seeds run out."""
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
     nx, ny = pencil.nx, pencil.size - pencil.nx
     if sweep.init is None:
-        return FixedLambdaResult(lam=rp.lam, converged=False,
-                                 failure="degenerate initial vector")
+        yield FixedLambdaResult(lam=rp.lam, converged=False,
+                                failure="degenerate initial vector")
+        return
     trace_u, best_seed = sweep.trace, sweep.best
 
     seeds = []
@@ -532,37 +563,30 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
         gn_used += its
         if not ok:
             continue
-        res, detail = _accept(pencil, cf, u, cfg)
-        if res is not None:
-            break
-        failure = detail
-    else:  # no seed was accepted
-        return FixedLambdaResult(lam=rp.lam, converged=False,
-                                 iterations=sweep_used + gn_used,
-                                 phi_plus_mu=sweep.phi_plus_mu, failure=failure)
+        t, detail = _checked_triple(pencil, u)
+        if t is None:
+            failure = detail
+            continue
+        # iterates are the sweep passes followed by this polish sequence; the
+        # sweep passes are rows of the whole block's iterates, so they are
+        # copied out, and a kept result holds its own rows only
+        iterates = IterateTrace(asm=pencil, final=t, sweep=tuple(np.array(trace_u)),
+                                polish=tuple(us) + (detail,),
+                                keep_deltas=cfg.keep_delta_trace)
+        failure = yield FixedLambdaResult(
+            lam=rp.lam, converged=True, triple=t, iterations=sweep_used + gn_used,
+            phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
+    yield FixedLambdaResult(lam=rp.lam, converged=False,
+                            iterations=sweep_used + gn_used,
+                            phi_plus_mu=sweep.phi_plus_mu, failure=failure)
 
-    # iterates are the sweep passes followed by the winning polish sequence;
-    # the sweep passes are rows of the whole block's iterates, so they are
-    # copied out, and a kept result holds its own rows only
-    iterates = IterateTrace(
-        asm=pencil, final=res.triple, sweep=tuple(np.array(trace_u)),
-        polish=tuple(us) + (detail,), keep_deltas=cfg.keep_delta_trace)
-    return replace(res, iterations=sweep_used + gn_used,
-                   phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
 
-
-def _accept(asm, cf, u, cfg):
-    """The step after a converged polish on the assembly asm, for restarts
-    and continuation alike.
-
-    Orients sigma > 0, rejects the collapsed (x or y ~ 0) and zero-sigma
-    branches, maps u to a unit triple and reconstructs the perturbation.
-    The residual reported and held against conv_tol is ||H z - sigma_bar D z||
-    at the balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma: D is
-    quadratic in z, so it is the stationarity residual that the
-    reconstruction already took (r_stat) over sqrt(2). Returns (result,
-    oriented u), or (None, the reason u was rejected).
-    """
+def _checked_triple(asm, u):
+    """The cheap half of the step after a converged polish on the assembly
+    asm, for restarts and continuation alike: orients sigma > 0, rejects the
+    collapsed (x or y ~ 0) and zero-sigma branches and maps u to a unit
+    triple. Returns (triple, oriented u), or (None, the reason u was
+    rejected)."""
     nx = asm.nx
     if np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
         return None, "collapsed onto the trivial solution branch"
@@ -570,9 +594,24 @@ def _accept(asm, cf, u, cfg):
         u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
     if abs(u[-1]) < 1e-14:
         return None, "stationary point with zero sigma"
+    try:
+        return asm.triple(u), u
+    except ValueError as exc:
+        return None, f"spurious stationary point: {exc}"
+
+
+def _reconstruct(asm, cf, t, cfg):
+    """The costly half of the step after a converged polish: reconstructs
+    the perturbation of the triple t (from _checked_triple on asm) and holds
+    its residual against conv_tol. That residual is ||H z - sigma_bar D z||
+    at the balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma: D is
+    quadratic in z, so it is the stationarity residual that the
+    reconstruction already took (r_stat) over sqrt(2). Returns (result, None),
+    the result failed when the residual is above conv_tol, or (None, the
+    reason t was rejected as spurious).
+    """
     rp = asm.rp
     try:
-        t = asm.triple(u)
         rec = reconstruct_perturbation(rp, t, cf)
     except (SpuriousTripleError, ValueError) as exc:
         return None, f"spurious stationary point: {exc}"
@@ -580,7 +619,26 @@ def _accept(asm, cf, u, cfg):
     converged = res <= cfg.conv_tol
     return FixedLambdaResult(
         lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
-        failure=None if converged else f"pencil residual {res:.3e} above tolerance"), u
+        failure=None if converged else f"pencil residual {res:.3e} above tolerance"), None
+
+
+def _settle(cf, res, cfg):
+    """A restart's pending result res once its triple is reconstructed
+    (_reconstruct): converged, or failed on the residual test; or, when the
+    triple is rejected as spurious, the restart's next result."""
+    out, reason = _reconstruct(res.iterates.asm, cf, res.triple, cfg)
+    if out is None:
+        return _next_triple(res.later, reason)
+    return replace(res, converged=out.converged, reconstruction=out.reconstruction,
+                   failure=out.failure, later=None)
+
+
+def _triple_cost(rp, t):
+    """||Delta||_F of the perturbation the triple t reconstructs to, summed
+    as Perturbation sums it, so that it equals that reconstruction's cost
+    bit for bit."""
+    d = _in_columns(rp, _delta_bar(rp, t))
+    return float(np.sqrt(float(np.sum(d * d))))
 
 
 def _sensors_drawn_first(cf, draw):
@@ -664,23 +722,48 @@ def _sweep_candidates(cands, cfg):
 
 
 def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
-    """The best converged restart of one candidate: each restart's polish
-    runs in heuristic_iterate on its sweep row."""
-    best = None
-    failures = []
-    for r, sweep in enumerate(sweeps):
-        run_cfg = replace(cfg, seed=cfg.seed * 1009 + r)
-        res = heuristic_iterate(cand.asm.rp, cf, run_cfg, sweep=sweep, pencil=cand.asm)
-        if res.converged:
-            if best is None or res.cost < best.cost - 1e-15:
-                best = res
+    """The best converged restart of one candidate: ranked first,
+    reconstructed after.
+
+    Each restart polishes in heuristic_iterate on its sweep row, up to its
+    first triple that passes the cheap checks. The restarts are ranked by
+    the cost of their triples (_triple_cost, equal to the reconstruction's
+    bit for bit) under the rule that picks the winner: in restart order, a
+    cost below the incumbent's by more than 1e-15 takes its place. Only the
+    top-ranked triple is reconstructed (_reconstruct). If it passes, it
+    wins. If it is rejected as spurious, its restart goes on to its next
+    seed and the new triple is ranked in its place; if it fails the residual
+    test, its restart fails. Then the ranking is taken again.
+
+    Every restart that the winner would have beaten is left unreconstructed.
+    The winner is the one that reconstructing every restart would give,
+    unless one of those triples would have been rejected: its restart would
+    then have gone on to a later seed, which might have won.
+    """
+    rp = cand.asm.rp
+    results = [heuristic_iterate(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r),
+                                 sweep=sweep, pencil=cand.asm)
+               for r, sweep in enumerate(sweeps)]
+    costs = [_triple_cost(rp, res.triple) if res.converged else None for res in results]
+    failures = [res.failure for res in results if not res.converged]
+    while True:
+        top = None
+        for r, cost in enumerate(costs):
+            if cost is not None and (top is None or cost < costs[top] - 1e-15):
+                top = r
+        if top is None:
+            break
+        res = results[top] = _settle(cf, results[top], cfg)
+        if res.converged and res.reconstruction is not None:
+            return res
+        if res.converged:  # the restart's next triple
+            costs[top] = _triple_cost(rp, res.triple)
         else:
+            costs[top] = None
             failures.append(res.failure)
-    if best is None:
-        return FixedLambdaResult(lam=cand.asm.rp.lam, converged=False,
-                                 failure="all restarts failed: " +
-                                         "; ".join(sorted(set(f or "?" for f in failures))))
-    return best
+    return FixedLambdaResult(lam=rp.lam, converged=False,
+                             failure="all restarts failed: " +
+                                     "; ".join(sorted(set(f or "?" for f in failures))))
 
 
 def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
@@ -737,8 +820,11 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
     "topo": eigenvalues of all trailing principal submatrices of the
-    non-sensor block A[free][:, free] (net.free), plus pairwise means of its
-    diagonal (covers symmetry-type optima on hub topologies).
+    non-sensor block A[free][:, free] (net.free), plus the means of
+    neighbouring entries of its sorted diagonal (symmetry-type optima on hub
+    topologies: pulling two self-loops to their mean costs their distance
+    over sqrt(2), so the cheapest pair is always a neighbouring one, as in
+    analytic_oracles.star_radius).
     "default": the "topo" candidates plus 21 real points on [-2, 2], for
     optima at negative real lambda that "topo" alone misses on some sparse
     random graphs (it returns the cheapest single-edge cut there). Complex
@@ -752,10 +838,9 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     if isinstance(grid, str):
         if grid not in GRIDS:
             raise ValueError(f"unknown grid spec {grid!r}")
-        diag = np.diag(block)
+        diag = np.sort(np.diag(block))
         vals = [v for k in range(m) for v in np.linalg.eigvals(block[k:, k:])]
-        vals += [complex((diag[i] + diag[j]) / 2.0)
-                 for i in range(m) for j in range(i + 1, m)]
+        vals += [complex(v) for v in (diag[:-1] + diag[1:]) / 2.0]
         if grid == "default":
             vals += [complex(re, 0.0) for re in np.linspace(-2, 2, 21)]
     else:
@@ -798,7 +883,8 @@ def _continue_triple(rp, cf, t_prev, cfg):
     if u0 is None:
         return None
     u, its, ok, _ = _gn_core(asm.f_of, asm.j_of, u0, _POLISH_MAX_ITER, _POLISH_TOL)
-    res = _accept(asm, cf, u, cfg)[0] if ok else None
+    t = _checked_triple(asm, u)[0] if ok else None
+    res = None if t is None else _reconstruct(asm, cf, t, cfg)[0]
     if res is None or not res.converged:
         return None
     return replace(res, iterations=its)
