@@ -168,7 +168,8 @@ def _stationarity_fj(at, v_bar):
     """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
 
     F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows;
-    f_of takes one u or a stack of them (rows).
+    f_of and j_of take one u or a stack of them (rows), and every row of a
+    stack gets the bits its u alone gets.
     At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
     diagonal blocks; on the half-size route of a real lambda it is
     A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
@@ -187,34 +188,44 @@ def _stationarity_fj(at, v_bar):
         return _residual(at, att, v_bar, u)
 
     def j_of(u):
-        # one preallocated Jacobian, rows (x-equations, y-equations, the two
-        # norm rows) by columns (x, y, sigma). The derivative of the
+        # one preallocated Jacobian per u, rows (x-equations, y-equations,
+        # the two norm rows) by columns (x, y, sigma). The derivative of the
         # y-equations in x is the transpose of that of the x-equations in y.
         # The zeros of the -sig * D_y and -sig * D_x blocks carry the sign
-        # of -sig * 0.0, so the matrix equals the dense block product bit
-        # for bit, signed zeros included.
-        x, y, sig = u[:nx], u[nx:nx + ny], u[-1]
+        # of -sig * 0.0, so each matrix equals the dense block product bit
+        # for bit, signed zeros included. D's diagonals give every row of a
+        # stack its own bits (_weighting_diagonals), and every other step is
+        # elementwise over the leading axes, so a row of a stack gets the
+        # bits of its u alone.
+        lead = u.shape[:-1]
+        x, y = u[..., :nx], u[..., nx:nx + ny]
+        if u.ndim == 1:  # sigma as a scalar, numpy's fast path
+            sig = sig3 = u[-1]
+        else:  # sigma against the diagonals and against the matrices
+            sig = u[:, -1:]
+            sig3 = sig[:, :, None]
         d_y, d_x = _weighting_diagonals(v_bar, x, y)
-        o = np.outer(x, y)
+        o = x[..., :, None] * y[..., None, :]
         if blocks == 1:
             w = 2 * o
         else:
-            w = np.empty((nx, ny))
-            w[:m, :n] = 2 * o[:m, :n] + o[m:, n:]
-            w[:m, n:] = o[m:, :n]
-            w[m:, :n] = o[:m, n:]
-            w[m:, n:] = o[:m, :n] + 2 * o[m:, n:]
-        sw = sig * (vtb * w)
-        j = np.zeros((nx + ny + 2, cols))
-        j[:nx, :nx] = -sig * 0.0
-        j[nx:nx + ny, nx:nx + ny] = -sig * 0.0
-        j.flat[positions] = -sig * np.concatenate(d_y + d_x)
-        j[:nx, nx:nx + ny] = att - sw
-        j[nx:nx + ny, :nx] = at - sw.T
-        j[:nx, -1] = -_weighted(d_y, x)
-        j[nx:nx + ny, -1] = -_weighted(d_x, y)
-        j[-2, :nx] = x
-        j[-1, nx:nx + ny] = y
+            w = np.empty(lead + (nx, ny))
+            w[..., :m, :n] = 2 * o[..., :m, :n] + o[..., m:, n:]
+            w[..., :m, n:] = o[..., m:, :n]
+            w[..., m:, :n] = o[..., :m, n:]
+            w[..., m:, n:] = o[..., :m, :n] + 2 * o[..., m:, n:]
+        sw = sig3 * (vtb * w)
+        zero = -sig3 * 0.0
+        j = np.zeros(lead + (nx + ny + 2, cols))
+        j[..., :nx, :nx] = zero
+        j[..., nx:nx + ny, nx:nx + ny] = zero
+        j.reshape(lead + (-1,))[..., positions] = -sig * np.concatenate(d_y + d_x, axis=-1)
+        j[..., :nx, nx:nx + ny] = att - sw
+        j[..., nx:nx + ny, :nx] = at - sw.swapaxes(-1, -2)
+        j[..., :nx, -1] = -_weighted(d_y, x)
+        j[..., nx:nx + ny, -1] = -_weighted(d_x, y)
+        j[..., -2, :nx] = x
+        j[..., -1, nx:nx + ny] = y
         return j
 
     return f_of, j_of

@@ -45,6 +45,10 @@ class SolverConfig:
             raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        if self.sweep_iters < 0:
+            raise ValueError(f"sweep_iters must be >= 0, got {self.sweep_iters}")
 
 
 # Levenberg-Marquardt budget and convergence test (inf-norm of F) of every
@@ -58,6 +62,11 @@ _COND_LIMIT = 1e14
 # half the lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below
 # which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
+# Most rows of one lockstep block: sweep rows (candidates times restarts) of
+# a sweep-ahead block in solve_radius, and restarts of one polish wave. The
+# cap bounds the memory of a block, whose stacked pencils and Jacobians grow
+# with the rows; it does not change any answer.
+_BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -167,8 +176,46 @@ def _u_of_pencil(h, d, z):
 # equations plus (|x|^2 - 1)/2 and (|y|^2 - 1)/2.
 
 
+@dataclass(eq=False, slots=True)
+class _LMRun:
+    """One row of a _gn_core block: its point u, F there (f, ff = ||F||^2),
+    the accepted iterates, ||F|| at every point reached, Jacobians taken
+    (its) and the damping carried over (mu); while it tries steps from u,
+    the SVD factors s, vt and g = U'F, the step weights w, the damping and
+    its growth factor and the predicted decrease of the current trial; once
+    it stops, what _gn_core returns for it (out)."""
+
+    u: np.ndarray
+    f: np.ndarray
+    us: list
+    norms: list = field(default_factory=list)
+    mu: float = 0.0
+    its: int = 0
+    ff: float = 0.0
+    s: np.ndarray | None = None
+    vt: np.ndarray | None = None
+    g: np.ndarray | None = None
+    w: np.ndarray | None = None
+    damp: float = 0.0
+    nu: float = 2.0
+    pred: float = 0.0
+    out: tuple | None = None
+
+
 def _gn_core(f_of, j_of, u0, max_iter, tol):
-    """Levenberg-Marquardt on ||F(u)||_2 from u0.
+    """Levenberg-Marquardt on ||F(u)||_2 from every row of u0, in lockstep.
+
+    The rows of u0 (shape (rows, k)) run in rounds. In each round every
+    live row at a new point passes the exits below and takes its Jacobian,
+    and then every live row runs one trial, so a row takes at most one
+    Jacobian and one residual per round. A round makes one stacked call of
+    f_of for all its trials, one of j_of for all its Jacobians and one
+    stacked np.linalg.svd; f_of and j_of give every row of a stack the bits
+    it gets alone, and a stacked SVD runs LAPACK matrix by matrix. The rest
+    (U'F, the steps, the sums and norms, the exits and the damping) is done
+    row by row with the one-vector numpy calls, so every row gets exactly
+    what a block of that row alone gets: u, the count, the exit and the
+    iterates, bit for bit. A row leaves the block at its own exit.
 
     One SVD J = U diag(s) V' per Jacobian serves every trial at that point:
     the step with damping mu is -V diag(s / (s^2 + mu)) U'F, and a trial
@@ -205,54 +252,85 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     lowest.
 
     A run that stops at either exit fails like any other, and
-    heuristic_iterate reports it as "did not converge".
+    heuristic_iterate reports it as "did not converge". So does a run out
+    of budget: at the point after its max_iter-th Jacobian it converged or
+    failed.
 
-    Returns (u, Jacobians taken, converged, accepted iterates); ||F|| falls
-    strictly along the accepted iterates.
+    Returns, row by row, (u, Jacobians taken, converged, accepted iterates);
+    ||F|| falls strictly along the accepted iterates.
     """
     eps = np.finfo(float).eps
-    u = u0.copy()
-    f = f_of(u)
-    us = [u]
-    norms = []  # ||F|| at every point the loop reaches
-    mu = 0.0
-    its = 0
-    for its in range(1, max_iter + 1):
-        if np.linalg.norm(f, np.inf) <= tol:
-            return u, its - 1, True, us
-        ff = f @ f
-        norms.append(np.sqrt(ff))
-        # no progress: ||F|| fell by less than 1e-4 relative over 10 Jacobians
-        if its > 10 and norms[-1] > (1.0 - 1e-4) * norms[-11]:
-            return u, its - 1, False, us
-        jac = j_of(u)
-        left, s, vt = np.linalg.svd(jac, full_matrices=False)
-        g = left.T @ f
-        # the relative gradient: stationary for ||F|| with F != 0
-        if np.linalg.norm(s * g) <= 1e-6 * s[0] * norms[-1]:
-            return u, its, False, us
-        w = np.divide(1.0, s, out=np.zeros_like(s),
-                      where=s > eps * max(jac.shape) * s[0])
-        damp, nu = 0.0, 2.0
-        while True:
-            r = s * w
-            pred = float(np.sum(g * g * r * (2.0 - r)))
-            if not pred > eps * ff:  # NaN in F fails here too
-                return u, its, False, us
-            trial = u - vt.T @ (w * g)
-            ft = f_of(trial)
-            gain = ff - ft @ ft
-            if gain > 1e-4 * pred:
-                break
-            if damp == 0.0:
-                damp = mu or 1e-3 * s[0] ** 2
+    u0 = np.array(u0, dtype=float)
+    runs = [_LMRun(u=u, f=f, us=[u]) for u, f in zip(u0, _stacked(f_of, list(u0)))]
+    live = runs
+    while live:
+        fresh = []  # rows at a new point that take a Jacobian this round
+        for run in live:
+            if run.s is not None:
+                continue
+            run.its += 1
+            if np.linalg.norm(run.f, np.inf) <= tol:
+                run.out = (run.u, run.its - 1, True, run.us)
+            elif run.its > max_iter:
+                run.out = (run.u, max_iter, False, run.us)
             else:
-                damp, nu = damp * nu, 2.0 * nu
-            w = s / (s * s + damp)
-        mu = damp * max(1.0 / 3.0, 1.0 - (2.0 * gain / pred - 1.0) ** 3)
-        u, f = trial, ft
-        us.append(u)
-    return u, its, bool(np.linalg.norm(f, np.inf) <= tol), us
+                run.ff = run.f @ run.f
+                run.norms.append(np.sqrt(run.ff))
+                # no progress: ||F|| fell by less than 1e-4 relative over 10
+                # Jacobians
+                if run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]:
+                    run.out = (run.u, run.its - 1, False, run.us)
+                else:
+                    fresh.append(run)
+        if fresh:
+            jac = _stacked(j_of, [run.u for run in fresh])
+            left, s, vt = np.linalg.svd(jac, full_matrices=False)
+            cut = eps * max(jac.shape[1:])
+            for run, left_k, s_k, vt_k in zip(fresh, left, s, vt):
+                g = left_k.T @ run.f
+                # the relative gradient: stationary for ||F|| with F != 0
+                if np.linalg.norm(s_k * g) <= 1e-6 * s_k[0] * run.norms[-1]:
+                    run.out = (run.u, run.its, False, run.us)
+                    continue
+                run.s, run.vt, run.g, run.damp, run.nu = s_k, vt_k, g, 0.0, 2.0
+                run.w = np.divide(1.0, s_k, out=np.zeros_like(s_k),
+                                  where=s_k > cut * s_k[0])
+        trying, steps = [], []
+        for run in live:
+            if run.out is not None:
+                continue
+            r = run.s * run.w
+            run.pred = float(np.sum(run.g * run.g * r * (2.0 - r)))
+            if not run.pred > eps * run.ff:  # NaN in F fails here too
+                run.out = (run.u, run.its, False, run.us)
+                continue
+            trying.append(run)
+            steps.append(run.u - run.vt.T @ (run.w * run.g))
+        if trying:
+            for run, trial, ft in zip(trying, steps, _stacked(f_of, steps)):
+                gain = run.ff - ft @ ft
+                if gain > 1e-4 * run.pred:
+                    run.mu = run.damp * max(1.0 / 3.0,
+                                            1.0 - (2.0 * gain / run.pred - 1.0) ** 3)
+                    run.u, run.f, run.s = trial, ft, None
+                    run.us.append(trial)
+                    continue
+                if run.damp == 0.0:
+                    run.damp = run.mu or 1e-3 * run.s[0] ** 2
+                else:
+                    run.damp, run.nu = run.damp * run.nu, 2.0 * run.nu
+                run.w = run.s / (run.s * run.s + run.damp)
+        live = trying
+    return [run.out for run in runs]
+
+
+def _stacked(fn, vectors):
+    """fn of a list of vectors as one stack, with a leading row axis. A
+    single vector takes fn's one-vector path, which the polish kernel gives
+    the same bits as a row of a stack, at less cost."""
+    if len(vectors) == 1:
+        return fn(vectors[0])[None]
+    return fn(np.array(vectors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -315,8 +393,8 @@ class FixedLambdaResult:
     verification: object = None
     failure: str | None = None
     iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
-    # a restart's later seeds while its triple awaits reconstruction
-    # (heuristic_iterate, _polish_seeds)
+    # a restart's _Restart, with its later seeds, while its triple awaits
+    # reconstruction (heuristic_iterate, _next_triple)
     later: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -488,7 +566,7 @@ def _sweep(asms, starts, cfg):
 
 
 def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
-                      sweep: _Sweep, pencil) -> FixedLambdaResult:
+                      sweep: _Sweep, pencil, block=None) -> FixedLambdaResult:
     """The polish of one restart, from its row of a sweep block, up to its
     first triple that passes the cheap checks.
 
@@ -500,85 +578,151 @@ def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
     random draw from the restart's seed and the start (ahead of the draw
     when the sweep took no step).
 
+    block holds the _Restart of every restart of the candidate, made from
+    the same arguments, when they polish in lockstep (_polish_restarts);
+    this restart's is the one that holds sweep. The seeds are polished in
+    waves (_wave): wave k polishes seed k of every restart of the block
+    that is still searching, as one _gn_core block, and a restart whose
+    polish fails or whose triple fails _checked_triple joins the next wave.
+    The waves run until this restart stops searching; those of the other
+    restarts go on in their own calls. Without block the restart is a block
+    of its own. _gn_core gives every row the bits of a block of one, so the
+    result is the same either way, and that of polishing one seed at a
+    time.
+
     Nothing is reconstructed here. A restart that finds such a triple comes
     back converged with the triple but no perturbation (its cost reads inf),
-    and later holds its remaining seeds, polished on demand (_polish_seeds).
-    _polish_restarts ranks the restarts of a candidate by the cost their
-    triples will have and reconstructs in rank order until one passes; a
-    triple rejected there as spurious sends its restart on to its next seed,
-    as a rejection here would. Only the rejection of a triple ranked below
-    the winner, which is never reconstructed, can make the winner differ
-    from the one that reconstructing every restart would give.
+    and later holds its _Restart, whose remaining seeds are polished on
+    demand (_next_triple). _polish_restarts ranks the restarts of a
+    candidate by the cost their triples will have and reconstructs in rank
+    order until one passes; a triple rejected there as spurious sends its
+    restart on to its next seed, as a rejection here would. Only the
+    rejection of a triple ranked below the winner, which is never
+    reconstructed, can make the winner differ from the one that
+    reconstructing every restart would give.
 
     The iterates are returned raw (iterates); history, polish_start and
     delta_trace are built from them on first access.
     """
-    return _next_triple(_polish_seeds(rp, cf, cfg, sweep, pencil))
+    if block is None:
+        block = [_Restart.start(rp, cf, cfg, sweep, pencil)]
+    return _polished(next(r for r in block if r.sweep is sweep), block)
 
 
-def _next_triple(polishes, reason=None):
-    """The next result of a restart's _polish_seeds, resumed with the reason
-    its last triple was rejected (None to start it); a converged result
-    keeps polishes as later."""
-    res = polishes.send(reason)
-    return replace(res, later=polishes) if res.converged else res
+def _next_triple(restart, reason):
+    """The next result of a restart whose last triple was rejected for
+    reason: its remaining seeds, polished as blocks of one row."""
+    restart.resume(reason)
+    return _polished(restart, [restart])
 
 
-def _polish_seeds(rp, cf, cfg, sweep, pencil):
-    """heuristic_iterate's restart as a generator: yields one converged,
-    unreconstructed result per seed whose polish passes _checked_triple, and
-    is resumed by send(reason) when that triple is rejected later on; yields
-    the restart's failure when the seeds run out."""
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
-    nx, ny = pencil.nx, pencil.size - pencil.nx
-    if sweep.init is None:
-        yield FixedLambdaResult(lam=rp.lam, converged=False,
-                                failure="degenerate initial vector")
-        return
-    trace_u, best_seed = sweep.trace, sweep.best
+def _polished(restart, block):
+    """The result of restart once the waves of block have run until it
+    stops searching; a converged one keeps the restart as later."""
+    while restart.result is None:
+        _wave(block)
+    res = restart.result
+    return replace(res, later=restart) if res.converged else res
 
-    seeds = []
-    if best_seed is not None:
-        seeds.append(best_seed)
-    if trace_u and (best_seed is None or not np.array_equal(trace_u[-1], best_seed)):
-        seeds.append(trace_u[-1])
-    if not trace_u:
-        # the sweep died on the initial vector (singular pencil there, e.g.
-        # a start with zero imaginary blocks at real lambda): that vector is
-        # the only information available, so polish it before any random
-        # fallback instead of dropping it on the floor
-        seeds.append(sweep.init)
-    xs = rng.standard_normal(nx)
-    ys = _sensors_drawn_first(cf, rng.standard_normal(ny))
-    seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys), [0.5]]))
-    if trace_u:
-        seeds.append(sweep.init)
 
-    sweep_used = len(trace_u)
-    gn_used = 0
-    failure = "did not converge"
-    for u0 in seeds:
-        u, its, ok, us = _gn_core(pencil.f_of, pencil.j_of, u0, _POLISH_MAX_ITER,
-                                  _POLISH_TOL)
-        gn_used += its
-        if not ok:
-            continue
-        t, detail = _checked_triple(pencil, u)
-        if t is None:
-            failure = detail
-            continue
-        # iterates are the sweep passes followed by this polish sequence; the
-        # sweep passes are rows of the whole block's iterates, so they are
-        # copied out, and a kept result holds its own rows only
-        iterates = IterateTrace(asm=pencil, final=t, sweep=tuple(np.array(trace_u)),
-                                polish=tuple(us) + (detail,),
-                                keep_deltas=cfg.keep_delta_trace)
-        failure = yield FixedLambdaResult(
-            lam=rp.lam, converged=True, triple=t, iterations=sweep_used + gn_used,
-            phi_plus_mu=sweep.phi_plus_mu, iterates=iterates)
-    yield FixedLambdaResult(lam=rp.lam, converged=False,
-                            iterations=sweep_used + gn_used,
-                            phi_plus_mu=sweep.phi_plus_mu, failure=failure)
+@dataclass(eq=False)
+class _Restart:
+    """One restart's polish between waves: its seeds (polished in turn),
+    how many of them are polished, the Jacobians those polishes took, the
+    reason the last triple was rejected and, once the restart stops
+    searching, its result: converged with a triple that passes
+    _checked_triple, unreconstructed, or failed when the seeds ran out."""
+
+    rp: ReducedProblem
+    cfg: SolverConfig
+    sweep: _Sweep
+    pencil: PencilAssembly
+    seeds: list
+    polished: int = 0
+    gn_used: int = 0
+    failure: str = "did not converge"
+    result: FixedLambdaResult | None = None
+
+    @classmethod
+    def start(cls, rp, cf, cfg, sweep, pencil):
+        """The restart of the sweep row sweep, before its first polish; the
+        random seed is drawn from cfg.seed."""
+        if sweep.init is None:
+            return cls(rp, cfg, sweep, pencil, [], result=FixedLambdaResult(
+                lam=rp.lam, converged=False, failure="degenerate initial vector"))
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
+        nx, ny = pencil.nx, pencil.size - pencil.nx
+        trace_u, best_seed = sweep.trace, sweep.best
+        seeds = []
+        if best_seed is not None:
+            seeds.append(best_seed)
+        if trace_u and (best_seed is None or not np.array_equal(trace_u[-1], best_seed)):
+            seeds.append(trace_u[-1])
+        if not trace_u:
+            # the sweep died on the initial vector (singular pencil there,
+            # e.g. a start with zero imaginary blocks at real lambda): that
+            # vector is the only information available, so polish it before
+            # any random fallback instead of dropping it on the floor
+            seeds.append(sweep.init)
+        xs = rng.standard_normal(nx)
+        ys = _sensors_drawn_first(cf, rng.standard_normal(ny))
+        seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys),
+                                     [0.5]]))
+        if trace_u:
+            seeds.append(sweep.init)
+        return cls(rp, cfg, sweep, pencil, seeds)
+
+    def take(self, polish):
+        """Records the polish (u, Jacobians, converged, iterates) of the next
+        seed."""
+        u, its, ok, us = polish
+        self.polished += 1
+        self.gn_used += its
+        if ok:
+            t, detail = _checked_triple(self.pencil, u)
+            if t is not None:
+                # iterates are the sweep passes followed by this polish
+                # sequence; the sweep passes are rows of the whole block's
+                # iterates, so they are copied out, and a kept result holds
+                # its own rows only
+                iterates = IterateTrace(
+                    asm=self.pencil, final=t, sweep=tuple(np.array(self.sweep.trace)),
+                    polish=tuple(us) + (detail,), keep_deltas=self.cfg.keep_delta_trace)
+                self.result = FixedLambdaResult(
+                    lam=self.rp.lam, converged=True, triple=t,
+                    iterations=len(self.sweep.trace) + self.gn_used,
+                    phi_plus_mu=self.sweep.phi_plus_mu, iterates=iterates)
+                return
+            self.failure = detail
+        if self.polished == len(self.seeds):
+            self._fail()
+
+    def resume(self, reason):
+        """Searches on from the seed after the one whose triple was rejected
+        for reason; fails at once when there is none."""
+        self.failure, self.result = reason, None
+        if self.polished == len(self.seeds):
+            self._fail()
+
+    def _fail(self):
+        self.result = FixedLambdaResult(
+            lam=self.rp.lam, converged=False,
+            iterations=len(self.sweep.trace) + self.gn_used,
+            phi_plus_mu=self.sweep.phi_plus_mu, failure=self.failure)
+
+
+def _wave(block):
+    """The next seed of every restart of block that is still searching,
+    polished in _gn_core blocks of at most _BLOCK_ROWS rows."""
+    searching = [r for r in block if r.result is None]
+    for i in range(0, len(searching), _BLOCK_ROWS):
+        part = searching[i:i + _BLOCK_ROWS]
+        pencil = part[0].pencil
+        polishes = _gn_core(pencil.f_of, pencil.j_of,
+                            np.array([r.seeds[r.polished] for r in part]),
+                            _POLISH_MAX_ITER, _POLISH_TOL)
+        for restart, polish in zip(part, polishes):
+            restart.take(polish)
 
 
 def _checked_triple(asm, u):
@@ -726,7 +870,12 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
     reconstructed after.
 
     Each restart polishes in heuristic_iterate on its sweep row, up to its
-    first triple that passes the cheap checks. The restarts are ranked by
+    first triple that passes the cheap checks, and the restarts polish in
+    lockstep: their seeds go through _gn_core in waves, seed k of every
+    restart still searching in wave k, a block of at most cfg.restarts and
+    _BLOCK_ROWS rows. A restart resumed after a rejected triple polishes
+    alone, as a block of one row. Every restart gets the bits it gets
+    polished alone, one seed at a time. The restarts are ranked by
     the cost of their triples (_triple_cost, equal to the reconstruction's
     bit for bit) under the rule that picks the winner: in restart order, a
     cost below the incumbent's by more than 1e-15 takes its place. Only the
@@ -741,9 +890,10 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
     then have gone on to a later seed, which might have won.
     """
     rp = cand.asm.rp
-    results = [heuristic_iterate(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r),
-                                 sweep=sweep, pencil=cand.asm)
-               for r, sweep in enumerate(sweeps)]
+    cfgs = [replace(cfg, seed=cfg.seed * 1009 + r) for r in range(len(sweeps))]
+    block = [_Restart.start(rp, cf, c, sweep, cand.asm) for c, sweep in zip(cfgs, sweeps)]
+    results = [heuristic_iterate(rp, cf, c, sweep=sweep, pencil=cand.asm, block=block)
+               for c, sweep in zip(cfgs, sweeps)]
     costs = [_triple_cost(rp, res.triple) if res.converged else None for res in results]
     failures = [res.failure for res in results if not res.converged]
     while True:
@@ -788,8 +938,10 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
     draw random unit vectors from per-restart seeded streams. Winner is the
     minimum-cost converged run, re-verified against the original system
     before return. If nothing converges an explicit failure result comes
-    back rather than a silent wrong answer.
+    back rather than a silent wrong answer. A lam that is not finite is an
+    input error (ValueError).
     """
+    _finite_lambda(lam)
     best = _best_of_restarts(canonicalize(net, mask), lam, cfg)
     if not best.converged:
         return best
@@ -803,10 +955,12 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 # the named candidate grids of candidate_lambdas
 GRIDS = ("default", "topo")
 
-# Most sweep rows (candidates times restarts) of one sweep-ahead block in
-# solve_radius. The cap bounds the memory of a block, whose stacked pencils
-# grow with the rows; it does not change any answer.
-_BLOCK_ROWS = 64
+def _finite_lambda(lam):
+    """lam as a complex number; ValueError when a part is NaN or infinite."""
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"candidate lambda must be finite, got {lam!r}")
+    return lam
 
 
 def _fold(lam):
@@ -829,7 +983,8 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     optima at negative real lambda that "topo" alone misses on some sparse
     random graphs (it returns the cheapest single-edge cut there). Complex
     optima off the "topo" points are left to solve_radius's lambda descent.
-    Or pass an explicit iterable of complex numbers.
+    Or pass an explicit iterable of complex numbers, all finite (ValueError
+    otherwise, before any work).
     Conjugates are folded onto the closed upper half plane. The grids come
     from A and the sensors alone; mask is not read.
     """
@@ -844,7 +999,7 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
         if grid == "default":
             vals += [complex(re, 0.0) for re in np.linspace(-2, 2, 21)]
     else:
-        vals = [complex(v) for v in grid]
+        vals = [_finite_lambda(v) for v in grid]
         if not vals:
             raise ValueError("explicit candidate grid is empty")
     folded = sorted(map(_fold, vals), key=lambda v: (v.real, v.imag))
@@ -882,7 +1037,8 @@ def _continue_triple(rp, cf, t_prev, cfg):
     u0 = asm.u_of(t_prev)
     if u0 is None:
         return None
-    u, its, ok, _ = _gn_core(asm.f_of, asm.j_of, u0, _POLISH_MAX_ITER, _POLISH_TOL)
+    (u, its, ok, _), = _gn_core(asm.f_of, asm.j_of, u0[None], _POLISH_MAX_ITER,
+                                _POLISH_TOL)
     t = _checked_triple(asm, u)[0] if ok else None
     res = None if t is None else _reconstruct(asm, cf, t, cfg)[0]
     if res is None or not res.converged:
@@ -962,8 +1118,8 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     that is already stationary in lambda no probe is spent and refine_evals
     stays 0.
     """
-    cf = canonicalize(net, mask)
     cands = candidate_lambdas(net, mask, grid)
+    cf = canonicalize(net, mask)
     bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None

@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -125,6 +126,35 @@ def test_config_validation():
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="conv_tol"):
             SolverConfig(conv_tol=tol)
+
+
+def test_config_rejects_a_negative_seed_and_sweep_count():
+    # a negative seed used to fail mid-solve in numpy's seed sequence, and
+    # a negative sweep count ran as 0
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        SolverConfig(seed=-1)
+    with pytest.raises(ValueError, match="sweep_iters must be >= 0, got -1"):
+        SolverConfig(sweep_iters=-1)
+    assert SolverConfig(seed=0, sweep_iters=0).sweep_iters == 0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.5, -np.inf),
+                                 complex(np.nan, 1.0)])
+def test_a_lambda_that_is_not_finite_is_an_input_error(monkeypatch, bad):
+    # it used to die in an SVD ("SVD did not converge"), or, next to a finite
+    # grid point, to be solved around; now it fails before any work
+    def no_work(*args):
+        raise AssertionError("solved a lambda that is not finite")
+
+    monkeypatch.setattr(solver, "canonicalize", no_work)
+    net, mask, _ = sample_network("line", 4, 42, 1)
+    with pytest.raises(ValueError, match="candidate lambda must be finite"):
+        solve_fixed_lambda(net, mask, bad)
+    for grid in ([bad], [0.5, bad]):
+        with pytest.raises(ValueError, match="candidate lambda must be finite"):
+            candidate_lambdas(net, mask, grid)
+        with pytest.raises(ValueError, match="candidate lambda must be finite"):
+            solve_radius(net, mask, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -392,25 +422,30 @@ ENSEMBLE_CFG = SolverConfig(restarts=4, sweep_iters=12, seed=4040)
 
 
 def record_polish(mp):
-    """Wrap solver._gn_core; every call appends a record of its residual
-    and Jacobian evaluations, its return value and its inputs."""
+    """Wrap solver._gn_core, which polishes a block of rows; every row of
+    every call appends a record of its residual and Jacobian evaluations,
+    its return value and its inputs. The block's return value is recorded;
+    the evaluations are counted on the row polished again as a block of one
+    row, where each call evaluates that row alone."""
     runs = []
     core = solver._gn_core
 
     def recording(f_of, j_of, u0, max_iter, tol):
-        calls = {"f": 0, "j": 0}
+        out = core(f_of, j_of, u0, max_iter, tol)
+        for row, row_out in zip(u0, out):
+            calls = {"f": 0, "j": 0}
 
-        def f_counted(u):
-            calls["f"] += 1
-            return f_of(u)
+            def f_counted(u):
+                calls["f"] += 1
+                return f_of(u)
 
-        def j_counted(u):
-            calls["j"] += 1
-            return j_of(u)
+            def j_counted(u):
+                calls["j"] += 1
+                return j_of(u)
 
-        out = core(f_counted, j_counted, u0, max_iter, tol)
-        runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=out,
-                         f_of=f_of, j_of=j_of, u0=u0, max_iter=max_iter, tol=tol))
+            core(f_counted, j_counted, row[None], max_iter, tol)
+            runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=row_out,
+                             f_of=f_of, j_of=j_of, u0=row, max_iter=max_iter, tol=tol))
         return out
 
     mp.setattr(solver, "_gn_core", recording)
@@ -521,12 +556,14 @@ def test_polish_stops_at_a_nonzero_residual_minimum():
     c = 0.99
 
     def f_of(u):
-        return np.array([u[0] + 1.0, c * u[0] ** 2 + u[0] - 1.0])
+        t = u[..., 0]
+        return np.stack([t + 1.0, c * t ** 2 + t - 1.0], axis=-1)
 
     def j_of(u):
-        return np.array([[1.0], [2.0 * c * u[0] + 1.0]])
+        t = u[..., 0]
+        return np.stack([np.ones_like(t), 2.0 * c * t + 1.0], axis=-1)[..., None]
 
-    u, its, ok, us = solver._gn_core(f_of, j_of, np.array([1e-4]), 60, 1e-12)
+    (u, its, ok, us), = solver._gn_core(f_of, j_of, np.array([[1e-4]]), 60, 1e-12)
     assert not ok
     assert its <= 5
     assert abs(u[0]) < 1e-4
@@ -547,6 +584,147 @@ def test_polish_gives_up_runs_that_make_no_progress(monkeypatch):
     assert res.converged
     # the cost the solve returned before the exit existed
     assert res.cost == pytest.approx(1.369563764841636, rel=1e-12)
+
+
+# a toy system on u = (t, p): p, rounded, picks the mode, and the
+# Jacobian's p column is zero, so no step moves p. Mode 1 has a root at
+# t = 0; mode 0 is the toy of test_polish_stops_at_a_nonzero_residual_minimum
+# and crawls; mode 2 is mode 0 with the Jacobian's sign wrong, so every step
+# climbs; mode 3 is t^2, where Gauss-Newton halves t at every step.
+TOY_C = 0.99
+
+
+def toy_f(u):
+    t, mode = u[..., 0], np.rint(u[..., 1])
+    root = mode == 1
+    first = np.where(mode == 3, t * t, t + 1.0 - root)
+    second = np.where(mode == 3, 0.0, TOY_C * t ** 2 + t - 1.0 + root)
+    return np.stack([first, second], axis=-1)
+
+
+def toy_j(u):
+    t, mode = u[..., 0], np.rint(u[..., 1])
+    d1 = np.where(mode == 3, 2.0 * t, 1.0)
+    d2 = np.where(mode == 3, 0.0, 2.0 * TOY_C * t + 1.0)
+    col = np.where(mode == 2, -1.0, 1.0)[..., None] * np.stack([d1, d2], axis=-1)
+    return np.stack([col, np.zeros_like(col)], axis=-1)
+
+
+def assert_same_polish(got, want):
+    """Two _gn_core results of one row, bit for bit: u, Jacobians taken,
+    converged and the accepted iterates."""
+    (u, its, ok, us), (u1, its1, ok1, us1) = got, want
+    assert raw(u) == raw(u1)
+    assert (its, ok) == (its1, ok1)
+    assert [raw(x) for x in us] == [raw(x) for x in us1]
+
+
+def test_block_polish_gives_every_row_what_a_block_of_one_gives():
+    # one block whose rows leave on different rounds, one through each exit
+    rows = np.array([[0.5, 1],    # converged
+                     [1.0, 3],    # out of budget: 12 halvings leave t^2 at 6e-8
+                     [1e-2, 0],   # no progress over 10 Jacobians
+                     [1e-4, 0],   # relative gradient at or below 1e-6
+                     [0.5, 2]])   # predicted decrease at or below eps ||F||^2
+    max_iter = 12
+    block = solver._gn_core(toy_f, toy_j, rows, max_iter, 1e-12)
+    for k, polish in enumerate(block):
+        assert_same_polish(polish, solver._gn_core(toy_f, toy_j, rows[k:k + 1],
+                                                   max_iter, 1e-12)[0])
+    (u0, its0, ok0, _), (_, its1, ok1, _), (_, its2, ok2, _), \
+        (u3, its3, ok3, _), (u4, its4, ok4, us4) = block
+    assert ok0 and np.linalg.norm(toy_f(u0), np.inf) <= 1e-12
+    assert not ok1 and its1 == max_iter
+    assert not ok2 and its2 == 10
+    assert not ok3 and its3 < 10
+    assert relative_gradient(toy_f, toy_j, u3) <= STATIONARY_EXIT
+    assert not ok4 and its4 == 1 and len(us4) == 1
+    assert len({its0, its1, its2, its3, its4}) == 5
+
+
+@pytest.mark.parametrize("case", ["c3_chain0", "line6"])
+def test_block_polish_of_every_seed_matches_each_seed_alone(case):
+    # every seed of every restart of a candidate, on the polish kernel of
+    # either route, as one block and as blocks of one row
+    if case == "c3_chain0":
+        net, mask, _ = sample_network("line", 3, 7, 0)
+        lam, cfg = 1j, C3_CFG
+    else:
+        (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
+    cf = canonicalize(net, mask)
+    cand = solver._candidate(cf, lam, cfg)
+    sweeps, = solver._sweep_candidates([cand], cfg)
+    seeds = np.array([u for r, sweep in enumerate(sweeps)
+                      for u in solver._Restart.start(
+                          cand.asm.rp, cf, replace(cfg, seed=cfg.seed * 1009 + r),
+                          sweep, cand.asm).seeds])
+    assert len(seeds) >= 3 * cfg.restarts
+    asm = cand.asm
+    block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
+                            solver._POLISH_TOL)
+    for k, polish in enumerate(block):
+        assert_same_polish(polish, solver._gn_core(
+            asm.f_of, asm.j_of, seeds[k:k + 1], solver._POLISH_MAX_ITER,
+            solver._POLISH_TOL)[0])
+    assert len({polish[1] for polish in block}) > 1
+
+
+def triple_digest(t):
+    """The first 16 hex digits of the sha256 of a triple's sigma, x and y
+    bytes."""
+    h = hashlib.sha256()
+    for part in (np.float64(t.sigma), t.x, t.y):
+        h.update(part.tobytes())
+    return h.hexdigest()[:16]
+
+
+# (converged, iterations, triple_digest) of every restart, in restart order,
+# as polishing one restart at a time, one seed at a time, gave them
+PINNED_RESTARTS = {
+    "c3_chain0": [
+        (True, 24, "ec88033b073da4bb"), (True, 24, "818ad83dfe66475d"),
+        (True, 24, "8cf50cfd5cc58480"), (True, 22, "152010eb7236d694"),
+        (True, 25, "914357c0459cbf60"), (True, 25, "0250ec63cc327759"),
+        (True, 25, "5f0c8b17efb6ec96"), (True, 25, "54da124f747b2500"),
+        (True, 24, "9dab3615c7eadf2a"), (True, 24, "980df0ec4000d802"),
+        (True, 21, "a4ecee34045f6b25"), (True, 24, "2a82c227e6c47833")],
+    "line6": [
+        (True, 17, "547588258a1f2e04"), (True, 13, "89bbb80fcbc1d8e0"),
+        (True, 17, "eab0d3a9b43ced5b"), (True, 17, "7967a96782766032")],
+    # restarts that polish two to four seeds, one of them in vain
+    "c3_chain3": [
+        (True, 115, "d703ed27aa8e53ff"), (True, 31, "2c46c58f8c8eb54d"),
+        (True, 19, "2f318281747949ea"), (True, 66, "3f3edafd6ee13580"),
+        (True, 22, "8af3f6bae4d5a842"), (True, 48, "ed711f3a1f888742"),
+        (False, 170, None), (True, 105, "7ea527d5ee8507dc"),
+        (True, 68, "2bea38efb7bbefd0"), (True, 39, "173e7cd0232d39f8"),
+        (True, 72, "3e446158704d3e80"), (True, 29, "72b533439efca524")],
+}
+
+
+@pytest.mark.parametrize("case", ["c3_chain0", "line6", "c3_chain3"])
+def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
+    # the benchmark tracer counts restarts and their iterations on
+    # heuristic_iterate's calls and results; the polish waves keep one call
+    # per restart with the result of that restart polished alone
+    if case == "line6":
+        (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
+    else:
+        net, mask, _ = sample_network("line", 3, 7, 0 if case == "c3_chain0" else 3)
+        lam, cfg = 1j, C3_CFG
+    got = []
+    iterate = solver.heuristic_iterate
+
+    def recording(*args, **kwargs):
+        res = iterate(*args, **kwargs)
+        got.append((res.converged, res.iterations,
+                    res.triple and triple_digest(res.triple)))
+        return res
+
+    monkeypatch.setattr(solver, "heuristic_iterate", recording)
+    assert solve_fixed_lambda(net, mask, lam, cfg).converged
+    assert len(got) == cfg.restarts
+    assert got == PINNED_RESTARTS[case]
 
 
 def assert_exit_margins(runs):
