@@ -765,8 +765,9 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
 def reference_sweep(asm, z0, cfg):
     """The sweep of one start as a loop over steps with one-vector numpy
     calls (@, np.linalg.norm, a solve per step): what every row of the
-    lockstep block must reproduce bit for bit. Returns (init, trace, best,
-    phi_plus_mu), with init None when the start degenerates."""
+    lockstep block must reproduce bit for bit. It stops after the step
+    where ||z_k - z_{k-1}|| falls below solver._STILL_TOL. Returns (init,
+    trace, best, phi_plus_mu), with init None when the start degenerates."""
     nx = asm.nx
 
     def rebalance(z):
@@ -821,6 +822,8 @@ def reference_sweep(asm, z0, cfg):
         merit = np.linalg.norm(asm.f_of(u))
         if merit < best_merit:
             best_merit, best = merit, u
+        if np.linalg.norm(zn - z) < solver._STILL_TOL:
+            break
         z = zn
     return init, trace, best, phi_plus_mu
 
@@ -898,20 +901,112 @@ def c3_chain3():
     return net, mask, 1j
 
 
+def cli_line4():
+    # the CLI benchmark pool's 4-node line at a real lambda of its default
+    # grid, solved with the CLI's defaults: some rows stop moving after 11
+    # or 16 of the 20 steps, the others run all 20
+    net, mask, _ = sample_network("line", 4, 2611, 0)
+    return net, mask, -0.2 + 0j
+
+
+def last_step(row):
+    """||z_k - z_{k-1}|| of a sweep row's last step, from the polish
+    variables u = (sqrt(2) z, sigma) of its start and steps."""
+    us = [row.init] + row.trace
+    return np.linalg.norm(us[-1][:-1] / np.sqrt(2.0) - us[-2][:-1] / np.sqrt(2.0))
+
+
+def assert_rows_stop_still(rows, cfg, least):
+    # exits before the last step at `least` different steps or more, each
+    # at a still iterate
+    short = [row for row in rows if 0 < len(row.trace) < cfg.sweep_iters]
+    assert len({len(row.trace) for row in short}) >= least
+    for row in short:
+        assert last_step(row) < 2 * solver._STILL_TOL
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line"])
+@pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line", "cli_line4"])
 def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
     if case == "c3_chain3":
         (net, mask, lam), cfg = c3_chain3(), C3_CFG
-    else:
+    elif case == "ensemble_line":
         (net, mask, lam), cfg = line6_candidate(4), ENSEMBLE_CFG
         assert lam.imag == 0.0  # the half-size route
+    else:
+        (net, mask, lam), cfg = cli_line4(), SolverConfig()
     lockstep, alone, reference = lockstep_and_alone(monkeypatch, net, mask, lam, cfg)
     assert_same_restarts(lockstep, alone, reference)
     steps = sum(len(row.trace) for row, _ in lockstep)
     if case == "c3_chain3":
         assert steps < cfg.restarts * cfg.sweep_iters
+    if case == "cli_line4":
+        # rows leave the block at their fixed points, at different steps,
+        # while others take every step
+        assert_rows_stop_still([row for row, _ in lockstep], cfg, 2)
+        assert steps < cfg.restarts * cfg.sweep_iters
+        assert any(len(row.trace) == cfg.sweep_iters for row, _ in lockstep)
     assert sum(res.converged for _, res in lockstep) >= 2
+
+
+def full_length_sweep(monkeypatch, cand, cfg):
+    """The sweep rows of a candidate with the fixed-point exit off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_STILL_TOL", 0.0)
+        return solver._sweep([cand.asm], [cand.starts], cfg)
+
+
+# the largest distance between a polish seed kept at the fixed-point exit
+# and the same seed of a full-length sweep, over every candidate polished in
+# the three benchmark pools and the 73 other random graphs, was 2.9e-6 (at
+# _STILL_TOL = 1e-8; 9.3e-8 in the CLI pool). Every restart polished from
+# the kept seeds converged, or failed, as it did from the full-length ones,
+# to the same stationary point. At _STILL_TOL = 1e-6 one seed moved by 2.3
+# and one restart's convergence changed.
+SEED_MARGIN = 1e-5
+
+
+def test_seeds_kept_at_the_exit_polish_to_the_same_point(monkeypatch):
+    net, mask, lam = cli_line4()
+    cfg = SolverConfig()
+    cf = canonicalize(net, mask)
+    cand = solver._candidate(cf, lam, cfg)
+    rows = solver._sweep([cand.asm], [cand.starts], cfg)
+    full = full_length_sweep(monkeypatch, cand, cfg)
+    assert any(len(row.trace) < len(row1.trace) for row, row1 in zip(rows, full))
+    rp = cand.asm.rp
+    for r, (row, row1) in enumerate(zip(rows, full)):
+        assert len(row.trace) <= len(row1.trace)
+        # the exit keeps the steps it took, bit for bit
+        assert [raw(u) for u in row.trace] == \
+            [raw(u) for u in row1.trace[:len(row.trace)]]
+        for seed, seed1 in ((row.best, row1.best), (row.trace[-1], row1.trace[-1])):
+            assert np.linalg.norm(seed - seed1) <= SEED_MARGIN
+        c = replace(cfg, seed=cfg.seed * 1009 + r)
+        res = solver.heuristic_iterate(rp, cf, c, sweep=row, pencil=cand.asm)
+        res1 = solver.heuristic_iterate(rp, cf, c, sweep=row1, pencil=cand.asm)
+        assert res.converged and res1.converged
+        assert solver._triple_cost(rp, res.triple) == pytest.approx(
+            solver._triple_cost(rp, res1.triple), rel=1e-12, abs=0.0)
+    best = solver._polish_restarts(cf, cand, rows, cfg)
+    best1 = solver._polish_restarts(cf, cand, full, cfg)
+    assert best.cost == pytest.approx(best1.cost, rel=1e-12, abs=0.0)
+
+
+def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
+    # C3's sweep rows never move less than 3.8e-3 in a step (100 chains), far
+    # above _STILL_TOL: every row runs until it breaks or takes all
+    # sweep_iters steps, so C3's outputs keep their bits
+    net, mask, lam = c3_chain3()
+    cand = solver._candidate(canonicalize(net, mask), lam, C3_CFG)
+    rows = solver._sweep([cand.asm], [cand.starts], C3_CFG)
+    full = full_length_sweep(monkeypatch, cand, C3_CFG)
+    for row, row1 in zip(rows, full):
+        assert [raw(u) for u in row.trace] == [raw(u) for u in row1.trace]
+        us = [row.init] + row.trace
+        for u, u1 in zip(us, us[1:]):
+            assert np.linalg.norm(u1[:-1] - u[:-1]) / np.sqrt(2.0) > 1e4 * solver._STILL_TOL
+    assert any(len(row.trace) < C3_CFG.sweep_iters for row in rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -962,19 +1057,25 @@ def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["c3", "backs_psi_off", "singular_row"])
+@pytest.mark.parametrize("case", ["c3", "backs_psi_off", "singular_row", "cli_line4"])
 def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
     # three complex candidates of C3's trial 3 in one block: rows of every
     # candidate leave before the 15 steps, so the row -> candidate index is
     # filtered mid-block. A condition limit of 1e6 backs psi off on some
     # rows; a singular shifted matrix of the first candidate at step 3 drops
-    # its row in the per-row fallback of the stacked solve
-    net, mask, lam = c3_chain3()
+    # its row in the per-row fallback of the stacked solve. Three real
+    # candidates of the CLI pool's 4-node line: rows of every candidate stop
+    # at their fixed points, at different steps
+    if case == "cli_line4":
+        net, mask, lam = cli_line4()
+        cfg, lams = SolverConfig(), (lam, -0.1 + 0j, 0.5 + 0j)
+    else:
+        net, mask, lam = c3_chain3()
+        cfg, lams = C3_CFG, (lam, 0.5 + 0.8j, 1.2j)
     cf = canonicalize(net, mask)
-    cfg = C3_CFG
     if case == "backs_psi_off":
         monkeypatch.setattr(solver, "_COND_LIMIT", 1e6)
-    cands = [solver._candidate(cf, lam, cfg) for lam in (lam, 0.5 + 0.8j, 1.2j)]
+    cands = [solver._candidate(cf, lam, cfg) for lam in lams]
     if case == "singular_row":
         solve, matrices = np.linalg.solve, []
 
@@ -1003,6 +1104,11 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
     for k in range(len(cands)):
         rows = block[k * cfg.restarts:(k + 1) * cfg.restarts]
         assert any(len(row.trace) < cfg.sweep_iters for row in rows)
+        if case == "cli_line4":
+            assert_rows_stop_still(rows, cfg, 1)
+    if case == "cli_line4":
+        lengths = {len(row.trace) for row in block}
+        assert len(lengths) >= 4 and cfg.sweep_iters in lengths
     if case == "singular_row":
         assert any(len(row.trace) == 3 for row in block[:cfg.restarts])
 
@@ -1470,7 +1576,7 @@ def test_refinement_skipped_at_lambda_stationary_winner(
     def no_probe(*args):
         raise AssertionError("the lambda descent probed a stationary winner")
 
-    monkeypatch.setattr(solver, "_continue_triple", no_probe)
+    monkeypatch.setattr(solver, "_continued", no_probe)
     net, mask, _ = sample_network(topology, 5, seed, trial)
     ora = (line_radius if topology == "line" else star_radius)(net.weights)
     cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
@@ -1487,13 +1593,13 @@ def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     ora = line_radius(net.weights)
     lam0 = ora.lambda_star + 0.05
     probes = []
-    cont = solver._continue_triple
+    cont = solver._continued
 
-    def recording(rp, cf, t_prev, cfg):
-        probes.append((t_prev, rp.lam))
-        return cont(rp, cf, t_prev, cfg)
+    def recording(asm, t_prev):
+        probes.append((t_prev, asm.rp.lam))
+        return cont(asm, t_prev)
 
-    monkeypatch.setattr(solver, "_continue_triple", recording)
+    monkeypatch.setattr(solver, "_continued", recording)
     rr = solve_radius(net, mask, [lam0],
                       SolverConfig(restarts=4, sweep_iters=12, seed=4040))
     # the incumbent is real, so the descent stays on the real axis; no
@@ -1577,6 +1683,44 @@ def test_lambda_descent_reaches_the_minimum(n, entries, scale, radius):
     assert rr.cost <= radius * (1.0 + 1e-6)
 
 
+def test_lambda_descent_reconstructs_only_the_probes_that_win(monkeypatch):
+    # each converged probe is ranked by its triple's cost; only one that
+    # beats the incumbent by more than 1e-12 is reconstructed, and one that
+    # loses enters search_trace with the cost its reconstruction would give
+    probes, reconstructed = [], []
+    cont, rebuild = solver._continued, solver._reconstructed
+
+    def continued(asm, t_prev):
+        out = cont(asm, t_prev)
+        if out is not None:
+            probes.append((asm, out[0]))
+        return out
+
+    def reconstructing(asm, *args):
+        reconstructed.append(asm.rp.lam)
+        return rebuild(asm, *args)
+
+    monkeypatch.setattr(solver, "_continued", continued)
+    monkeypatch.setattr(solver, "_reconstructed", reconstructing)
+    net, mask = net_of(from_entries(5, RANDOM_5_7))
+    cfg = SolverConfig()
+    rr = solve_radius(net, mask, "default", cfg)
+    assert rr.best.converged and len(probes) == rr.refine_evals
+    grid, descent = rr.search_trace[:-len(probes)], rr.search_trace[-len(probes):]
+    cf = canonicalize(net, mask)
+    incumbent, wins = min(cost for _, cost in grid), []
+    for (asm, t), (lam, cost) in zip(probes, descent):
+        assert lam == asm.rp.lam
+        res = solver._reconstruct(asm, cf, t, cfg)[0]
+        assert res.converged and res.cost == cost
+        if cost < incumbent - 1e-12:
+            incumbent = cost
+            wins.append(lam)
+    assert reconstructed == wins
+    assert 0 < len(wins) < len(probes)
+    assert rr.cost == incumbent
+
+
 def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
     # the assemblies, system_residual, reconstruct_perturbation and the
     # lambda descent all read ReducedProblem.a_tilde: it is built once per
@@ -1610,10 +1754,14 @@ def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
     rr = solve_radius(*net_of(from_entries(5, RANDOM_5_7)), "default", SolverConfig())
     assert rr.best.converged and rr.refine_evals > 0
     assert len({id(rp) for rp in built}) == len(built)
-    # every problem built is read at least three times (its assembly, and
-    # system_residual and the cost identity of its reconstruction)
-    assert {id(rp) for rp in reconstructions} <= {id(rp) for rp in built}
-    assert min(Counter(id(rp) for rp in reads)[id(rp)] for rp in built) >= 3
+    # every problem built is read by its assembly, and every problem
+    # reconstructed at least three times (its assembly, and system_residual
+    # and the cost identity of its reconstruction); descent probes that lose
+    # to the incumbent are ranked, not reconstructed
+    assert {id(rp) for rp in reconstructions} < {id(rp) for rp in built}
+    counts = Counter(id(rp) for rp in reads)
+    assert min(counts[id(rp)] for rp in built) >= 1
+    assert min(counts[id(rp)] for rp in reconstructions) >= 3
 
 
 def test_the_grid_winner_is_not_built_twice(monkeypatch):
