@@ -16,7 +16,7 @@ import scipy.linalg as sla
 from . import analytic_oracles as oracles
 from .network_model import canonicalize
 from .radius_core import build_reduced, build_weightings
-from .solver import (_continue_triple, generalized_spectrum,
+from .solver import (_assembly, _continuation, generalized_spectrum,
                      solve_fixed_lambda, solve_radius)
 
 
@@ -97,9 +97,10 @@ def real_route_gap(net, mask, lam, cfg):
     if not half.converged:
         return None
     cf = canonicalize(net, mask)
-    warm = _continue_triple(build_reduced(cf, lam), cf, half.triple, full_cfg)
+    warm = _continuation(_assembly(build_reduced(cf, lam), full_cfg), half.triple,
+                         full_cfg).settle(cf, full_cfg.conv_tol)
     cold = solve_fixed_lambda(net, mask, lam, full_cfg)
-    costs = [r.cost for r in (warm, cold) if r is not None and r.converged]
+    costs = [r.cost for r in (warm, cold) if r.converged]
     if not costs:
         return np.inf
     return abs(half.cost - min(costs))

@@ -22,10 +22,9 @@ import scipy.linalg as sla
 from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
                             pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
-                          Reconstruction, ReducedProblem, SpuriousTripleError,
-                          _delta_bar, _in_columns, _mv, _residual, _rowdot,
-                          build_reduced, orthogonality_diagnostic,
-                          reconstruct_perturbation)
+                          Reconstruction, SpuriousTripleError, _delta_bar,
+                          _in_columns, _mv, _residual, _rowdot, build_reduced,
+                          orthogonality_diagnostic, reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -258,10 +257,10 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     and 8.9e-2 on the chain3 pool; the threshold sits 13 times below the
     lowest.
 
-    A run that stops at either exit fails like any other, and
-    heuristic_iterate reports it as "did not converge". So does a run out
-    of budget: at the point after its max_iter-th Jacobian it converged or
-    failed.
+    A run that stops at either exit fails like any other, and the _Restart
+    that polished the row goes on to its next seed, or fails with "did not
+    converge" when it has none. So does a run out of budget: at the point
+    after its max_iter-th Jacobian it converged or failed.
 
     Returns, row by row, (u, Jacobians taken, converged, accepted iterates);
     ||F|| falls strictly along the accepted iterates.
@@ -400,9 +399,6 @@ class FixedLambdaResult:
     verification: object = None
     failure: str | None = None
     iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
-    # a restart's _Restart, with its later seeds, while its triple awaits
-    # reconstruction (heuristic_iterate, _next_triple)
-    later: object = field(default=None, repr=False, compare=False)
 
     @property
     def sigma(self):
@@ -587,92 +583,56 @@ def _sweep(asms, starts, cfg):
     return rows
 
 
-def heuristic_iterate(rp: ReducedProblem, cf, cfg: SolverConfig, *,
-                      sweep: _Sweep, pencil, block=None) -> FixedLambdaResult:
-    """The polish of one restart, from its row of a sweep block, up to its
-    first triple that passes the cheap checks.
+def heuristic_iterate(restart, block=None) -> FixedLambdaResult:
+    """The result of one grid restart once it stops searching
+    (_Restart.search): its first triple that passes the cheap checks,
+    unreconstructed (converged, its cost inf until _Restart.settle), or its
+    failure.
 
-    sweep is the restart's _Sweep, as _sweep returned it, and pencil the
-    candidate's PencilAssembly of rp, on the route the sweep ran on.
-    Levenberg-Marquardt polishes, until one converges to a triple that
-    passes _checked_triple (not collapsed, sigma nonzero, a unit triple):
-    the best sweep iterate (by stationarity residual), the last one, a
-    random draw from the restart's seed and the start (ahead of the draw
-    when the sweep took no step).
-
-    block holds the _Restart of every restart of the candidate, made from
-    the same arguments, when they polish in lockstep (_polish_restarts);
-    this restart's is the one that holds sweep. The seeds are polished in
-    waves (_wave): wave k polishes seed k of every restart of the block
-    that is still searching, as one _gn_core block, and a restart whose
-    polish fails or whose triple fails _checked_triple joins the next wave.
-    The waves run until this restart stops searching; those of the other
-    restarts go on in their own calls. Without block the restart is a block
-    of its own. _gn_core gives every row the bits of a block of one, so the
-    result is the same either way, and that of polishing one seed at a
-    time.
-
-    Nothing is reconstructed here. A restart that finds such a triple comes
-    back converged with the triple but no perturbation (its cost reads inf),
-    and later holds its _Restart, whose remaining seeds are polished on
-    demand (_next_triple). _polish_restarts ranks the restarts of a
-    candidate by the cost their triples will have and reconstructs in rank
-    order until one passes; a triple rejected there as spurious sends its
-    restart on to its next seed, as a rejection here would. Only the
-    rejection of a triple ranked below the winner, which is never
-    reconstructed, can make the winner differ from the one that
-    reconstructing every restart would give.
-
-    The iterates are returned raw (iterates); history, polish_start and
-    delta_trace are built from them on first access.
+    restart is the restart's _Restart (_Restart.start), and block, when
+    given, the _Restart of every restart of its candidate, which polish in
+    lockstep (_polish_restarts). It is called once per grid restart, never
+    for a lambda-descent probe, and returns that restart's result: the
+    benchmark tracer counts restarts and their iterations on these calls.
     """
-    if block is None:
-        block = [_Restart.start(rp, cf, cfg, sweep, pencil)]
-    return _polished(next(r for r in block if r.sweep is sweep), block)
-
-
-def _next_triple(restart, reason):
-    """The next result of a restart whose last triple was rejected for
-    reason: its remaining seeds, polished as blocks of one row."""
-    restart.resume(reason)
-    return _polished(restart, [restart])
-
-
-def _polished(restart, block):
-    """The result of restart once the waves of block have run until it
-    stops searching; a converged one keeps the restart as later."""
-    while restart.result is None:
-        _wave(block)
-    res = restart.result
-    return replace(res, later=restart) if res.converged else res
+    return restart.search(block)
 
 
 @dataclass(eq=False)
 class _Restart:
-    """One restart's polish between waves: its seeds (polished in turn),
-    how many of them are polished, the Jacobians those polishes took, the
-    reason the last triple was rejected and, once the restart stops
-    searching, its result: converged with a triple that passes
-    _checked_triple, unreconstructed, or failed when the seeds ran out."""
+    """Everything after the sweep for one grid restart or one
+    lambda-descent probe: its seeds (polished in turn), how many of them
+    are polished, the Jacobians those polishes took, the reason the last
+    triple was rejected and, once the restart stops searching, its result.
 
-    rp: ReducedProblem
-    cfg: SolverConfig
+    The result is pending (converged, with a triple that passes
+    _checked_triple, unreconstructed), or failed when the seeds ran out.
+    settle reconstructs a pending triple. A grid restart (start) has its
+    sweep row and up to four seeds; a probe (_continuation) has an empty
+    sweep and one seed. The result's iterates are the sweep passes and the
+    polish of the seed that gave the triple, Delta_i kept when keep_deltas
+    is set.
+    """
+
     sweep: _Sweep
     pencil: PencilAssembly
     seeds: list
+    keep_deltas: bool
     polished: int = 0
     gn_used: int = 0
     failure: str = "did not converge"
     result: FixedLambdaResult | None = None
 
     @classmethod
-    def start(cls, rp, cf, cfg, sweep, pencil):
-        """The restart of the sweep row sweep, before its first polish; the
-        random seed is drawn from cfg.seed."""
+    def start(cls, cf, sweep, pencil, seed, keep_deltas):
+        """The restart of the sweep row sweep, before its first polish. Its
+        seeds, in order: the best sweep iterate (by stationarity residual),
+        the last one, a random draw from seed and the start (ahead of the
+        draw when the sweep took no step)."""
         if sweep.init is None:
-            return cls(rp, cfg, sweep, pencil, [], result=FixedLambdaResult(
-                lam=rp.lam, converged=False, failure="degenerate initial vector"))
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xA5)))
+            return cls(sweep, pencil, [], keep_deltas, result=FixedLambdaResult(
+                lam=pencil.rp.lam, converged=False, failure="degenerate initial vector"))
+        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
         nx, ny = pencil.nx, pencil.size - pencil.nx
         trace_u, best_seed = sweep.trace, sweep.best
         seeds = []
@@ -692,7 +652,25 @@ class _Restart:
                                      [0.5]]))
         if trace_u:
             seeds.append(sweep.init)
-        return cls(rp, cfg, sweep, pencil, seeds)
+        return cls(sweep, pencil, seeds, keep_deltas)
+
+    def search(self, block=None):
+        """The result once this restart stops searching.
+
+        The seeds are polished in waves (_wave) of block, this restart alone
+        by default: wave k polishes seed k of every restart of the block
+        that is still searching, as one _gn_core block, and a restart whose
+        polish fails or whose triple fails _checked_triple joins the next
+        wave. The waves stop once this restart does; the others go on in
+        their own calls. _gn_core gives every row the bits of a block of
+        one, so the result is the same for any block, and that of polishing
+        one seed at a time. A restart with no seed left fails at once.
+        """
+        if self.result is None and self.polished == len(self.seeds):
+            self._fail()
+        while self.result is None:
+            _wave(block or [self])
+        return self.result
 
     def take(self, polish):
         """Records the polish (u, Jacobians, converged, iterates) of the next
@@ -709,9 +687,9 @@ class _Restart:
                 # its own rows only
                 iterates = IterateTrace(
                     asm=self.pencil, final=t, sweep=tuple(np.array(self.sweep.trace)),
-                    polish=tuple(us) + (detail,), keep_deltas=self.cfg.keep_delta_trace)
+                    polish=tuple(us) + (detail,), keep_deltas=self.keep_deltas)
                 self.result = FixedLambdaResult(
-                    lam=self.rp.lam, converged=True, triple=t,
+                    lam=self.pencil.rp.lam, converged=True, triple=t,
                     iterations=len(self.sweep.trace) + self.gn_used,
                     phi_plus_mu=self.sweep.phi_plus_mu, iterates=iterates)
                 return
@@ -719,16 +697,35 @@ class _Restart:
         if self.polished == len(self.seeds):
             self._fail()
 
-    def resume(self, reason):
-        """Searches on from the seed after the one whose triple was rejected
-        for reason; fails at once when there is none."""
-        self.failure, self.result = reason, None
-        if self.polished == len(self.seeds):
-            self._fail()
+    def settle(self, cf, conv_tol):
+        """The result once its pending triple is reconstructed; a failed
+        result comes back as it is.
+
+        The result fails when the residual ||H z - sigma_bar D z|| at the
+        balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma, is above
+        conv_tol: D is quadratic in z, so that is the stationarity residual
+        the reconstruction already took (r_stat) over sqrt(2). A triple
+        rejected as spurious sends the restart on to its next seed, polished
+        alone, and the result is its next pending triple or its failure.
+        """
+        res = self.result
+        if not res.converged:
+            return res
+        try:
+            rec = reconstruct_perturbation(self.pencil.rp, res.triple, cf)
+        except (SpuriousTripleError, ValueError) as exc:
+            self.failure, self.result = f"spurious stationary point: {exc}", None
+            return self.search()
+        residual = rec.r_stat / np.sqrt(2.0)
+        converged = residual <= conv_tol
+        self.result = replace(
+            res, converged=converged, reconstruction=rec,
+            failure=None if converged else f"pencil residual {residual:.3e} above tolerance")
+        return self.result
 
     def _fail(self):
         self.result = FixedLambdaResult(
-            lam=self.rp.lam, converged=False,
+            lam=self.pencil.rp.lam, converged=False,
             iterations=len(self.sweep.trace) + self.gn_used,
             phi_plus_mu=self.sweep.phi_plus_mu, failure=self.failure)
 
@@ -749,7 +746,7 @@ def _wave(block):
 
 def _checked_triple(asm, u):
     """The cheap half of the step after a converged polish on the assembly
-    asm, for restarts and continuation alike: orients sigma > 0, rejects the
+    asm, for restarts and probes alike: orients sigma > 0, rejects the
     collapsed (x or y ~ 0) and zero-sigma branches and maps u to a unit
     triple. Returns (triple, oriented u), or (None, the reason u was
     rejected)."""
@@ -764,39 +761,6 @@ def _checked_triple(asm, u):
         return asm.triple(u), u
     except ValueError as exc:
         return None, f"spurious stationary point: {exc}"
-
-
-def _reconstruct(asm, cf, t, cfg):
-    """The costly half of the step after a converged polish: reconstructs
-    the perturbation of the triple t (from _checked_triple on asm) and holds
-    its residual against conv_tol. That residual is ||H z - sigma_bar D z||
-    at the balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma: D is
-    quadratic in z, so it is the stationarity residual that the
-    reconstruction already took (r_stat) over sqrt(2). Returns (result, None),
-    the result failed when the residual is above conv_tol, or (None, the
-    reason t was rejected as spurious).
-    """
-    rp = asm.rp
-    try:
-        rec = reconstruct_perturbation(rp, t, cf)
-    except (SpuriousTripleError, ValueError) as exc:
-        return None, f"spurious stationary point: {exc}"
-    res = rec.r_stat / np.sqrt(2.0)
-    converged = res <= cfg.conv_tol
-    return FixedLambdaResult(
-        lam=rp.lam, converged=converged, triple=t, reconstruction=rec,
-        failure=None if converged else f"pencil residual {res:.3e} above tolerance"), None
-
-
-def _settle(cf, res, cfg):
-    """A restart's pending result res once its triple is reconstructed
-    (_reconstruct): converged, or failed on the residual test; or, when the
-    triple is rejected as spurious, the restart's next result."""
-    out, reason = _reconstruct(res.iterates.asm, cf, res.triple, cfg)
-    if out is None:
-        return _next_triple(res.later, reason)
-    return replace(res, converged=out.converged, reconstruction=out.reconstruction,
-                   failure=out.failure, later=None)
 
 
 def _triple_cost(rp, t):
@@ -891,20 +855,20 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
     """The best converged restart of one candidate: ranked first,
     reconstructed after.
 
-    Each restart polishes in heuristic_iterate on its sweep row, up to its
+    Restart r is a _Restart on its sweep row, its random seed drawn from
+    cfg.seed * 1009 + r. Each polishes in heuristic_iterate, up to its
     first triple that passes the cheap checks, and the restarts polish in
     lockstep: their seeds go through _gn_core in waves, seed k of every
     restart still searching in wave k, a block of at most cfg.restarts and
-    _BLOCK_ROWS rows. A restart resumed after a rejected triple polishes
-    alone, as a block of one row. Every restart gets the bits it gets
-    polished alone, one seed at a time. The restarts are ranked by
-    the cost of their triples (_triple_cost, equal to the reconstruction's
-    bit for bit) under the rule that picks the winner: in restart order, a
-    cost below the incumbent's by more than 1e-15 takes its place. Only the
-    top-ranked triple is reconstructed (_reconstruct). If it passes, it
-    wins. If it is rejected as spurious, its restart goes on to its next
-    seed and the new triple is ranked in its place; if it fails the residual
-    test, its restart fails. Then the ranking is taken again.
+    _BLOCK_ROWS rows. Every restart gets the bits it gets polished alone,
+    one seed at a time. The restarts are ranked by the cost of their
+    triples (_triple_cost, equal to the reconstruction's bit for bit) under
+    the rule that picks the winner: in restart order, a cost below the
+    incumbent's by more than 1e-15 takes its place. Only the top-ranked
+    restart is settled (_Restart.settle). If it passes, it wins. If its
+    triple is rejected as spurious, the restart goes on to its next seed,
+    polished alone, and the new triple is ranked in its place; if it fails
+    the residual test, its restart fails. Then the ranking is taken again.
 
     Every restart that the winner would have beaten is left unreconstructed.
     The winner is the one that reconstructing every restart would give,
@@ -912,10 +876,9 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
     then have gone on to a later seed, which might have won.
     """
     rp = cand.asm.rp
-    cfgs = [replace(cfg, seed=cfg.seed * 1009 + r) for r in range(len(sweeps))]
-    block = [_Restart.start(rp, cf, c, sweep, cand.asm) for c, sweep in zip(cfgs, sweeps)]
-    results = [heuristic_iterate(rp, cf, c, sweep=sweep, pencil=cand.asm, block=block)
-               for c, sweep in zip(cfgs, sweeps)]
+    block = [_Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace)
+             for r, sweep in enumerate(sweeps)]
+    results = [heuristic_iterate(restart, block) for restart in block]
     costs = [_triple_cost(rp, res.triple) if res.converged else None for res in results]
     failures = [res.failure for res in results if not res.converged]
     while True:
@@ -925,7 +888,7 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
                 top = r
         if top is None:
             break
-        res = results[top] = _settle(cf, results[top], cfg)
+        res = block[top].settle(cf, cfg.conv_tol)
         if res.converged and res.reconstruction is not None:
             return res
         if res.converged:  # the restart's next triple
@@ -1053,35 +1016,17 @@ class RadiusResult:
         return self.best.cost
 
 
-def _continued(asm, t_prev):
-    """The polish-only continuation of the triple t_prev on the assembly asm
-    (of a neighboring lambda): (triple, Jacobians taken) when the polish
-    converges to a triple that passes _checked_triple, else None. Nothing is
-    reconstructed."""
+def _continuation(asm, t_prev, cfg):
+    """The continuation of the triple t_prev to the lambda of the assembly
+    asm (a neighbouring one, or its own): a _Restart with an empty sweep
+    whose only seed is t_prev's polish variable on asm, already polished.
+    Its result is pending, or failed when the polish or the cheap checks
+    fail or t_prev has no polish variable on asm's route; settle
+    reconstructs it."""
     u0 = asm.u_of(t_prev)
-    if u0 is None:
-        return None
-    (u, its, ok, _), = _gn_core(asm.f_of, asm.j_of, u0[None], _POLISH_MAX_ITER,
-                                _POLISH_TOL)
-    t = _checked_triple(asm, u)[0] if ok else None
-    return None if t is None else (t, its)
-
-
-def _reconstructed(asm, cf, t, its, cfg):
-    """The continued triple t (from _continued on asm) reconstructed, or None
-    when it is rejected as spurious or fails the residual test."""
-    res = _reconstruct(asm, cf, t, cfg)[0]
-    if res is None or not res.converged:
-        return None
-    return replace(res, iterations=its)
-
-
-def _continue_triple(rp, cf, t_prev, cfg):
-    """Polish-only continuation of a triple to a neighboring lambda,
-    reconstructed; None when the polish or the reconstruction fails."""
-    asm = _assembly(rp, cfg)
-    probe = _continued(asm, t_prev)
-    return None if probe is None else _reconstructed(asm, cf, *probe, cfg)
+    restart = _Restart(_Sweep(), asm, [] if u0 is None else [u0], cfg.keep_delta_trace)
+    restart.search()
+    return restart
 
 
 def _descent_direction(rp, res):
@@ -1103,17 +1048,21 @@ def _descend_lambda(cf, best, lam, cfg, trace):
 
     A trial moves the incumbent by h along _descent_direction, folded onto
     the closed upper half plane, and continues the incumbent triple there
-    (_continued). The trial's triple is ranked by its cost (_triple_cost,
-    equal to the reconstruction's bit for bit) before anything is
-    reconstructed: only a cost below the incumbent's by more than 1e-12 is
-    reconstructed (_reconstructed), and if that passes, the trial is
-    accepted and doubles h. Anything else halves h, which starts at
-    0.05 max(1, |lam|). The descent stops at an incumbent stationary in
-    lambda or when h falls below 1e-7. From a real incumbent on the
-    half-size route (x_im = y2 = 0, so c_im = 0) it stays on the real axis.
-    Trials join trace with their cost: those that lose to the incumbent
-    with the rank cost, unreconstructed, and those that beat it once their
-    reconstruction passes. Returns (incumbent, its lambda, trials).
+    (_continuation): a restart whose one seed is that triple. The trial's
+    triple is ranked by its cost (_triple_cost, equal to the
+    reconstruction's bit for bit) before anything is reconstructed: only a
+    cost below the incumbent's by more than 1e-12 is settled
+    (_Restart.settle), and if that passes, the trial is accepted and
+    doubles h. Anything else halves h, which starts at 0.05 max(1, |lam|);
+    a probe whose triple settle rejects as spurious has no seed left and
+    fails without another polish. The descent stops at an incumbent
+    stationary in lambda or when h falls below 1e-7. From a real incumbent
+    on the half-size route (x_im = y2 = 0, so c_im = 0) it stays on the
+    real axis. Trials join trace with their cost: those that lose to the
+    incumbent with the rank cost, unreconstructed, and those that beat it
+    once their reconstruction passes. An accepted trial carries its
+    continuation's iterates, like a grid winner. Returns (incumbent, its
+    lambda, trials).
     """
     step = _descent_direction(best.iterates.asm.rp, best)
     h = 0.05 * max(1.0, abs(lam))
@@ -1121,18 +1070,18 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     while step is not None and h >= 1e-7:
         lam_try = _fold(lam + h * step)
         asm = _assembly(build_reduced(cf, lam_try), cfg)
-        probe = _continued(asm, best.triple)
+        probe = _continuation(asm, best.triple, cfg)
         probes += 1
-        res = None
-        if probe is not None:
-            cost = _triple_cost(asm.rp, probe[0])
+        won = False
+        if probe.result.converged:
+            cost = _triple_cost(asm.rp, probe.result.triple)
             if cost < best.cost - 1e-12:
-                res = _reconstructed(asm, cf, *probe, cfg)
+                won = probe.settle(cf, cfg.conv_tol).converged
             else:
                 trace.append((lam_try, cost))
-        if res is not None:
-            trace.append((lam_try, res.cost))
-            best, lam, h = res, lam_try, 2.0 * h
+        if won:
+            best, lam, h = probe.result, lam_try, 2.0 * h
+            trace.append((lam_try, best.cost))
             step = _descent_direction(asm.rp, best)
         else:
             h *= 0.5

@@ -13,9 +13,9 @@ from netobs import (SolverConfig, UnobservableSystemError, assemble_pencil,
                     solve_fixed_lambda, solve_radius, star_radius)
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
-from netobs.radius_core import (ReducedProblem, _delta_bar, _stationarity_fj,
-                                assemble_real_pencil)
-from netobs.solver import _Sweep, _continue_triple, _qz
+from netobs.radius_core import (ReducedProblem, SpuriousTripleError, _delta_bar,
+                                _stationarity_fj, assemble_real_pencil)
+from netobs.solver import _Sweep, _qz
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -249,12 +249,14 @@ def iterate_alone(rp, cf, cfg, z0):
     """The restart of one start vector z0 on its own: its sweep as a block
     of one row (solver._sweep), then solver.heuristic_iterate on that row,
     both on an assembly built here for rp and cfg, then the reconstruction
-    of its triples until one passes or the restart fails (solver._settle)."""
+    of its triples until one passes or the restart fails
+    (solver._Restart.settle)."""
     asm = solver._assembly(rp, cfg)
     row, = solver._sweep([asm], [[z0]], cfg)
-    res = solver.heuristic_iterate(rp, cf, cfg, sweep=row, pencil=asm)
+    restart = solver._Restart.start(cf, row, asm, cfg.seed, cfg.keep_delta_trace)
+    res = solver.heuristic_iterate(restart)
     while res.converged and res.reconstruction is None:
-        res = solver._settle(cf, res, cfg)
+        res = restart.settle(cf, cfg.conv_tol)
     return res
 
 
@@ -656,8 +658,8 @@ def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     sweeps, = solver._sweep_candidates([cand], cfg)
     seeds = np.array([u for r, sweep in enumerate(sweeps)
                       for u in solver._Restart.start(
-                          cand.asm.rp, cf, replace(cfg, seed=cfg.seed * 1009 + r),
-                          sweep, cand.asm).seeds])
+                          cf, sweep, cand.asm, cfg.seed * 1009 + r,
+                          cfg.keep_delta_trace).seeds])
     assert len(seeds) >= 3 * cfg.restarts
     asm = cand.asm
     block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
@@ -982,9 +984,9 @@ def test_seeds_kept_at_the_exit_polish_to_the_same_point(monkeypatch):
             [raw(u) for u in row1.trace[:len(row.trace)]]
         for seed, seed1 in ((row.best, row1.best), (row.trace[-1], row1.trace[-1])):
             assert np.linalg.norm(seed - seed1) <= SEED_MARGIN
-        c = replace(cfg, seed=cfg.seed * 1009 + r)
-        res = solver.heuristic_iterate(rp, cf, c, sweep=row, pencil=cand.asm)
-        res1 = solver.heuristic_iterate(rp, cf, c, sweep=row1, pencil=cand.asm)
+        res, res1 = (solver.heuristic_iterate(solver._Restart.start(
+            cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace))
+            for sweep in (row, row1))
         assert res.converged and res1.converged
         assert solver._triple_cost(rp, res.triple) == pytest.approx(
             solver._triple_cost(rp, res1.triple), rel=1e-12, abs=0.0)
@@ -1124,16 +1126,12 @@ def reconstruct_every_restart(cf, cand, sweeps, cfg):
     than 1e-15 taking its place."""
     best, failures = None, []
     for r, sweep in enumerate(sweeps):
-        res = solver.heuristic_iterate(cand.asm.rp, cf,
-                                       replace(cfg, seed=cfg.seed * 1009 + r),
-                                       sweep=sweep, pencil=cand.asm)
+        restart = solver._Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r,
+                                        cfg.keep_delta_trace)
+        res = solver.heuristic_iterate(restart)
+        # a triple rejected as spurious sends the restart on to its next seed
         while res.converged and res.reconstruction is None:
-            out, reason = solver._reconstruct(cand.asm, cf, res.triple, cfg)
-            if out is None:  # spurious: the restart goes on to its next seed
-                res = solver._next_triple(res.later, reason)
-            else:
-                res = replace(res, converged=out.converged, failure=out.failure,
-                              reconstruction=out.reconstruction)
+            res = restart.settle(cf, cfg.conv_tol)
         if not res.converged:
             failures.append(res.failure)
         elif best is None or res.cost < best.cost - 1e-15:
@@ -1463,9 +1461,9 @@ def radius_recorded(net, mask, grid, cfg):
         swept.extend(out)
         return out
 
-    def recording_iterate(rp, *args, **kwargs):
-        polished.append((rp.lam, kwargs["sweep"]))
-        return iterate(rp, *args, **kwargs)
+    def recording_iterate(restart, *args):
+        polished.append((restart.pencil.rp.lam, restart.sweep))
+        return iterate(restart, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_sweep", recording_sweep)
@@ -1523,6 +1521,13 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
             assert any(lam.imag for lam in solved) and not all(lam.imag for lam in solved)
 
 
+def continue_triple(cf, lam, t, cfg):
+    """The triple t continued to lam (solver._continuation) and settled:
+    reconstructed and held to cfg.conv_tol, or failed."""
+    asm = solver._assembly(build_reduced(cf, lam), cfg)
+    return solver._continuation(asm, t, cfg).settle(cf, cfg.conv_tol)
+
+
 def test_lambda_gradient_matches_central_difference():
     # the lambda descent in solve_radius steps and stops on this identity:
     # d||Delta||^2/dRe(lam) = -2 sigma c_re, d||Delta||^2/dIm(lam) = +2 sigma c_im
@@ -1542,8 +1547,8 @@ def test_lambda_gradient_matches_central_difference():
         c_re, c_im = orthogonality_diagnostic(build_reduced(cf, lam), t)
         grad = (-2.0 * t.sigma * c_re, 2.0 * t.sigma * c_im)
         for d, g in ((h, grad[0]), (1j * h, grad[1])):
-            plus = _continue_triple(build_reduced(cf, lam + d), cf, t, cfg)
-            minus = _continue_triple(build_reduced(cf, lam - d), cf, t, cfg)
+            plus = continue_triple(cf, lam + d, t, cfg)
+            minus = continue_triple(cf, lam - d, t, cfg)
             fd = (plus.cost ** 2 - minus.cost ** 2) / (2 * h)
             assert fd == pytest.approx(g, rel=1e-5, abs=1e-8)
         assert np.hypot(*grad) > 1e-2  # a nontrivial check, not 0 == 0
@@ -1561,7 +1566,7 @@ def test_continuation_at_own_lambda_keeps_cost(route):
     res = solve_fixed_lambda(net, mask, lam, cfg)
     assert res.converged
     cf = canonicalize(net, mask)
-    cont = _continue_triple(build_reduced(cf, lam), cf, res.triple, cfg)
+    cont = continue_triple(cf, lam, res.triple, cfg)
     assert cont is not None and cont.converged
     assert cont.lam == lam
     assert cont.cost == pytest.approx(res.cost, rel=1e-12)
@@ -1576,7 +1581,7 @@ def test_refinement_skipped_at_lambda_stationary_winner(
     def no_probe(*args):
         raise AssertionError("the lambda descent probed a stationary winner")
 
-    monkeypatch.setattr(solver, "_continued", no_probe)
+    monkeypatch.setattr(solver, "_continuation", no_probe)
     net, mask, _ = sample_network(topology, 5, seed, trial)
     ora = (line_radius if topology == "line" else star_radius)(net.weights)
     cfg = SolverConfig(restarts=4, sweep_iters=12, seed=seed)
@@ -1593,13 +1598,13 @@ def test_refinement_runs_and_lowers_cost_off_stationary_lambda(monkeypatch):
     ora = line_radius(net.weights)
     lam0 = ora.lambda_star + 0.05
     probes = []
-    cont = solver._continued
+    cont = solver._continuation
 
-    def recording(asm, t_prev):
+    def recording(asm, t_prev, cfg):
         probes.append((t_prev, asm.rp.lam))
-        return cont(asm, t_prev)
+        return cont(asm, t_prev, cfg)
 
-    monkeypatch.setattr(solver, "_continued", recording)
+    monkeypatch.setattr(solver, "_continuation", recording)
     rr = solve_radius(net, mask, [lam0],
                       SolverConfig(restarts=4, sweep_iters=12, seed=4040))
     # the incumbent is real, so the descent stays on the real axis; no
@@ -1683,25 +1688,36 @@ def test_lambda_descent_reaches_the_minimum(n, entries, scale, radius):
     assert rr.cost <= radius * (1.0 + 1e-6)
 
 
+def settled(asm, cf, t, cfg):
+    """The triple t on the assembly asm reconstructed and held to
+    cfg.conv_tol, as solver._Restart.settle does it for a pending triple."""
+    pending = solver.FixedLambdaResult(lam=asm.rp.lam, converged=True, triple=t)
+    restart = solver._Restart(_Sweep(), asm, [], False, result=pending)
+    return restart.settle(cf, cfg.conv_tol)
+
+
 def test_lambda_descent_reconstructs_only_the_probes_that_win(monkeypatch):
     # each converged probe is ranked by its triple's cost; only one that
     # beats the incumbent by more than 1e-12 is reconstructed, and one that
     # loses enters search_trace with the cost its reconstruction would give
     probes, reconstructed = [], []
-    cont, rebuild = solver._continued, solver._reconstructed
+    restarts = []  # every probe's _Restart
+    cont, settle = solver._continuation, solver._Restart.settle
 
-    def continued(asm, t_prev):
-        out = cont(asm, t_prev)
-        if out is not None:
-            probes.append((asm, out[0]))
-        return out
+    def continued(asm, t_prev, cfg):
+        restart = cont(asm, t_prev, cfg)
+        restarts.append(restart)
+        if restart.result.converged:
+            probes.append((asm, restart.result.triple))
+        return restart
 
-    def reconstructing(asm, *args):
-        reconstructed.append(asm.rp.lam)
-        return rebuild(asm, *args)
+    def reconstructing(restart, cf, conv_tol):
+        if any(restart is r for r in restarts):
+            reconstructed.append(restart.pencil.rp.lam)
+        return settle(restart, cf, conv_tol)
 
-    monkeypatch.setattr(solver, "_continued", continued)
-    monkeypatch.setattr(solver, "_reconstructed", reconstructing)
+    monkeypatch.setattr(solver, "_continuation", continued)
+    monkeypatch.setattr(solver._Restart, "settle", reconstructing)
     net, mask = net_of(from_entries(5, RANDOM_5_7))
     cfg = SolverConfig()
     rr = solve_radius(net, mask, "default", cfg)
@@ -1711,7 +1727,7 @@ def test_lambda_descent_reconstructs_only_the_probes_that_win(monkeypatch):
     incumbent, wins = min(cost for _, cost in grid), []
     for (asm, t), (lam, cost) in zip(probes, descent):
         assert lam == asm.rp.lam
-        res = solver._reconstruct(asm, cf, t, cfg)[0]
+        res = settled(asm, cf, t, cfg)
         assert res.converged and res.cost == cost
         if cost < incumbent - 1e-12:
             incumbent = cost
@@ -1719,6 +1735,69 @@ def test_lambda_descent_reconstructs_only_the_probes_that_win(monkeypatch):
     assert reconstructed == wins
     assert 0 < len(wins) < len(probes)
     assert rr.cost == incumbent
+
+
+def test_a_descent_winner_carries_its_continuation_iterates():
+    # the lambda descent moves this graph's grid winner; the probe it accepts
+    # is a restart with no sweep, and its iterates are its one polish
+    net, mask = net_of(from_entries(5, RANDOM_5_7))
+    rr = solve_radius(net, mask, "default", SolverConfig(keep_delta_trace=True))
+    assert rr.best.converged and rr.refine_evals > 0
+    grid = [lam for lam, _ in rr.search_trace[:-rr.refine_evals]]
+    assert rr.lambda_star not in grid
+    best = rr.best
+    assert best.iterates.sweep == ()
+    assert best.polish_start == 0
+    assert best.history[-1] == 0.0
+    assert len(best.delta_trace) == len(best.history) > 1
+
+
+def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
+    # the first probe that beats the incumbent is rejected as spurious when it
+    # is reconstructed: it has no seed left, so it fails without another
+    # polish, the step halves from the same incumbent, and the solve goes on
+    events, waves, rejected = [], [], []
+    cont, direction = solver._continuation, solver._descent_direction
+    wave, reconstruct = solver._wave, solver.reconstruct_perturbation
+
+    def continued(asm, t_prev, cfg):
+        restart = cont(asm, t_prev, cfg)
+        events.append(("probe", restart, t_prev))
+        return restart
+
+    def directing(rp, res):
+        events.append(("incumbent", rp.lam, res.triple))
+        return direction(rp, res)
+
+    def recording_wave(block):
+        waves.append(list(block))
+        return wave(block)
+
+    def rejecting(rp, t, cf):
+        if not rejected and events and events[-1][0] == "probe" \
+                and rp is events[-1][1].pencil.rp:
+            rejected.append(events[-1][1])
+            raise SpuriousTripleError("rejected for the test")
+        return reconstruct(rp, t, cf)
+
+    monkeypatch.setattr(solver, "_continuation", continued)
+    monkeypatch.setattr(solver, "_descent_direction", directing)
+    monkeypatch.setattr(solver, "_wave", recording_wave)
+    monkeypatch.setattr(solver, "reconstruct_perturbation", rejecting)
+    net, mask = net_of(from_entries(5, RANDOM_5_7))
+    rr = solve_radius(net, mask, "default", SolverConfig())
+    assert rr.best.converged and rr.best.verification.verified
+    failed, = rejected
+    assert failed.polished == 1 and not failed.result.converged
+    assert failed.result.failure == "spurious stationary point: rejected for the test"
+    assert sum(any(r is failed for r in block) for block in waves) == 1
+    k = next(i for i, e in enumerate(events) if e[0] == "probe" and e[1] is failed)
+    _, lam0, t0 = next(e for e in reversed(events[:k]) if e[0] == "incumbent")
+    kind, after, t_after = events[k + 1]
+    assert kind == "probe" and t_after is t0 and events[k][2] is t0
+    step, half = failed.pencil.rp.lam - lam0, after.pencil.rp.lam - lam0
+    assert half == pytest.approx(step / 2.0, rel=1e-9)
+    assert rr.refine_evals == sum(e[0] == "probe" for e in events)
 
 
 def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
