@@ -17,7 +17,7 @@ from .radius_core import (CandidateTriple, SpuriousTripleError,
                           normalize_triple, orthogonality_diagnostic,
                           reconstruct_perturbation, system_residual)
 from .solver import (SolverConfig, candidate_lambdas, generalized_spectrum,
-                     heuristic_iterate, solve_fixed_lambda, solve_radius)
+                     solve_fixed_lambda, solve_radius)
 from .analytic_oracles import (OracleFailure, cut_bound, cut_bound_asymptote,
                                enumerate_cut_family, line3_optimal,
                                line_radius, min_deletion_cost, star_radius)
@@ -38,7 +38,7 @@ __all__ = [
     "embed_real_triple", "normalize_triple", "orthogonality_diagnostic",
     "reconstruct_perturbation", "system_residual",
     "SolverConfig", "candidate_lambdas", "generalized_spectrum",
-    "heuristic_iterate", "solve_fixed_lambda", "solve_radius",
+    "solve_fixed_lambda", "solve_radius",
     "OracleFailure", "cut_bound", "cut_bound_asymptote",
     "enumerate_cut_family", "line3_optimal", "line_radius",
     "min_deletion_cost", "star_radius",

@@ -58,6 +58,14 @@ _POLISH_TOL = 1e-12
 _POSITIVE_TOL = 1e-8
 # 2-norm condition number of H - mu D above which a sweep row backs psi off
 _COND_LIMIT = 1e14
+# A shifted matrix M = H - mu D is cleared without its SVD when ||M||_F
+# ||M^-1||_F, an upper bound on its condition number, is at most
+# _COND_LIMIT / _COND_MARGIN (_ill_conditioned). The margin covers rounding:
+# near 1e14 both that product and the SVD's ratio are off by about 1% (eps
+# times 1e14). On random stacks of order 8 to 100 within 3% of the limit, 8
+# of 1,920 rows had the product below the limit and the SVD's ratio above
+# it; at half the limit none did
+_COND_MARGIN = 4.0
 # a sweep row stops once its step ||z_k - z_{k-1}|| (balanced unit iterates,
 # sign aligned) falls below this. Over every candidate polished in the
 # benchmark pools and 73 more random graphs, the seeds kept at this exit lay
@@ -65,6 +73,17 @@ _COND_LIMIT = 1e14
 # to the same stationary point from both; at 1e-6 one seed moved by 2.3 and
 # one restart's convergence changed
 _STILL_TOL = 1e-8
+# a sweep row also stops, in the polish's basin, once its merit ||F(u)||
+# falls below this times min(||A_tilde||_F, sigma): from there one
+# Gauss-Newton step squares the residual down to _POLISH_TOL. Both scales
+# go with (A, lambda) -> c (A, lambda) as F does. sigma is there because
+# F's stationarity rows are differences of terms of size sigma: against
+# ||A_tilde||_F alone, rows near the sigma = 0 branch of C7's line(8, 68)
+# (radius 2.6e-4) left at sigma ~ 1e-6, and 24 of their polishes failed.
+# With the minimum, C7's failed and out-of-budget polish runs are those of
+# a sweep without this exit. No row of C3's 100 chains leaves here: their
+# smallest merit is 2.8e-3 min(||A_tilde||_F, sigma)
+_HANDOFF_TOL = np.sqrt(_POLISH_TOL)
 # half the lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below
 # which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
@@ -457,9 +476,10 @@ class _Sweep:
     balanced start (init, None when the start degenerates), that of every
     completed step (trace), the step of least merit ||F(u)|| (best, the
     first of equals) and the last step's mu + 1/phi. The pass takes at most
-    cfg.sweep_iters steps; it ends early where the sweep breaks down or at
-    the start's fixed point, the first step shorter than _STILL_TOL, which
-    it keeps."""
+    cfg.sweep_iters steps; it ends early where the sweep breaks down, at the
+    start's fixed point (the first step shorter than _STILL_TOL) or in the
+    polish's basin (the first step of merit below the handoff threshold),
+    and keeps the step it ends at."""
 
     init: np.ndarray | None = None
     trace: list = field(default_factory=list)
@@ -480,17 +500,34 @@ def _sweep(asms, starts, cfg):
     1e-300, or an iterate that cannot be rebalanced. Each step fills D's
     diagonals for every row, takes QZ row by row (_qz), shifts by mu = psi
     times the smallest positive eigenvalue, backs psi off per row where the
-    2-norm condition number of H - mu D (its singular values, one stacked
-    SVD) exceeds _COND_LIMIT, and solves (H - mu D) w = D z in one stacked
-    solve. Returns one _Sweep per start, candidate by candidate.
+    2-norm condition number of H - mu D exceeds _COND_LIMIT, and solves
+    (H - mu D) w = D z in one stacked solve. Returns one _Sweep per start,
+    candidate by candidate.
 
-    A row also leaves at its fixed point, the stopping test of inverse
-    iteration (Ipsen, "Computing an eigenvector with inverse iteration",
-    SIAM Review 39, 1997): a step ||z_k - z_{k-1}|| of the balanced,
-    sign-aligned iterate below _STILL_TOL. That step still counts: it joins
-    the trace, may become the best, and sets phi_plus_mu, so the polish
-    seeds are the best and last iterates, as after a full-length pass; the
-    remaining steps, each a QZ, an SVD and a solve, are not taken.
+    The condition test is certified (_ill_conditioned): one stacked inverse
+    gives ||M||_F ||M^-1||_F, an upper bound on the condition number of
+    M = H - mu D, and only a row whose bound does not clear it by
+    _COND_MARGIN takes the SVD test. Every row gets the decision of its
+    singular values. Over C3's 100 chains, C7's 1,000 instances and 88
+    graphs (the CLI pool's 15 and 73 random sparse ones), 87 of 387,736
+    shifted matrices took the SVD, all of them on C3's chains.
+
+    A row leaves the block early at whichever of two exits it meets first.
+    Each is tested after the step, which still counts: it joins the trace,
+    may become the best, and sets phi_plus_mu, so the polish seeds are the
+    best and last iterates, as after a full-length pass, and the remaining
+    steps, each a QZ, an inverse and a solve, are not taken.
+    - Its fixed point, the stopping test of inverse iteration (Ipsen,
+      "Computing an eigenvector with inverse iteration", SIAM Review 39,
+      1997): a step ||z_k - z_{k-1}|| of the balanced, sign-aligned iterate
+      below _STILL_TOL.
+    - The polish's basin: a merit ||F(u)||, the stationarity residual the
+      sweep computes to pick the best step, below _HANDOFF_TOL times
+      min(||A_tilde||_F, sigma). From there one Gauss-Newton step squares
+      the residual down to the polish's tolerance (Dennis & Schnabel,
+      "Numerical Methods for Unconstrained Optimization and Nonlinear
+      Equations", 1983, ch. 5), so the sweep stops where the polish can
+      finish.
 
     H and A_tilde depend on lambda, D only on V_bar and the route, so the
     first assembly fills D for every row. The H and A_tilde of each
@@ -499,18 +536,19 @@ def _sweep(asms, starts, cfg):
     many; QZ and the regularity probe read the candidate's own H.
 
     Every row gets the bits a sweep of that start alone would. Stacked
-    np.linalg.svd and np.linalg.solve run LAPACK slice by slice. Matrix
-    times vector goes through _mv and dot products and norms through
-    _rowdot, which equal a @ x and np.linalg.norm row by row, where x @ a.T,
-    einsum and sums over an axis do not; the merit's At' is a transposed
-    view of the gathered A_tilde, as it is of A_tilde for one row. The
-    solve stays numpy's: scipy's ?gesv comes from another BLAS build and
-    differs in the last bits.
+    np.linalg.inv, np.linalg.svd and np.linalg.solve run LAPACK slice by
+    slice. Matrix times vector goes through _mv and dot products and norms
+    through _rowdot, which equal a @ x and np.linalg.norm row by row, where
+    x @ a.T, einsum and sums over an axis do not; the merit's At' is a
+    transposed view of the gathered A_tilde, as it is of A_tilde for one
+    row. The solve stays numpy's: scipy's ?gesv comes from another BLAS
+    build and differs in the last bits.
     """
     asm = asms[0]
     nx, v = asm.nx, asm.v
     hs = np.stack([a.h for a in asms])
     ats = np.stack([a.a_tilde for a in asms])
+    at_norms = np.array([np.linalg.norm(a.rp.a_tilde) for a in asms])
     cand = np.repeat(np.arange(len(asms)), [len(s) for s in starts])
     rows = [_Sweep() for s in starts for _ in s]
     z, ok = _rebalance(np.array([z0 for s in starts for z0 in s], dtype=float), nx)
@@ -535,13 +573,8 @@ def _sweep(asms, starts, cfg):
 
         mu = psi * mp
         mmat = hs[cand] - mu[:, None, None] * d
-        s = np.linalg.svd(mmat, compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the 2-norm condition number (infinite when s_min = 0, as
-            # np.linalg.cond has it) says the shift sits on an eigenvalue;
-            # back psi off for that row and retry next pass
-            back = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > _COND_LIMIT)
-        for k in np.flatnonzero(back):
+        # a shift on an eigenvalue: back psi off for that row
+        for k in np.flatnonzero(_ill_conditioned(mmat)):
             psi[k] = max(0.5 + 0.45 * (psi[k] - 0.5), 0.500001)
             mu[k] = psi[k] * mp[k]
             mmat[k] = hs[cand[k]] - mu[k] * d[k]
@@ -577,10 +610,39 @@ def _sweep(asms, starts, cfg):
             row.phi_plus_mu = mu[k] + 1.0 / phi[k]
             if merit[k] < row.merit:
                 row.merit, row.best = merit[k], u[k]
-        # a row whose iterate has stopped moving leaves the block
-        moving = step >= _STILL_TOL
-        live, cand, z, psi = (a[moving] for a in (live, cand, zn, psi))
+        # a row whose iterate has stopped moving, or that lies in the
+        # polish's basin, leaves the block
+        basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
+        going = (step >= _STILL_TOL) & (merit >= basin)
+        live, cand, z, psi = (a[going] for a in (live, cand, zn, psi))
     return rows
+
+
+def _ill_conditioned(mmat):
+    """Rows of the stack mmat (rows, order, order) whose 2-norm condition
+    number exceeds _COND_LIMIT, infinite when the smallest singular value
+    is 0 (as np.linalg.cond has it): rows whose shift sits on an eigenvalue.
+
+    ||M||_F ||M^-1||_F bounds the condition number from above, so one
+    stacked inverse clears every row where that product is at most
+    _COND_LIMIT / _COND_MARGIN. Only the other rows take the SVD test, in
+    one stacked SVD, and every row does when the inverse finds a singular
+    one. Each row gets the decision the SVD test alone gives it.
+    """
+    back = np.zeros(len(mmat), dtype=bool)
+    try:
+        inv = np.linalg.inv(mmat)
+    except np.linalg.LinAlgError:
+        unsure = np.ones(len(mmat), dtype=bool)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+        unsure = ~(bound <= _COND_LIMIT / _COND_MARGIN)  # inf and NaN too
+    if unsure.any():
+        s = np.linalg.svd(mmat[unsure], compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            back[unsure] = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > _COND_LIMIT)
+    return back
 
 
 def heuristic_iterate(restart, block=None) -> FixedLambdaResult:

@@ -690,8 +690,9 @@ PINNED_RESTARTS = {
         (True, 25, "5f0c8b17efb6ec96"), (True, 25, "54da124f747b2500"),
         (True, 24, "9dab3615c7eadf2a"), (True, 24, "980df0ec4000d802"),
         (True, 21, "a4ecee34045f6b25"), (True, 24, "2a82c227e6c47833")],
+    # restart 1 reaches the polish's basin after 9 of the 12 sweep steps
     "line6": [
-        (True, 17, "547588258a1f2e04"), (True, 13, "89bbb80fcbc1d8e0"),
+        (True, 17, "547588258a1f2e04"), (True, 10, "612f7b7bd96f6535"),
         (True, 17, "eab0d3a9b43ced5b"), (True, 17, "7967a96782766032")],
     # restarts that polish two to four seeds, one of them in vain
     "c3_chain3": [
@@ -764,12 +765,26 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
 # lockstep sweep
 
 
+def handoff_threshold(asm, u):
+    """The merit ||F(u)|| below which a sweep step at u hands its row to the
+    polish: solver._HANDOFF_TOL times min(||A_tilde||_F, sigma)."""
+    return solver._HANDOFF_TOL * min(np.linalg.norm(asm.rp.a_tilde), u[-1])
+
+
+def handed_off(row, asm):
+    """Whether a sweep row left the block in the polish's basin: the merit
+    of its last step is below the handoff threshold."""
+    u = row.trace[-1]
+    return bool(np.linalg.norm(asm.f_of(u)) < handoff_threshold(asm, u))
+
+
 def reference_sweep(asm, z0, cfg):
     """The sweep of one start as a loop over steps with one-vector numpy
     calls (@, np.linalg.norm, a solve per step): what every row of the
     lockstep block must reproduce bit for bit. It stops after the step
-    where ||z_k - z_{k-1}|| falls below solver._STILL_TOL. Returns (init,
-    trace, best, phi_plus_mu), with init None when the start degenerates."""
+    where ||z_k - z_{k-1}|| falls below solver._STILL_TOL or the merit
+    ||F(u)|| below its handoff_threshold. Returns (init, trace, best,
+    phi_plus_mu), with init None when the start degenerates."""
     nx = asm.nx
 
     def rebalance(z):
@@ -824,7 +839,8 @@ def reference_sweep(asm, z0, cfg):
         merit = np.linalg.norm(asm.f_of(u))
         if merit < best_merit:
             best_merit, best = merit, u
-        if np.linalg.norm(zn - z) < solver._STILL_TOL:
+        if (np.linalg.norm(zn - z) < solver._STILL_TOL
+                or merit < handoff_threshold(asm, u)):
             break
         z = zn
     return init, trace, best, phi_plus_mu
@@ -905,10 +921,25 @@ def c3_chain3():
 
 def cli_line4():
     # the CLI benchmark pool's 4-node line at a real lambda of its default
-    # grid, solved with the CLI's defaults: some rows stop moving after 11
-    # or 16 of the 20 steps, the others run all 20
+    # grid, solved with the CLI's defaults: some rows reach the polish's
+    # basin after 8, 9 or 12 of the 20 steps, the others run all 20
     net, mask, _ = sample_network("line", 4, 2611, 0)
     return net, mask, -0.2 + 0j
+
+
+def star6():
+    # C7's star generator, trial 1 of the 6-node stars, at the mean of two
+    # neighbouring self-loops, a real "topo" candidate: restart 0 (the PBH
+    # warm start) stops moving after 4 of the 12 steps at a merit of 6e-3
+    # ||A_tilde||_F, and the others reach the polish's basin after 7
+    net, mask, _ = sample_network("star", 6, 4041, 1)
+    lam = 0.1849429887639228 + 0j
+    assert lam in candidate_lambdas(net, mask, "topo")
+    return net, mask, lam
+
+
+# C7's solver settings for its stars
+STAR_CFG = replace(ENSEMBLE_CFG, seed=4041)
 
 
 def last_step(row):
@@ -918,43 +949,60 @@ def last_step(row):
     return np.linalg.norm(us[-1][:-1] / np.sqrt(2.0) - us[-2][:-1] / np.sqrt(2.0))
 
 
-def assert_rows_stop_still(rows, cfg, least):
-    # exits before the last step at `least` different steps or more, each
-    # at a still iterate
+def assert_rows_stop_early(rows, asm, cfg, least):
+    """The rows of one candidate (assembly asm) that stop before the last
+    step do so at `least` different steps or more, each at a still iterate
+    or in the polish's basin. Returns (still, handed off) counts."""
     short = [row for row in rows if 0 < len(row.trace) < cfg.sweep_iters]
     assert len({len(row.trace) for row in short}) >= least
+    still = handed = 0
     for row in short:
-        assert last_step(row) < 2 * solver._STILL_TOL
+        if handed_off(row, asm):
+            handed += 1
+        else:
+            still += 1
+            assert last_step(row) < 2 * solver._STILL_TOL
+    return still, handed
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line", "cli_line4"])
+@pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line", "cli_line4", "star6"])
 def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
     if case == "c3_chain3":
         (net, mask, lam), cfg = c3_chain3(), C3_CFG
     elif case == "ensemble_line":
         (net, mask, lam), cfg = line6_candidate(4), ENSEMBLE_CFG
         assert lam.imag == 0.0  # the half-size route
-    else:
+    elif case == "cli_line4":
         (net, mask, lam), cfg = cli_line4(), SolverConfig()
+    else:
+        (net, mask, lam), cfg = star6(), STAR_CFG
     lockstep, alone, reference = lockstep_and_alone(monkeypatch, net, mask, lam, cfg)
     assert_same_restarts(lockstep, alone, reference)
     steps = sum(len(row.trace) for row, _ in lockstep)
     if case == "c3_chain3":
         assert steps < cfg.restarts * cfg.sweep_iters
-    if case == "cli_line4":
-        # rows leave the block at their fixed points, at different steps,
-        # while others take every step
-        assert_rows_stop_still([row for row, _ in lockstep], cfg, 2)
+    if case in ("cli_line4", "star6"):
+        # rows leave the block early, at different steps: on the 4-node line
+        # in the polish's basin while others take every step, on the star
+        # at a fixed point and in the basin
+        asm = solver._assembly(build_reduced(canonicalize(net, mask), lam), cfg)
+        still, handed = assert_rows_stop_early(
+            [row for row, _ in lockstep], asm, cfg, 2)
         assert steps < cfg.restarts * cfg.sweep_iters
-        assert any(len(row.trace) == cfg.sweep_iters for row, _ in lockstep)
+        if case == "cli_line4":
+            assert handed >= 3
+            assert any(len(row.trace) == cfg.sweep_iters for row, _ in lockstep)
+        else:
+            assert (still, handed) == (1, 3)
     assert sum(res.converged for _, res in lockstep) >= 2
 
 
 def full_length_sweep(monkeypatch, cand, cfg):
-    """The sweep rows of a candidate with the fixed-point exit off."""
+    """The sweep rows of a candidate with both early exits off."""
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_STILL_TOL", 0.0)
+        mp.setattr(solver, "_HANDOFF_TOL", 0.0)
         return solver._sweep([cand.asm], [cand.starts], cfg)
 
 
@@ -964,41 +1012,68 @@ def full_length_sweep(monkeypatch, cand, cfg):
 # _STILL_TOL = 1e-8; 9.3e-8 in the CLI pool). Every restart polished from
 # the kept seeds converged, or failed, as it did from the full-length ones,
 # to the same stationary point. At _STILL_TOL = 1e-6 one seed moved by 2.3
-# and one restart's convergence changed.
+# and one restart's convergence changed. A seed kept at the handoff is not
+# near a full-length sweep's (the sweep goes on moving), only in the basin
+# of the same stationary point
 SEED_MARGIN = 1e-5
 
 
 def test_seeds_kept_at_the_exit_polish_to_the_same_point(monkeypatch):
-    net, mask, lam = cli_line4()
-    cfg = SolverConfig()
+    # the CLI pool's 4-node line: three rows hand off
+    exits = seeds_kept_polish_to_the_same_point(
+        monkeypatch, *cli_line4(), SolverConfig(), handoff_rel=1e-12)
+    assert exits == {"basin": 3}
+    # the C7 star: one row stops at a fixed point and three hand off. The
+    # polish stops at ||F||_inf <= 1e-12, absolute, and on this star (radius
+    # 6.7e-3) the seeds kept at the handoff and the full-length ones reach
+    # the same stationary point up to 6.3e-12 in cost
+    exits = seeds_kept_polish_to_the_same_point(
+        monkeypatch, *star6(), STAR_CFG, handoff_rel=1e-10)
+    assert exits == {"basin": 3, "still": 1}
+
+
+def seeds_kept_polish_to_the_same_point(monkeypatch, net, mask, lam, cfg, handoff_rel):
+    """Checks a candidate's sweep rows against a full-length sweep's, and
+    the restarts polished from both: costs within handoff_rel relative for
+    a row handed off, 1e-12 otherwise. Returns the count of each early
+    exit."""
     cf = canonicalize(net, mask)
     cand = solver._candidate(cf, lam, cfg)
     rows = solver._sweep([cand.asm], [cand.starts], cfg)
     full = full_length_sweep(monkeypatch, cand, cfg)
-    assert any(len(row.trace) < len(row1.trace) for row, row1 in zip(rows, full))
     rp = cand.asm.rp
+    exits = Counter()
     for r, (row, row1) in enumerate(zip(rows, full)):
         assert len(row.trace) <= len(row1.trace)
         # the exit keeps the steps it took, bit for bit
         assert [raw(u) for u in row.trace] == \
             [raw(u) for u in row1.trace[:len(row.trace)]]
-        for seed, seed1 in ((row.best, row1.best), (row.trace[-1], row1.trace[-1])):
-            assert np.linalg.norm(seed - seed1) <= SEED_MARGIN
+        handed = len(row.trace) < len(row1.trace) and handed_off(row, cand.asm)
+        if handed:
+            exits["basin"] += 1
+        elif len(row.trace) < len(row1.trace):
+            exits["still"] += 1
+            for seed, seed1 in ((row.best, row1.best), (row.trace[-1], row1.trace[-1])):
+                assert np.linalg.norm(seed - seed1) <= SEED_MARGIN
         res, res1 = (solver.heuristic_iterate(solver._Restart.start(
             cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace))
             for sweep in (row, row1))
         assert res.converged and res1.converged
         assert solver._triple_cost(rp, res.triple) == pytest.approx(
-            solver._triple_cost(rp, res1.triple), rel=1e-12, abs=0.0)
+            solver._triple_cost(rp, res1.triple), rel=handoff_rel if handed else 1e-12,
+            abs=0.0)
     best = solver._polish_restarts(cf, cand, rows, cfg)
     best1 = solver._polish_restarts(cf, cand, full, cfg)
     assert best.cost == pytest.approx(best1.cost, rel=1e-12, abs=0.0)
+    return exits
 
 
 def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
     # C3's sweep rows never move less than 3.8e-3 in a step (100 chains), far
-    # above _STILL_TOL: every row runs until it breaks or takes all
-    # sweep_iters steps, so C3's outputs keep their bits
+    # above _STILL_TOL, and their merits never fall below 2.8e-3 times
+    # min(||A_tilde||_F, sigma), far above the handoff: every row runs until
+    # it breaks or takes all sweep_iters steps, so C3's outputs keep their
+    # bits
     net, mask, lam = c3_chain3()
     cand = solver._candidate(canonicalize(net, mask), lam, C3_CFG)
     rows = solver._sweep([cand.asm], [cand.starts], C3_CFG)
@@ -1008,27 +1083,85 @@ def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
         us = [row.init] + row.trace
         for u, u1 in zip(us, us[1:]):
             assert np.linalg.norm(u1[:-1] - u[:-1]) / np.sqrt(2.0) > 1e4 * solver._STILL_TOL
+            assert np.linalg.norm(cand.asm.f_of(u1)) > 1e3 * handoff_threshold(cand.asm, u1)
     assert any(len(row.trace) < C3_CFG.sweep_iters for row in rows)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_sweep_backs_psi_off_row_by_row(monkeypatch):
     # with a condition limit of 1e6 the shift backs off on some rows of a
-    # step and not on others; the stacked SVD's singular values show which
+    # step and not on others; the condition guard's decisions show which
     monkeypatch.setattr(solver, "_COND_LIMIT", 1e6)
-    svd, backed_off = np.linalg.svd, []
+    guard, backed_off = solver._ill_conditioned, []
 
-    def recording_svd(a, *args, **kwargs):
-        s = svd(a, *args, **kwargs)
-        if kwargs.get("compute_uv") is False and s.ndim == 2:
-            backed_off.append(s[:, 0] / s[:, -1] > 1e6)
-        return s
+    def recording_guard(mmat):
+        back = guard(mmat)
+        backed_off.append(back)
+        return back
 
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    monkeypatch.setattr(solver, "_ill_conditioned", recording_guard)
     lockstep, alone, reference = lockstep_and_alone(monkeypatch, *c3_chain3(), C3_CFG)
     assert_same_restarts(lockstep, alone, reference)
-    # the stacked SVDs of _best_of_restarts come first, one per step
+    # the guard's calls of _best_of_restarts come first, one per step
     assert any(b.any() and not b.all() for b in backed_off[:C3_CFG.sweep_iters])
+
+
+def conditioned_stack(kappas, order=23, seed=5):
+    """Symmetric matrices Q diag(s) Q', one per condition number kappa, with
+    s running from 1 down to 1/kappa: all its middle values at 1/sqrt(kappa)
+    for even rows, where ||M||_F ||M^-1||_F is closest to kappa, and
+    geometric for odd rows."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k, kappa in enumerate(kappas):
+        q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+        if k % 2:
+            s = np.geomspace(1.0, 1.0 / kappa, order)
+        else:
+            s = np.full(order, 1.0 / np.sqrt(kappa))
+            s[0], s[-1] = 1.0, 1.0 / kappa
+        out.append((q * s) @ q.T)
+    return np.array(out)
+
+
+def svd_test(mmat):
+    s = np.linalg.svd(mmat, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > solver._COND_LIMIT)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("limit", [solver._COND_LIMIT, 1e6])
+def test_condition_guard_gives_every_row_the_svd_decision(monkeypatch, limit):
+    # condition numbers from 1e2 to 1e16, several within 1% of either limit;
+    # the Frobenius bound clears the well-conditioned rows without an SVD,
+    # and the rest take the SVD test
+    monkeypatch.setattr(solver, "_COND_LIMIT", limit)
+    near = [f * lim for lim in (1e6, solver._COND_LIMIT)
+            for f in (0.99, 0.995, 0.999, 1.001, 1.005, 1.01)]
+    kappas = [1e2, 1e5, 1e8, 1e10] + list(np.geomspace(1e12, 1e16, 9)) + near
+    svd, svd_rows = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        svd_rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    mmat = conditioned_stack(kappas)
+    want = svd_test(mmat)
+    assert want.any() and not want.all()
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert np.array_equal(solver._ill_conditioned(mmat), want)
+    assert 0 < svd_rows[-1] < len(mmat)
+    # an exactly singular row (a zero row and column) makes the stacked
+    # inverse fail: every row takes the SVD test
+    singular = mmat.copy()
+    singular[3, -1, :] = singular[3, :, -1] = 0.0
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    want = svd_test(singular)
+    assert want[3]
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert np.array_equal(solver._ill_conditioned(singular), want)
+    assert svd_rows[-1] == len(mmat)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -1066,8 +1199,8 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
     # filtered mid-block. A condition limit of 1e6 backs psi off on some
     # rows; a singular shifted matrix of the first candidate at step 3 drops
     # its row in the per-row fallback of the stacked solve. Three real
-    # candidates of the CLI pool's 4-node line: rows of every candidate stop
-    # at their fixed points, at different steps
+    # candidates of the CLI pool's 4-node line: rows of every candidate
+    # leave early, at different steps
     if case == "cli_line4":
         net, mask, lam = cli_line4()
         cfg, lams = SolverConfig(), (lam, -0.1 + 0j, 0.5 + 0j)
@@ -1107,7 +1240,7 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
         rows = block[k * cfg.restarts:(k + 1) * cfg.restarts]
         assert any(len(row.trace) < cfg.sweep_iters for row in rows)
         if case == "cli_line4":
-            assert_rows_stop_still(rows, cfg, 1)
+            assert_rows_stop_early(rows, cands[k].asm, cfg, 1)
     if case == "cli_line4":
         lengths = {len(row.trace) for row in block}
         assert len(lengths) >= 4 and cfg.sweep_iters in lengths
@@ -1409,6 +1542,18 @@ def test_radius_star_matches_oracle():
                                            SolverConfig(seed=6, restarts=4))
     assert rr.best.converged
     assert gap <= 1e-4
+
+
+def test_a_handed_off_row_polishes_to_the_star_closed_form():
+    # C7's star(5, trial 79): a restart that swept on to a stationary iterate
+    # was accepted there without a polish step (||F||_inf = 9.5e-13 against
+    # the absolute 1e-12) and won at 2.0e-9 relative below star_radius. The
+    # row now reaches the polish's basin after 7 steps, and one
+    # Gauss-Newton step takes it to the closed form
+    net, mask, _ = sample_network("star", 5, 4041, 79)
+    rr = solve_radius(net, mask, "topo", STAR_CFG)
+    assert len(rr.best.iterates.sweep) == 7
+    assert rr.cost == pytest.approx(star_radius(net.weights).delta, rel=1e-12, abs=0.0)
 
 
 def test_radius_grid_containing_true_lambda():
