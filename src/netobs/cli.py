@@ -2,9 +2,9 @@
 closed-form oracles, and a built-in validation suite.
 
 Exit codes: 0 success, 1 input/parse problem or an output file that cannot
-be written, 2 unobservable input system, 3 solver failure, 4 validation
-failure. stdout carries machine-readable payload only; diagnostics go to
-stderr.
+be written, 2 unobservable input system, 3 solver failure (an answer whose
+certificate does not verify among them), 4 validation failure. stdout
+carries machine-readable payload only; diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -69,9 +69,7 @@ def _default_seed(args):
 
 
 def _cfg(args):
-    return SolverConfig(
-        psi=args.psi, conv_tol=args.tol,
-        restarts=args.restarts, seed=_default_seed(args))
+    return SolverConfig(psi=args.psi, restarts=args.restarts, seed=_default_seed(args))
 
 
 def _emit(payload, output):
@@ -325,7 +323,6 @@ def build_parser():
 
     def add_solver_opts(sp):
         sp.add_argument("--psi", type=float, default=0.9)
-        sp.add_argument("--tol", type=float, default=1e-9)
         sp.add_argument("--restarts", type=int, default=8)
         sp.add_argument("--seed", type=int, default=None,
                         help="defaults to NETOBS_SEED or 0")

@@ -8,16 +8,15 @@ threshold. The ones that solve also return the result.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import scipy.linalg as sla
 
 from . import analytic_oracles as oracles
 from .network_model import canonicalize
 from .radius_core import build_reduced, build_weightings
-from .solver import (_assembly, _continuation, generalized_spectrum,
-                     solve_fixed_lambda, solve_radius)
+from .solver import (_assembly, _best_of_restarts, _continuation,
+                     _reconstructed, generalized_spectrum, solve_fixed_lambda,
+                     solve_radius)
 
 
 def spectrum_residuals(pp):
@@ -92,14 +91,13 @@ def real_route_gap(net, mask, lam, cfg):
     for it at the same cost); a cold full solve guards against the full
     route finding something cheaper.
     """
-    full_cfg = replace(cfg, force_full_pencil=True)
     half = solve_fixed_lambda(net, mask, lam, cfg)
     if not half.converged:
         return None
     cf = canonicalize(net, mask)
-    warm = _continuation(_assembly(build_reduced(cf, lam), full_cfg), half.triple,
-                         full_cfg).settle(cf, full_cfg.conv_tol)
-    cold = solve_fixed_lambda(net, mask, lam, full_cfg)
+    full = _assembly(build_reduced(cf, lam), full_pencil=True)
+    warm = _reconstructed(cf, _continuation(full, half.triple, cfg))
+    cold = _best_of_restarts(cf, lam, cfg, full_pencil=True)
     costs = [r.cost for r in (warm, cold) if r.converged]
     if not costs:
         return np.inf

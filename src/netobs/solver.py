@@ -30,18 +30,14 @@ from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
 @dataclass(frozen=True)
 class SolverConfig:
     psi: float = 0.9              # shift factor, open interval (0.5, 1)
-    conv_tol: float = 1e-9
     restarts: int = 8
     seed: int = 0
     sweep_iters: int = 20         # at most this many sweep steps before the polish
     keep_delta_trace: bool = False
-    force_full_pencil: bool = False
 
     def __post_init__(self):
         if not (0.5 < self.psi < 1.0):
             raise ValueError(f"psi must lie in (0.5, 1), got {self.psi}")
-        if not 0.0 < self.conv_tol < np.inf:
-            raise ValueError(f"conv_tol must be positive and finite, got {self.conv_tol}")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         if self.seed < 0:
@@ -453,7 +449,7 @@ class FixedLambdaResult:
     @property
     def cost(self):
         """Radius value ||Delta||_F, inf when the run failed."""
-        if self.perturbation is None:
+        if not self.converged or self.perturbation is None:
             return np.inf
         return self.perturbation.frob_norm
 
@@ -647,9 +643,9 @@ def _ill_conditioned(mmat):
 
 def heuristic_iterate(restart, block=None) -> FixedLambdaResult:
     """The result of one grid restart once it stops searching
-    (_Restart.search): its first triple that passes the cheap checks,
-    unreconstructed (converged, its cost inf until _Restart.settle), or its
-    failure.
+    (_Restart.search): its first converged polish whose triple passes
+    _checked_triple, unreconstructed (converged, its cost inf until
+    _reconstructed), or its failure.
 
     restart is the restart's _Restart (_Restart.start), and block, when
     given, the _Restart of every restart of its candidate, which polish in
@@ -662,18 +658,17 @@ def heuristic_iterate(restart, block=None) -> FixedLambdaResult:
 
 @dataclass(eq=False)
 class _Restart:
-    """Everything after the sweep for one grid restart or one
-    lambda-descent probe: its seeds (polished in turn), how many of them
-    are polished, the Jacobians those polishes took, the reason the last
-    triple was rejected and, once the restart stops searching, its result.
+    """The polish of one grid restart or one lambda-descent probe: its
+    seeds (polished in turn until one converges), how many of them are
+    polished, the Jacobians those polishes took, the reason the last seed
+    failed and, once the restart stops searching, its result.
 
-    The result is pending (converged, with a triple that passes
-    _checked_triple, unreconstructed), or failed when the seeds ran out.
-    settle reconstructs a pending triple. A grid restart (start) has its
-    sweep row and up to four seeds; a probe (_continuation) has an empty
-    sweep and one seed. The result's iterates are the sweep passes and the
-    polish of the seed that gave the triple, Delta_i kept when keep_deltas
-    is set.
+    The result is converged, with the triple of the first seed whose polish
+    converges and passes _checked_triple, unreconstructed; or failed when
+    the seeds ran out. A grid restart (start) has its sweep row and up to
+    four seeds; a probe (_continuation) has an empty sweep and one seed.
+    The result's iterates are the sweep passes and the polish of the seed
+    that gave the triple, Delta_i kept when keep_deltas is set.
     """
 
     sweep: _Sweep
@@ -726,7 +721,8 @@ class _Restart:
         wave. The waves stop once this restart does; the others go on in
         their own calls. _gn_core gives every row the bits of a block of
         one, so the result is the same for any block, and that of polishing
-        one seed at a time. A restart with no seed left fails at once.
+        one seed at a time. A probe with no seed (_continuation) fails at
+        once.
         """
         if self.result is None and self.polished == len(self.seeds):
             self._fail()
@@ -759,32 +755,6 @@ class _Restart:
         if self.polished == len(self.seeds):
             self._fail()
 
-    def settle(self, cf, conv_tol):
-        """The result once its pending triple is reconstructed; a failed
-        result comes back as it is.
-
-        The result fails when the residual ||H z - sigma_bar D z|| at the
-        balanced embedding z = (x, y)/sqrt(2), sigma_bar = 2 sigma, is above
-        conv_tol: D is quadratic in z, so that is the stationarity residual
-        the reconstruction already took (r_stat) over sqrt(2). A triple
-        rejected as spurious sends the restart on to its next seed, polished
-        alone, and the result is its next pending triple or its failure.
-        """
-        res = self.result
-        if not res.converged:
-            return res
-        try:
-            rec = reconstruct_perturbation(self.pencil.rp, res.triple, cf)
-        except (SpuriousTripleError, ValueError) as exc:
-            self.failure, self.result = f"spurious stationary point: {exc}", None
-            return self.search()
-        residual = rec.r_stat / np.sqrt(2.0)
-        converged = residual <= conv_tol
-        self.result = replace(
-            res, converged=converged, reconstruction=rec,
-            failure=None if converged else f"pencil residual {residual:.3e} above tolerance")
-        return self.result
-
     def _fail(self):
         self.result = FixedLambdaResult(
             lam=self.pencil.rp.lam, converged=False,
@@ -807,14 +777,12 @@ def _wave(block):
 
 
 def _checked_triple(asm, u):
-    """The cheap half of the step after a converged polish on the assembly
-    asm, for restarts and probes alike: orients sigma > 0, rejects the
-    collapsed (x or y ~ 0) and zero-sigma branches and maps u to a unit
-    triple. Returns (triple, oriented u), or (None, the reason u was
-    rejected)."""
+    """The triple of a converged polish on the assembly asm, for restarts
+    and probes alike: orients sigma > 0, rejects the zero-sigma branch and
+    maps u to a unit triple. The polish's unit-norm rows keep x and y off
+    the collapsed branch: at convergence | ||x||^2 - 1 | <= 2 _POLISH_TOL.
+    Returns (triple, oriented u), or (None, the reason u was rejected)."""
     nx = asm.nx
-    if np.linalg.norm(u[:nx]) < 1e-6 or np.linalg.norm(u[nx:-1]) < 1e-6:
-        return None, "collapsed onto the trivial solution branch"
     if u[-1] < 0:
         u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
     if abs(u[-1]) < 1e-14:
@@ -866,10 +834,11 @@ def _pbh_warm_start(cf, lam, asm, rng):
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
 
-def _assembly(rp, cfg):
+def _assembly(rp, full_pencil=False):
     """The PencilAssembly of rp on its route: the half-size system of a real
-    lambda, unless cfg forces the full pencil."""
-    return PencilAssembly(rp, real=rp.is_real and not cfg.force_full_pencil)
+    lambda, unless full_pencil asks for the full one (the route check of
+    properties.real_route_gap)."""
+    return PencilAssembly(rp, real=rp.is_real and not full_pencil)
 
 
 @dataclass(eq=False)
@@ -881,11 +850,12 @@ class _Candidate:
     starts: list
 
 
-def _candidate(cf, lam, cfg):
-    """The _Candidate of lam. Every restart's start vector is drawn from the
-    restart's own stream, in the order a restart on its own would draw it:
-    restart 0 from the PBH singular vector when there is one."""
-    asm = _assembly(build_reduced(cf, lam), cfg)
+def _candidate(cf, lam, cfg, full_pencil=False):
+    """The _Candidate of lam, on the route _assembly gives it. Every
+    restart's start vector is drawn from the restart's own stream, in the
+    order a restart on its own would draw it: restart 0 from the PBH
+    singular vector when there is one."""
+    asm = _assembly(build_reduced(cf, lam), full_pencil)
     starts = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
@@ -919,52 +889,56 @@ def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
 
     Restart r is a _Restart on its sweep row, its random seed drawn from
     cfg.seed * 1009 + r. Each polishes in heuristic_iterate, up to its
-    first triple that passes the cheap checks, and the restarts polish in
-    lockstep: their seeds go through _gn_core in waves, seed k of every
-    restart still searching in wave k, a block of at most cfg.restarts and
-    _BLOCK_ROWS rows. Every restart gets the bits it gets polished alone,
-    one seed at a time. The restarts are ranked by the cost of their
-    triples (_triple_cost, equal to the reconstruction's bit for bit) under
-    the rule that picks the winner: in restart order, a cost below the
+    first converged polish, and the restarts polish in lockstep: their
+    seeds go through _gn_core in waves, seed k of every restart still
+    searching in wave k, a block of at most cfg.restarts and _BLOCK_ROWS
+    rows. Every restart gets the bits it gets polished alone, one seed at a
+    time. The restarts are ranked by the cost of their triples
+    (_triple_cost, equal to the reconstruction's bit for bit) under the
+    rule that picks the winner: in restart order, a cost below the
     incumbent's by more than 1e-15 takes its place. Only the top-ranked
-    restart is settled (_Restart.settle). If it passes, it wins. If its
-    triple is rejected as spurious, the restart goes on to its next seed,
-    polished alone, and the new triple is ranked in its place; if it fails
-    the residual test, its restart fails. Then the ranking is taken again.
-
-    Every restart that the winner would have beaten is left unreconstructed.
-    The winner is the one that reconstructing every restart would give,
-    unless one of those triples would have been rejected: its restart would
-    then have gone on to a later seed, which might have won.
+    restart is reconstructed (_reconstructed), so the winner is the one
+    that reconstructing every restart would give. If its reconstruction is
+    rejected, the candidate fails with that reason.
     """
     rp = cand.asm.rp
     block = [_Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace)
              for r, sweep in enumerate(sweeps)]
     results = [heuristic_iterate(restart, block) for restart in block]
-    costs = [_triple_cost(rp, res.triple) if res.converged else None for res in results]
-    failures = [res.failure for res in results if not res.converged]
-    while True:
-        top = None
-        for r, cost in enumerate(costs):
-            if cost is not None and (top is None or cost < costs[top] - 1e-15):
-                top = r
-        if top is None:
-            break
-        res = block[top].settle(cf, cfg.conv_tol)
-        if res.converged and res.reconstruction is not None:
-            return res
-        if res.converged:  # the restart's next triple
-            costs[top] = _triple_cost(rp, res.triple)
-        else:
-            costs[top] = None
-            failures.append(res.failure)
-    return FixedLambdaResult(lam=rp.lam, converged=False,
-                             failure="all restarts failed: " +
-                                     "; ".join(sorted(set(f or "?" for f in failures))))
+    top, top_cost = None, None
+    for res in results:
+        if res.converged:
+            cost = _triple_cost(rp, res.triple)
+            if top is None or cost < top_cost - 1e-15:
+                top, top_cost = res, cost
+    if top is None:
+        return FixedLambdaResult(lam=rp.lam, converged=False,
+                                 failure="all restarts failed: " +
+                                         "; ".join(sorted(set(res.failure for res in results))))
+    return _reconstructed(cf, top)
 
 
-def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
-    """solve_fixed_lambda on a canonical form, without the verification.
+def _reconstructed(cf, res):
+    """The converged result res with its triple's perturbation
+    (reconstruct_perturbation), or failed with the reason when the
+    reconstruction rejects the triple; a failed res comes back as it is.
+
+    This is the solver's one call of reconstruct_perturbation: a
+    candidate's top-ranked restart and a lambda-descent probe that beats
+    its incumbent take one each, and no seed is polished again.
+    """
+    if not res.converged:
+        return res
+    try:
+        rec = reconstruct_perturbation(res.iterates.asm.rp, res.triple, cf)
+    except SpuriousTripleError as exc:
+        return replace(res, converged=False, failure=f"spurious stationary point: {exc}")
+    return replace(res, reconstruction=rec)
+
+
+def _best_of_restarts(cf, lam, cfg: SolverConfig, full_pencil=False) -> FixedLambdaResult:
+    """solve_fixed_lambda on a canonical form, without the certificate, on
+    the route _assembly gives lam and full_pencil.
 
     Every restart's start vector is drawn first (_candidate). All starts
     then go through the sweep in lockstep (_sweep, one block), and each
@@ -972,7 +946,7 @@ def _best_of_restarts(cf, lam, cfg: SolverConfig) -> FixedLambdaResult:
     The results are those of one restart at a time, bit for bit. This is
     the one-candidate case of solve_radius's sweep-ahead blocks.
     """
-    cand = _candidate(cf, lam, cfg)
+    cand = _candidate(cf, lam, cfg, full_pencil)
     sweeps, = _sweep_candidates([cand], cfg)
     return _polish_restarts(cf, cand, sweeps, cfg)
 
@@ -983,17 +957,26 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
 
     Restart 0 is warm-started from the PBH singular vector at lam; the rest
     draw random unit vectors from per-restart seeded streams. Winner is the
-    minimum-cost converged run, re-verified against the original system
-    before return. If nothing converges an explicit failure result comes
-    back rather than a silent wrong answer. A lam that is not finite is an
-    input error (ValueError).
+    minimum-cost converged run, certified against the original system
+    before return (_certified). If nothing converges, or the certificate
+    does not verify, an explicit failure result comes back rather than a
+    silent wrong answer. A lam that is not finite is an input error
+    (ValueError).
     """
     _finite_lambda(lam)
     best = _best_of_restarts(canonicalize(net, mask), lam, cfg)
-    if not best.converged:
-        return best
-    report = verify_unobservability(net, best.perturbation, lam)
-    return replace(best, verification=report)
+    return _certified(net, best) if best.converged else best
+
+
+def _certified(net, res):
+    """The reconstructed result res with its certificate
+    (verify_unobservability) on the original system; failed, naming the
+    certificate, when it does not verify."""
+    report = verify_unobservability(net, res.perturbation, res.lam)
+    if report.verified:
+        return replace(res, verification=report)
+    return replace(res, converged=False, verification=report,
+                   failure=f"certificate not verified: smin {report.smin:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -1080,15 +1063,14 @@ class RadiusResult:
 
 def _continuation(asm, t_prev, cfg):
     """The continuation of the triple t_prev to the lambda of the assembly
-    asm (a neighbouring one, or its own): a _Restart with an empty sweep
-    whose only seed is t_prev's polish variable on asm, already polished.
-    Its result is pending, or failed when the polish or the cheap checks
-    fail or t_prev has no polish variable on asm's route; settle
-    reconstructs it."""
+    asm (a neighbouring one, or its own): the result of a _Restart with an
+    empty sweep whose only seed is t_prev's polish variable on asm.
+    It is converged and unreconstructed, or failed when the polish or
+    _checked_triple fails or t_prev has no polish variable on asm's
+    route."""
     u0 = asm.u_of(t_prev)
     restart = _Restart(_Sweep(), asm, [] if u0 is None else [u0], cfg.keep_delta_trace)
-    restart.search()
-    return restart
+    return restart.search()
 
 
 def _descent_direction(rp, res):
@@ -1113,36 +1095,36 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     (_continuation): a restart whose one seed is that triple. The trial's
     triple is ranked by its cost (_triple_cost, equal to the
     reconstruction's bit for bit) before anything is reconstructed: only a
-    cost below the incumbent's by more than 1e-12 is settled
-    (_Restart.settle), and if that passes, the trial is accepted and
-    doubles h. Anything else halves h, which starts at 0.05 max(1, |lam|);
-    a probe whose triple settle rejects as spurious has no seed left and
-    fails without another polish. The descent stops at an incumbent
-    stationary in lambda or when h falls below 1e-7. From a real incumbent
-    on the half-size route (x_im = y2 = 0, so c_im = 0) it stays on the
-    real axis. Trials join trace with their cost: those that lose to the
-    incumbent with the rank cost, unreconstructed, and those that beat it
-    once their reconstruction passes. An accepted trial carries its
-    continuation's iterates, like a grid winner. Returns (incumbent, its
-    lambda, trials).
+    cost below the incumbent's by more than 1e-12 is reconstructed
+    (_reconstructed), and if that passes, the trial is accepted and doubles
+    h. Anything else halves h, which starts at 0.05 max(1, |lam|); a probe
+    whose reconstruction is rejected fails without another polish. The
+    descent stops at an incumbent stationary in lambda or when h falls
+    below 1e-7. From a real incumbent on the half-size route (x_im = y2 =
+    0, so c_im = 0) it stays on the real axis. Trials join trace with their
+    cost: those that lose to the incumbent with the rank cost,
+    unreconstructed, and those that beat it once their reconstruction
+    passes. An accepted trial carries its continuation's iterates, like a
+    grid winner. Returns (incumbent, its lambda, trials).
     """
     step = _descent_direction(best.iterates.asm.rp, best)
     h = 0.05 * max(1.0, abs(lam))
     probes = 0
     while step is not None and h >= 1e-7:
         lam_try = _fold(lam + h * step)
-        asm = _assembly(build_reduced(cf, lam_try), cfg)
+        asm = _assembly(build_reduced(cf, lam_try))
         probe = _continuation(asm, best.triple, cfg)
         probes += 1
         won = False
-        if probe.result.converged:
-            cost = _triple_cost(asm.rp, probe.result.triple)
+        if probe.converged:
+            cost = _triple_cost(asm.rp, probe.triple)
             if cost < best.cost - 1e-12:
-                won = probe.settle(cf, cfg.conv_tol).converged
+                probe = _reconstructed(cf, probe)
+                won = probe.converged
             else:
                 trace.append((lam_try, cost))
         if won:
-            best, lam, h = probe.result, lam_try, 2.0 * h
+            best, lam, h = probe, lam_try, 2.0 * h
             trace.append((lam_try, best.cost))
             step = _descent_direction(asm.rp, best)
         else:
@@ -1156,8 +1138,9 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
 
     Candidates are ranked by the unstructured PBH lower bound and solved in
     that order; a candidate whose bound already exceeds the incumbent cost is
-    pruned. Only the returned answer is verified against the original
-    system, not every candidate.
+    pruned. Only the returned answer is certified against the original
+    system (_certified), not every candidate: one that does not verify
+    fails the solve.
 
     The sweep runs ahead of the polish. The bounds ascend and the incumbent
     cost never rises, so pruning only ever cuts a suffix of the bound
@@ -1216,7 +1199,5 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                                    failure="no candidate converged"),
             lambda_star=None, search_trace=tuple(trace), pruned=pruned)
     best, best_lam, refine_evals = _descend_lambda(cf, best, best_lam, cfg, trace)
-    best = replace(best, verification=verify_unobservability(net, best.perturbation,
-                                                             best.lam))
-    return RadiusResult(best=best, lambda_star=best_lam, search_trace=tuple(trace),
-                        pruned=pruned, refine_evals=refine_evals)
+    return RadiusResult(best=_certified(net, best), lambda_star=best_lam,
+                        search_trace=tuple(trace), pruned=pruned, refine_evals=refine_evals)

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from netobs import cli, radius_core
+from netobs import cli, radius_core, solver
 from netobs.montecarlo import sample_network
 
 
@@ -101,13 +102,19 @@ def test_non_finite_lambda_exit_1(line4_file, capsys, lam):
     assert err.startswith("input error: ") and "finite" in err
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
-def test_bad_tol_exit_1(line4_file, capsys, tol):
-    path, _ = line4_file
-    code, out, err = run(["radius", path, "--lambda", "0,1", "--tol", tol], capsys)
-    assert code == 1
+@pytest.mark.parametrize("lam", [None, "0,1"])
+@pytest.mark.parametrize("command", ["radius", "perturb"])
+def test_unverified_answer_exit_3(line4_file, capsys, monkeypatch, command, lam):
+    # an answer whose certificate does not verify is a solver failure: no
+    # payload, whether it comes from the grid search or a fixed lambda
+    verify = solver.verify_unobservability
+    monkeypatch.setattr(solver, "verify_unobservability",
+                        lambda *args: replace(verify(*args), verified=False))
+    args = [command, line4_file[0]] + ([] if lam is None else ["--lambda", lam])
+    code, out, err = run(args, capsys)
+    assert code == 3
     assert out == ""
-    assert err.startswith("error: ") and "conv_tol" in err
+    assert err.startswith("solver failed: certificate not verified")
 
 
 def test_usage_error_exit_1(capsys):

@@ -349,7 +349,7 @@ def test_result_residual_is_the_balanced_pencil_residual():
         dense = float(np.linalg.norm(pp.h @ z - 2.0 * t.sigma * (pp.d @ z)))
         assert abs(res.residual - dense) <= 1e-14
         assert res.residual == res.reconstruction.r_stat / np.sqrt(2.0)
-        assert 0.0 < res.residual <= cfg.conv_tol
+        assert 0.0 < res.residual <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -123,9 +123,6 @@ def test_config_validation():
         SolverConfig(psi=1.0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-    for tol in (-1.0, 0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="conv_tol"):
-            SolverConfig(conv_tol=tol)
 
 
 def test_config_rejects_a_negative_seed_and_sweep_count():
@@ -200,7 +197,7 @@ def test_converged_implies_residual_within_tol():
         net, mask, _ = sample_network("line", 4, 9, trial)
         res = solve_fixed_lambda(net, mask, 0.5 + 0.5j, cfg)
         if res.converged:
-            assert res.residual <= cfg.conv_tol
+            assert res.residual <= 1e-9
             assert res.history[-1] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -232,32 +229,28 @@ def test_bit_identical_reruns():
 
 def test_real_lambda_routes_agree():
     cfg = SolverConfig(seed=3, restarts=4, sweep_iters=12)
-    full_cfg = replace(cfg, restarts=12, force_full_pencil=True)
     agreed = 0
     for trial in range(3):
         net, mask, _ = sample_network("line", 3, 17, trial)
         lam = complex(np.diag(net.weights)[-1], 0.0)
         half = solve_fixed_lambda(net, mask, lam, cfg)
-        full = solve_fixed_lambda(net, mask, lam, full_cfg)
+        full = solver._best_of_restarts(canonicalize(net, mask), lam,
+                                        replace(cfg, restarts=12), full_pencil=True)
         if half.converged and full.converged:
             assert abs(half.cost - full.cost) < 1e-8
             agreed += 1
     assert agreed >= 2
 
 
-def iterate_alone(rp, cf, cfg, z0):
+def iterate_alone(rp, cf, cfg, z0, full_pencil=False):
     """The restart of one start vector z0 on its own: its sweep as a block
     of one row (solver._sweep), then solver.heuristic_iterate on that row,
-    both on an assembly built here for rp and cfg, then the reconstruction
-    of its triples until one passes or the restart fails
-    (solver._Restart.settle)."""
-    asm = solver._assembly(rp, cfg)
+    both on an assembly built here for rp (solver._assembly), then the
+    reconstruction of its triple (solver._reconstructed)."""
+    asm = solver._assembly(rp, full_pencil)
     row, = solver._sweep([asm], [[z0]], cfg)
     restart = solver._Restart.start(cf, row, asm, cfg.seed, cfg.keep_delta_trace)
-    res = solver.heuristic_iterate(restart)
-    while res.converged and res.reconstruction is None:
-        res = restart.settle(cf, cfg.conv_tol)
-    return res
+    return solver._reconstructed(cf, solver.heuristic_iterate(restart))
 
 
 def test_warm_start_survives_singular_sweep_pencil():
@@ -272,8 +265,7 @@ def test_warm_start_survives_singular_sweep_pencil():
     cf = canonicalize(net, mask)
     rp = build_reduced(cf, lam)
     t = half.triple
-    warm = iterate_alone(rp, cf, replace(cfg, force_full_pencil=True),
-                         np.concatenate([t.x, t.y]))
+    warm = iterate_alone(rp, cf, cfg, np.concatenate([t.x, t.y]), full_pencil=True)
     assert warm.converged
     assert warm.iterates.sweep == ()  # the sweep took no step
     assert abs(warm.cost - half.cost) < 1e-10
@@ -872,7 +864,7 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
     rows.clear()
     results.clear()
     rp = build_reduced(cf, lam)
-    asm = solver._assembly(rp, cfg)
+    asm = solver._assembly(rp)
     reference = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
@@ -986,7 +978,7 @@ def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
         # rows leave the block early, at different steps: on the 4-node line
         # in the polish's basin while others take every step, on the star
         # at a fixed point and in the basin
-        asm = solver._assembly(build_reduced(canonicalize(net, mask), lam), cfg)
+        asm = solver._assembly(build_reduced(canonicalize(net, mask), lam))
         still, handed = assert_rows_stop_early(
             [row for row, _ in lockstep], asm, cfg, 2)
         assert steps < cfg.restarts * cfg.sweep_iters
@@ -1253,18 +1245,15 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
 
 
 def reconstruct_every_restart(cf, cand, sweeps, cfg):
-    """solver._polish_restarts without the ranking: every restart's triples
-    are reconstructed in turn until one passes or the restart fails, and the
-    winner is picked in restart order, a cost below the incumbent's by more
-    than 1e-15 taking its place."""
+    """solver._polish_restarts without the ranking: every converged restart
+    is reconstructed (solver._reconstructed), and the winner is picked in
+    restart order, a cost below the incumbent's by more than 1e-15 taking
+    its place."""
     best, failures = None, []
     for r, sweep in enumerate(sweeps):
         restart = solver._Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r,
                                         cfg.keep_delta_trace)
-        res = solver.heuristic_iterate(restart)
-        # a triple rejected as spurious sends the restart on to its next seed
-        while res.converged and res.reconstruction is None:
-            res = restart.settle(cf, cfg.conv_tol)
+        res = solver._reconstructed(cf, solver.heuristic_iterate(restart))
         if not res.converged:
             failures.append(res.failure)
         elif best is None or res.cost < best.cost - 1e-15:
@@ -1288,16 +1277,16 @@ RANKED_CASES = {
 }
 
 
-def solve_both_ways(mp, case, reconstruct=None):
+def solve_both_ways(mp, case):
     """RANKED_CASES[case] solved by solver._polish_restarts and by
-    reconstruct_every_restart, reconstruct_perturbation replaced by
-    reconstruct when given. Returns, per way, the result and the number of
-    reconstructions each polished candidate took (with whether it converged)."""
+    reconstruct_every_restart. Returns, per way, the result and the number
+    of reconstructions each polished candidate took (with whether it
+    converged)."""
     out = []
     polish = solver._polish_restarts
     for way in (polish, reconstruct_every_restart):
         calls, per_candidate = [], []
-        inner = reconstruct or solver.reconstruct_perturbation
+        inner = solver.reconstruct_perturbation
 
         def counting(*args):
             calls.append(args)
@@ -1364,53 +1353,66 @@ def test_rank_key_is_the_reconstructed_cost_bit_for_bit(monkeypatch):
     assert all(key == cost for key, cost in pairs)
 
 
-def triple_bytes(t):
-    return (t.sigma, raw(t.x), raw(t.y))
-
-
 @pytest.mark.parametrize("case", ["c3_chain0", "line6"])
-def test_a_rejected_top_triple_hands_over(monkeypatch, case):
-    # the top-ranked triple is rejected as spurious: the solve goes on to the
-    # next-ranked triple, or that restart's next seed, and lands where
-    # reconstructing every restart with the same rejection lands
-    rejected = []
-    reconstruct = solver.reconstruct_perturbation
+def test_a_rejected_reconstruction_fails_its_candidate(monkeypatch, case):
+    # the top-ranked triple is rejected as spurious when it is reconstructed:
+    # the candidate fails with that reason, and no seed is polished after it
+    events = []
+    wave = solver._wave
 
-    def reject_the_first(rp, t, cf):
-        if not rejected or triple_bytes(t) == rejected[0]:
-            rejected.append(triple_bytes(t))
-            raise solver.SpuriousTripleError("forced")
-        return reconstruct(rp, t, cf)
+    def recording_wave(block):
+        events.append("wave")
+        return wave(block)
 
-    (ranked, counts), (reference, _) = solve_both_ways(monkeypatch, case,
-                                                       reject_the_first)
-    assert ranked.converged and ranked.verification.verified
-    assert triple_bytes(ranked.triple) != rejected[0]
-    assert counts[0][0] >= 2
-    assert len(rejected) == 2  # once each way
-    assert_same_winner(ranked, reference)
+    def rejecting(rp, t, cf):
+        events.append("reconstruct")
+        raise SpuriousTripleError("forced")
+
+    monkeypatch.setattr(solver, "_wave", recording_wave)
+    monkeypatch.setattr(solver, "reconstruct_perturbation", rejecting)
+    res = RANKED_CASES[case]()
+    assert not res.converged and res.cost == np.inf
+    assert res.failure == "spurious stationary point: forced"
+    assert res.verification is None
+    assert events.count("reconstruct") == 1 and events[-1] == "reconstruct"
+    assert events.count("wave") >= 1
 
 
-@pytest.mark.parametrize("kind", ["spurious", "residual"])
-@pytest.mark.parametrize("case", ["c3_chain0", "line6"])
-def test_every_triple_rejected_fails_the_solve(monkeypatch, case, kind):
-    # a spurious triple sends its restart on to its next seed, and a triple
-    # that fails the residual test fails its restart: both ways take the
-    # same reconstructions and give the same failure
-    reconstruct = solver.reconstruct_perturbation
+def test_every_polished_triple_solves_the_stationarity_system(monkeypatch):
+    # the premise of accepting a converged polish without a second test:
+    # every triple that passes the polish (all restarts, all candidates and
+    # every lambda-descent probe) reconstructs with residuals far below
+    # reconstruct_perturbation's 1e-8, and its polish variable has unit
+    # blocks, so no collapsed branch reaches _checked_triple
+    polished = []
+    checked = solver._checked_triple
 
-    def reject(rp, t, cf):
-        if kind == "spurious":
-            raise solver.SpuriousTripleError("forced")
-        return replace(reconstruct(rp, t, cf), r_stat=1.0)
+    def recording(asm, u):
+        t, detail = checked(asm, u)
+        if t is not None:
+            polished.append((asm, detail, t))
+        return t, detail
 
-    (ranked, counts), (reference, ref_counts) = solve_both_ways(monkeypatch, case, reject)
-    assert not ranked.converged
-    assert ranked.failure == ("all restarts failed: spurious stationary point: forced"
-                              if kind == "spurious" else
-                              "all restarts failed: pencil residual 7.071e-01 above tolerance")
-    assert counts == ref_counts
-    assert_same_winner(ranked, reference)
+    monkeypatch.setattr(solver, "_checked_triple", recording)
+    cases = [(sample_network("line", 3, 7, trial)[:2], C3_CFG) for trial in range(6)]
+    cases += [(sample_network("line", 6, 4040, 0)[:2], ENSEMBLE_CFG),
+              (sample_network("star", 6, 4041, 1)[:2], STAR_CFG)]
+    seen = 0
+    for (net, mask), cfg in cases:
+        polished.clear()
+        if cfg is C3_CFG:
+            assert solve_fixed_lambda(net, mask, 1j, cfg).converged
+        else:
+            assert solve_radius(net, mask, "topo", cfg).best.converged
+        assert polished
+        seen += len(polished)
+        cf = canonicalize(net, mask)
+        for asm, u, t in polished:
+            rec = solver.reconstruct_perturbation(asm.rp, t, cf)
+            assert rec.r_stat <= 1e-10 and rec.r_eig <= 1e-10
+            for block in (u[:asm.nx], u[asm.nx:-1]):
+                assert abs(np.linalg.norm(block) - 1.0) <= 1e-11
+    assert seen >= 100  # 128 when written
 
 
 # ---------------------------------------------------------------------------
@@ -1584,6 +1586,23 @@ def test_radius_verifies_only_its_answer(monkeypatch):
     assert res.verification.verified and len(calls) == 1
 
 
+def test_an_unverified_certificate_fails_the_solve(monkeypatch):
+    # the certificate is the answer's gate: an answer it does not verify
+    # comes back failed, naming the certificate, never as a radius
+    verify = solver.verify_unobservability
+    monkeypatch.setattr(solver, "verify_unobservability",
+                        lambda *args: replace(verify(*args), verified=False))
+    net, mask, _ = sample_network("line", 5, 59, 3)
+    cfg = SolverConfig(seed=10, restarts=3)
+    rr = solve_radius(net, mask, "topo", cfg)
+    res = solve_fixed_lambda(net, mask, rr.lambda_star, cfg)
+    for got in (rr.best, res):
+        assert not got.converged and got.cost == np.inf
+        assert got.failure.startswith("certificate not verified: smin ")
+        assert got.verification is not None and not got.verification.verified
+    assert rr.cost == np.inf
+
+
 def test_radius_search_trace_records_bound_pruning():
     net, mask, _ = sample_network("line", 5, 59, 3)
     rr = solve_radius(net, mask, "topo", SolverConfig(seed=10, restarts=3))
@@ -1667,10 +1686,10 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
 
 
 def continue_triple(cf, lam, t, cfg):
-    """The triple t continued to lam (solver._continuation) and settled:
-    reconstructed and held to cfg.conv_tol, or failed."""
-    asm = solver._assembly(build_reduced(cf, lam), cfg)
-    return solver._continuation(asm, t, cfg).settle(cf, cfg.conv_tol)
+    """The triple t continued to lam (solver._continuation) and
+    reconstructed (solver._reconstructed), or failed."""
+    asm = solver._assembly(build_reduced(cf, lam))
+    return solver._reconstructed(cf, solver._continuation(asm, t, cfg))
 
 
 def test_lambda_gradient_matches_central_difference():
@@ -1833,46 +1852,35 @@ def test_lambda_descent_reaches_the_minimum(n, entries, scale, radius):
     assert rr.cost <= radius * (1.0 + 1e-6)
 
 
-def settled(asm, cf, t, cfg):
-    """The triple t on the assembly asm reconstructed and held to
-    cfg.conv_tol, as solver._Restart.settle does it for a pending triple."""
-    pending = solver.FixedLambdaResult(lam=asm.rp.lam, converged=True, triple=t)
-    restart = solver._Restart(_Sweep(), asm, [], False, result=pending)
-    return restart.settle(cf, cfg.conv_tol)
-
-
 def test_lambda_descent_reconstructs_only_the_probes_that_win(monkeypatch):
     # each converged probe is ranked by its triple's cost; only one that
     # beats the incumbent by more than 1e-12 is reconstructed, and one that
     # loses enters search_trace with the cost its reconstruction would give
     probes, reconstructed = [], []
-    restarts = []  # every probe's _Restart
-    cont, settle = solver._continuation, solver._Restart.settle
+    cont, reconstruct = solver._continuation, solver._reconstructed
 
     def continued(asm, t_prev, cfg):
-        restart = cont(asm, t_prev, cfg)
-        restarts.append(restart)
-        if restart.result.converged:
-            probes.append((asm, restart.result.triple))
-        return restart
+        res = cont(asm, t_prev, cfg)
+        if res.converged:
+            probes.append(res)
+        return res
 
-    def reconstructing(restart, cf, conv_tol):
-        if any(restart is r for r in restarts):
-            reconstructed.append(restart.pencil.rp.lam)
-        return settle(restart, cf, conv_tol)
+    def reconstructing(cf, res):
+        if any(res is probe for probe in probes):
+            reconstructed.append(res.lam)
+        return reconstruct(cf, res)
 
     monkeypatch.setattr(solver, "_continuation", continued)
-    monkeypatch.setattr(solver._Restart, "settle", reconstructing)
+    monkeypatch.setattr(solver, "_reconstructed", reconstructing)
     net, mask = net_of(from_entries(5, RANDOM_5_7))
-    cfg = SolverConfig()
-    rr = solve_radius(net, mask, "default", cfg)
+    rr = solve_radius(net, mask, "default", SolverConfig())
     assert rr.best.converged and len(probes) == rr.refine_evals
     grid, descent = rr.search_trace[:-len(probes)], rr.search_trace[-len(probes):]
     cf = canonicalize(net, mask)
     incumbent, wins = min(cost for _, cost in grid), []
-    for (asm, t), (lam, cost) in zip(probes, descent):
-        assert lam == asm.rp.lam
-        res = settled(asm, cf, t, cfg)
+    for probe, (lam, cost) in zip(probes, descent):
+        assert lam == probe.lam
+        res = reconstruct(cf, probe)
         assert res.converged and res.cost == cost
         if cost < incumbent - 1e-12:
             incumbent = cost
@@ -1899,48 +1907,58 @@ def test_a_descent_winner_carries_its_continuation_iterates():
 
 def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
     # the first probe that beats the incumbent is rejected as spurious when it
-    # is reconstructed: it has no seed left, so it fails without another
-    # polish, the step halves from the same incumbent, and the solve goes on
-    events, waves, rejected = [], [], []
+    # is reconstructed: it fails with that reason and without another polish,
+    # the step halves from the same incumbent, and the solve goes on
+    events, outcomes = [], []
     cont, direction = solver._continuation, solver._descent_direction
     wave, reconstruct = solver._wave, solver.reconstruct_perturbation
+    reconstructed = solver._reconstructed
 
     def continued(asm, t_prev, cfg):
-        restart = cont(asm, t_prev, cfg)
-        events.append(("probe", restart, t_prev))
-        return restart
+        events.append(("probe", asm.rp, t_prev))
+        return cont(asm, t_prev, cfg)
 
     def directing(rp, res):
         events.append(("incumbent", rp.lam, res.triple))
         return direction(rp, res)
 
     def recording_wave(block):
-        waves.append(list(block))
+        events.append(("wave",))
         return wave(block)
 
     def rejecting(rp, t, cf):
-        if not rejected and events and events[-1][0] == "probe" \
-                and rp is events[-1][1].pencil.rp:
-            rejected.append(events[-1][1])
+        probe = next((e for e in reversed(events) if e[0] == "probe"), None)
+        if probe is not None and rp is probe[1] and not any(
+                e[0] == "rejected" for e in events):
+            events.append(("rejected", rp))
             raise SpuriousTripleError("rejected for the test")
         return reconstruct(rp, t, cf)
+
+    def recording_reconstructed(cf, res):
+        out = reconstructed(cf, res)
+        outcomes.append(out)
+        return out
 
     monkeypatch.setattr(solver, "_continuation", continued)
     monkeypatch.setattr(solver, "_descent_direction", directing)
     monkeypatch.setattr(solver, "_wave", recording_wave)
     monkeypatch.setattr(solver, "reconstruct_perturbation", rejecting)
+    monkeypatch.setattr(solver, "_reconstructed", recording_reconstructed)
     net, mask = net_of(from_entries(5, RANDOM_5_7))
     rr = solve_radius(net, mask, "default", SolverConfig())
     assert rr.best.converged and rr.best.verification.verified
-    failed, = rejected
-    assert failed.polished == 1 and not failed.result.converged
-    assert failed.result.failure == "spurious stationary point: rejected for the test"
-    assert sum(any(r is failed for r in block) for block in waves) == 1
-    k = next(i for i, e in enumerate(events) if e[0] == "probe" and e[1] is failed)
+    r = next(i for i, e in enumerate(events) if e[0] == "rejected")
+    failed = next(o for o in outcomes if o.lam == events[r][1].lam)
+    assert not failed.converged
+    assert failed.failure == "spurious stationary point: rejected for the test"
+    k = max(i for i, e in enumerate(events[:r]) if e[0] == "probe")
+    # the probe's one polish, its rejection, and then the next probe
+    assert [e[0] for e in events[k:r + 2]] == ["probe", "wave", "rejected", "probe"]
     _, lam0, t0 = next(e for e in reversed(events[:k]) if e[0] == "incumbent")
-    kind, after, t_after = events[k + 1]
-    assert kind == "probe" and t_after is t0 and events[k][2] is t0
-    step, half = failed.pencil.rp.lam - lam0, after.pencil.rp.lam - lam0
+    _, rejected_rp, t_rejected = events[k]
+    _, after_rp, t_after = events[r + 1]
+    assert t_rejected is t0 and t_after is t0
+    step, half = rejected_rp.lam - lam0, after_rp.lam - lam0
     assert half == pytest.approx(step / 2.0, rel=1e-9)
     assert rr.refine_evals == sum(e[0] == "probe" for e in events)
 
