@@ -273,7 +273,8 @@ class PencilAssembly:
     pencil built here. pencil() writes only the diagonals of
     D = blkdiag(D_y, D_x) into a zeroed array (+0.0 elsewhere, as in a dense
     block assembly, bit for bit), or for stacks of points (the rows of x and
-    y) one D per row into an array of shape (rows, size, size).
+    y) one D per row into an array of shape (rows, size, size); weightings()
+    writes the same D and its square root F.
     """
 
     def __init__(self, rp: ReducedProblem, real=False):
@@ -292,12 +293,35 @@ class PencilAssembly:
         self.f_of, self.j_of = _stationarity_fj(at, self.v)
 
     def pencil(self, x, y) -> PencilPair:
-        d_y, d_x = _weighting_diagonals(self.v, x, y)
+        return PencilPair(h=self.h, d=self._fill(_weighting_diagonals(self.v, x, y)))
+
+    def weightings(self, x, y):
+        """(D, F) at the points (x, y): the D of pencil(x, y) and its positive
+        semidefinite square root F, D = F F, on D's pattern. F holds the
+        square roots of D's diagonals, or of each 2 x 2 block
+        [[s, t], [t, q]] in closed form, ([[s, t], [t, q]] + r I) /
+        sqrt(s + q + 2 r) with r = sqrt(sq - t^2) (0 for a zero block)."""
+        diagonals = _weighting_diagonals(self.v, x, y)
+        roots = []
+        for diags in diagonals:
+            if len(diags) == 1:
+                roots.append((np.sqrt(diags[0]),))
+                continue
+            s, t, _, q = diags
+            r = np.sqrt(np.fmax(s * q - t * t, 0.0))
+            tau = np.sqrt(s + q + 2.0 * r)
+            a, b, c = (np.divide(e, tau, out=np.zeros_like(e), where=tau > 0)
+                       for e in (s + r, t, q + r))
+            roots.append((a, b, b, c))
+        return self._fill(diagonals), self._fill(roots)
+
+    def _fill(self, diagonals):
+        d_y, d_x = diagonals
         values = np.concatenate(d_y + d_x, axis=-1)
         lead = values.shape[:-1]
         d = np.zeros(lead + (self.size, self.size))
         d.reshape(lead + (-1,))[..., self._positions] = values
-        return PencilPair(h=self.h, d=d)
+        return d
 
     def triple(self, u):
         """Unit triple of a polish variable u = (x, y, sigma)."""

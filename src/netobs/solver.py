@@ -3,8 +3,9 @@
 The fixed-lambda problem is attacked in two stages. A shifted inverse
 iteration on the nonlinear pencil (the weightings are rebuilt from the
 iterate every sweep step, shift mu = psi * smallest positive generalized
-eigenvalue) explores the landscape; it is kept faithful to the update rule
-but is not locally contractive at stationary points, so a
+eigenvalue, read off one symmetric eigenproblem per step by a spectral
+transformation) explores the landscape; it is kept faithful to the update
+rule but is not locally contractive at stationary points, so a
 Levenberg-Marquardt polish on the normalized stationarity system finishes
 the job. The polish works on unknowns (x, y, sigma) with explicit unit-norm
 rows appended, which kills both the scale gauge and the spurious x = 0
@@ -13,6 +14,7 @@ solution branch.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -50,8 +52,14 @@ class SolverConfig:
 # polish, restart or continuation
 _POLISH_MAX_ITER = 60
 _POLISH_TOL = 1e-12
-# a sweep's shift eigenvalue must exceed this times the scale of the real parts
+# a sweep's shift eigenvalue must exceed this times its pencil's scale and
+# _RESOLVE times its estimated rounding error, and be at most the scale over
+# _FINITE_TOL (_lambda_plus). Of about 17,850 sweep steps on C3's 100 chains,
+# margins of 10, 100 and 1000 let 47, 4 and 0 zero eigenvalues through as a
+# lambda_+ more than 1e-3 below QZ's; on the pools the margin changes no step
 _POSITIVE_TOL = 1e-8
+_RESOLVE = 1e3
+_FINITE_TOL = 5e-7
 # 2-norm condition number of H - mu D above which a sweep row backs psi off
 _COND_LIMIT = 1e14
 # A shifted matrix M = H - mu D is cleared without its SVD when ||M||_F
@@ -96,53 +104,6 @@ class SpectrumResult:
     regular: bool
 
 
-# LAPACK ?ggev handle and its workspace size, per (dtype of H, dtype of D,
-# order). An entry depends on nothing but its key, so every caller can share it.
-_GGEV = {}
-
-
-def _qz(h, d):
-    """Homogeneous eigenvalues (alpha, beta) of the pencil (h, d) by QZ.
-
-    LAPACK ?ggev gets the arguments scipy.linalg.eigvals(h, d,
-    homogeneous_eigvals=True) gives it: no eigenvectors, inputs not
-    overwritten, the workspace size from ?ggev's own query. The values come
-    back in the same form (complex alpha and beta), bit for bit. Only the
-    wrapper work is saved: the handle and the workspace size are looked up
-    once per dtype and order, and the input is not validated again.
-    """
-    key = (h.dtype.char, d.dtype.char, h.shape[0])
-    entry = _GGEV.get(key)
-    if entry is None:
-        ggev, = sla.get_lapack_funcs(("ggev",), (h, d))
-        lwork = ggev(h, d, lwork=-1)[-2][0].real.astype(np.int_)
-        entry = _GGEV[key] = (ggev, lwork)
-    ggev, lwork = entry
-    out = ggev(h, d, 0, 0, lwork, 0, 0)
-    if out[-1] != 0:
-        raise np.linalg.LinAlgError(f"QZ failed in ?ggev (info {out[-1]})")
-    if ggev.typecode in "cz":
-        alpha, beta = out[0], out[1]
-    else:
-        alpha, beta = out[0] + 1j * out[1], out[2]
-    return alpha, beta.astype(complex)
-
-
-def _classify(alpha, beta):
-    """(finite, indeterminate) masks of QZ's homogeneous eigenvalues, for
-    one pencil or row by row for stacks of shape (..., order).
-
-    A second-order block at infinity splits under rounding into a huge
-    conjugate pair with |beta| ~ sqrt(eps); anything past eps^-0.4 of the
-    pencil scale is indistinguishable from infinity and classified as such.
-    """
-    abs_alpha, abs_beta = np.abs(alpha), np.abs(beta)
-    scale = np.fmax(1.0, abs_alpha.max(axis=-1, keepdims=True))
-    finite = abs_beta > 5e-7 * (1.0 + abs_alpha)
-    indeterminate = (abs_alpha <= 1e-12 * scale) & (abs_beta <= 1e-12)
-    return finite, indeterminate
-
-
 def _regular(h, d):
     """Whether det(H - tD) is away from zero at one of a few fixed points."""
     hnorm = max(1.0, float(np.abs(h).max()), float(np.abs(d).max()))
@@ -153,32 +114,78 @@ def _regular(h, d):
 def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     """Finite part of spec(H, D) via QZ, with a regularity probe.
 
-    QZ is LAPACK ?ggev called through a cached handle (_qz), which returns
-    what scipy.linalg.eigvals(H, D, homogeneous_eigvals=True) would.
-    Infinite eigenvalues (beta ~ 0 with alpha away from 0) come from Ker(D)
-    and are dropped. If any alpha/beta pair is indeterminate (both ~ 0) the
-    pencil may be singular; det(H - tD) is probed at a few fixed points and
-    the pencil is flagged non-regular when all probes vanish.
+    QZ is scipy.linalg.eigvals(H, D, homogeneous_eigvals=True). Infinite
+    eigenvalues (beta ~ 0 with alpha away from 0) come from Ker(D) and are
+    dropped: a second-order block at infinity splits under rounding into a
+    huge conjugate pair with |beta| ~ sqrt(eps), so anything past eps^-0.4
+    of the pencil scale counts as infinite. If any alpha/beta pair is
+    indeterminate (both ~ 0) the pencil may be singular; det(H - tD) is
+    probed at a few fixed points and the pencil is flagged non-regular when
+    all probes vanish.
     """
-    alpha, beta = _qz(pp.h, pp.d)
-    finite, indeterminate = _classify(alpha, beta)
+    alpha, beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
+    abs_alpha, abs_beta = np.abs(alpha), np.abs(beta)
+    finite = abs_beta > 5e-7 * (1.0 + abs_alpha)
+    indeterminate = (abs_alpha <= 1e-12 * max(1.0, abs_alpha.max())) & (abs_beta <= 1e-12)
     regular = not indeterminate.any() or _regular(pp.h, pp.d)
     values = alpha[finite] / beta[finite]
     order = np.lexsort((values.imag, values.real))
     return SpectrumResult(values=values[order], regular=regular)
 
 
-def _min_positive(alpha, beta, finite):
-    """Smallest positive real finite eigenvalue of each pencil of a stack,
-    from QZ's (alpha, beta) of shape (rows, order); NaN where there is none.
-    Positive means above _POSITIVE_TOL times the scale of the real parts,
-    and real an imaginary part within 1e-6 of that scale.
+def _lambda_plus(h, d, f, t0):
+    """Smallest positive finite eigenvalue lambda_+ of each pencil (H, D) of
+    a stack, NaN where there is none or the pencil is singular; h, d and f
+    (the roots of D, D = F F, PencilAssembly.weightings) have shape
+    (rows, order, order), t0 one shift per row.
+
+    S = F (H - t0 D)^-1 F is symmetric, with the eigenvalue 1 / (sigma - t0)
+    for each finite eigenvalue sigma of (H, D) and 0 for each infinite one
+    (Ericsson & Ruhe, Math. Comp. 35, 1980), so one stacked eigvalsh of S's
+    symmetric part gives every spectrum. The finite spectrum is symmetric
+    about 0: for t0 in [lambda_+ / 2, lambda_+) the nu of lambda_+ dominates
+    and lambda_+ comes out to full relative accuracy. With the pencil's
+    scale c = ||H||_F / ||D||_F, sigma is finite at or below c / _FINITE_TOL
+    and positive above _POSITIVE_TOL c and above _RESOLVE e / nu^2, where
+    e = ||S - S'||_F + eps ||S||_F estimates the error of the computed S:
+    where H - t0 D is badly conditioned, the pencil's zero eigenvalues come
+    out as small sigma of either sign. (H, t0) -> 2^k (H, t0) gives
+    2^k lambda_+, bit for bit. A row whose H - t0 D is singular
+    (||M||_F ||M^-1||_F above _COND_LIMIT) or whose S is not finite tries
+    again at t0 / 2 (at c when t0 is 0), and is a singular pencil if that
+    fails too.
     """
-    values = np.divide(alpha, beta, out=np.zeros_like(alpha), where=finite)
-    re = values.real
-    scale = np.fmax(1.0, np.abs(re).max(axis=1, keepdims=True))
-    ok = finite & (re > _POSITIVE_TOL * scale) & (np.abs(values.imag) <= 1e-6 * scale)
-    return np.where(ok.any(axis=1), np.where(ok, re, np.inf).min(axis=1), np.nan)
+    out, t = np.full(len(t0), np.nan), np.array(t0, dtype=float)
+    todo = np.arange(len(t0))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.linalg.norm(h, axis=(1, 2)) / np.linalg.norm(d, axis=(1, 2))
+        for _ in range(2):
+            mmat = h[todo] - t[todo, None, None] * d[todo]
+            try:
+                inv = np.linalg.inv(mmat)
+            except np.linalg.LinAlgError:  # one singular row fails the stack
+                inv = np.full_like(mmat, np.nan)
+                for k, mk in enumerate(mmat):
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        inv[k] = np.linalg.inv(mk)
+            s = f[todo] @ (inv @ f[todo])
+            ok = ((np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
+                   <= _COND_LIMIT) & np.isfinite(s).all(axis=(1, 2)))
+            done, s, todo = todo[ok], s[ok], todo[~ok]
+            st = np.swapaxes(s, 1, 2)
+            nu = np.linalg.eigvalsh((s + st) / 2)
+            sigma = t[done, None] + 1.0 / nu
+            c = scale[done, None]
+            err = (np.linalg.norm(s - st, axis=(1, 2)) + np.finfo(float).eps
+                   * np.linalg.norm(s, axis=(1, 2)))[:, None] / nu**2
+            good = ((sigma > _POSITIVE_TOL * c) & (sigma > _RESOLVE * err)
+                    & (_FINITE_TOL * sigma <= c))
+            out[done] = np.where(good.any(axis=1), np.where(good, sigma, np.inf).min(axis=1),
+                                 np.nan)
+            if not len(todo):
+                break
+            t[todo] = np.where(t[todo] > 0, t[todo] / 2, scale[todo])
+    return out
 
 
 def _u_of_pencil(h, d, z):
@@ -491,12 +498,14 @@ def _sweep(asms, starts, cfg):
     on one route (so the pencils have one order), and starts[k] the start
     vectors of candidate k. The rows of one (rows, size) block advance
     together for at most cfg.sweep_iters steps, and a row leaves the block
-    where its own sweep ends: a pencil that is not regular or has no
-    positive eigenvalue, a singular shifted solve, phi non-finite or below
-    1e-300, or an iterate that cannot be rebalanced. Each step fills D's
-    diagonals for every row, takes QZ row by row (_qz), shifts by mu = psi
-    times the smallest positive eigenvalue, backs psi off per row where the
-    2-norm condition number of H - mu D exceeds _COND_LIMIT, and solves
+    where its own sweep ends: a pencil that is singular or has no positive
+    eigenvalue, a singular shifted solve, phi non-finite or below 1e-300, or
+    an iterate that cannot be rebalanced. Each step fills D and its root F
+    for every row, takes the smallest positive eigenvalue lambda_+ of every
+    row's pencil from one stacked symmetric eigensolve at the row's previous
+    shift (_lambda_plus; at first half the start's Rayleigh quotient),
+    shifts by mu = psi lambda_+, backs psi off per row where the 2-norm
+    condition number of H - mu D exceeds _COND_LIMIT, and solves
     (H - mu D) w = D z in one stacked solve. Returns one _Sweep per start,
     candidate by candidate.
 
@@ -512,7 +521,7 @@ def _sweep(asms, starts, cfg):
     Each is tested after the step, which still counts: it joins the trace,
     may become the best, and sets phi_plus_mu, so the polish seeds are the
     best and last iterates, as after a full-length pass, and the remaining
-    steps, each a QZ, an inverse and a solve, are not taken.
+    steps, each two inverses, an eigensolve and a solve, are not taken.
     - Its fixed point, the stopping test of inverse iteration (Ipsen,
       "Computing an eigenvector with inverse iteration", SIAM Review 39,
       1997): a step ||z_k - z_{k-1}|| of the balanced, sign-aligned iterate
@@ -529,11 +538,11 @@ def _sweep(asms, starts, cfg):
     first assembly fills D for every row. The H and A_tilde of each
     candidate are stacked once, and an index from row to candidate is
     filtered with the rows and gathers them per step, one candidate or
-    many; QZ and the regularity probe read the candidate's own H.
+    many.
 
     Every row gets the bits a sweep of that start alone would. Stacked
-    np.linalg.inv, np.linalg.svd and np.linalg.solve run LAPACK slice by
-    slice. Matrix times vector goes through _mv and dot products and norms
+    np.linalg.inv, np.linalg.eigvalsh, np.linalg.svd and np.linalg.solve
+    run LAPACK slice by slice. Matrix times vector goes through _mv and dot products and norms
     through _rowdot, which equal a @ x and np.linalg.norm row by row, where
     x @ a.T, einsum and sums over an axis do not; the merit's At' is a
     transposed view of the gathered A_tilde, as it is of A_tilde for one
@@ -549,22 +558,19 @@ def _sweep(asms, starts, cfg):
     rows = [_Sweep() for s in starts for _ in s]
     z, ok = _rebalance(np.array([z0 for s in starts for z0 in s], dtype=float), nx)
     live, cand = np.flatnonzero(ok), cand[ok]
-    d = asm.pencil(z[:, :nx], z[:, nx:]).d
-    for row, u in zip([rows[i] for i in live], _u_of_pencil(hs[cand], d, z)):
-        row.init = u
-    psi = np.full(len(live), cfg.psi)
+    d, f = asm.weightings(z[:, :nx], z[:, nx:])
+    u = _u_of_pencil(hs[cand], d, z)
+    for row, u0 in zip([rows[i] for i in live], u):
+        row.init = u0
+    # _lambda_plus's first t0: half the start's Rayleigh quotient |z'Hz / z'Dz|
+    psi, mu = np.full(len(live), cfg.psi), u[:, -1]
     for it in range(cfg.sweep_iters):
         if not len(live):
             break
         if it:
-            d = asm.pencil(z[:, :nx], z[:, nx:]).d
-        alpha, beta = (np.array(part)
-                       for part in zip(*[_qz(hs[c], dk) for c, dk in zip(cand, d)]))
-        finite, indeterminate = _classify(alpha, beta)
-        mp = _min_positive(alpha, beta, finite)
+            d, f = asm.weightings(z[:, :nx], z[:, nx:])
+        mp = _lambda_plus(hs[cand], d, f, mu)
         keep = ~np.isnan(mp)
-        for k in np.flatnonzero(keep & indeterminate.any(axis=1)):
-            keep[k] = _regular(hs[cand[k]], d[k])
         live, cand, z, d, psi, mp = (a[keep] for a in (live, cand, z, d, psi, mp))
 
         mu = psi * mp
@@ -610,7 +616,7 @@ def _sweep(asms, starts, cfg):
         # polish's basin, leaves the block
         basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
         going = (step >= _STILL_TOL) & (merit >= basin)
-        live, cand, z, psi = (a[going] for a in (live, cand, zn, psi))
+        live, cand, z, psi, mu = (a[going] for a in (live, cand, zn, psi, mu))
     return rows
 
 

@@ -13,9 +13,9 @@ from netobs import (SolverConfig, UnobservableSystemError, assemble_pencil,
                     solve_fixed_lambda, solve_radius, star_radius)
 from netobs import properties, solver
 from netobs.montecarlo import sample_network
-from netobs.radius_core import (ReducedProblem, SpuriousTripleError, _delta_bar,
-                                _stationarity_fj, assemble_real_pencil)
-from netobs.solver import _Sweep, _qz
+from netobs.radius_core import (PencilAssembly, ReducedProblem, SpuriousTripleError,
+                                _delta_bar, _stationarity_fj, assemble_real_pencil)
+from netobs.solver import _Sweep
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -81,11 +81,9 @@ def reference_spectrum(pp):
     return values[np.lexsort((values.imag, values.real))]
 
 
-def test_qz_handle_matches_scipy_eigvals_bitwise():
+def test_generalized_spectrum_matches_scipy_eigvals_bitwise():
     # half-size pencils of order 3 interleaved with full pencils of order up
-    # to 22, on an empty cache and smallest first: LAPACK's workspace for
-    # order 3 is too small for order 22, so a workspace size cached for the
-    # wrong order shows as an error, and any other slip as different bits
+    # to 22
     a = line_matrix([0.9, 0.35], [0.62], [0.27])
     rp_real = build_reduced(canonicalize(*net_of(a)), 0.6)
     rng = np.random.default_rng(2)
@@ -99,17 +97,191 @@ def test_qz_handle_matches_scipy_eigvals_bitwise():
         pencils.append(out[1])
     orders = [pp.size for pp in pencils]
     assert orders[0] == min(orders) == 3 and max(orders) == 22
-    solver._GGEV.clear()
     for pp in pencils:
-        alpha, beta = _qz(pp.h, pp.d)
-        ref_alpha, ref_beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
-        for got, ref in ((alpha, ref_alpha), (beta, ref_beta)):
-            assert got.dtype == ref.dtype
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.signbit(got.real), np.signbit(ref.real))
-            assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
         assert np.array_equal(generalized_spectrum(pp).values, reference_spectrum(pp))
-    assert {key[2] for key in solver._GGEV} == set(orders)
+
+
+# ---------------------------------------------------------------------------
+# the sweep's shift eigenvalue (_lambda_plus)
+
+
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_pencil_root_squares_to_the_weighting(route):
+    # F is symmetric positive semidefinite on D's pattern and F F = D, on
+    # stacks of points with some weightings zero (x vanishing on a node)
+    rng = np.random.default_rng(11)
+    rp = build_reduced(canonicalize(*net_of(line_matrix([0.9, 0.35, 0.5], [0.62, 0.4],
+                                                        [0.27, 0.8]))),
+                       0.6 if route == "real" else 0.6 + 0.3j)
+    asm = PencilAssembly(rp, real=route == "real")
+    x = rng.standard_normal((5, asm.nx))
+    y = rng.standard_normal((5, asm.size - asm.nx))
+    x[0, 0] = 0.0
+    if route == "complex":
+        x[0, rp.m] = 0.0
+    d, f = asm.weightings(x, y)
+    assert np.array_equal(d, asm.pencil(x, y).d)
+    assert np.array_equal(f != 0, d != 0)
+    assert np.array_equal(f, np.swapaxes(f, 1, 2))
+    assert np.linalg.eigvalsh(f).min() >= -1e-15 * np.abs(f).max()
+    np.testing.assert_allclose(f @ f, d, rtol=0, atol=1e-15 * np.abs(d).max())
+
+
+def qz_lambda_plus(h, d):
+    """(lambda_+, agree) from QZ's eigenvalues (scipy's eigvals, classified
+    as generalized_spectrum does): the smallest finite one above
+    solver._POSITIVE_TOL times the pencil's scale c = ||H||_F / ||D||_F, NaN
+    if there is none; agree is whether QZ's finite positive eigenvalues are
+    those at most c / solver._FINITE_TOL, the finite test of _lambda_plus."""
+    alpha, beta = sla.eigvals(h, d, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 5e-7 * (1.0 + np.abs(alpha))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sigma = (alpha / beta).real
+    c = np.linalg.norm(h) / np.linalg.norm(d)
+    positive = sigma > solver._POSITIVE_TOL * c
+    agree = np.array_equal(finite & positive,
+                           positive & (sigma <= c / solver._FINITE_TOL))
+    ok = finite & positive
+    return (sigma[ok].min() if ok.any() else np.nan), agree
+
+
+def recorded_shift_pencils(monkeypatch, solve):
+    """(h, d, f, t0, lambda_+) of every sweep row _lambda_plus saw in solve()."""
+    rows, lambda_plus = [], solver._lambda_plus
+
+    def recording(h, d, f, t0):
+        out = lambda_plus(h, d, f, t0)
+        rows.extend(zip(h, d, f, t0, out))
+        return out
+
+    monkeypatch.setattr(solver, "_lambda_plus", recording)
+    solve()
+    monkeypatch.undo()
+    return rows
+
+
+def shift_case(case):
+    """A solve whose sweep pencils the shift tests record."""
+    if case == "c3_chain0":
+        net, mask, _ = sample_network("line", 3, 7, 0)
+        return lambda: solve_fixed_lambda(net, mask, 1j, C3_CFG)
+    if case in ("c7_line", "c7_star"):
+        net, mask, _ = (sample_network("line", 6, 4040, 0) if case == "c7_line"
+                        else sample_network("star", 6, 4041, 1))
+        return lambda: solve_radius(net, mask, "topo",
+                                    ENSEMBLE_CFG if case == "c7_line" else STAR_CFG)
+    net, mask = (net_of(sample_network("line", 4, 2611, 0)[0].weights) if case == "cli_line4"
+                 else net_of(from_entries(7, RANDOM_7_2611)))
+    return lambda: solve_radius(net, mask, "default", SolverConfig())
+
+
+@pytest.mark.parametrize("case", ["c3_chain0", "c7_line", "c7_star", "cli_line4",
+                                  "cli_random7"])
+def test_lambda_plus_matches_qz_on_sweep_pencils(monkeypatch, case):
+    # wherever QZ's finite test and the pencil-scale one count the same
+    # positive eigenvalues as finite, both give lambda_+ or neither does, to
+    # 1e-12 relative. The exception is C3's badly scaled pencils at shifts
+    # outside [lambda_+ / 2, lambda_+], where lambda_+ does not dominate S:
+    # 3 of chain 0's 180 rows (t0 / lambda_+ of 0.012, 0.0015 and 446) sit
+    # 1.4e-12 to 4.6e-11 from QZ. Against a 60-digit reference, QZ is off
+    # there by up to 5.8e-11 and _lambda_plus by up to 3.4e-11
+    rows = recorded_shift_pencils(monkeypatch, shift_case(case))
+    compared = dominant = 0
+    for h, d, f, t0, got in rows:
+        want, agree = qz_lambda_plus(h, d)
+        if not agree:
+            continue
+        compared += 1
+        assert np.isnan(got) == np.isnan(want)
+        if np.isnan(want):
+            continue
+        dominant += bool(want / 2 <= t0 <= want)
+        tol = 1e-10 if case == "c3_chain0" and not want / 2 <= t0 <= want else 1e-12
+        assert abs(got - want) <= tol * want
+    assert compared >= 0.9 * len(rows) and dominant >= 0.2 * compared
+
+
+def test_lambda_plus_drops_a_singular_pencil():
+    # H and D share the null vector e_0, so det(H - tD) vanishes for every
+    # t: that pencil is dropped, and a regular one stacked with it keeps the
+    # bits it has alone
+    h = np.zeros((2, 4, 4))
+    h[:, 1, 2] = h[:, 2, 1] = 1.0
+    h[:, 1, 3] = h[:, 3, 1] = 0.5
+    h[1, 0, 3] = h[1, 3, 0] = 0.7
+    d = np.stack([np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.5, 1.0, 2.0, 3.0])])
+    f, t0 = np.sqrt(d), np.array([0.3, 0.3])
+    both = solver._lambda_plus(h, d, f, t0)
+    assert np.isnan(both[0])
+    assert both[1] == solver._lambda_plus(h[1:], d[1:], f[1:], t0[1:])[0]
+    assert abs(both[1] - qz_lambda_plus(h[1], d[1])[0]) <= 1e-12 * both[1]
+
+
+@pytest.mark.parametrize("h,d", [
+    (np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0])),       # every eigenvalue 0
+    (np.diag([-1.0, -2.0, -3.0]), np.eye(3)),           # every one negative
+    (np.diag([-1.0, 1.0]), np.diag([1.0, 1e-14])),      # -1, and 1e14: infinite
+], ids=["zero", "negative", "infinite"])
+def test_lambda_plus_drops_a_pencil_without_a_positive_eigenvalue(h, d):
+    assert np.isnan(solver._lambda_plus(h[None], d[None], np.sqrt(d)[None],
+                                        np.array([0.5]))[0])
+
+
+def tiny_weighting_pencil(seed, route):
+    """(h, d, f) of a line's pencil at a point x with one entry of order 1
+    and the others of order 1e-8, so that D has weightings near 1e-16."""
+    rng = np.random.default_rng(seed)
+    a = line_matrix(*(rng.uniform(0.1, 1.0, k) for k in (5, 4, 4)))
+    rp = build_reduced(canonicalize(*net_of(a)), 0.45 if route == "real" else 0.45 + 0.2j)
+    asm = PencilAssembly(rp, real=route == "real")
+    x = 1e-8 * rng.standard_normal(asm.nx)
+    x[0] = 1.0
+    y = rng.standard_normal(asm.size - asm.nx)
+    return (asm.h, *asm.weightings(x, y))
+
+
+@pytest.mark.parametrize("route", ["real", "complex"])
+def test_lambda_plus_with_weightings_near_1e_16_is_qz_s(route):
+    for seed in range(8):
+        h, d, f = tiny_weighting_pencil(seed, route)
+        assert 0 < np.abs(np.diag(d)[np.diag(d) > 0]).min() < 1e-15
+        want, agree = qz_lambda_plus(h, d)
+        assert agree and np.isfinite(want)
+        got, = solver._lambda_plus(h[None], d[None], f[None], np.array([0.9 * want]))
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lambda_plus_with_t0_on_an_eigenvalue(seed):
+    # t0 on lambda_+ itself, on the next positive eigenvalue and on the
+    # pencil's zero eigenvalue
+    rp, pp = random_pencil(seed)
+    asm = PencilAssembly(rp)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(asm.nx)
+    y = rng.standard_normal(asm.size - asm.nx)
+    h, (d, f) = asm.h, asm.weightings(x, y)
+    alpha, beta = sla.eigvals(h, d, homogeneous_eigvals=True)
+    finite = np.abs(beta) > 5e-7 * (1.0 + np.abs(alpha))
+    spectrum = np.sort((alpha[finite] / beta[finite]).real)
+    want, agree = qz_lambda_plus(h, d)
+    assert agree
+    above = spectrum[spectrum > want]
+    for t0 in (want, above[0], 0.0):
+        got, = solver._lambda_plus(h[None], d[None], f[None], np.array([t0]))
+        assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("case", ["c3_chain0", "cli_line4"])
+def test_lambda_plus_scales_with_the_pencil(monkeypatch, case):
+    # (2^k H, D, 2^k t0) gives 2^k lambda_+, bit for bit
+    h, d, f, t0, _ = (np.array(a) for a in zip(*recorded_shift_pencils(
+        monkeypatch, shift_case(case))))
+    base = solver._lambda_plus(h, d, f, t0)
+    assert np.isfinite(base).all()
+    for k in range(-30, 31):
+        got = solver._lambda_plus(np.ldexp(h, k), d, f, np.ldexp(t0, k))
+        assert np.array_equal(got, np.ldexp(base, k))
 
 
 # ---------------------------------------------------------------------------
@@ -676,24 +848,24 @@ def triple_digest(t):
 # as polishing one restart at a time, one seed at a time, gave them
 PINNED_RESTARTS = {
     "c3_chain0": [
-        (True, 24, "ec88033b073da4bb"), (True, 24, "818ad83dfe66475d"),
-        (True, 24, "8cf50cfd5cc58480"), (True, 22, "152010eb7236d694"),
-        (True, 25, "914357c0459cbf60"), (True, 25, "0250ec63cc327759"),
-        (True, 25, "5f0c8b17efb6ec96"), (True, 25, "54da124f747b2500"),
-        (True, 24, "9dab3615c7eadf2a"), (True, 24, "980df0ec4000d802"),
-        (True, 21, "a4ecee34045f6b25"), (True, 24, "2a82c227e6c47833")],
+        (True, 24, "aa4e00a47eb1b5f7"), (True, 24, "899aa276fa60221a"),
+        (True, 24, "dfdcd4d6b63b6df5"), (True, 22, "51c2b28f2072650d"),
+        (True, 25, "fc5edd9119be1a52"), (True, 25, "486f76b5dc1c7a7c"),
+        (True, 25, "66dc0a15dec672c0"), (True, 25, "53e78c1a7abde932"),
+        (True, 24, "175893d7047e0532"), (True, 24, "fbcb22b549b03124"),
+        (True, 21, "7c5e85f1caf970d0"), (True, 24, "2f95d69a1c721cb0")],
     # restart 1 reaches the polish's basin after 9 of the 12 sweep steps
     "line6": [
-        (True, 17, "547588258a1f2e04"), (True, 10, "612f7b7bd96f6535"),
-        (True, 17, "eab0d3a9b43ced5b"), (True, 17, "7967a96782766032")],
+        (True, 17, "b4f0b319d7fcac6d"), (True, 10, "8d2fe1d7e32d2a71"),
+        (True, 17, "9d887eefa3836df6"), (True, 17, "df8a5a50494b2ce3")],
     # restarts that polish two to four seeds, one of them in vain
     "c3_chain3": [
-        (True, 115, "d703ed27aa8e53ff"), (True, 31, "2c46c58f8c8eb54d"),
-        (True, 19, "2f318281747949ea"), (True, 66, "3f3edafd6ee13580"),
-        (True, 22, "8af3f6bae4d5a842"), (True, 48, "ed711f3a1f888742"),
-        (False, 170, None), (True, 105, "7ea527d5ee8507dc"),
-        (True, 68, "2bea38efb7bbefd0"), (True, 39, "173e7cd0232d39f8"),
-        (True, 72, "3e446158704d3e80"), (True, 29, "72b533439efca524")],
+        (True, 115, "d703ed27aa8e53ff"), (True, 31, "8797bdffd85aff98"),
+        (True, 23, "ecd0869ebfe8babc"), (True, 68, "419d52f30b94ebaa"),
+        (True, 22, "0834dab2d89455b0"), (True, 48, "9e01fd99ecbef4c8"),
+        (False, 170, None), (True, 109, "7ea527d5ee8507dc"),
+        (True, 69, "356626a6abefed93"), (True, 39, "2ccf80897232f991"),
+        (True, 72, "3e446158704d3e80"), (True, 27, "130e42afd562a8d3")],
 }
 
 
@@ -772,7 +944,9 @@ def handed_off(row, asm):
 
 def reference_sweep(asm, z0, cfg):
     """The sweep of one start as a loop over steps with one-vector numpy
-    calls (@, np.linalg.norm, a solve per step): what every row of the
+    calls (@, np.linalg.norm, a solve per step), its shift eigenvalue from
+    solver._lambda_plus on a one-row stack at the previous step's shift
+    (at first half the start's Rayleigh quotient): what every row of the
     lockstep block must reproduce bit for bit. It stops after the step
     where ||z_k - z_{k-1}|| falls below solver._STILL_TOL or the merit
     ||F(u)|| below its handoff_threshold. Returns (init, trace, best,
@@ -796,17 +970,13 @@ def reference_sweep(asm, z0, cfg):
         return None, [], None, None
     init = u_of(asm.pencil(z[:nx], z[nx:]), z)
     trace, best, best_merit, psi, phi_plus_mu = [], None, np.inf, cfg.psi, None
+    mu = init[-1]
     for _ in range(cfg.sweep_iters):
         pp = asm.pencil(z[:nx], z[nx:])
-        spec = generalized_spectrum(pp)
-        re, im = spec.values.real, spec.values.imag
-        if not spec.regular or not len(re):
+        mp, = solver._lambda_plus(pp.h[None], pp.d[None],
+                                  asm.weightings(z[:nx], z[nx:])[1][None], np.array([mu]))
+        if np.isnan(mp):
             break
-        scale = max(1.0, float(np.abs(re).max()))
-        ok = (re > solver._POSITIVE_TOL * scale) & (np.abs(im) <= 1e-6 * scale)
-        if not ok.any():
-            break
-        mp = float(re[ok].min())
         mu = psi * mp
         mmat = pp.h - mu * pp.d
         s = np.linalg.svd(mmat, compute_uv=False)
@@ -1800,6 +1970,16 @@ RANDOM_5_7 = {
     (3, 1): 0.9566863198002332, (3, 2): 0.6314204021440919, (3, 3): 0.3563152921824574,
     (3, 4): 0.30497180431315696, (4, 0): 0.36828768690927727, (4, 1): 0.0727373487647408,
     (4, 4): 0.6722602231600852}
+# the CLI benchmark pool's random7, perfbench.workloads.random_sparse(7, 2611)
+RANDOM_7_2611 = {
+    (0, 0): 0.5349827376041129, (0, 6): 0.748741843787179, (1, 1): 0.37556660226265015,
+    (2, 1): 0.7383511756090215, (2, 2): 0.7807666395753257, (2, 3): 0.25784467050446613,
+    (2, 4): 0.29169444681368684, (3, 0): 0.6162756882379655, (3, 2): 0.5376103119882086,
+    (3, 3): 0.7175481300269667, (3, 4): 0.1465774926386907, (3, 5): 0.8414958352156268,
+    (3, 6): 0.4217146521561548, (4, 0): 0.3488930743344225, (4, 2): 0.9178950979489696,
+    (4, 4): 0.7566568496678566, (4, 5): 0.9879050513468252, (4, 6): 0.11241015542427546,
+    (5, 1): 0.8965296594004329, (5, 5): 0.1646084060548879, (6, 1): 0.7761542679572985,
+    (6, 2): 0.5531174467611941, (6, 6): 0.1999503762420355}
 RANDOM_10_15 = {
     (0, 0): 0.8382674055978878, (0, 1): 0.8381767707450666, (0, 3): 0.24701156631646992,
     (0, 4): 0.8268304055823289, (1, 1): 0.7764568207580675, (1, 5): 0.20072461447878032,
