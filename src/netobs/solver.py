@@ -60,16 +60,9 @@ _POLISH_TOL = 1e-12
 _POSITIVE_TOL = 1e-8
 _RESOLVE = 1e3
 _FINITE_TOL = 5e-7
-# 2-norm condition number of H - mu D above which a sweep row backs psi off
+# ||M||_F ||M^-1||_F of a shifted matrix M = H - t0 D above which
+# _lambda_plus counts it singular
 _COND_LIMIT = 1e14
-# A shifted matrix M = H - mu D is cleared without its SVD when ||M||_F
-# ||M^-1||_F, an upper bound on its condition number, is at most
-# _COND_LIMIT / _COND_MARGIN (_ill_conditioned). The margin covers rounding:
-# near 1e14 both that product and the SVD's ratio are off by about 1% (eps
-# times 1e14). On random stacks of order 8 to 100 within 3% of the limit, 8
-# of 1,920 rows had the product below the limit and the SVD's ratio above
-# it; at half the limit none did
-_COND_MARGIN = 4.0
 # a sweep row stops once its step ||z_k - z_{k-1}|| (balanced unit iterates,
 # sign aligned) falls below this. Over every candidate polished in the
 # benchmark pools and 73 more random graphs, the seeds kept at this exit lay
@@ -92,9 +85,9 @@ _HANDOFF_TOL = np.sqrt(_POLISH_TOL)
 # which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
 # Most rows of one lockstep block: sweep rows (candidates times restarts) of
-# a sweep-ahead block in solve_radius, and restarts of one polish wave. The
-# cap bounds the memory of a block, whose stacked pencils and Jacobians grow
-# with the rows; it does not change any answer.
+# one _sweep call, and restarts of one polish wave. The cap bounds the
+# memory of a block, whose stacked pencils and Jacobians grow with the rows;
+# it does not change any answer.
 _BLOCK_ROWS = 64
 
 
@@ -161,13 +154,7 @@ def _lambda_plus(h, d, f, t0):
         scale = np.linalg.norm(h, axis=(1, 2)) / np.linalg.norm(d, axis=(1, 2))
         for _ in range(2):
             mmat = h[todo] - t[todo, None, None] * d[todo]
-            try:
-                inv = np.linalg.inv(mmat)
-            except np.linalg.LinAlgError:  # one singular row fails the stack
-                inv = np.full_like(mmat, np.nan)
-                for k, mk in enumerate(mmat):
-                    with contextlib.suppress(np.linalg.LinAlgError):
-                        inv[k] = np.linalg.inv(mk)
+            inv = _stacked_lapack(np.linalg.inv, mmat)
             s = f[todo] @ (inv @ f[todo])
             ok = ((np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
                    <= _COND_LIMIT) & np.isfinite(s).all(axis=(1, 2)))
@@ -186,6 +173,21 @@ def _lambda_plus(h, d, f, t0):
                 break
             t[todo] = np.where(t[todo] > 0, t[todo] / 2, scale[todo])
     return out
+
+
+def _stacked_lapack(fn, a, *b):
+    """fn (np.linalg.inv or np.linalg.solve) of the stack a (rows, order,
+    order), and of b stacked to match, in one call. One singular row fails
+    the whole stack; fn then runs row by row, and the rows that still fail
+    come back as NaN."""
+    try:
+        return fn(a, *b)
+    except np.linalg.LinAlgError:
+        out = np.full_like(b[-1] if b else a, np.nan)
+        for k in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[k] = fn(a[k], *(x[k] for x in b))
+        return out
 
 
 def _u_of_pencil(h, d, z):
@@ -504,24 +506,19 @@ def _sweep(asms, starts, cfg):
     for every row, takes the smallest positive eigenvalue lambda_+ of every
     row's pencil from one stacked symmetric eigensolve at the row's previous
     shift (_lambda_plus; at first half the start's Rayleigh quotient),
-    shifts by mu = psi lambda_+, backs psi off per row where the 2-norm
-    condition number of H - mu D exceeds _COND_LIMIT, and solves
-    (H - mu D) w = D z in one stacked solve. Returns one _Sweep per start,
-    candidate by candidate.
+    shifts by mu = psi lambda_+ and solves (H - mu D) w = D z in one stacked
+    solve (_stacked_lapack). Returns one _Sweep per start, candidate by
+    candidate.
 
-    The condition test is certified (_ill_conditioned): one stacked inverse
-    gives ||M||_F ||M^-1||_F, an upper bound on the condition number of
-    M = H - mu D, and only a row whose bound does not clear it by
-    _COND_MARGIN takes the SVD test. Every row gets the decision of its
-    singular values. Over C3's 100 chains, C7's 1,000 instances and 88
-    graphs (the CLI pool's 15 and 73 random sparse ones), 87 of 387,736
-    shifted matrices took the SVD, all of them on C3's chains.
+    The shift needs no guard: mu lies (1 - psi) lambda_+ below the smallest
+    eigenvalue that _lambda_plus accepts, and inverse iteration tolerates an
+    ill-conditioned H - mu D (Peters & Wilkinson, SIAM Review 21, 1979).
 
     A row leaves the block early at whichever of two exits it meets first.
     Each is tested after the step, which still counts: it joins the trace,
     may become the best, and sets phi_plus_mu, so the polish seeds are the
     best and last iterates, as after a full-length pass, and the remaining
-    steps, each two inverses, an eigensolve and a solve, are not taken.
+    steps, each an inverse, an eigensolve and a solve, are not taken.
     - Its fixed point, the stopping test of inverse iteration (Ipsen,
       "Computing an eigenvector with inverse iteration", SIAM Review 39,
       1997): a step ||z_k - z_{k-1}|| of the balanced, sign-aligned iterate
@@ -541,11 +538,11 @@ def _sweep(asms, starts, cfg):
     many.
 
     Every row gets the bits a sweep of that start alone would. Stacked
-    np.linalg.inv, np.linalg.eigvalsh, np.linalg.svd and np.linalg.solve
-    run LAPACK slice by slice. Matrix times vector goes through _mv and dot products and norms
-    through _rowdot, which equal a @ x and np.linalg.norm row by row, where
-    x @ a.T, einsum and sums over an axis do not; the merit's At' is a
-    transposed view of the gathered A_tilde, as it is of A_tilde for one
+    np.linalg.inv, np.linalg.eigvalsh and np.linalg.solve run LAPACK slice
+    by slice. Matrix times vector goes through _mv and dot products and
+    norms through _rowdot, which equal a @ x and np.linalg.norm row by row,
+    where x @ a.T, einsum and sums over an axis do not; the merit's At' is
+    a transposed view of the gathered A_tilde, as it is of A_tilde for one
     row. The solve stays numpy's: scipy's ?gesv comes from another BLAS
     build and differs in the last bits.
     """
@@ -563,7 +560,7 @@ def _sweep(asms, starts, cfg):
     for row, u0 in zip([rows[i] for i in live], u):
         row.init = u0
     # _lambda_plus's first t0: half the start's Rayleigh quotient |z'Hz / z'Dz|
-    psi, mu = np.full(len(live), cfg.psi), u[:, -1]
+    mu = u[:, -1]
     for it in range(cfg.sweep_iters):
         if not len(live):
             break
@@ -571,36 +568,19 @@ def _sweep(asms, starts, cfg):
             d, f = asm.weightings(z[:, :nx], z[:, nx:])
         mp = _lambda_plus(hs[cand], d, f, mu)
         keep = ~np.isnan(mp)
-        live, cand, z, d, psi, mp = (a[keep] for a in (live, cand, z, d, psi, mp))
+        live, cand, z, d, mp = (a[keep] for a in (live, cand, z, d, mp))
 
-        mu = psi * mp
-        mmat = hs[cand] - mu[:, None, None] * d
-        # a shift on an eigenvalue: back psi off for that row
-        for k in np.flatnonzero(_ill_conditioned(mmat)):
-            psi[k] = max(0.5 + 0.45 * (psi[k] - 0.5), 0.500001)
-            mu[k] = psi[k] * mp[k]
-            mmat[k] = hs[cand[k]] - mu[k] * d[k]
-        rhs = np.matmul(d, z[..., None])
-        keep = np.ones(len(live), dtype=bool)
-        try:
-            w = np.linalg.solve(mmat, rhs)[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular row fails the whole stack: solve row by row
-            w = np.zeros_like(z)
-            for k in range(len(live)):
-                try:
-                    w[k] = np.linalg.solve(mmat[k], rhs[k])[:, 0]
-                except np.linalg.LinAlgError:
-                    keep[k] = False
+        mu = cfg.psi * mp
+        w = _stacked_lapack(np.linalg.solve, hs[cand] - mu[:, None, None] * d,
+                            np.matmul(d, z[..., None]))[..., 0]
         phi = np.sqrt(_rowdot(w, w))[:, 0]
-        keep &= np.isfinite(phi) & (phi >= 1e-300)
-        live, cand, z, d, psi, mu, w, phi = (
-            a[keep] for a in (live, cand, z, d, psi, mu, w, phi))
+        keep = np.isfinite(phi) & (phi >= 1e-300)
+        live, cand, z, d, mu, w, phi = (a[keep] for a in (live, cand, z, d, mu, w, phi))
 
         zn = w / phi[:, None]
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
-        live, cand, d, psi, mu, phi = (a[keep] for a in (live, cand, d, psi, mu, phi))
+        live, cand, d, mu, phi = (a[keep] for a in (live, cand, d, mu, phi))
         dz = zn - z[keep]
         step = np.sqrt(_rowdot(dz, dz))[:, 0]
         u = _u_of_pencil(hs[cand], d, zn)
@@ -616,35 +596,8 @@ def _sweep(asms, starts, cfg):
         # polish's basin, leaves the block
         basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
         going = (step >= _STILL_TOL) & (merit >= basin)
-        live, cand, z, psi, mu = (a[going] for a in (live, cand, zn, psi, mu))
+        live, cand, z, mu = (a[going] for a in (live, cand, zn, mu))
     return rows
-
-
-def _ill_conditioned(mmat):
-    """Rows of the stack mmat (rows, order, order) whose 2-norm condition
-    number exceeds _COND_LIMIT, infinite when the smallest singular value
-    is 0 (as np.linalg.cond has it): rows whose shift sits on an eigenvalue.
-
-    ||M||_F ||M^-1||_F bounds the condition number from above, so one
-    stacked inverse clears every row where that product is at most
-    _COND_LIMIT / _COND_MARGIN. Only the other rows take the SVD test, in
-    one stacked SVD, and every row does when the inverse finds a singular
-    one. Each row gets the decision the SVD test alone gives it.
-    """
-    back = np.zeros(len(mmat), dtype=bool)
-    try:
-        inv = np.linalg.inv(mmat)
-    except np.linalg.LinAlgError:
-        unsure = np.ones(len(mmat), dtype=bool)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bound = np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-        unsure = ~(bound <= _COND_LIMIT / _COND_MARGIN)  # inf and NaN too
-    if unsure.any():
-        s = np.linalg.svd(mmat[unsure], compute_uv=False)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            back[unsure] = (s[:, -1] == 0.0) | (s[:, 0] / s[:, -1] > _COND_LIMIT)
-    return back
 
 
 def heuristic_iterate(restart, block=None) -> FixedLambdaResult:
@@ -875,17 +828,20 @@ def _candidate(cf, lam, cfg, full_pencil=False):
 
 def _sweep_candidates(cands, cfg):
     """The sweep rows of every restart of every candidate, one list per
-    candidate. The candidates of each route go through _sweep as one block:
-    half-size real pencils and full complex ones differ in order."""
-    out = [None] * len(cands)
+    candidate. The rows of each route go through _sweep in blocks of at
+    most _BLOCK_ROWS, in candidate order: half-size real pencils and full
+    complex ones differ in order."""
+    out = [[] for _ in cands]
     for real in (False, True):
-        group = [k for k, c in enumerate(cands) if c.asm.real == real]
-        if not group:
-            continue
-        rows = iter(_sweep([cands[k].asm for k in group],
-                           [cands[k].starts for k in group], cfg))
-        for k in group:
-            out[k] = [next(rows) for _ in cands[k].starts]
+        rows = [(k, z0) for k, c in enumerate(cands) if c.asm.real == real
+                for z0 in c.starts]
+        for i in range(0, len(rows), _BLOCK_ROWS):
+            part = rows[i:i + _BLOCK_ROWS]
+            ks = list(dict.fromkeys(k for k, _ in part))
+            swept = _sweep([cands[k].asm for k in ks],
+                           [[z0 for j, z0 in part if j == k] for k in ks], cfg)
+            for (k, _), row in zip(part, swept):
+                out[k].append(row)
     return out
 
 
@@ -946,11 +902,12 @@ def _best_of_restarts(cf, lam, cfg: SolverConfig, full_pencil=False) -> FixedLam
     """solve_fixed_lambda on a canonical form, without the certificate, on
     the route _assembly gives lam and full_pencil.
 
-    Every restart's start vector is drawn first (_candidate). All starts
-    then go through the sweep in lockstep (_sweep, one block), and each
-    restart's polish runs in heuristic_iterate on its row of that block.
-    The results are those of one restart at a time, bit for bit. This is
-    the one-candidate case of solve_radius's sweep-ahead blocks.
+    Every restart's start vector is drawn first (_candidate). The starts
+    then go through the sweep in lockstep (_sweep_candidates, blocks of at
+    most _BLOCK_ROWS rows), and each restart's polish runs in
+    heuristic_iterate on its sweep row. The results are those of one
+    restart at a time, bit for bit. This is the one-candidate case of
+    solve_radius's sweep-ahead blocks.
     """
     cand = _candidate(cf, lam, cfg, full_pencil)
     sweeps, = _sweep_candidates([cand], cfg)
@@ -1154,12 +1111,13 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     pruned later, but one above it is never solved. A candidate without a
     sweep is therefore swept together with the candidates after it whose
     bounds already lie below the incumbent cost (alone while there is no
-    incumbent, and at most _BLOCK_ROWS restarts in all), one lockstep block
-    per route (_sweep_candidates). The polish then takes the candidates one
-    at a time in bound order, with the prune test before each, exactly as
-    if each had been swept alone; a candidate swept ahead and then pruned
-    is dropped unpolished and never enters search_trace. Every output is
-    that of sweeping one candidate at a time, bit for bit.
+    incumbent, and at most _BLOCK_ROWS restarts in all), in lockstep blocks
+    of at most _BLOCK_ROWS rows per route (_sweep_candidates). The polish
+    then takes the candidates one at a time in bound order, with the prune
+    test before each, exactly as if each had been swept alone; a candidate
+    swept ahead and then pruned is dropped unpolished and never enters
+    search_trace. Every output is that of sweeping one candidate at a time,
+    bit for bit.
 
     A steepest descent on ||Delta(lambda)||^2 then moves the grid winner
     along the exact lambda-gradient (_descend_lambda), each probe warm-started
