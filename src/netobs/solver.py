@@ -1015,7 +1015,7 @@ def _pbh_lower_bounds(net, lams):
 class RadiusResult:
     best: FixedLambdaResult
     lambda_star: complex | None
-    search_trace: tuple          # ((lambda, cost) per evaluated candidate)
+    search_trace: tuple          # ((lambda, cost) per grid candidate and descent probe)
     pruned: int = 0
     refine_evals: int = 0
 
@@ -1037,59 +1037,76 @@ def _continuation(asm, t_prev, cfg):
 
 
 def _descent_direction(rp, res):
-    """Unit direction of steepest descent of ||Delta||^2 in lambda at the
-    fixed-lambda optimum res on rp. The gradient is 2 sigma (-c_re + i c_im)
-    (orthogonality_diagnostic). None where res is stationary in lambda:
-    sigma |c|, half the gradient's length, at or below _FLAT_TOL times
-    ||A_tilde||_F, which scales with (A, lambda) like the gradient does.
+    """The steepest-descent vector -g of ||Delta|| in lambda at the
+    fixed-lambda optimum res on rp, as a complex number. The gradient g in
+    (Re lambda, Im lambda) is sigma (-c_re, c_im) / ||Delta||
+    (orthogonality_diagnostic), so |g| is the slope of the cost along -g.
+    None where res is stationary in lambda: sigma |c|, half the gradient of
+    ||Delta||^2, at or below _FLAT_TOL times ||A_tilde||_F, which scales
+    with (A, lambda) like that gradient does.
     """
     c_re, c_im = orthogonality_diagnostic(rp, res.triple)
-    slope = float(np.hypot(c_re, c_im))
-    if res.sigma * slope <= _FLAT_TOL * float(np.linalg.norm(rp.a_tilde)):
+    if res.sigma * float(np.hypot(c_re, c_im)) <= _FLAT_TOL * float(np.linalg.norm(rp.a_tilde)):
         return None
-    return complex(c_re, -c_im) / slope
+    return res.sigma * complex(c_re, -c_im) / res.cost
 
 
 def _descend_lambda(cf, best, lam, cfg, trace):
-    """Steepest descent on ||Delta(lambda)||^2 from the grid winner best at lam.
+    """Gradient descent on ||Delta(lambda)|| from the grid winner best at lam.
 
-    A trial moves the incumbent by h along _descent_direction, folded onto
+    A probe moves the incumbent by h along _descent_direction, folded onto
     the closed upper half plane, and continues the incumbent triple there
-    (_continuation): a restart whose one seed is that triple. The trial's
+    (_continuation): a restart whose one seed is that triple. The probe's
     triple is ranked by its cost (_triple_cost, equal to the
     reconstruction's bit for bit) before anything is reconstructed: only a
     cost below the incumbent's by more than 1e-12 is reconstructed
-    (_reconstructed), and if that passes, the trial is accepted and doubles
-    h. Anything else halves h, which starts at 0.05 max(1, |lam|); a probe
-    whose reconstruction is rejected fails without another polish. The
-    descent stops at an incumbent stationary in lambda or when h falls
+    (_reconstructed), and if that passes, the probe wins and becomes the
+    incumbent. h starts at 0.05 max(1, |lam|) and then takes its length
+    from the gradient the descent already has:
+    - after a win, the two-point (Barzilai-Borwein) length
+      (s.s / s.y) |g| of the new gradient g, with s the folded move and y
+      the change in g, capped at 2 |s|; 2 |s| when s.y <= 0;
+    - after a converged probe that loses, the minimizer of the quadratic
+      through the incumbent's cost, its slope -|g| and the probe's cost,
+      clamped to [0.1 h, 0.5 h];
+    - after a failed probe (its polish or its reconstruction), h / 2.
+    The descent stops at an incumbent stationary in lambda or when h falls
     below 1e-7. From a real incumbent on the half-size route (x_im = y2 =
-    0, so c_im = 0) it stays on the real axis. Trials join trace with their
-    cost: those that lose to the incumbent with the rank cost,
-    unreconstructed, and those that beat it once their reconstruction
-    passes. An accepted trial carries its continuation's iterates, like a
-    grid winner. Returns (incumbent, its lambda, trials).
+    0, so c_im = 0) it stays on the real axis. Every probe joins trace, in
+    order: one that loses with its rank cost, unreconstructed, one that
+    wins with its reconstruction's cost, and one that fails with inf. A
+    winner carries its continuation's iterates, like a grid winner.
+    Returns (incumbent, its lambda, probes).
     """
-    step = _descent_direction(best.iterates.asm.rp, best)
+    d = _descent_direction(best.iterates.asm.rp, best)
     h = 0.05 * max(1.0, abs(lam))
     probes = 0
-    while step is not None and h >= 1e-7:
-        lam_try = _fold(lam + h * step)
+    while d is not None and h >= 1e-7:
+        lam_try = _fold(lam + h * d / abs(d))
         asm = _assembly(build_reduced(cf, lam_try))
         probe = _continuation(asm, best.triple, cfg)
         probes += 1
-        won = False
-        if probe.converged:
-            cost = _triple_cost(asm.rp, probe.triple)
-            if cost < best.cost - 1e-12:
-                probe = _reconstructed(cf, probe)
-                won = probe.converged
-            else:
-                trace.append((lam_try, cost))
-        if won:
-            best, lam, h = probe, lam_try, 2.0 * h
-            trace.append((lam_try, best.cost))
-            step = _descent_direction(asm.rp, best)
+        cost = _triple_cost(asm.rp, probe.triple) if probe.converged else np.inf
+        if cost < best.cost - 1e-12:
+            probe = _reconstructed(cf, probe)
+            cost = probe.cost
+        trace.append((lam_try, cost))
+        if cost < best.cost - 1e-12:
+            s, d_prev = lam_try - lam, d
+            best, lam = probe, lam_try
+            d = _descent_direction(asm.rp, best)
+            if d is not None:
+                # s.y with y = g - g_prev = d_prev - d
+                sy = (s * (d_prev - d).conjugate()).real
+                h = 2.0 * abs(s)
+                if sy > 0:
+                    h = min(abs(s) ** 2 / sy * abs(d), h)
+        elif np.isfinite(cost):
+            # the quadratic's curvature times h^2: the probe's cost above
+            # the incumbent's linear model
+            rise = cost - best.cost + abs(d) * h
+            t = abs(d) * h * h / (2.0 * rise) if rise > 0 else h
+            h = min(max(t, 0.1 * h), 0.5 * h)
         else:
             h *= 0.5
     return best, lam, probes
@@ -1119,10 +1136,13 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     search_trace. Every output is that of sweeping one candidate at a time,
     bit for bit.
 
-    A steepest descent on ||Delta(lambda)||^2 then moves the grid winner
+    A gradient descent on ||Delta(lambda)|| then moves the grid winner
     along the exact lambda-gradient (_descend_lambda), each probe warm-started
-    from the incumbent triple; refine_evals counts the probes. At a winner
-    that is already stationary in lambda no probe is spent and refine_evals
+    from the incumbent triple and its step length taken from that gradient:
+    two-point steps after a win, an interpolating backtrack after a loss.
+    refine_evals counts the probes, and every probe joins search_trace
+    after the grid candidates, a failed one with cost inf. At a winner that
+    is already stationary in lambda no probe is spent and refine_evals
     stays 0.
     """
     cands = candidate_lambdas(net, mask, grid)

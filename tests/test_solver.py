@@ -2111,6 +2111,91 @@ def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
     assert rr.refine_evals == sum(e[0] == "probe" for e in events)
 
 
+def test_every_descent_probe_enters_search_trace(monkeypatch):
+    # the last refine_evals entries of search_trace are the descent's probes,
+    # in order and at the lambdas they were continued to; a probe whose polish
+    # fails, or whose reconstruction is rejected, holds inf, as a failed grid
+    # candidate does. On this graph many continuations fail to converge
+    probes, rejected = [], []
+    cont, reconstruct = solver._continuation, solver._reconstructed
+
+    def continued(asm, t_prev, cfg):
+        res = cont(asm, t_prev, cfg)
+        probes.append((asm.rp.lam, res))
+        return res
+
+    def reconstructing(cf, res):
+        out = reconstruct(cf, res)
+        if res.converged and not out.converged:
+            rejected.append(res)
+        return out
+
+    monkeypatch.setattr(solver, "_continuation", continued)
+    monkeypatch.setattr(solver, "_reconstructed", reconstructing)
+    net, mask = net_of(0.5 * from_entries(10, RANDOM_10_15))
+    rr = solve_radius(net, mask, "default", SolverConfig())
+    assert rr.best.converged and len(probes) == rr.refine_evals
+    descent = rr.search_trace[-rr.refine_evals:]
+    assert [lam for lam, _ in descent] == [lam for lam, _ in probes]
+    failed = [not res.converged or any(res is r for r in rejected) for _, res in probes]
+    assert any(failed) and not all(failed)
+    assert [cost == np.inf for _, cost in descent] == failed
+
+
+@pytest.mark.parametrize("n,entries,max_probes,radius,complex_winner", [
+    (7, RANDOM_7_2611, 8, 0.0979662560475, False),
+    (5, RANDOM_5_7, 16, 0.1086378407087, True),
+], ids=["random7_2611", "random5_7"])
+def test_lambda_descent_steps_from_its_gradient(n, entries, max_probes, radius,
+                                                complex_winner):
+    # two-point steps after a win and an interpolating backtrack after a
+    # loss: a descent that only doubles and halves its step zigzags across
+    # the minimum and spends 37 and 49 probes on these graphs, for a radius
+    # no lower. A complex winner moves in both coordinates, a real one along
+    # the real axis
+    net, mask = net_of(from_entries(n, entries))
+    rr = solve_radius(net, mask, "default", SolverConfig())
+    assert rr.best.converged and rr.best.verification.verified
+    assert 0 < rr.refine_evals <= max_probes
+    assert rr.cost <= radius + 1e-11
+    grid = rr.search_trace[:-rr.refine_evals]
+    moved = rr.lambda_star - min(grid, key=lambda e: e[1])[0]
+    assert moved.real != 0.0
+    assert (moved.imag != 0.0) == complex_winner
+
+
+@pytest.mark.parametrize("n,entries,scale", [
+    (5, RANDOM_5_7, 1.0), (10, RANDOM_10_15, 0.5), (6, RANDOM_6_4, 1.0),
+], ids=["random5_7", "random10_15_x0.5", "random6_4"])
+def test_a_descent_move_after_a_win_is_at_most_twice_the_winning_one(
+        monkeypatch, n, entries, scale):
+    # the two-point step length is capped at twice the accepted move: without
+    # the cap, a long step from a win lands where the continuation of the
+    # incumbent triple no longer converges, and the descent backtracks
+    probes = []
+    cont = solver._continuation
+
+    def continued(asm, t_prev, cfg):
+        probes.append((asm.rp.lam, t_prev))
+        return cont(asm, t_prev, cfg)
+
+    monkeypatch.setattr(solver, "_continuation", continued)
+    rr = solve_radius(*net_of(scale * from_entries(n, entries)), "default", SolverConfig())
+    assert rr.best.converged and len(probes) == rr.refine_evals
+    # an incumbent and the lambda of the probe that made it one
+    grid = rr.search_trace[:-rr.refine_evals]
+    lam, t = min(grid, key=lambda e: e[1])[0], probes[0][1]
+    moves = 0
+    for (lam_win, _), (lam_next, t_next) in zip(probes, probes[1:]):
+        if t_next is t:
+            continue
+        # the probe at lam_win won: its triple is the next one continued
+        won = abs(lam_win - lam)
+        assert abs(lam_next - lam_win) <= 2.0 * won * (1.0 + 1e-12) + 1e-12
+        lam, t, moves = lam_win, t_next, moves + 1
+    assert moves > 0
+
+
 def test_one_solve_builds_a_tilde_once_per_reduced_problem(monkeypatch):
     # the assemblies, system_residual, reconstruct_perturbation and the
     # lambda descent all read ReducedProblem.a_tilde: it is built once per
