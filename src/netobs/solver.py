@@ -52,6 +52,14 @@ class SolverConfig:
 # polish, restart or continuation
 _POLISH_MAX_ITER = 60
 _POLISH_TOL = 1e-12
+# a polish run of the stationarity system has collapsed onto the x = 0 or
+# y = 0 branch, and fails, once min(||x||^2, ||y||^2) falls below this
+# (_collapsed). x and y are unit blocks, so the test is scale-free. Along
+# every converging run the smallest min(||x||^2, ||y||^2) was 3.8e-3 on
+# C3's 100 chains, 1.5e-2 on the chain3 pool, 0.43 on C7's 1,000 instances
+# and 0.54 on the 88 graphs, and at least 0.998 on the 24-node line and the
+# ensemble and CLI pools: 38 times above the threshold at the closest
+_COLLAPSE_TOL = 1e-4
 # a sweep's shift eigenvalue must exceed this times its pencil's scale and
 # _RESOLVE times its estimated rounding error, and be at most the scale over
 # _FINITE_TOL (_lambda_plus). Of about 17,850 sweep steps on C3's 100 chains,
@@ -232,7 +240,7 @@ class _LMRun:
     out: tuple | None = None
 
 
-def _gn_core(f_of, j_of, u0, max_iter, tol):
+def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None):
     """Levenberg-Marquardt on ||F(u)||_2 from every row of u0, in lockstep.
 
     The rows of u0 (shape (rows, k)) run in rounds. In each round every
@@ -281,10 +289,20 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
     and 8.9e-2 on the chain3 pool; the threshold sits 13 times below the
     lowest.
 
-    A run that stops at either exit fails like any other, and the _Restart
-    that polished the row goes on to its next seed, or fails with "did not
-    converge" when it has none. So does a run out of budget: at the point
-    after its max_iter-th Jacobian it converged or failed.
+    When collapsed is given, a predicate of F at one point, the run also
+    fails where it holds, before the Jacobian at that point. The restarts
+    pass _collapsed: the point lies on the x = 0 or y = 0 branch that the
+    unit-norm rows of the stationarity system are there to rule out. Runs
+    that slide onto it shrink min(||x||^2, ||y||^2) 4 to 7 times per
+    Jacobian while ||F|| settles at 1/2, and the no-progress exit took
+    about 10 more Jacobians to end them: on the chain3 pool 109 of the 124
+    failed runs of a round do this. Along the runs that converge min(||x||^2, ||y||^2) stays 38 times
+    above the exit's threshold at the closest (_COLLAPSE_TOL).
+
+    A run that stops at any exit fails like any other, and the _Restart
+    that polished the row goes on to its next seed, or fails when it has
+    none. So does a run out of budget: at the point after its max_iter-th
+    Jacobian it converged or failed.
 
     Returns, row by row, (u, Jacobians taken, converged, accepted iterates);
     ||F|| falls strictly along the accepted iterates.
@@ -307,8 +325,9 @@ def _gn_core(f_of, j_of, u0, max_iter, tol):
                 run.ff = run.f @ run.f
                 run.norms.append(np.sqrt(run.ff))
                 # no progress: ||F|| fell by less than 1e-4 relative over 10
-                # Jacobians
-                if run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]:
+                # Jacobians; or the point has collapsed
+                if (run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]
+                        or collapsed is not None and collapsed(run.f)):
                     run.out = (run.u, run.its - 1, False, run.us)
                 else:
                     fresh.append(run)
@@ -712,6 +731,9 @@ class _Restart:
                 return
             self.failure = detail
         if self.polished == len(self.seeds):
+            if not ok:
+                self.failure = ("polish collapsed onto x = 0 or y = 0"
+                                if _collapsed(self.pencil.f_of(u)) else "did not converge")
             self._fail()
 
     def _fail(self):
@@ -730,9 +752,17 @@ def _wave(block):
         pencil = part[0].pencil
         polishes = _gn_core(pencil.f_of, pencil.j_of,
                             np.array([r.seeds[r.polished] for r in part]),
-                            _POLISH_MAX_ITER, _POLISH_TOL)
+                            _POLISH_MAX_ITER, _POLISH_TOL, _collapsed)
         for restart, polish in zip(part, polishes):
             restart.take(polish)
+
+
+def _collapsed(f):
+    """Whether F of the stationarity system at a point (_stationarity_fj)
+    puts it on the collapsed branch: one of its norm rows, the last two
+    entries (||x||^2 - 1)/2 and (||y||^2 - 1)/2, lies below
+    -(1 - _COLLAPSE_TOL)/2."""
+    return min(f[-2], f[-1]) < -(1.0 - _COLLAPSE_TOL) / 2.0
 
 
 def _checked_triple(asm, u):

@@ -596,8 +596,8 @@ def record_polish(mp):
     runs = []
     core = solver._gn_core
 
-    def recording(f_of, j_of, u0, max_iter, tol):
-        out = core(f_of, j_of, u0, max_iter, tol)
+    def recording(f_of, j_of, u0, max_iter, tol, collapsed=None):
+        out = core(f_of, j_of, u0, max_iter, tol, collapsed)
         for row, row_out in zip(u0, out):
             calls = {"f": 0, "j": 0}
 
@@ -609,7 +609,7 @@ def record_polish(mp):
                 calls["j"] += 1
                 return j_of(u)
 
-            core(f_counted, j_counted, row[None], max_iter, tol)
+            core(f_counted, j_counted, row[None], max_iter, tol, collapsed)
             runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=row_out,
                              f_of=f_of, j_of=j_of, u0=row, max_iter=max_iter, tol=tol))
         return out
@@ -808,12 +808,13 @@ def test_block_polish_gives_every_row_what_a_block_of_one_gives():
     assert len({its0, its1, its2, its3, its4}) == 5
 
 
-@pytest.mark.parametrize("case", ["c3_chain0", "line6"])
+@pytest.mark.parametrize("case", ["c3_chain0", "c3_chain3", "line6"])
 def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     # every seed of every restart of a candidate, on the polish kernel of
-    # either route, as one block and as blocks of one row
-    if case == "c3_chain0":
-        net, mask, _ = sample_network("line", 3, 7, 0)
+    # either route, as one block and as blocks of one row, with the
+    # restarts' collapse exit; chain 3's block holds rows that take it
+    if case.startswith("c3"):
+        net, mask, _ = sample_network("line", 3, 7, int(case[-1]))
         lam, cfg = 1j, C3_CFG
     else:
         (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
@@ -827,12 +828,14 @@ def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     assert len(seeds) >= 3 * cfg.restarts
     asm = cand.asm
     block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
-                            solver._POLISH_TOL)
+                            solver._POLISH_TOL, solver._collapsed)
     for k, polish in enumerate(block):
         assert_same_polish(polish, solver._gn_core(
             asm.f_of, asm.j_of, seeds[k:k + 1], solver._POLISH_MAX_ITER,
-            solver._POLISH_TOL)[0])
+            solver._POLISH_TOL, solver._collapsed)[0])
     assert len({polish[1] for polish in block}) > 1
+    if case == "c3_chain3":
+        assert any(not ok and solver._collapsed(asm.f_of(u)) for u, _, ok, _ in block)
 
 
 def triple_digest(t):
@@ -860,12 +863,12 @@ PINNED_RESTARTS = {
         (True, 17, "9d887eefa3836df6"), (True, 17, "df8a5a50494b2ce3")],
     # restarts that polish two to four seeds, one of them in vain
     "c3_chain3": [
-        (True, 115, "d703ed27aa8e53ff"), (True, 31, "8797bdffd85aff98"),
+        (True, 104, "d703ed27aa8e53ff"), (True, 31, "8797bdffd85aff98"),
         (True, 21, "ecd0869ebfe8babc"), (True, 68, "419d52f30b94ebaa"),
-        (True, 22, "0834dab2d89455b0"), (True, 48, "9e01fd99ecbef4c8"),
-        (False, 170, None), (True, 109, "7ea527d5ee8507dc"),
-        (True, 69, "356626a6abefed93"), (True, 39, "2ccf80897232f991"),
-        (True, 72, "3e446158704d3e80"), (True, 27, "130e42afd562a8d3")],
+        (True, 22, "0834dab2d89455b0"), (True, 38, "9e01fd99ecbef4c8"),
+        (False, 150, None), (True, 99, "7ea527d5ee8507dc"),
+        (True, 69, "356626a6abefed93"), (True, 29, "2ccf80897232f991"),
+        (True, 42, "3e446158704d3e80"), (True, 27, "130e42afd562a8d3")],
 }
 
 
@@ -923,6 +926,62 @@ def test_converging_polish_keeps_clear_of_the_stationary_exit_real_route(
     runs = record_polish(monkeypatch)
     assert solve_fixed_lambda(net, mask, lam, ENSEMBLE_CFG).converged
     assert_exit_margins(runs)
+
+
+def norm_floor(f_of, u):
+    """min(||x||^2, ||y||^2) at u, read off F's two norm rows."""
+    f = f_of(u)
+    return 1.0 + 2.0 * min(f[-2], f[-1])
+
+
+def test_polish_stops_where_it_collapses_onto_x_or_y_zero(monkeypatch):
+    # chain 3 of C3 (the chain3 pool's fourth chain): most of its failed
+    # polish runs slide onto the x = 0 / y = 0 branch, where ||F|| settles
+    # at 1/2. Each stops at its first point with min(||x||^2, ||y||^2)
+    # below the threshold, where the no-progress exit took about 10 more
+    # Jacobians, and the solve's triple keeps its bits
+    net, mask, _ = sample_network("line", 3, 7, 3)
+    runs = record_polish(monkeypatch)
+    restarts = []
+    iterate = solver.heuristic_iterate
+
+    def recording(*args, **kwargs):
+        restarts.append(iterate(*args, **kwargs))
+        return restarts[-1]
+
+    monkeypatch.setattr(solver, "heuristic_iterate", recording)
+    res = solve_fixed_lambda(net, mask, 1j, C3_CFG)
+    assert res.converged and triple_digest(res.triple) == "ecd0869ebfe8babc"
+    collapsed = 0
+    for run in runs:
+        u, its, ok, us = run["out"]
+        below = [k for k, v in enumerate(us)
+                 if norm_floor(run["f_of"], v) < solver._COLLAPSE_TOL]
+        if ok or not below:
+            assert not below
+            continue
+        collapsed += 1
+        assert below == [len(us) - 1] and its == len(us) - 1
+        assert np.linalg.norm(run["f_of"](u)) == pytest.approx(0.5, abs=1e-2)
+    assert collapsed >= 5  # 9 when written
+    # restart 6's last seed collapses too, and names its failure
+    assert [r.failure for r in restarts if not r.converged] == [
+        "polish collapsed onto x = 0 or y = 0"]
+
+
+def test_converging_polish_keeps_clear_of_the_collapse_exit(c3_polish_runs, monkeypatch):
+    # along every converging run of C3's chains 0..5 and of C7's 6-node
+    # line and star, min(||x||^2, ||y||^2) stays 10x above the threshold
+    runs = record_polish(monkeypatch)
+    assert solve_radius(*sample_network("line", 6, 4040, 0)[:2], "topo",
+                        ENSEMBLE_CFG).best.converged
+    assert solve_radius(*sample_network("star", 6, 4041, 1)[:2], "topo",
+                        STAR_CFG).best.converged
+    converged = [run for run in c3_polish_runs + runs if run["out"][2]]
+    assert len(converged) >= 100
+    for run in converged:
+        for u in run["out"][3]:
+            assert norm_floor(run["f_of"], u) >= 10 * solver._COLLAPSE_TOL
 
 
 # ---------------------------------------------------------------------------
