@@ -12,7 +12,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .network_model import ConstraintMask, NetworkSystem
 
@@ -232,7 +231,11 @@ def cut_bound(k, omega):
 
     Gamma(1/k) Gamma(omega+1) / (sqrt(k) Gamma(omega+1+1/k)), evaluated in
     log space. k = 1 collapses algebraically to 1/(omega+1), returned exactly.
+    scipy's gammaln is imported here, so that a solve never loads scipy;
+    math.lgamma differs from it in the last bit on most arguments.
     """
+    from scipy.special import gammaln
+
     if k < 1 or omega < 1:
         raise ValueError("need k >= 1 and omega >= 1")
     if k == 1:
@@ -244,6 +247,8 @@ def cut_bound(k, omega):
 
 def cut_bound_asymptote(k, omega):
     """Large-family equivalent of cut_bound via the Gamma-ratio inequalities."""
+    from scipy.special import gammaln
+
     inv_k = 1.0 / k
     return float(np.exp(gammaln(inv_k)) / (np.sqrt(k) * (omega + 1.0) ** inv_k))
 

@@ -9,7 +9,6 @@ threshold. The ones that solve also return the result.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import analytic_oracles as oracles
 from .network_model import canonicalize
@@ -41,6 +40,8 @@ def shift_residual(pp, factor, count):
     sigma - mu to the shifted spectrum (scipy's QZ, not the solver's) over
     max(1, sigma), for the count smallest positive real sigma. None when
     there is no such sigma."""
+    import scipy.linalg as sla
+
     spec = generalized_spectrum(pp)
     if not spec.regular or len(spec.values) == 0:
         return None

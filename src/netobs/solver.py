@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 
 from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
                             pbh_stack, verify_unobservability)
@@ -115,6 +114,11 @@ def _regular(h, d):
 def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     """Finite part of spec(H, D) via QZ, with a regularity probe.
 
+    No solve calls this: the sweep reads its shift off a symmetric
+    eigenproblem (_lambda_plus). It is the QZ reference of `netobs
+    validate` and the tests, and it imports scipy on its first call, so
+    that neither `import netobs` nor a solve loads scipy.
+
     QZ is scipy.linalg.eigvals(H, D, homogeneous_eigvals=True). Infinite
     eigenvalues (beta ~ 0 with alpha away from 0) come from Ker(D) and are
     dropped: a second-order block at infinity splits under rounding into a
@@ -124,6 +128,8 @@ def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     probed at a few fixed points and the pencil is flagged non-regular when
     all probes vanish.
     """
+    import scipy.linalg as sla
+
     alpha, beta = sla.eigvals(pp.h, pp.d, homogeneous_eigvals=True)
     abs_alpha, abs_beta = np.abs(alpha), np.abs(beta)
     finite = abs_beta > 5e-7 * (1.0 + abs_alpha)
@@ -667,7 +673,6 @@ class _Restart:
         if sweep.init is None:
             return cls(sweep, pencil, [], keep_deltas, result=FixedLambdaResult(
                 lam=pencil.rp.lam, converged=False, failure="degenerate initial vector"))
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA5)))
         nx, ny = pencil.nx, pencil.size - pencil.nx
         trace_u, best_seed = sweep.trace, sweep.best
         seeds = []
@@ -681,8 +686,8 @@ class _Restart:
             # vector is the only information available, so polish it before
             # any random fallback instead of dropping it on the floor
             seeds.append(sweep.init)
-        xs = rng.standard_normal(nx)
-        ys = _sensors_drawn_first(cf, rng.standard_normal(ny))
+        xs, ys = _random_draws((seed, 0xA5), nx, ny)
+        ys = _sensors_drawn_first(cf, ys)
         seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys),
                                      [0.5]]))
         if trace_u:
@@ -790,6 +795,20 @@ def _triple_cost(rp, t):
     return float(np.sqrt(float(np.sum(d * d))))
 
 
+@lru_cache(maxsize=1024)
+def _random_draws(entropy, *sizes):
+    """Standard normal vectors of the given sizes, drawn in turn from the
+    stream SeedSequence(entropy), read-only. A restart's random draws do not
+    depend on lambda, so every candidate shares them instead of re-seeding a
+    generator and redrawing the same numbers; a caller copies before any
+    write."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    out = tuple(rng.standard_normal(size) for size in sizes)
+    for v in out:
+        v.setflags(write=False)
+    return out
+
+
 def _sensors_drawn_first(cf, draw):
     """The random multiplier y, in node order, of a draw that fills each half
     of y sensor rows first (in the order given), then the rows free: moving
@@ -843,15 +862,20 @@ def _candidate(cf, lam, cfg, full_pencil=False):
     """The _Candidate of lam, on the route _assembly gives it. Every
     restart's start vector is drawn from the restart's own stream, in the
     order a restart on its own would draw it: restart 0 from the PBH
-    singular vector when there is one."""
+    singular vector when there is one. The PBH start depends on lam; a
+    random start does not, and comes from _random_draws."""
     asm = _assembly(build_reduced(cf, lam), full_pencil)
     starts = []
     for r in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
-        z0 = _pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
+        z0 = None
+        if r == 0:
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+            z0 = _pbh_warm_start(cf, lam, asm, rng)
         if z0 is None:
-            z0 = rng.standard_normal(asm.size)
-            z0[asm.nx:] = _sensors_drawn_first(cf, z0[asm.nx:])
+            # a PBH start that fails draws nothing, so restart 0's stream
+            # is still fresh here
+            draw, = _random_draws((cfg.seed, r), asm.size)
+            z0 = np.concatenate([draw[:asm.nx], _sensors_drawn_first(cf, draw[asm.nx:])])
         starts.append(z0)
     return _Candidate(asm, starts)
 

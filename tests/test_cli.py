@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +198,30 @@ def test_oracle_auto_detects_topology(net3_file, capsys):
     payload = json.loads(out)
     assert payload["delta"] == pytest.approx(min(a[0, 1], a[1, 2]), rel=1e-12)
     assert payload["branch"] == "edge-deletion"
+
+
+# ---------------------------------------------------------------------------
+# cold start
+
+
+def test_import_and_radius_load_no_scipy(line4_file):
+    # scipy is loaded only by QZ (generalized_spectrum, validate) and the
+    # Gamma function (cut_bound*): importing the package and answering the
+    # radius, perturb and oracle subcommands must not load it
+    script = (
+        "import contextlib, io, sys\n"
+        "import netobs, netobs.cli\n"
+        "path = sys.argv[1]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [netobs.cli.main(args) for args in (\n"
+        "        ['radius', path], ['radius', path, '--lambda', '0.3,0.2'],\n"
+        "        ['perturb', path], ['oracle', path])]\n"
+        "print(codes, sorted(m for m in sys.modules\n"
+        "                    if m == 'scipy' or m.startswith('scipy.')))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", script, line4_file[0]], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0, 0] []"
 
 
 # ---------------------------------------------------------------------------

@@ -397,6 +397,13 @@ def test_bit_identical_reruns():
     assert r1.history == r2.history
     np.testing.assert_array_equal(r1.perturbation.delta, r2.perturbation.delta)
     assert r1.cost == r2.cost
+    # a grid search redraws no random start: every candidate takes the
+    # restarts' draws from one cache, which a rerun must find unchanged
+    s1, s2 = (solve_radius(net, mask, "default", cfg) for _ in range(2))
+    assert len(s1.search_trace) > 1
+    assert s1.search_trace == s2.search_trace
+    np.testing.assert_array_equal(s1.best.perturbation.delta, s2.best.perturbation.delta)
+    assert s1.cost == s2.cost
 
 
 def test_real_lambda_routes_agree():
