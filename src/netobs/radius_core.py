@@ -151,7 +151,7 @@ def _weighted(d, z):
 
 
 def _residual(at, att, v_bar, u):
-    """F(u) of the normalized stationarity system (_stationarity_fj) with
+    """F(u) of the normalized stationarity system (_Form) with
     At = at and At' = att, for one u or row by row for a stack of them;
     with a stack of At, one per row. att is a transposed view of at
     (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs."""
@@ -164,30 +164,84 @@ def _residual(at, att, v_bar, u):
                            (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
 
 
-def _stationarity_fj(at, v_bar):
-    """Residual F(u) and Jacobian J(u) of the normalized stationarity system.
+def _shifted(h, t, d):
+    """H - t D for a stack h of H, one shift t >= 0 per row, with D as
+    PencilAssembly.weightings gives it: dense, or its diagonal on the
+    half-size route, written into a copy of H's zero diagonal as 0.0 - t d.
+    Off the diagonal the dense form subtracts t times an exact zero, so
+    every entry equals the dense one bit for bit."""
+    if d.ndim == h.ndim:
+        return h - t[:, None, None] * d
+    m = h.copy()
+    i = np.arange(h.shape[-1])
+    m[:, i, i] = 0.0 - t[:, None] * d
+    return m
 
-    F stacks At' y - sigma D_y x, At x - sigma D_x y and the two norm rows;
-    f_of and j_of take one u or a stack of them (rows), and every row of a
-    stack gets the bits its u alone gets.
-    At is A_tilde on the complex route, where D_y and D_x are 2 x 2 arrays of
-    diagonal blocks; on the half-size route of a real lambda it is
-    A_bar - lam I_bar, the x_im = y2 = 0 slice, where one diagonal (S) is
-    left of each. D's diagonals come from _weighting_diagonals and sit in J
-    where PencilAssembly puts them in D.
+
+def _sandwich(f, m):
+    """F M F for stacks of F and M, F dense or its diagonal. Each entry of
+    the diagonal form, f_i (m_ij f_j), is the one nonzero product of the
+    dense form's sums, rounded in the same order; + 0.0 gives a zero entry
+    the sign those sums give it (+0.0), so every entry keeps its bits."""
+    if f.ndim == m.ndim:
+        return f @ (m @ f)
+    return f[:, :, None] * (m * f[:, None, :]) + 0.0
+
+
+def _times(d, z):
+    """D z for every row of a stack z, D dense or its diagonal; the
+    diagonal form gets the bits of _mv as _sandwich does."""
+    if d.ndim > z.ndim:
+        return _mv(d, z)
+    return d * z + 0.0
+
+
+def _frobenius(d):
+    """||D||_F of every D of a stack, dense or its diagonal. The diagonal's
+    squares are summed where they sit in the dense D, among its zeros:
+    numpy's pairwise sum groups the terms by position, so each norm equals
+    np.linalg.norm of the dense D bit for bit."""
+    if d.ndim == 3:
+        return np.linalg.norm(d, axis=(1, 2))
+    k = d.shape[-1]
+    squares = np.zeros((len(d), k * k))
+    squares[:, ::k + 1] = d * d
+    return np.sqrt(np.add.reduce(squares, axis=1))
+
+
+class _Form:
+    """The normalized stationarity system of one canonical form on one
+    route, and what it keeps whatever lambda is: V_bar, the sizes of x and
+    y, V_bar' tiled to the blocks of J, and the flat positions of D's
+    diagonals in D and in J. One _Form serves every candidate of a solve on
+    its route (_form).
+
+    f and j give the residual F(u) and Jacobian J(u) for At = at: F stacks
+    At' y - sigma D_y x, At x - sigma D_x y and the two norm rows. They take
+    one u or a stack of them (rows), and one at or a stack of them, one per
+    row: the polish of a block of candidates gathers each row's own
+    A_tilde. Every row of a stack gets the bits its u alone gets with its
+    at alone. At is A_tilde on the complex route, where D_y and D_x are
+    2 x 2 arrays of diagonal blocks; on the half-size route of a real
+    lambda it is A_bar - lam I_bar, the x_im = y2 = 0 slice, where one
+    diagonal (S) is left of each. D's diagonals come from
+    _weighting_diagonals and sit in J where PencilAssembly puts them in D.
     """
-    n, m = v_bar.shape
-    ny, nx = at.shape
-    blocks = ny // n
-    att = at.T
-    vtb = np.tile(v_bar.T, (blocks, blocks))
-    cols = nx + ny + 1
-    positions = _d_positions(v_bar, nx, cols, blocks)
 
-    def f_of(u):
-        return _residual(at, att, v_bar, u)
+    def __init__(self, v_bar, real):
+        n, m = v_bar.shape
+        blocks = 1 if real else 2
+        self.v, self.blocks = v_bar, blocks
+        self.nx, self.ny = blocks * m, blocks * n
+        size = self.nx + self.ny
+        self.vtb = np.tile(v_bar.T, (blocks, blocks))
+        self.d_positions = _d_positions(v_bar, self.nx, size, blocks)
+        self.j_positions = _d_positions(v_bar, self.nx, size + 1, blocks)
 
-    def j_of(u):
+    def f(self, at, u):
+        return _residual(at, np.swapaxes(at, -1, -2), self.v, u)
+
+    def j(self, at, u):
         # one preallocated Jacobian per u, rows (x-equations, y-equations,
         # the two norm rows) by columns (x, y, sigma). The derivative of the
         # y-equations in x is the transpose of that of the x-equations in y.
@@ -195,8 +249,9 @@ def _stationarity_fj(at, v_bar):
         # of -sig * 0.0, so each matrix equals the dense block product bit
         # for bit, signed zeros included. D's diagonals give every row of a
         # stack its own bits (_weighting_diagonals), and every other step is
-        # elementwise over the leading axes, so a row of a stack gets the
-        # bits of its u alone.
+        # elementwise over the leading axes, a stack of at included, so a
+        # row of a stack gets the bits of its u alone.
+        (n, m), nx, ny = self.v.shape, self.nx, self.ny
         lead = u.shape[:-1]
         x, y = u[..., :nx], u[..., nx:nx + ny]
         if u.ndim == 1:  # sigma as a scalar, numpy's fast path
@@ -204,9 +259,9 @@ def _stationarity_fj(at, v_bar):
         else:  # sigma against the diagonals and against the matrices
             sig = u[:, -1:]
             sig3 = sig[:, :, None]
-        d_y, d_x = _weighting_diagonals(v_bar, x, y)
+        d_y, d_x = _weighting_diagonals(self.v, x, y)
         o = x[..., :, None] * y[..., None, :]
-        if blocks == 1:
+        if self.blocks == 1:
             w = 2 * o
         else:
             w = np.empty(lead + (nx, ny))
@@ -214,13 +269,14 @@ def _stationarity_fj(at, v_bar):
             w[..., :m, n:] = o[..., m:, :n]
             w[..., m:, :n] = o[..., :m, n:]
             w[..., m:, n:] = o[..., :m, :n] + 2 * o[..., m:, n:]
-        sw = sig3 * (vtb * w)
+        sw = sig3 * (self.vtb * w)
         zero = -sig3 * 0.0
-        j = np.zeros(lead + (nx + ny + 2, cols))
+        j = np.zeros(lead + (nx + ny + 2, nx + ny + 1))
         j[..., :nx, :nx] = zero
         j[..., nx:nx + ny, nx:nx + ny] = zero
-        j.reshape(lead + (-1,))[..., positions] = -sig * np.concatenate(d_y + d_x, axis=-1)
-        j[..., :nx, nx:nx + ny] = att - sw
+        diagonals = np.concatenate(d_y + d_x, axis=-1)
+        j.reshape(lead + (-1,))[..., self.j_positions] = -sig * diagonals
+        j[..., :nx, nx:nx + ny] = np.swapaxes(at, -1, -2) - sw
         j[..., nx:nx + ny, :nx] = at - sw.swapaxes(-1, -2)
         j[..., :nx, -1] = -_weighted(d_y, x)
         j[..., nx:nx + ny, -1] = -_weighted(d_x, y)
@@ -228,7 +284,19 @@ def _stationarity_fj(at, v_bar):
         j[..., -1, nx:nx + ny] = y
         return j
 
-    return f_of, j_of
+
+# the last _Form built on each route (False: complex, True: half-size)
+_FORMS = {}
+
+
+def _form(v_bar, real):
+    """The _Form of v_bar on a route. A solve asks for the v_bar of its one
+    CanonicalForm throughout, so the last _Form of each route is kept and
+    built again only for another v_bar."""
+    form = _FORMS.get(real)
+    if form is None or form.v is not v_bar:
+        form = _FORMS[real] = _Form(v_bar, real)
+    return form
 
 
 def build_weightings(rp: ReducedProblem, x, y):
@@ -274,7 +342,9 @@ class PencilAssembly:
     D = blkdiag(D_y, D_x) into a zeroed array (+0.0 elsewhere, as in a dense
     block assembly, bit for bit), or for stacks of points (the rows of x and
     y) one D per row into an array of shape (rows, size, size); weightings()
-    writes the same D and its square root F.
+    gives the same D and its square root F, as diagonals on the half-size
+    route. What does not depend on lambda (D's and J's positions, the tiled
+    V_bar) comes from the route's _Form, shared by every candidate.
     """
 
     def __init__(self, rp: ReducedProblem, real=False):
@@ -289,25 +359,33 @@ class PencilAssembly:
         h[l:, :l] = at
         h.setflags(write=False)
         self.a_tilde, self.h, self.nx, self.size = at, h, l, size
-        self._positions = _d_positions(self.v, l, size, 1 if real else 2)
-        self.f_of, self.j_of = _stationarity_fj(at, self.v)
+        self.form = _form(self.v, real)
+
+    def f_of(self, u):
+        return self.form.f(self.a_tilde, u)
+
+    def j_of(self, u):
+        return self.form.j(self.a_tilde, u)
 
     def pencil(self, x, y) -> PencilPair:
         return PencilPair(h=self.h, d=self._fill(_weighting_diagonals(self.v, x, y)))
 
     def weightings(self, x, y):
-        """(D, F) at the points (x, y): the D of pencil(x, y) and its positive
-        semidefinite square root F, D = F F, on D's pattern. F holds the
-        square roots of D's diagonals, or of each 2 x 2 block
-        [[s, t], [t, q]] in closed form, ([[s, t], [t, q]] + r I) /
-        sqrt(s + q + 2 r) with r = sqrt(sq - t^2) (0 for a zero block)."""
+        """(D, F) at the points (x, y), as the sweep takes them: the D of
+        pencil(x, y) and its positive semidefinite square root F, D = F F.
+        On the half-size route both are diagonal and come as their
+        diagonals, of shape (rows, size); _shifted, _sandwich, _times and
+        _frobenius apply them as the dense matrices, bit for bit. On the
+        complex route both are dense, F on D's pattern: the square root of
+        each 2 x 2 block [[s, t], [t, q]] in closed form,
+        ([[s, t], [t, q]] + r I) / sqrt(s + q + 2 r) with r = sqrt(sq - t^2)
+        (0 for a zero block)."""
         diagonals = _weighting_diagonals(self.v, x, y)
+        if self.real:
+            d = np.concatenate(diagonals[0] + diagonals[1], axis=-1)
+            return d, np.sqrt(d)
         roots = []
-        for diags in diagonals:
-            if len(diags) == 1:
-                roots.append((np.sqrt(diags[0]),))
-                continue
-            s, t, _, q = diags
+        for s, t, _, q in diagonals:
             r = np.sqrt(np.fmax(s * q - t * t, 0.0))
             tau = np.sqrt(s + q + 2.0 * r)
             a, b, c = (np.divide(e, tau, out=np.zeros_like(e), where=tau > 0)
@@ -320,7 +398,7 @@ class PencilAssembly:
         values = np.concatenate(d_y + d_x, axis=-1)
         lead = values.shape[:-1]
         d = np.zeros(lead + (self.size, self.size))
-        d.reshape(lead + (-1,))[..., self._positions] = values
+        d.reshape(lead + (-1,))[..., self.form.d_positions] = values
         return d
 
     def triple(self, u):

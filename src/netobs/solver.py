@@ -15,8 +15,9 @@ solution branch.
 from __future__ import annotations
 
 import contextlib
+import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -24,7 +25,8 @@ from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
                             pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, SpuriousTripleError, _delta_bar,
-                          _in_columns, _mv, _residual, _rowdot, build_reduced,
+                          _frobenius, _in_columns, _mv, _rowdot, _sandwich,
+                          _shifted, _times, build_reduced,
                           orthogonality_diagnostic, reconstruct_perturbation)
 
 
@@ -92,9 +94,9 @@ _HANDOFF_TOL = np.sqrt(_POLISH_TOL)
 # which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
 # Most rows of one lockstep block: sweep rows (candidates times restarts) of
-# one _sweep call, and restarts of one polish wave. The cap bounds the
-# memory of a block, whose stacked pencils and Jacobians grow with the rows;
-# it does not change any answer.
+# one _sweep call, and rows of one polish stream (_polish). The cap bounds
+# the memory of a block, whose stacked pencils and Jacobians grow with the
+# rows; it does not change any answer.
 _BLOCK_ROWS = 64
 
 
@@ -140,11 +142,15 @@ def generalized_spectrum(pp: PencilPair) -> SpectrumResult:
     return SpectrumResult(values=values[order], regular=regular)
 
 
-def _lambda_plus(h, d, f, t0):
+def _lambda_plus(h, d, f, t0, h_norm):
     """Smallest positive finite eigenvalue lambda_+ of each pencil (H, D) of
-    a stack, NaN where there is none or the pencil is singular; h, d and f
-    (the roots of D, D = F F, PencilAssembly.weightings) have shape
-    (rows, order, order), t0 one shift per row.
+    a stack, NaN where there is none or the pencil is singular; h has shape
+    (rows, order, order), t0 one shift per row >= 0, and d and f (the roots
+    of D, D = F F) are as PencilAssembly.weightings gives them: dense
+    stacks, or on the half-size route their diagonals, applied by
+    _shifted, _sandwich and _frobenius with the bits of the dense matrices.
+    h_norm is ||H||_F per row (np.linalg.norm over the last two axes), which
+    the sweep takes once per candidate.
 
     S = F (H - t0 D)^-1 F is symmetric, with the eigenvalue 1 / (sigma - t0)
     for each finite eigenvalue sigma of (H, D) and 0 for each infinite one
@@ -165,11 +171,11 @@ def _lambda_plus(h, d, f, t0):
     out, t = np.full(len(t0), np.nan), np.array(t0, dtype=float)
     todo = np.arange(len(t0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = np.linalg.norm(h, axis=(1, 2)) / np.linalg.norm(d, axis=(1, 2))
+        scale = h_norm / _frobenius(d)
         for _ in range(2):
-            mmat = h[todo] - t[todo, None, None] * d[todo]
+            mmat = _shifted(h[todo], t[todo], d[todo])
             inv = _stacked_lapack(np.linalg.inv, mmat)
-            s = f[todo] @ (inv @ f[todo])
+            s = _sandwich(f[todo], inv)
             ok = ((np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
                    <= _COND_LIMIT) & np.isfinite(s).all(axis=(1, 2)))
             done, s, todo = todo[ok], s[ok], todo[~ok]
@@ -206,9 +212,9 @@ def _stacked_lapack(fn, a, *b):
 
 def _u_of_pencil(h, d, z):
     """Polish variables of balanced pencil vectors, the rows of z (D stacked
-    to match): unit blocks, and sigma at triple scale from the Rayleigh
-    quotient |z'Hz / z'Dz| (1 when z'Dz = 0)."""
-    den = _rowdot(z, _mv(d, z))
+    to match, dense or its diagonal): unit blocks, and sigma at triple scale
+    from the Rayleigh quotient |z'Hz / z'Dz| (1 when z'Dz = 0)."""
+    den = _rowdot(z, _times(d, z))
     sigma_bar = np.abs(np.divide(_rowdot(z, _mv(h, z)), den,
                                  out=np.ones_like(den), where=den != 0))
     return np.concatenate([np.sqrt(2.0) * z, sigma_bar / 2.0], axis=1)
@@ -222,16 +228,17 @@ def _u_of_pencil(h, d, z):
 
 @dataclass(eq=False, slots=True)
 class _LMRun:
-    """One row of a _gn_core block: its point u, F there (f, ff = ||F||^2),
-    the accepted iterates, ||F|| at every point reached, Jacobians taken
-    (its) and the damping carried over (mu); while it tries steps from u,
-    the SVD factors s, vt and g = U'F, the step weights w, the damping and
-    its growth factor and the predicted decrease of the current trial; once
-    it stops, what _gn_core returns for it (out)."""
+    """One start of a row of a _gn_core block: its point u and its key, F
+    there (f, None until it is evaluated; ff = ||F||^2), the accepted
+    iterates, ||F|| at every point reached, Jacobians taken (its) and the
+    damping carried over (mu); while it tries steps from u, the SVD factors
+    s, vt and g = U'F, the step weights w, the damping and its growth factor
+    and the predicted decrease of the current trial."""
 
     u: np.ndarray
-    f: np.ndarray
+    key: object
     us: list
+    f: np.ndarray | None = None
     norms: list = field(default_factory=list)
     mu: float = 0.0
     its: int = 0
@@ -243,10 +250,9 @@ class _LMRun:
     damp: float = 0.0
     nu: float = 2.0
     pred: float = 0.0
-    out: tuple | None = None
 
 
-def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None):
+def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=None):
     """Levenberg-Marquardt on ||F(u)||_2 from every row of u0, in lockstep.
 
     The rows of u0 (shape (rows, k)) run in rounds. In each round every
@@ -260,6 +266,16 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None):
     row by row with the one-vector numpy calls, so every row gets exactly
     what a block of that row alone gets: u, the count, the exit and the
     iterates, bit for bit. A row leaves the block at its own exit.
+
+    With keys, one per row, f_of and j_of are called as f_of(u, keys), with
+    the keys of the rows of a stack or the key of one u: a row's key picks
+    its system, so one block polishes rows of many candidates. With refill,
+    a row that stops hands its polish to refill(i, polish), i its index in
+    u0; refill gives the row's next start (u0, key), or None to end the
+    row. A new start is a new run in that row, as if alone: its residual
+    joins the round's stacked call of f_of, and from the next round on it
+    takes its Jacobians with the others. So one block is a stream whose
+    rows refill at once, and no row waits for the others to stop.
 
     One SVD J = U diag(s) V' per Jacobian serves every trial at that point:
     the step with damping mu is -V diag(s / (s^2 + mu)) U'F, and a trial
@@ -302,31 +318,40 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None):
     that slide onto it shrink min(||x||^2, ||y||^2) 4 to 7 times per
     Jacobian while ||F|| settles at 1/2, and the no-progress exit took
     about 10 more Jacobians to end them: on the chain3 pool 109 of the 124
-    failed runs of a round do this. Along the runs that converge min(||x||^2, ||y||^2) stays 38 times
-    above the exit's threshold at the closest (_COLLAPSE_TOL).
+    failed runs of a round do this. Along the runs that converge
+    min(||x||^2, ||y||^2) stays 38 times above the exit's threshold at the
+    closest (_COLLAPSE_TOL).
 
     A run that stops at any exit fails like any other, and the _Restart
     that polished the row goes on to its next seed, or fails when it has
     none. So does a run out of budget: at the point after its max_iter-th
     Jacobian it converged or failed.
 
-    Returns, row by row, (u, Jacobians taken, converged, accepted iterates);
-    ||F|| falls strictly along the accepted iterates.
+    A polish is (u, Jacobians taken, converged, accepted iterates); ||F||
+    falls strictly along the accepted iterates. Returns the last polish of
+    every row.
     """
     eps = np.finfo(float).eps
     u0 = np.array(u0, dtype=float)
-    runs = [_LMRun(u=u, f=f, us=[u]) for u, f in zip(u0, _stacked(f_of, list(u0)))]
-    live = runs
-    while live:
+    rows = [_LMRun(u=u, key=key, us=[u])
+            for u, key in zip(u0, [None] * len(u0) if keys is None else keys)]
+    last = [None] * len(rows)
+
+    def stop(i, polish):
+        last[i] = polish
+        start = refill(i, polish) if refill else None
+        rows[i] = None if start is None else _LMRun(u=start[0], key=start[1], us=[start[0]])
+
+    while any(rows):
         fresh = []  # rows at a new point that take a Jacobian this round
-        for run in live:
-            if run.s is not None:
+        for i, run in enumerate(rows):
+            if run is None or run.f is None or run.s is not None:
                 continue
             run.its += 1
             if np.linalg.norm(run.f, np.inf) <= tol:
-                run.out = (run.u, run.its - 1, True, run.us)
+                stop(i, (run.u, run.its - 1, True, run.us))
             elif run.its > max_iter:
-                run.out = (run.u, max_iter, False, run.us)
+                stop(i, (run.u, max_iter, False, run.us))
             else:
                 run.ff = run.f @ run.f
                 run.norms.append(np.sqrt(run.ff))
@@ -334,58 +359,70 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None):
                 # Jacobians; or the point has collapsed
                 if (run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]
                         or collapsed is not None and collapsed(run.f)):
-                    run.out = (run.u, run.its - 1, False, run.us)
+                    stop(i, (run.u, run.its - 1, False, run.us))
                 else:
-                    fresh.append(run)
+                    fresh.append(i)
         if fresh:
-            jac = _stacked(j_of, [run.u for run in fresh])
+            jac = _stacked(j_of, [rows[i] for i in fresh], [rows[i].u for i in fresh])
             left, s, vt = np.linalg.svd(jac, full_matrices=False)
             cut = eps * max(jac.shape[1:])
-            for run, left_k, s_k, vt_k in zip(fresh, left, s, vt):
+            for i, left_k, s_k, vt_k in zip(fresh, left, s, vt):
+                run = rows[i]
                 g = left_k.T @ run.f
                 # the relative gradient: stationary for ||F|| with F != 0
                 if np.linalg.norm(s_k * g) <= 1e-6 * s_k[0] * run.norms[-1]:
-                    run.out = (run.u, run.its, False, run.us)
+                    stop(i, (run.u, run.its, False, run.us))
                     continue
                 run.s, run.vt, run.g, run.damp, run.nu = s_k, vt_k, g, 0.0, 2.0
                 run.w = np.divide(1.0, s_k, out=np.zeros_like(s_k),
                                   where=s_k > cut * s_k[0])
-        trying, steps = [], []
-        for run in live:
-            if run.out is not None:
-                continue
-            r = run.s * run.w
-            run.pred = float(np.sum(run.g * run.g * r * (2.0 - r)))
-            if not run.pred > eps * run.ff:  # NaN in F fails here too
-                run.out = (run.u, run.its, False, run.us)
-                continue
-            trying.append(run)
-            steps.append(run.u - run.vt.T @ (run.w * run.g))
-        if trying:
-            for run, trial, ft in zip(trying, steps, _stacked(f_of, steps)):
-                gain = run.ff - ft @ ft
-                if gain > 1e-4 * run.pred:
-                    run.mu = run.damp * max(1.0 / 3.0,
-                                            1.0 - (2.0 * gain / run.pred - 1.0) ** 3)
-                    run.u, run.f, run.s = trial, ft, None
-                    run.us.append(trial)
+        # the points where F is evaluated this round: every trial, and every
+        # new start
+        evaluated, points = [], []
+        for i, run in enumerate(rows):
+            if run is not None and run.s is not None:
+                r = run.s * run.w
+                run.pred = float(np.sum(run.g * run.g * r * (2.0 - r)))
+                if run.pred > eps * run.ff:  # NaN in F fails here too
+                    evaluated.append(run)
+                    points.append(run.u - run.vt.T @ (run.w * run.g))
                     continue
-                if run.damp == 0.0:
-                    run.damp = run.mu or 1e-3 * run.s[0] ** 2
-                else:
-                    run.damp, run.nu = run.damp * run.nu, 2.0 * run.nu
-                run.w = run.s / (run.s * run.s + run.damp)
-        live = trying
-    return [run.out for run in runs]
+                stop(i, (run.u, run.its, False, run.us))
+                run = rows[i]
+            if run is not None and run.f is None:
+                evaluated.append(run)
+                points.append(run.u)
+        if not evaluated:
+            continue
+        for run, trial, ft in zip(evaluated, points, _stacked(f_of, evaluated, points)):
+            if run.f is None:
+                run.f = ft
+                continue
+            gain = run.ff - ft @ ft
+            if gain > 1e-4 * run.pred:
+                run.mu = run.damp * max(1.0 / 3.0,
+                                        1.0 - (2.0 * gain / run.pred - 1.0) ** 3)
+                run.u, run.f, run.s = trial, ft, None
+                run.us.append(trial)
+                continue
+            if run.damp == 0.0:
+                run.damp = run.mu or 1e-3 * run.s[0] ** 2
+            else:
+                run.damp, run.nu = run.damp * run.nu, 2.0 * run.nu
+            run.w = run.s / (run.s * run.s + run.damp)
+    return last
 
 
-def _stacked(fn, vectors):
-    """fn of a list of vectors as one stack, with a leading row axis. A
-    single vector takes fn's one-vector path, which the polish kernel gives
+def _stacked(fn, runs, points):
+    """fn at the points of runs, one each, as one stack with a leading row
+    axis, called with the runs' keys when they have any (fn(u, keys)). A
+    single point takes fn's one-vector path, which the polish kernel gives
     the same bits as a row of a stack, at less cost."""
-    if len(vectors) == 1:
-        return fn(vectors[0])[None]
-    return fn(np.array(vectors))
+    keyed = runs[0].key is not None
+    if len(points) == 1:
+        return (fn(points[0], runs[0].key) if keyed else fn(points[0]))[None]
+    u = np.array(points)
+    return fn(u, np.array([run.key for run in runs])) if keyed else fn(u)
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,8 +564,9 @@ def _sweep(asms, starts, cfg):
     together for at most cfg.sweep_iters steps, and a row leaves the block
     where its own sweep ends: a pencil that is singular or has no positive
     eigenvalue, a singular shifted solve, phi non-finite or below 1e-300, or
-    an iterate that cannot be rebalanced. Each step fills D and its root F
-    for every row, takes the smallest positive eigenvalue lambda_+ of every
+    an iterate that cannot be rebalanced. Each step takes D and its root F
+    for every row (PencilAssembly.weightings), the smallest positive
+    eigenvalue lambda_+ of every
     row's pencil from one stacked symmetric eigensolve at the row's previous
     shift (_lambda_plus; at first half the start's Rayleigh quotient),
     shifts by mu = psi lambda_+ and solves (H - mu D) w = D z in one stacked
@@ -557,10 +595,14 @@ def _sweep(asms, starts, cfg):
       finish.
 
     H and A_tilde depend on lambda, D only on V_bar and the route, so the
-    first assembly fills D for every row. The H and A_tilde of each
+    first assembly gives D for every row. The H, ||H||_F and A_tilde of each
     candidate are stacked once, and an index from row to candidate is
     filtered with the rows and gathers them per step, one candidate or
-    many.
+    many. On the half-size route D and F are diagonal and stay diagonals:
+    H - t D writes 0.0 - t d into a copy of H's zero diagonal, and F M F,
+    D z and ||D||_F are formed elementwise (_shifted, _sandwich, _times,
+    _frobenius), each entry equal to the dense one bit for bit; the complex
+    route keeps its 2 x 2-block F dense, through the matmuls.
 
     Every row gets the bits a sweep of that start alone would. Stacked
     np.linalg.inv, np.linalg.eigvalsh and np.linalg.solve run LAPACK slice
@@ -572,8 +614,9 @@ def _sweep(asms, starts, cfg):
     build and differs in the last bits.
     """
     asm = asms[0]
-    nx, v = asm.nx, asm.v
+    nx, form = asm.nx, asm.form
     hs = np.stack([a.h for a in asms])
+    h_norms = np.linalg.norm(hs, axis=(1, 2))
     ats = np.stack([a.a_tilde for a in asms])
     at_norms = np.array([np.linalg.norm(a.rp.a_tilde) for a in asms])
     cand = np.repeat(np.arange(len(asms)), [len(s) for s in starts])
@@ -591,26 +634,26 @@ def _sweep(asms, starts, cfg):
             break
         if it:
             d, f = asm.weightings(z[:, :nx], z[:, nx:])
-        mp = _lambda_plus(hs[cand], d, f, mu)
+        h = hs[cand]
+        mp = _lambda_plus(h, d, f, mu, h_norms[cand])
         keep = ~np.isnan(mp)
-        live, cand, z, d, mp = (a[keep] for a in (live, cand, z, d, mp))
+        live, cand, z, d, mp, h = (a[keep] for a in (live, cand, z, d, mp, h))
 
         mu = cfg.psi * mp
-        w = _stacked_lapack(np.linalg.solve, hs[cand] - mu[:, None, None] * d,
-                            np.matmul(d, z[..., None]))[..., 0]
+        w = _stacked_lapack(np.linalg.solve, _shifted(h, mu, d),
+                            _times(d, z)[..., None])[..., 0]
         phi = np.sqrt(_rowdot(w, w))[:, 0]
         keep = np.isfinite(phi) & (phi >= 1e-300)
-        live, cand, z, d, mu, w, phi = (a[keep] for a in (live, cand, z, d, mu, w, phi))
+        live, cand, z, d, mu, w, phi, h = (a[keep] for a in (live, cand, z, d, mu, w, phi, h))
 
         zn = w / phi[:, None]
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
-        live, cand, d, mu, phi = (a[keep] for a in (live, cand, d, mu, phi))
+        live, cand, d, mu, phi, h = (a[keep] for a in (live, cand, d, mu, phi, h))
         dz = zn - z[keep]
         step = np.sqrt(_rowdot(dz, dz))[:, 0]
-        u = _u_of_pencil(hs[cand], d, zn)
-        at = ats[cand]
-        f = _residual(at, np.swapaxes(at, -1, -2), v, u)
+        u = _u_of_pencil(h, d, zn)
+        f = form.f(ats[cand], u)
         merit = np.sqrt(_rowdot(f, f))[:, 0]
         for k, row in enumerate([rows[i] for i in live]):
             row.trace.append(u[k])
@@ -625,19 +668,21 @@ def _sweep(asms, starts, cfg):
     return rows
 
 
-def heuristic_iterate(restart, block=None) -> FixedLambdaResult:
+def heuristic_iterate(restart) -> FixedLambdaResult:
     """The result of one grid restart once it stops searching
     (_Restart.search): its first converged polish whose triple passes
     _checked_triple, unreconstructed (converged, its cost inf until
     _reconstructed), or its failure.
 
-    restart is the restart's _Restart (_Restart.start), and block, when
-    given, the _Restart of every restart of its candidate, which polish in
-    lockstep (_polish_restarts). It is called once per grid restart, never
-    for a lambda-descent probe, and returns that restart's result: the
-    benchmark tracer counts restarts and their iterations on these calls.
+    restart is the restart's _Restart (_Restart.start). solve_radius has
+    polished it already, with every restart of its sweep-ahead block
+    (_polish), and here only reads its result; a restart that has not been
+    polished is polished here, alone. It is called once per restart of
+    every candidate that is not pruned, never for a lambda-descent probe,
+    and returns that restart's result: the benchmark tracer counts restarts
+    and their iterations on these calls.
     """
-    return restart.search(block)
+    return restart.search()
 
 
 @dataclass(eq=False)
@@ -652,7 +697,9 @@ class _Restart:
     the seeds ran out. A grid restart (start) has its sweep row and up to
     four seeds; a probe (_continuation) has an empty sweep and one seed.
     The result's iterates are the sweep passes and the polish of the seed
-    that gave the triple, Delta_i kept when keep_deltas is set.
+    that gave the triple, Delta_i kept when keep_deltas is set. A seed
+    still to be built (the random draw) is a function that builds it
+    (seed).
     """
 
     sweep: _Sweep
@@ -669,11 +716,11 @@ class _Restart:
         """The restart of the sweep row sweep, before its first polish. Its
         seeds, in order: the best sweep iterate (by stationarity residual),
         the last one, a random draw from seed and the start (ahead of the
-        draw when the sweep took no step)."""
+        draw when the sweep took no step). The random draw is built only
+        when the restart reaches it (seed): most restarts converge first."""
         if sweep.init is None:
             return cls(sweep, pencil, [], keep_deltas, result=FixedLambdaResult(
                 lam=pencil.rp.lam, converged=False, failure="degenerate initial vector"))
-        nx, ny = pencil.nx, pencil.size - pencil.nx
         trace_u, best_seed = sweep.trace, sweep.best
         seeds = []
         if best_seed is not None:
@@ -686,31 +733,25 @@ class _Restart:
             # vector is the only information available, so polish it before
             # any random fallback instead of dropping it on the floor
             seeds.append(sweep.init)
-        xs, ys = _random_draws((seed, 0xA5), nx, ny)
-        ys = _sensors_drawn_first(cf, ys)
-        seeds.append(np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys),
-                                     [0.5]]))
+        seeds.append(partial(_random_seed, cf, seed, pencil.nx, pencil.size - pencil.nx))
         if trace_u:
             seeds.append(sweep.init)
         return cls(sweep, pencil, seeds, keep_deltas)
 
-    def search(self, block=None):
-        """The result once this restart stops searching.
+    def seed(self):
+        """The next seed to polish, built here if it is the random draw."""
+        u = self.seeds[self.polished]
+        if callable(u):
+            u = self.seeds[self.polished] = u()
+        return u
 
-        The seeds are polished in waves (_wave) of block, this restart alone
-        by default: wave k polishes seed k of every restart of the block
-        that is still searching, as one _gn_core block, and a restart whose
-        polish fails or whose triple fails _checked_triple joins the next
-        wave. The waves stop once this restart does; the others go on in
-        their own calls. _gn_core gives every row the bits of a block of
-        one, so the result is the same for any block, and that of polishing
-        one seed at a time. A probe with no seed (_continuation) fails at
-        once.
-        """
-        if self.result is None and self.polished == len(self.seeds):
-            self._fail()
-        while self.result is None:
-            _wave(block or [self])
+    def search(self):
+        """The result once this restart stops searching: polished alone
+        (_polish) unless it already has its result. _gn_core gives every
+        row the bits of a block of one, so the result is that of polishing
+        one seed at a time, in any block."""
+        if self.result is None:
+            _polish([self])
         return self.result
 
     def take(self, polish):
@@ -748,22 +789,66 @@ class _Restart:
             phi_plus_mu=self.sweep.phi_plus_mu, failure=self.failure)
 
 
-def _wave(block):
-    """The next seed of every restart of block that is still searching,
-    polished in _gn_core blocks of at most _BLOCK_ROWS rows."""
-    searching = [r for r in block if r.result is None]
-    for i in range(0, len(searching), _BLOCK_ROWS):
-        part = searching[i:i + _BLOCK_ROWS]
-        pencil = part[0].pencil
-        polishes = _gn_core(pencil.f_of, pencil.j_of,
-                            np.array([r.seeds[r.polished] for r in part]),
-                            _POLISH_MAX_ITER, _POLISH_TOL, _collapsed)
-        for restart, polish in zip(part, polishes):
+def _random_seed(cf, seed, nx, ny):
+    """A restart's random seed: unit x and y blocks from the stream
+    (seed, 0xA5) (_random_draws), y's sensor rows drawn first, and sigma
+    0.5."""
+    xs, ys = _random_draws((seed, 0xA5), nx, ny)
+    ys = _sensors_drawn_first(cf, ys)
+    return np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys), [0.5]])
+
+
+def _polish(restarts):
+    """Polishes every restart of restarts still searching, on one _gn_core
+    stream per route of at most _BLOCK_ROWS rows.
+
+    The restarts may belong to many candidates: the stream's kernel
+    (_kernel) gives each row its own candidate's A_tilde. Each row polishes
+    one seed of one restart. Where the polish fails, or its triple fails
+    _checked_triple, the restart's next seed takes the row at once; where
+    the restart stops searching, the next restart waiting takes it. Every
+    restart gets the bits it gets polished alone, one seed at a time.
+    """
+    for real in (False, True):
+        searching = [r for r in restarts if r.result is None and r.pencil.real == real]
+        if not searching:
+            continue
+        asms = list(dict.fromkeys(r.pencil for r in searching))
+        key = {asm: k for k, asm in enumerate(asms)}
+        waiting = iter(searching)
+        rows = list(itertools.islice(waiting, _BLOCK_ROWS))
+
+        def refill(i, polish):
+            restart = rows[i]
             restart.take(polish)
+            if restart.result is not None:
+                restart = rows[i] = next(waiting, None)
+                if restart is None:
+                    return None
+            return restart.seed(), key[restart.pencil]
+
+        _gn_core(*_kernel(asms), [r.seed() for r in rows], _POLISH_MAX_ITER, _POLISH_TOL,
+                 _collapsed, keys=[key[r.pencil] for r in rows], refill=refill)
+
+
+def _kernel(asms):
+    """f_of(u, keys) and j_of(u, keys) of the polish of assemblies asms, all
+    on one route: a row with key k is polished on asms[k]. One u takes its
+    assembly's A_tilde itself, a stack gathers one A_tilde per row."""
+    form = asms[0].form
+    ats = np.stack([a.a_tilde for a in asms])
+
+    def f_of(u, keys):
+        return form.f(ats[keys] if u.ndim > 1 else asms[keys].a_tilde, u)
+
+    def j_of(u, keys):
+        return form.j(ats[keys] if u.ndim > 1 else asms[keys].a_tilde, u)
+
+    return f_of, j_of
 
 
 def _collapsed(f):
-    """Whether F of the stationarity system at a point (_stationarity_fj)
+    """Whether F of the stationarity system at a point (radius_core._Form)
     puts it on the collapsed branch: one of its norm rows, the last two
     entries (||x||^2 - 1)/2 and (||y||^2 - 1)/2, lies below
     -(1 - _COLLAPSE_TOL)/2."""
@@ -819,13 +904,13 @@ def _sensors_drawn_first(cf, draw):
     return y
 
 
-def _pbh_warm_start(cf, lam, asm, rng):
-    """Seed z with the PBH singular vector at lam: the unstructured optimum
-    is usually in the right basin for the structured one. On the half-size
-    route of a real lambda only its real part is kept."""
-    stack = pbh_stack(cf.net.weights, cf.net.c_matrix, [complex(lam)])
-    _, _, vh = np.linalg.svd(stack[0])
-    xc = vh[-1].conj()[cf.free]
+def _pbh_warm_start(cf, v_min, asm, rng):
+    """Seed z with the PBH singular vector at the assembly's lambda, v_min
+    (the right singular vector of [lam I - A; C] of its smallest singular
+    value, as np.linalg.svd's last row of vh gives it): the unstructured
+    optimum is usually in the right basin for the structured one. On the
+    half-size route of a real lambda only its real part is kept."""
+    xc = v_min.conj()[cf.free]
     if np.linalg.norm(xc) < 1e-8:
         return None
     k = int(np.argmax(np.abs(xc)))
@@ -858,26 +943,33 @@ class _Candidate:
     starts: list
 
 
-def _candidate(cf, lam, cfg, full_pencil=False):
-    """The _Candidate of lam, on the route _assembly gives it. Every
+def _candidates(cf, lams, cfg, full_pencil=False):
+    """The _Candidate of every lam, on the route _assembly gives it. Every
     restart's start vector is drawn from the restart's own stream, in the
     order a restart on its own would draw it: restart 0 from the PBH
-    singular vector when there is one. The PBH start depends on lam; a
-    random start does not, and comes from _random_draws."""
-    asm = _assembly(build_reduced(cf, lam), full_pencil)
-    starts = []
-    for r in range(cfg.restarts):
-        z0 = None
-        if r == 0:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-            z0 = _pbh_warm_start(cf, lam, asm, rng)
-        if z0 is None:
-            # a PBH start that fails draws nothing, so restart 0's stream
-            # is still fresh here
-            draw, = _random_draws((cfg.seed, r), asm.size)
-            z0 = np.concatenate([draw[:asm.nx], _sensors_drawn_first(cf, draw[asm.nx:])])
-        starts.append(z0)
-    return _Candidate(asm, starts)
+    singular vector when there is one. The PBH start depends on lam, and
+    every lam's singular vectors come from one stacked SVD (a stacked
+    np.linalg.svd runs LAPACK matrix by matrix, so each equals its own);
+    a random start does not, and comes from _random_draws."""
+    stack = pbh_stack(cf.net.weights, cf.net.c_matrix, np.array(lams, dtype=complex))
+    vh = np.linalg.svd(stack)[2]
+    out = []
+    for lam, vh_lam in zip(lams, vh):
+        asm = _assembly(build_reduced(cf, lam), full_pencil)
+        starts = []
+        for r in range(cfg.restarts):
+            z0 = None
+            if r == 0:
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
+                z0 = _pbh_warm_start(cf, vh_lam[-1], asm, rng)
+            if z0 is None:
+                # a PBH start that fails draws nothing, so restart 0's stream
+                # is still fresh here
+                draw, = _random_draws((cfg.seed, r), asm.size)
+                z0 = np.concatenate([draw[:asm.nx], _sensors_drawn_first(cf, draw[asm.nx:])])
+            starts.append(z0)
+        out.append(_Candidate(asm, starts))
+    return out
 
 
 def _sweep_candidates(cands, cfg):
@@ -899,28 +991,41 @@ def _sweep_candidates(cands, cfg):
     return out
 
 
-def _polish_restarts(cf, cand, sweeps, cfg) -> FixedLambdaResult:
-    """The best converged restart of one candidate: ranked first,
-    reconstructed after.
+def _restarts(cf, cand, sweeps, cfg):
+    """The _Restart of every sweep row of the candidate cand, in restart
+    order; restart r draws its random seed from cfg.seed * 1009 + r."""
+    return [_Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace)
+            for r, sweep in enumerate(sweeps)]
 
-    Restart r is a _Restart on its sweep row, its random seed drawn from
-    cfg.seed * 1009 + r. Each polishes in heuristic_iterate, up to its
-    first converged polish, and the restarts polish in lockstep: their
-    seeds go through _gn_core in waves, seed k of every restart still
-    searching in wave k, a block of at most cfg.restarts and _BLOCK_ROWS
-    rows. Every restart gets the bits it gets polished alone, one seed at a
-    time. The restarts are ranked by the cost of their triples
-    (_triple_cost, equal to the reconstruction's bit for bit) under the
-    rule that picks the winner: in restart order, a cost below the
-    incumbent's by more than 1e-15 takes its place. Only the top-ranked
-    restart is reconstructed (_reconstructed), so the winner is the one
-    that reconstructing every restart would give. If its reconstruction is
-    rejected, the candidate fails with that reason.
+
+def _solved(cf, lams, cfg, full_pencil=False):
+    """The restarts of every lam, swept and polished: drawn (_candidates),
+    swept in lockstep (_sweep_candidates) and polished in one stream per
+    route (_polish). One list per lam, in restart order."""
+    cands = _candidates(cf, lams, cfg, full_pencil)
+    blocks = [_restarts(cf, c, sweeps, cfg)
+              for c, sweeps in zip(cands, _sweep_candidates(cands, cfg))]
+    _polish([r for block in blocks for r in block])
+    return blocks
+
+
+def _polish_restarts(cf, restarts) -> FixedLambdaResult:
+    """The best converged restart of one candidate's restarts: ranked
+    first, reconstructed after.
+
+    Each restart's result is read through heuristic_iterate, which
+    polishes a restart that has not been polished yet (solve_radius and
+    _best_of_restarts have polished them, _solved). The restarts are
+    ranked by the cost of their triples (_triple_cost, equal to the
+    reconstruction's bit for bit) under the rule that picks the winner: in
+    restart order, a cost below the incumbent's by more than 1e-15 takes
+    its place. Only the top-ranked restart is reconstructed
+    (_reconstructed), so the winner is the one that reconstructing every
+    restart would give. If its reconstruction is rejected, the candidate
+    fails with that reason.
     """
-    rp = cand.asm.rp
-    block = [_Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace)
-             for r, sweep in enumerate(sweeps)]
-    results = [heuristic_iterate(restart, block) for restart in block]
+    rp = restarts[0].pencil.rp
+    results = [heuristic_iterate(restart) for restart in restarts]
     top, top_cost = None, None
     for res in results:
         if res.converged:
@@ -956,16 +1061,13 @@ def _best_of_restarts(cf, lam, cfg: SolverConfig, full_pencil=False) -> FixedLam
     """solve_fixed_lambda on a canonical form, without the certificate, on
     the route _assembly gives lam and full_pencil.
 
-    Every restart's start vector is drawn first (_candidate). The starts
-    then go through the sweep in lockstep (_sweep_candidates, blocks of at
-    most _BLOCK_ROWS rows), and each restart's polish runs in
-    heuristic_iterate on its sweep row. The results are those of one
+    The restarts are drawn, swept in lockstep and polished in one stream
+    (_solved), then ranked (_polish_restarts). The results are those of one
     restart at a time, bit for bit. This is the one-candidate case of
     solve_radius's sweep-ahead blocks.
     """
-    cand = _candidate(cf, lam, cfg, full_pencil)
-    sweeps, = _sweep_candidates([cand], cfg)
-    return _polish_restarts(cf, cand, sweeps, cfg)
+    restarts, = _solved(cf, [lam], cfg, full_pencil)
+    return _polish_restarts(cf, restarts)
 
 
 def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
@@ -1086,7 +1188,9 @@ def _continuation(asm, t_prev, cfg):
     _checked_triple fails or t_prev has no polish variable on asm's
     route."""
     u0 = asm.u_of(t_prev)
-    restart = _Restart(_Sweep(), asm, [] if u0 is None else [u0], cfg.keep_delta_trace)
+    restart = _Restart(_Sweep(), asm, [u0], cfg.keep_delta_trace)
+    if u0 is None:
+        restart._fail()
     return restart.search()
 
 
@@ -1183,12 +1287,14 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     sweep is therefore swept together with the candidates after it whose
     bounds already lie below the incumbent cost (alone while there is no
     incumbent, and at most _BLOCK_ROWS restarts in all), in lockstep blocks
-    of at most _BLOCK_ROWS rows per route (_sweep_candidates). The polish
-    then takes the candidates one at a time in bound order, with the prune
-    test before each, exactly as if each had been swept alone; a candidate
-    swept ahead and then pruned is dropped unpolished and never enters
-    search_trace. Every output is that of sweeping one candidate at a time,
-    bit for bit.
+    of at most _BLOCK_ROWS rows per route (_sweep_candidates), and every
+    restart of the block is polished right after, in one stream per route
+    (_solved). The candidates are then taken one at a time in bound order,
+    with the prune test before each, exactly as if each had been swept and
+    polished alone: a candidate's restarts are read (heuristic_iterate) and
+    ranked (_polish_restarts), and a candidate swept ahead and then pruned
+    drops its restarts unread and never enters search_trace. Every output
+    is that of solving one candidate at a time, bit for bit.
 
     A gradient descent on ||Delta(lambda)|| then moves the grid winner
     along the exact lambda-gradient (_descend_lambda), each probe warm-started
@@ -1208,12 +1314,13 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     trace = []
     pruned = 0
     ahead = max(1, _BLOCK_ROWS // cfg.restarts)
-    swept = {}  # position in bounds -> (_Candidate, its sweep rows)
+    solved = {}  # position in bounds -> its candidate's polished restarts
     for i, (lam, bound) in enumerate(bounds):
         if best is not None and bound >= best.cost - 1e-12:
             pruned += 1
+            solved.pop(i, None)
             continue
-        if i not in swept:
+        if i not in solved:
             # sweep ahead: the next candidates whose bounds already lie below
             # the incumbent cost join this one
             stop = i + 1
@@ -1221,9 +1328,8 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                    and bounds[stop][1] < best.cost - 1e-12):
                 stop += 1
             block = range(i, stop)
-            cands = [_candidate(cf, bounds[j][0], cfg) for j in block]
-            swept.update(zip(block, zip(cands, _sweep_candidates(cands, cfg))))
-        res = _polish_restarts(cf, *swept.pop(i), cfg)
+            solved.update(zip(block, _solved(cf, [bounds[j][0] for j in block], cfg)))
+        res = _polish_restarts(cf, solved.pop(i))
         trace.append((lam, res.cost))
         if not res.converged:
             continue

@@ -5,16 +5,18 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 from dataclasses import replace
+from functools import partial
 
 from netobs import (SolverConfig, UnobservableSystemError, assemble_pencil,
                     build_reduced, candidate_lambdas, canonicalize,
                     generalized_spectrum, line_radius, min_deletion_cost,
                     normalize_triple, orthogonality_diagnostic,
                     solve_fixed_lambda, solve_radius, star_radius)
-from netobs import properties, solver
+from netobs import properties, radius_core, solver
 from netobs.montecarlo import sample_network
+from netobs.network_model import pbh_stack
 from netobs.radius_core import (PencilAssembly, ReducedProblem, SpuriousTripleError,
-                                _delta_bar, _stationarity_fj, assemble_real_pencil)
+                                _delta_bar, _form, assemble_real_pencil)
 from netobs.solver import _Sweep
 from conftest import line_matrix, net_of, star_matrix
 
@@ -105,6 +107,22 @@ def test_generalized_spectrum_matches_scipy_eigvals_bitwise():
 # the sweep's shift eigenvalue (_lambda_plus)
 
 
+def dense(a):
+    """A stack of D or F as PencilAssembly.weightings gives it for the sweep,
+    as dense matrices: on the half-size route it gives their diagonals."""
+    if a.ndim == 3:
+        return a
+    out = np.zeros(a.shape + a.shape[-1:])
+    i = np.arange(a.shape[-1])
+    out[:, i, i] = a
+    return out
+
+
+def dense_weightings(asm, x, y):
+    """PencilAssembly.weightings (D, F) at a stack of points, dense."""
+    return tuple(dense(a) for a in asm.weightings(x, y))
+
+
 @pytest.mark.parametrize("route", ["real", "complex"])
 def test_pencil_root_squares_to_the_weighting(route):
     # F is symmetric positive semidefinite on D's pattern and F F = D, on
@@ -119,12 +137,18 @@ def test_pencil_root_squares_to_the_weighting(route):
     x[0, 0] = 0.0
     if route == "complex":
         x[0, rp.m] = 0.0
-    d, f = asm.weightings(x, y)
+    d, f = dense_weightings(asm, x, y)
     assert np.array_equal(d, asm.pencil(x, y).d)
     assert np.array_equal(f != 0, d != 0)
     assert np.array_equal(f, np.swapaxes(f, 1, 2))
     assert np.linalg.eigvalsh(f).min() >= -1e-15 * np.abs(f).max()
     np.testing.assert_allclose(f @ f, d, rtol=0, atol=1e-15 * np.abs(d).max())
+
+
+def lambda_plus(h, d, f, t0):
+    """solver._lambda_plus of a stack, with ||H||_F per row taken from h (the
+    sweep passes it, once per candidate)."""
+    return solver._lambda_plus(h, d, f, t0, np.linalg.norm(h, axis=(1, 2)))
 
 
 def qz_lambda_plus(h, d):
@@ -149,9 +173,9 @@ def recorded_shift_pencils(monkeypatch, solve):
     """(h, d, f, t0, lambda_+) of every sweep row _lambda_plus saw in solve()."""
     rows, lambda_plus = [], solver._lambda_plus
 
-    def recording(h, d, f, t0):
-        out = lambda_plus(h, d, f, t0)
-        rows.extend(zip(h, d, f, t0, out))
+    def recording(h, d, f, t0, h_norm):
+        out = lambda_plus(h, d, f, t0, h_norm)
+        rows.extend(zip(h, dense(d), dense(f), t0, out))
         return out
 
     monkeypatch.setattr(solver, "_lambda_plus", recording)
@@ -211,9 +235,9 @@ def test_lambda_plus_drops_a_singular_pencil():
     h[1, 0, 3] = h[1, 3, 0] = 0.7
     d = np.stack([np.diag([0.0, 1.0, 2.0, 3.0]), np.diag([0.5, 1.0, 2.0, 3.0])])
     f, t0 = np.sqrt(d), np.array([0.3, 0.3])
-    both = solver._lambda_plus(h, d, f, t0)
+    both = lambda_plus(h, d, f, t0)
     assert np.isnan(both[0])
-    assert both[1] == solver._lambda_plus(h[1:], d[1:], f[1:], t0[1:])[0]
+    assert both[1] == lambda_plus(h[1:], d[1:], f[1:], t0[1:])[0]
     assert abs(both[1] - qz_lambda_plus(h[1], d[1])[0]) <= 1e-12 * both[1]
 
 
@@ -223,8 +247,7 @@ def test_lambda_plus_drops_a_singular_pencil():
     (np.diag([-1.0, 1.0]), np.diag([1.0, 1e-14])),      # -1, and 1e14: infinite
 ], ids=["zero", "negative", "infinite"])
 def test_lambda_plus_drops_a_pencil_without_a_positive_eigenvalue(h, d):
-    assert np.isnan(solver._lambda_plus(h[None], d[None], np.sqrt(d)[None],
-                                        np.array([0.5]))[0])
+    assert np.isnan(lambda_plus(h[None], d[None], np.sqrt(d)[None], np.array([0.5]))[0])
 
 
 def tiny_weighting_pencil(seed, route):
@@ -237,7 +260,7 @@ def tiny_weighting_pencil(seed, route):
     x = 1e-8 * rng.standard_normal(asm.nx)
     x[0] = 1.0
     y = rng.standard_normal(asm.size - asm.nx)
-    return (asm.h, *asm.weightings(x, y))
+    return (asm.h, *(a[0] for a in dense_weightings(asm, x[None], y[None])))
 
 
 @pytest.mark.parametrize("route", ["real", "complex"])
@@ -247,7 +270,7 @@ def test_lambda_plus_with_weightings_near_1e_16_is_qz_s(route):
         assert 0 < np.abs(np.diag(d)[np.diag(d) > 0]).min() < 1e-15
         want, agree = qz_lambda_plus(h, d)
         assert agree and np.isfinite(want)
-        got, = solver._lambda_plus(h[None], d[None], f[None], np.array([0.9 * want]))
+        got, = lambda_plus(h[None], d[None], f[None], np.array([0.9 * want]))
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -268,7 +291,7 @@ def test_lambda_plus_with_t0_on_an_eigenvalue(seed):
     assert agree
     above = spectrum[spectrum > want]
     for t0 in (want, above[0], 0.0):
-        got, = solver._lambda_plus(h[None], d[None], f[None], np.array([t0]))
+        got, = lambda_plus(h[None], d[None], f[None], np.array([t0]))
         assert abs(got - want) <= 1e-12 * want
 
 
@@ -277,10 +300,10 @@ def test_lambda_plus_scales_with_the_pencil(monkeypatch, case):
     # (2^k H, D, 2^k t0) gives 2^k lambda_+, bit for bit
     h, d, f, t0, _ = (np.array(a) for a in zip(*recorded_shift_pencils(
         monkeypatch, shift_case(case))))
-    base = solver._lambda_plus(h, d, f, t0)
+    base = lambda_plus(h, d, f, t0)
     assert np.isfinite(base).all()
     for k in range(-30, 31):
-        got = solver._lambda_plus(np.ldexp(h, k), d, f, np.ldexp(t0, k))
+        got = lambda_plus(np.ldexp(h, k), d, f, np.ldexp(t0, k))
         assert np.array_equal(got, np.ldexp(base, k))
 
 
@@ -568,7 +591,8 @@ def test_full_jacobian_matches_block_assembly(route):
         u = rng.standard_normal(blocks * (m + n) + 1)
         if trial % 2:
             u[-1] = -u[-1]
-        f_of, j_of = _stationarity_fj(at, v_bar)
+        form = _form(v_bar, route == "real")
+        f_of, j_of = partial(form.f, at), partial(form.j, at)
         jac = j_of(u)
         if route == "complex":
             ref = block_jacobian(at, v_bar, u)
@@ -595,30 +619,44 @@ ENSEMBLE_CFG = SolverConfig(restarts=4, sweep_iters=12, seed=4040)
 
 
 def record_polish(mp):
-    """Wrap solver._gn_core, which polishes a block of rows; every row of
-    every call appends a record of its residual and Jacobian evaluations,
-    its return value and its inputs. The block's return value is recorded;
-    the evaluations are counted on the row polished again as a block of one
-    row, where each call evaluates that row alone."""
+    """Wrap solver._gn_core, which polishes a stream of rows; every polish
+    run of every call (each start of each row, refills included) appends a
+    record of its residual and Jacobian evaluations, its return value and
+    its inputs. The stream's polish of the run is recorded; the evaluations
+    are counted on the run polished again as a block of one row, where each
+    call evaluates that run alone. f_of and j_of are recorded as functions
+    of u alone, on the run's key."""
     runs = []
     core = solver._gn_core
 
-    def recording(f_of, j_of, u0, max_iter, tol, collapsed=None):
-        out = core(f_of, j_of, u0, max_iter, tol, collapsed)
-        for row, row_out in zip(u0, out):
+    def recording(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=None):
+        starts = list(zip(u0, [None] * len(u0) if keys is None else keys))
+        polished = []
+
+        def recorded_refill(i, polish):
+            polished.append((starts[i], polish))
+            start = refill(i, polish) if refill else None
+            if start is not None:
+                starts[i] = start
+            return start
+
+        out = core(f_of, j_of, u0, max_iter, tol, collapsed, keys, recorded_refill)
+        for (row, key), row_out in polished:
+            f1 = f_of if key is None else (lambda u, key=key: f_of(u, key))
+            j1 = j_of if key is None else (lambda u, key=key: j_of(u, key))
             calls = {"f": 0, "j": 0}
 
-            def f_counted(u):
+            def f_counted(u, f1=f1):
                 calls["f"] += 1
-                return f_of(u)
+                return f1(u)
 
-            def j_counted(u):
+            def j_counted(u, j1=j1):
                 calls["j"] += 1
-                return j_of(u)
+                return j1(u)
 
             core(f_counted, j_counted, row[None], max_iter, tol, collapsed)
             runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=row_out,
-                             f_of=f_of, j_of=j_of, u0=row, max_iter=max_iter, tol=tol))
+                             f_of=f1, j_of=j1, u0=row, max_iter=max_iter, tol=tol))
         return out
 
     mp.setattr(solver, "_gn_core", recording)
@@ -826,12 +864,11 @@ def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     else:
         (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
     cf = canonicalize(net, mask)
-    cand = solver._candidate(cf, lam, cfg)
+    cand = solver._candidates(cf, [lam], cfg)[0]
     sweeps, = solver._sweep_candidates([cand], cfg)
-    seeds = np.array([u for r, sweep in enumerate(sweeps)
-                      for u in solver._Restart.start(
-                          cf, sweep, cand.asm, cfg.seed * 1009 + r,
-                          cfg.keep_delta_trace).seeds])
+    seeds = np.array([u() if callable(u) else u
+                      for restart in solver._restarts(cf, cand, sweeps, cfg)
+                      for u in restart.seeds])
     assert len(seeds) >= 3 * cfg.restarts
     asm = cand.asm
     block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
@@ -902,6 +939,99 @@ def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
     assert solve_fixed_lambda(net, mask, lam, cfg).converged
     assert len(got) == cfg.restarts
     assert got == PINNED_RESTARTS[case]
+
+
+def polish_in_waves(restarts):
+    """The polish of restarts one candidate at a time, in waves: wave k
+    polishes the next seed of every restart of the candidate still
+    searching, as one solver._gn_core block on the candidate's own
+    assembly, and a restart whose polish fails waits for the next wave."""
+    for asm in dict.fromkeys(r.pencil for r in restarts):
+        block = [r for r in restarts if r.pencil is asm]
+        while searching := [r for r in block if r.result is None]:
+            polishes = solver._gn_core(asm.f_of, asm.j_of,
+                                       np.array([r.seed() for r in searching]),
+                                       solver._POLISH_MAX_ITER, solver._POLISH_TOL,
+                                       solver._collapsed)
+            for restart, polish in zip(searching, polishes):
+                restart.take(polish)
+
+
+def polishes_taken(mp, polish, restarts):
+    """Every polish each restart takes while polish(restarts) runs, in
+    restart order."""
+    taken = {id(r): [] for r in restarts}
+    take = solver._Restart.take
+
+    def recording(self, polish):
+        taken[id(self)].append(polish)
+        return take(self, polish)
+
+    with mp.context() as m:
+        m.setattr(solver._Restart, "take", recording)
+        polish(restarts)
+    return [taken[id(r)] for r in restarts]
+
+
+@pytest.mark.parametrize("case", ["ensemble", "ensemble_5_rows", "c3_chain3"])
+def test_polish_stream_matches_per_candidate_waves(monkeypatch, case):
+    # the restarts of many candidates polish in one refilled _gn_core stream
+    # (solver._polish), each row on its own candidate's A_tilde: every polish
+    # of every restart (u, Jacobians, exit, iterates) and every restart's
+    # result is that of polishing each candidate alone in waves. The C7
+    # ensemble's 6-node line: its 19 real "topo" candidates, 76 restarts, in
+    # one stream of 64 rows and of 5, so that restarts wait and take rows
+    # other candidates' restarts leave. C3's chain 3 at three complex
+    # candidates: seeds that collapse or fail hand their row to the
+    # restart's next seed
+    if case == "c3_chain3":
+        net, mask, _ = sample_network("line", 3, 7, 3)
+        cfg, lams = C3_CFG, [1j, 0.5 + 0.8j, 1.2j]
+    else:
+        net, mask, _ = sample_network("line", 6, 4040, 0)
+        cfg, lams = ENSEMBLE_CFG, [lam for lam in candidate_lambdas(net, mask, "topo")
+                                   if lam.imag == 0.0]
+        if case == "ensemble_5_rows":
+            monkeypatch.setattr(solver, "_BLOCK_ROWS", 5)
+    cf = canonicalize(net, mask)
+    cands = solver._candidates(cf, lams, cfg)
+    sweeps = solver._sweep_candidates(cands, cfg)
+    stream, waves = ([r for c, rows in zip(cands, sweeps)
+                      for r in solver._restarts(cf, c, rows, cfg)] for _ in range(2))
+    calls = []
+    core = solver._gn_core
+
+    def recording_core(f_of, j_of, u0, *args, keys=None, refill=None):
+        calls.append((len(u0), set(keys)))
+        return core(f_of, j_of, u0, *args, keys=keys, refill=refill)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_gn_core", recording_core)
+        got = polishes_taken(mp, solver._polish, stream)
+    want = polishes_taken(monkeypatch, polish_in_waves, waves)
+    assert len(calls) == 1 and len(calls[0][1]) > 1  # rows of many candidates
+    assert sum(map(len, got)) > calls[0][0]  # rows were refilled
+    for polishes, polishes1, r, r1 in zip(got, want, stream, waves):
+        assert len(polishes) == len(polishes1) == r.polished
+        for polish, polish1 in zip(polishes, polishes1):
+            assert_same_polish(polish, polish1)
+        res, res1 = r.result, r1.result
+        assert (res.converged, res.failure, res.iterations, res.phi_plus_mu) == \
+            (res1.converged, res1.failure, res1.iterations, res1.phi_plus_mu)
+        for part in ("sigma", "x", "y"):
+            assert raw(res.triple and getattr(res.triple, part)) == \
+                raw(res1.triple and getattr(res1.triple, part))
+        if res.converged:
+            for us, us1 in ((res.iterates.sweep, res1.iterates.sweep),
+                            (res.iterates.polish[:-1], res1.iterates.polish[:-1])):
+                assert [raw(u) for u in us] == [raw(u) for u in us1]
+    if case == "c3_chain3":
+        assert any(len(polishes) > 1 for polishes in got)
+        assert [(r.result.converged, r.result.iterations,
+                 r.result.triple and triple_digest(r.result.triple))
+                for r in stream[:cfg.restarts]] == PINNED_RESTARTS["c3_chain3"]
+    else:
+        assert len(stream) > solver._BLOCK_ROWS
 
 
 def assert_exit_margins(runs):
@@ -1010,10 +1140,11 @@ def handed_off(row, asm):
 
 def reference_sweep(asm, z0, cfg):
     """The sweep of one start as a loop over steps with one-vector numpy
-    calls (@, np.linalg.norm, a solve per step), its shift eigenvalue from
-    solver._lambda_plus on a one-row stack at the previous step's shift
-    (at first half the start's Rayleigh quotient): what every row of the
-    lockstep block must reproduce bit for bit. It stops after the step
+    calls (@, np.linalg.norm, a solve per step) and dense D and F, its
+    shift eigenvalue from solver._lambda_plus (lambda_plus) on a one-row
+    stack at the previous step's shift (at first half the start's Rayleigh
+    quotient): what every row of the lockstep block must reproduce bit for
+    bit. It stops after the step
     where ||z_k - z_{k-1}|| falls below solver._STILL_TOL or the merit
     ||F(u)|| below its handoff_threshold. Returns (init, trace, best,
     phi_plus_mu), with init None when the start degenerates."""
@@ -1039,8 +1170,8 @@ def reference_sweep(asm, z0, cfg):
     mu = init[-1]
     for _ in range(cfg.sweep_iters):
         pp = asm.pencil(z[:nx], z[nx:])
-        mp, = solver._lambda_plus(pp.h[None], pp.d[None],
-                                  asm.weightings(z[:nx], z[nx:])[1][None], np.array([mu]))
+        mp, = lambda_plus(pp.h[None], pp.d[None],
+                          dense_weightings(asm, z[None, :nx], z[None, nx:])[1], np.array([mu]))
         if np.isnan(mp):
             break
         mu = cfg.psi * mp
@@ -1098,7 +1229,9 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
     reference = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
-        z0 = solver._pbh_warm_start(cf, lam, asm, rng) if r == 0 else None
+        # the PBH singular vector of lam alone, not of a stacked SVD
+        v_min = np.linalg.svd(pbh_stack(net.weights, net.c_matrix, [lam])[0])[2][-1]
+        z0 = solver._pbh_warm_start(cf, v_min, asm, rng) if r == 0 else None
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
         iterate_alone(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0)
@@ -1220,6 +1353,80 @@ def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
     assert sum(res.converged for _, res in lockstep) >= 2
 
 
+def test_diagonal_weightings_apply_as_the_dense_matrices():
+    # on the half-size route the sweep keeps D and F as their diagonals:
+    # H - t D, F M F, D z and ||D||_F formed from them equal the dense forms
+    # bit for bit, signed zeros included, with zero weights (x or y
+    # vanishing on a node's support), t = 0, and zeros of either sign in M
+    # and z
+    rng = np.random.default_rng(5)
+    a = line_matrix(*(rng.uniform(0.1, 1.0, k) for k in (7, 6, 6)))
+    rp = build_reduced(canonicalize(*net_of(a)), 0.6)
+    asm = PencilAssembly(rp, real=True)
+    # pencils of order 13: numpy's pairwise sum groups the squares of a
+    # diagonal of 8 or more entries otherwise than those of the dense D
+    assert asm.size == 13
+    rows = 8
+    x = rng.standard_normal((rows, asm.nx))
+    y = rng.standard_normal((rows, asm.size - asm.nx))
+    x[0], y[1], x[2, :2] = 0.0, 0.0, 0.0
+    d, f = asm.weightings(x, y)
+    dd, fd = dense_weightings(asm, x, y)
+    assert d.shape == (rows, asm.size) and (d == 0).any() and not (d == 0).all()
+    h = np.repeat(asm.h[None], rows, axis=0)
+    t = rng.uniform(0.0, 2.0, rows)
+    t[0] = 0.0
+    m = rng.standard_normal(h.shape)
+    m[np.abs(m) < 0.3] = 0.0
+    m[np.abs(m) > 1.5] = -0.0
+    z = rng.standard_normal((rows, asm.size))
+    z[:, 1], z[:, 2] = -0.0, 0.0
+    for got, want in ((radius_core._shifted(h, t, d), h - t[:, None, None] * dd),
+                      (radius_core._sandwich(f, m), fd @ (m @ fd)),
+                      (radius_core._times(d, z), np.matmul(dd, z[..., None])[..., 0]),
+                      (radius_core._frobenius(d), np.linalg.norm(dd, axis=(1, 2)))):
+        assert raw(got) == raw(want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_half_size_sweep_with_zero_weights_matches_the_dense_reference(monkeypatch):
+    # the C7 ensemble's 6-node line, swept on the half-size route from its
+    # optimum (an edge-deletion optimum) with the entries below 1e-12 set to
+    # zero, and from random starts with zero entries, so that the pencils of
+    # the first steps have zero weights: every row equals the dense-D
+    # reference_sweep of its start, bit for bit
+    net, mask, _ = sample_network("line", 6, 4040, 0)
+    rr = solve_radius(net, mask, "topo", ENSEMBLE_CFG)
+    cf = canonicalize(net, mask)
+    asm = solver._assembly(build_reduced(cf, rr.lambda_star))
+    assert asm.real
+    z_opt = asm.u_of(rr.best.triple)[:-1] / np.sqrt(2.0)
+    z_opt[np.abs(z_opt) < 1e-12] = 0.0
+    rng = np.random.default_rng(3)
+    starts = [z_opt]
+    for k in range(5):
+        z0 = rng.standard_normal(asm.size)
+        z0[k:k + 3] = 0.0
+        starts.append(z0)
+    weights, lambda_plus = [], solver._lambda_plus
+
+    def recording(h, d, f, t0, h_norm):
+        weights.append(d)
+        return lambda_plus(h, d, f, t0, h_norm)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(solver, "_lambda_plus", recording)
+        rows = solver._sweep([asm], [starts], ENSEMBLE_CFG)
+    assert weights[0].ndim == 2 and (weights[0] == 0).any(axis=1).sum() >= 3
+    for z0, row in zip(starts, rows):
+        init, trace, best, phi_plus_mu = reference_sweep(asm, z0, ENSEMBLE_CFG)
+        assert trace
+        assert raw(row.init) == raw(init)
+        assert [raw(u) for u in row.trace] == [raw(u) for u in trace]
+        assert raw(row.best) == raw(best)
+        assert row.phi_plus_mu == phi_plus_mu
+
+
 def full_length_sweep(monkeypatch, cand, cfg):
     """The sweep rows of a candidate with both early exits off."""
     with monkeypatch.context() as mp:
@@ -1260,7 +1467,7 @@ def seeds_kept_polish_to_the_same_point(monkeypatch, net, mask, lam, cfg, handof
     a row handed off, 1e-12 otherwise. Returns the count of each early
     exit."""
     cf = canonicalize(net, mask)
-    cand = solver._candidate(cf, lam, cfg)
+    cand = solver._candidates(cf, [lam], cfg)[0]
     rows = solver._sweep([cand.asm], [cand.starts], cfg)
     full = full_length_sweep(monkeypatch, cand, cfg)
     rp = cand.asm.rp
@@ -1284,8 +1491,8 @@ def seeds_kept_polish_to_the_same_point(monkeypatch, net, mask, lam, cfg, handof
         assert solver._triple_cost(rp, res.triple) == pytest.approx(
             solver._triple_cost(rp, res1.triple), rel=handoff_rel if handed else 1e-12,
             abs=0.0)
-    best = solver._polish_restarts(cf, cand, rows, cfg)
-    best1 = solver._polish_restarts(cf, cand, full, cfg)
+    best, best1 = (solver._polish_restarts(cf, solver._restarts(cf, cand, sweeps, cfg))
+                   for sweeps in (rows, full))
     assert best.cost == pytest.approx(best1.cost, rel=1e-12, abs=0.0)
     return exits
 
@@ -1297,7 +1504,7 @@ def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
     # it breaks or takes all sweep_iters steps, so C3's outputs keep their
     # bits
     net, mask, lam = c3_chain3()
-    cand = solver._candidate(canonicalize(net, mask), lam, C3_CFG)
+    cand = solver._candidates(canonicalize(net, mask), [lam], C3_CFG)[0]
     rows = solver._sweep([cand.asm], [cand.starts], C3_CFG)
     full = full_length_sweep(monkeypatch, cand, C3_CFG)
     for row, row1 in zip(rows, full):
@@ -1354,7 +1561,7 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
         net, mask, lam = c3_chain3()
         cfg, lams = C3_CFG, (lam, 0.5 + 0.8j, 1.2j)
     cf = canonicalize(net, mask)
-    cands = [solver._candidate(cf, lam, cfg) for lam in lams]
+    cands = solver._candidates(cf, lams, cfg)
     # per _lambda_plus call: the rows of each of its inverse stacks, then how
     # many rows it drops
     lambda_plus_calls = []
@@ -1425,7 +1632,7 @@ def test_one_candidate_sweep_goes_in_blocks_of_block_rows(monkeypatch):
     # bits of its start swept alone
     cfg = replace(C3_CFG, restarts=solver._BLOCK_ROWS + 6)
     net, mask, lam = c3_chain3()
-    cand = solver._candidate(canonicalize(net, mask), lam, cfg)
+    cand = solver._candidates(canonicalize(net, mask), [lam], cfg)[0]
     sweep, sizes = solver._sweep, []
 
     def recording_sweep(asms, starts, cfg):
@@ -1448,15 +1655,13 @@ def test_one_candidate_sweep_goes_in_blocks_of_block_rows(monkeypatch):
 # ranked reconstruction
 
 
-def reconstruct_every_restart(cf, cand, sweeps, cfg):
+def reconstruct_every_restart(cf, restarts):
     """solver._polish_restarts without the ranking: every converged restart
     is reconstructed (solver._reconstructed), and the winner is picked in
     restart order, a cost below the incumbent's by more than 1e-15 taking
     its place."""
     best, failures = None, []
-    for r, sweep in enumerate(sweeps):
-        restart = solver._Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r,
-                                        cfg.keep_delta_trace)
+    for restart in restarts:
         res = solver._reconstructed(cf, solver.heuristic_iterate(restart))
         if not res.converged:
             failures.append(res.failure)
@@ -1464,7 +1669,7 @@ def reconstruct_every_restart(cf, cand, sweeps, cfg):
             best = res
     if best is None:
         return solver.FixedLambdaResult(
-            lam=cand.asm.rp.lam, converged=False,
+            lam=restarts[0].pencil.rp.lam, converged=False,
             failure="all restarts failed: " + "; ".join(sorted(set(failures))))
     return best
 
@@ -1562,24 +1767,24 @@ def test_a_rejected_reconstruction_fails_its_candidate(monkeypatch, case):
     # the top-ranked triple is rejected as spurious when it is reconstructed:
     # the candidate fails with that reason, and no seed is polished after it
     events = []
-    wave = solver._wave
+    core = solver._gn_core
 
-    def recording_wave(block):
-        events.append("wave")
-        return wave(block)
+    def recording_core(*args, **kwargs):
+        events.append("polish")
+        return core(*args, **kwargs)
 
     def rejecting(rp, t, cf):
         events.append("reconstruct")
         raise SpuriousTripleError("forced")
 
-    monkeypatch.setattr(solver, "_wave", recording_wave)
+    monkeypatch.setattr(solver, "_gn_core", recording_core)
     monkeypatch.setattr(solver, "reconstruct_perturbation", rejecting)
     res = RANKED_CASES[case]()
     assert not res.converged and res.cost == np.inf
     assert res.failure == "spurious stationary point: forced"
     assert res.verification is None
     assert events.count("reconstruct") == 1 and events[-1] == "reconstruct"
-    assert events.count("wave") >= 1
+    assert events.count("polish") >= 1
 
 
 def test_every_polished_triple_solves_the_stationarity_system(monkeypatch):
@@ -2125,7 +2330,7 @@ def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
     # the step halves from the same incumbent, and the solve goes on
     events, outcomes = [], []
     cont, direction = solver._continuation, solver._descent_direction
-    wave, reconstruct = solver._wave, solver.reconstruct_perturbation
+    core, reconstruct = solver._gn_core, solver.reconstruct_perturbation
     reconstructed = solver._reconstructed
 
     def continued(asm, t_prev, cfg):
@@ -2136,9 +2341,9 @@ def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
         events.append(("incumbent", rp.lam, res.triple))
         return direction(rp, res)
 
-    def recording_wave(block):
-        events.append(("wave",))
-        return wave(block)
+    def recording_core(*args, **kwargs):
+        events.append(("polish",))
+        return core(*args, **kwargs)
 
     def rejecting(rp, t, cf):
         probe = next((e for e in reversed(events) if e[0] == "probe"), None)
@@ -2155,7 +2360,7 @@ def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
 
     monkeypatch.setattr(solver, "_continuation", continued)
     monkeypatch.setattr(solver, "_descent_direction", directing)
-    monkeypatch.setattr(solver, "_wave", recording_wave)
+    monkeypatch.setattr(solver, "_gn_core", recording_core)
     monkeypatch.setattr(solver, "reconstruct_perturbation", rejecting)
     monkeypatch.setattr(solver, "_reconstructed", recording_reconstructed)
     net, mask = net_of(from_entries(5, RANDOM_5_7))
@@ -2167,7 +2372,7 @@ def test_a_descent_probe_rejected_as_spurious_halves_the_step(monkeypatch):
     assert failed.failure == "spurious stationary point: rejected for the test"
     k = max(i for i, e in enumerate(events[:r]) if e[0] == "probe")
     # the probe's one polish, its rejection, and then the next probe
-    assert [e[0] for e in events[k:r + 2]] == ["probe", "wave", "rejected", "probe"]
+    assert [e[0] for e in events[k:r + 2]] == ["probe", "polish", "rejected", "probe"]
     _, lam0, t0 = next(e for e in reversed(events[:k]) if e[0] == "incumbent")
     _, rejected_rp, t_rejected = events[k]
     _, after_rp, t_after = events[r + 1]
