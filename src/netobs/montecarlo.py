@@ -175,20 +175,19 @@ def _bounds_for(topology, n):
     return low, high
 
 
-def estimate_expected_radius(spec: EnsembleSpec, method="oracle",
-                             cfg: SolverConfig | None = None,
-                             grid="topo", keep_results=False) -> EnsembleResult:
+def estimate_expected_radius(spec: EnsembleSpec, method="oracle", grid="topo",
+                             keep_results=False) -> EnsembleResult:
     """Per-size mean radius with standard errors and the analytic bounds.
 
     method="oracle" evaluates the closed-form radius directly on the drawn
-    entries. method="solver" runs the full pencil search on each instance and
+    entries. method="solver" runs the full pencil search on each instance,
+    with SolverConfig(restarts=4, sweep_iters=12, seed=spec.seed), and
     records the per-trial gap to the oracle; failed solves are excluded and
     the exclusion rate must stay below 10% for the result to count as valid.
     """
     if method not in ("oracle", "solver"):
         raise ValueError("method must be 'oracle' or 'solver'")
-    if method == "solver" and cfg is None:
-        cfg = SolverConfig(restarts=4, sweep_iters=12, seed=spec.seed)
+    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=spec.seed)
     records = []
     summaries = []
     samples = {}

@@ -12,10 +12,9 @@ import numpy as np
 
 from . import analytic_oracles as oracles
 from .network_model import canonicalize
-from .radius_core import build_reduced, build_weightings
-from .solver import (_assembly, _best_of_restarts, _continuation,
-                     _reconstructed, generalized_spectrum, solve_fixed_lambda,
-                     solve_radius)
+from .radius_core import PencilAssembly, build_reduced, build_weightings
+from .solver import (_best_of_restarts, _continuation, _reconstructed,
+                     generalized_spectrum, solve_fixed_lambda, solve_radius)
 
 
 def spectrum_residuals(pp):
@@ -96,9 +95,9 @@ def real_route_gap(net, mask, lam, cfg):
     if not half.converged:
         return None
     cf = canonicalize(net, mask)
-    full = _assembly(build_reduced(cf, lam), full_pencil=True)
+    full = PencilAssembly(build_reduced(cf, lam))
     warm = _reconstructed(cf, _continuation(full, half.triple, cfg))
-    cold = _best_of_restarts(cf, lam, cfg, full_pencil=True)
+    cold = _best_of_restarts(cf, full, cfg)
     costs = [r.cost for r in (warm, cold) if r.converged]
     if not costs:
         return np.inf

@@ -196,19 +196,6 @@ def _times(d, z):
     return d * z + 0.0
 
 
-def _frobenius(d):
-    """||D||_F of every D of a stack, dense or its diagonal. The diagonal's
-    squares are summed where they sit in the dense D, among its zeros:
-    numpy's pairwise sum groups the terms by position, so each norm equals
-    np.linalg.norm of the dense D bit for bit."""
-    if d.ndim == 3:
-        return np.linalg.norm(d, axis=(1, 2))
-    k = d.shape[-1]
-    squares = np.zeros((len(d), k * k))
-    squares[:, ::k + 1] = d * d
-    return np.sqrt(np.add.reduce(squares, axis=1))
-
-
 class _Form:
     """The normalized stationarity system of one canonical form on one
     route, and what it keeps whatever lambda is: V_bar, the sizes of x and
@@ -374,9 +361,9 @@ class PencilAssembly:
         """(D, F) at the points (x, y), as the sweep takes them: the D of
         pencil(x, y) and its positive semidefinite square root F, D = F F.
         On the half-size route both are diagonal and come as their
-        diagonals, of shape (rows, size); _shifted, _sandwich, _times and
-        _frobenius apply them as the dense matrices, bit for bit. On the
-        complex route both are dense, F on D's pattern: the square root of
+        diagonals, of shape (rows, size); _shifted, _sandwich and _times
+        apply them as the dense matrices, bit for bit. On the complex
+        route both are dense, F on D's pattern: the square root of
         each 2 x 2 block [[s, t], [t, q]] in closed form,
         ([[s, t], [t, q]] + r I) / sqrt(s + q + 2 r) with r = sqrt(sq - t^2)
         (0 for a zero block)."""

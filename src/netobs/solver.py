@@ -25,9 +25,9 @@ from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
                             pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, SpuriousTripleError, _delta_bar,
-                          _frobenius, _in_columns, _mv, _rowdot, _sandwich,
-                          _shifted, _times, build_reduced,
-                          orthogonality_diagnostic, reconstruct_perturbation)
+                          _in_columns, _mv, _rowdot, _sandwich, _shifted,
+                          _times, build_reduced, orthogonality_diagnostic,
+                          reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,11 @@ def _lambda_plus(h, d, f, t0, h_norm):
     a stack, NaN where there is none or the pencil is singular; h has shape
     (rows, order, order), t0 one shift per row >= 0, and d and f (the roots
     of D, D = F F) are as PencilAssembly.weightings gives them: dense
-    stacks, or on the half-size route their diagonals, applied by
-    _shifted, _sandwich and _frobenius with the bits of the dense matrices.
-    h_norm is ||H||_F per row (np.linalg.norm over the last two axes), which
-    the sweep takes once per candidate.
+    stacks, or on the half-size route their diagonals, applied by _shifted
+    and _sandwich with the bits of the dense matrices. h_norm is ||H||_F per
+    row (np.linalg.norm over the last two axes), which the sweep takes once
+    per candidate; ||D||_F is the norm of d's entries, whichever form it
+    comes in.
 
     S = F (H - t0 D)^-1 F is symmetric, with the eigenvalue 1 / (sigma - t0)
     for each finite eigenvalue sigma of (H, D) and 0 for each infinite one
@@ -171,7 +172,7 @@ def _lambda_plus(h, d, f, t0, h_norm):
     out, t = np.full(len(t0), np.nan), np.array(t0, dtype=float)
     todo = np.arange(len(t0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = h_norm / _frobenius(d)
+        scale = h_norm / np.linalg.norm(d.reshape(len(d), -1), axis=1)
         for _ in range(2):
             mmat = _shifted(h[todo], t[todo], d[todo])
             inv = _stacked_lapack(np.linalg.inv, mmat)
@@ -537,41 +538,24 @@ def _rebalance(z, nx):
                           axis=1), ok
 
 
-@dataclass(eq=False)
-class _Sweep:
-    """One start's pass through the sweep: the polish variable of its
-    balanced start (init, None when the start degenerates), that of every
-    completed step (trace), the step of least merit ||F(u)|| (best, the
-    first of equals) and the last step's mu + 1/phi. The pass takes at most
-    cfg.sweep_iters steps; it ends early where the sweep breaks down, at the
-    start's fixed point (the first step shorter than _STILL_TOL) or in the
-    polish's basin (the first step of merit below the handoff threshold),
-    and keeps the step it ends at."""
+def _sweep(restarts, cfg):
+    """Shifted inverse iteration from the start vector of every restart, in
+    lockstep.
 
-    init: np.ndarray | None = None
-    trace: list = field(default_factory=list)
-    best: np.ndarray | None = None
-    merit: float = np.inf
-    phi_plus_mu: float | None = None
-
-
-def _sweep(asms, starts, cfg):
-    """Shifted inverse iteration from every start vector, in lockstep.
-
-    asms holds the pencil assemblies of one or more candidate lambdas, all
-    on one route (so the pencils have one order), and starts[k] the start
-    vectors of candidate k. The rows of one (rows, size) block advance
-    together for at most cfg.sweep_iters steps, and a row leaves the block
-    where its own sweep ends: a pencil that is singular or has no positive
-    eigenvalue, a singular shifted solve, phi non-finite or below 1e-300, or
-    an iterate that cannot be rebalanced. Each step takes D and its root F
-    for every row (PencilAssembly.weightings), the smallest positive
-    eigenvalue lambda_+ of every
-    row's pencil from one stacked symmetric eigensolve at the row's previous
-    shift (_lambda_plus; at first half the start's Rayleigh quotient),
-    shifts by mu = psi lambda_+ and solves (H - mu D) w = D z in one stacked
-    solve (_stacked_lapack). Returns one _Sweep per start, candidate by
-    candidate.
+    The restarts (_Restart) may belong to many candidate lambdas, all on one
+    route, so the pencils have one order. Each restart is a row of one
+    (rows, size) block; the rows advance together for at most
+    cfg.sweep_iters steps, and a row leaves the block where its own sweep
+    ends: a pencil that is singular or has no positive eigenvalue, a
+    singular shifted solve, phi non-finite or below 1e-300, or an iterate
+    that cannot be rebalanced. A start that cannot be rebalanced fails its
+    restart at once. Each step takes D and its root F for every row
+    (PencilAssembly.weightings), the smallest positive eigenvalue lambda_+
+    of every row's pencil from one stacked symmetric eigensolve at the
+    row's previous shift (_lambda_plus; at first half the start's Rayleigh
+    quotient), shifts by mu = psi lambda_+ and solves (H - mu D) w = D z in
+    one stacked solve (_stacked_lapack). Each restart keeps its pass: init,
+    trace, best and its merit, phi_plus_mu.
 
     The shift needs no guard: mu lies (1 - psi) lambda_+ below the smallest
     eigenvalue that _lambda_plus accepts, and inverse iteration tolerates an
@@ -596,13 +580,13 @@ def _sweep(asms, starts, cfg):
 
     H and A_tilde depend on lambda, D only on V_bar and the route, so the
     first assembly gives D for every row. The H, ||H||_F and A_tilde of each
-    candidate are stacked once, and an index from row to candidate is
-    filtered with the rows and gathers them per step, one candidate or
-    many. On the half-size route D and F are diagonal and stay diagonals:
-    H - t D writes 0.0 - t d into a copy of H's zero diagonal, and F M F,
-    D z and ||D||_F are formed elementwise (_shifted, _sandwich, _times,
-    _frobenius), each entry equal to the dense one bit for bit; the complex
-    route keeps its 2 x 2-block F dense, through the matmuls.
+    candidate are stacked once, and the index from row to candidate
+    (_keyed) is filtered with the rows and gathers them per step, one
+    candidate or many. On the half-size route D and F are diagonal and stay
+    diagonals: H - t D writes 0.0 - t d into a copy of H's zero diagonal,
+    and F M F and D z are formed elementwise (_shifted, _sandwich, _times),
+    each entry equal to the dense one bit for bit; the complex route keeps
+    its 2 x 2-block F dense, through the matmuls.
 
     Every row gets the bits a sweep of that start alone would. Stacked
     np.linalg.inv, np.linalg.eigvalsh and np.linalg.solve run LAPACK slice
@@ -613,20 +597,21 @@ def _sweep(asms, starts, cfg):
     row. The solve stays numpy's: scipy's ?gesv comes from another BLAS
     build and differs in the last bits.
     """
+    asms, cand = _keyed(restarts)
     asm = asms[0]
     nx, form = asm.nx, asm.form
     hs = np.stack([a.h for a in asms])
     h_norms = np.linalg.norm(hs, axis=(1, 2))
     ats = np.stack([a.a_tilde for a in asms])
     at_norms = np.array([np.linalg.norm(a.rp.a_tilde) for a in asms])
-    cand = np.repeat(np.arange(len(asms)), [len(s) for s in starts])
-    rows = [_Sweep() for s in starts for _ in s]
-    z, ok = _rebalance(np.array([z0 for s in starts for z0 in s], dtype=float), nx)
+    z, ok = _rebalance(np.array([r.z0 for r in restarts], dtype=float), nx)
+    for restart in itertools.compress(restarts, ~ok):
+        restart.fail("degenerate initial vector")
     live, cand = np.flatnonzero(ok), cand[ok]
     d, f = asm.weightings(z[:, :nx], z[:, nx:])
     u = _u_of_pencil(hs[cand], d, z)
-    for row, u0 in zip([rows[i] for i in live], u):
-        row.init = u0
+    for restart, u0 in zip([restarts[i] for i in live], u):
+        restart.init = u0
     # _lambda_plus's first t0: half the start's Rayleigh quotient |z'Hz / z'Dz|
     mu = u[:, -1]
     for it in range(cfg.sweep_iters):
@@ -655,104 +640,92 @@ def _sweep(asms, starts, cfg):
         u = _u_of_pencil(h, d, zn)
         f = form.f(ats[cand], u)
         merit = np.sqrt(_rowdot(f, f))[:, 0]
-        for k, row in enumerate([rows[i] for i in live]):
-            row.trace.append(u[k])
-            row.phi_plus_mu = mu[k] + 1.0 / phi[k]
-            if merit[k] < row.merit:
-                row.merit, row.best = merit[k], u[k]
+        for k, restart in enumerate([restarts[i] for i in live]):
+            restart.trace.append(u[k])
+            restart.phi_plus_mu = mu[k] + 1.0 / phi[k]
+            if merit[k] < restart.merit:
+                restart.merit, restart.best = merit[k], u[k]
         # a row whose iterate has stopped moving, or that lies in the
         # polish's basin, leaves the block
         basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
         going = (step >= _STILL_TOL) & (merit >= basin)
         live, cand, z, mu = (a[going] for a in (live, cand, zn, mu))
-    return rows
 
 
 def heuristic_iterate(restart) -> FixedLambdaResult:
-    """The result of one grid restart once it stops searching
-    (_Restart.search): its first converged polish whose triple passes
-    _checked_triple, unreconstructed (converged, its cost inf until
-    _reconstructed), or its failure.
+    """The result of one grid restart (_Restart), polished already: its
+    first converged polish whose triple passes _checked_triple,
+    unreconstructed (converged, its cost inf until _reconstructed), or its
+    failure.
 
-    restart is the restart's _Restart (_Restart.start). solve_radius has
-    polished it already, with every restart of its sweep-ahead block
-    (_polish), and here only reads its result; a restart that has not been
-    polished is polished here, alone. It is called once per restart of
-    every candidate that is not pruned, never for a lambda-descent probe,
-    and returns that restart's result: the benchmark tracer counts restarts
-    and their iterations on these calls.
+    Every restart of a sweep-ahead block is swept and polished in lockstep
+    (_solved) before any result is read, so this only reads one. It is
+    called once per restart of every candidate that is not pruned, never
+    for a lambda-descent probe: the benchmark tracer counts restarts and
+    their iterations on these calls.
     """
-    return restart.search()
+    return restart.result
 
 
 @dataclass(eq=False)
 class _Restart:
-    """The polish of one grid restart or one lambda-descent probe: its
-    seeds (polished in turn until one converges), how many of them are
-    polished, the Jacobians those polishes took, the reason the last seed
-    failed and, once the restart stops searching, its result.
+    """One grid restart or one lambda-descent probe on the assembly pencil,
+    from its start vector to its result.
 
-    The result is converged, with the triple of the first seed whose polish
-    converges and passes _checked_triple, unreconstructed; or failed when
-    the seeds ran out. A grid restart (start) has its sweep row and up to
-    four seeds; a probe (_continuation) has an empty sweep and one seed.
-    The result's iterates are the sweep passes and the polish of the seed
-    that gave the triple, Delta_i kept when keep_deltas is set. A seed
-    still to be built (the random draw) is a function that builds it
-    (seed).
+    A grid restart (_restarts) holds its start vector z0 and the function
+    that builds its random seed (draw). Its sweep pass (_sweep) leaves the
+    polish variable of its balanced start (init), that of every completed
+    step (trace), the step of least merit ||F(u)|| (best, the first of
+    equals, and its merit) and the last step's mu + 1/phi. The pass takes
+    at most cfg.sweep_iters steps; it ends early where the sweep breaks
+    down, at the start's fixed point (the first step shorter than
+    _STILL_TOL) or in the polish's basin (the first step of merit below the
+    handoff threshold), and keeps the step it ends at. Its seeds, built on
+    the first seed(), are in order: the best sweep iterate, the last one,
+    the random draw and the start (ahead of the draw when the sweep took no
+    step). A probe (_continuation) has no sweep and one seed.
+
+    The polish (_polish) takes the seeds in turn until one converges,
+    counting the seeds polished, the Jacobians they took and the reason the
+    last one failed. The result is converged, with the triple of the first
+    seed whose polish converges and passes _checked_triple, unreconstructed;
+    or failed when the seeds run out, or at once when the start degenerates.
+    Its iterates are the sweep passes and the polish of the seed that gave
+    the triple, Delta_i kept when keep_deltas is set.
     """
 
-    sweep: _Sweep
     pencil: PencilAssembly
-    seeds: list
     keep_deltas: bool
+    z0: np.ndarray | None = None
+    draw: partial | None = None
+    init: np.ndarray | None = None
+    trace: list = field(default_factory=list)
+    best: np.ndarray | None = None
+    merit: float = np.inf
+    phi_plus_mu: float | None = None
+    seeds: list | None = None
     polished: int = 0
     gn_used: int = 0
     failure: str = "did not converge"
     result: FixedLambdaResult | None = None
 
-    @classmethod
-    def start(cls, cf, sweep, pencil, seed, keep_deltas):
-        """The restart of the sweep row sweep, before its first polish. Its
-        seeds, in order: the best sweep iterate (by stationarity residual),
-        the last one, a random draw from seed and the start (ahead of the
-        draw when the sweep took no step). The random draw is built only
-        when the restart reaches it (seed): most restarts converge first."""
-        if sweep.init is None:
-            return cls(sweep, pencil, [], keep_deltas, result=FixedLambdaResult(
-                lam=pencil.rp.lam, converged=False, failure="degenerate initial vector"))
-        trace_u, best_seed = sweep.trace, sweep.best
-        seeds = []
-        if best_seed is not None:
-            seeds.append(best_seed)
-        if trace_u and (best_seed is None or not np.array_equal(trace_u[-1], best_seed)):
-            seeds.append(trace_u[-1])
-        if not trace_u:
-            # the sweep died on the initial vector (singular pencil there,
-            # e.g. a start with zero imaginary blocks at real lambda): that
-            # vector is the only information available, so polish it before
-            # any random fallback instead of dropping it on the floor
-            seeds.append(sweep.init)
-        seeds.append(partial(_random_seed, cf, seed, pencil.nx, pencil.size - pencil.nx))
-        if trace_u:
-            seeds.append(sweep.init)
-        return cls(sweep, pencil, seeds, keep_deltas)
-
     def seed(self):
-        """The next seed to polish, built here if it is the random draw."""
+        """The next seed to polish. The random draw is built only when the
+        restart reaches it: most restarts converge first."""
+        if self.seeds is None:
+            trace, best = self.trace, self.best
+            self.seeds = [] if best is None else [best]
+            if trace and (best is None or not np.array_equal(trace[-1], best)):
+                self.seeds.append(trace[-1])
+            # a sweep that died on the start (a singular pencil there, e.g. a
+            # start with zero imaginary blocks at real lambda) leaves the start
+            # as the only information available: it is polished before the
+            # random draw instead of being dropped on the floor
+            self.seeds += [self.draw, self.init] if trace else [self.init, self.draw]
         u = self.seeds[self.polished]
         if callable(u):
             u = self.seeds[self.polished] = u()
         return u
-
-    def search(self):
-        """The result once this restart stops searching: polished alone
-        (_polish) unless it already has its result. _gn_core gives every
-        row the bits of a block of one, so the result is that of polishing
-        one seed at a time, in any block."""
-        if self.result is None:
-            _polish([self])
-        return self.result
 
     def take(self, polish):
         """Records the polish (u, Jacobians, converged, iterates) of the next
@@ -768,25 +741,25 @@ class _Restart:
                 # iterates, so they are copied out, and a kept result holds
                 # its own rows only
                 iterates = IterateTrace(
-                    asm=self.pencil, final=t, sweep=tuple(np.array(self.sweep.trace)),
+                    asm=self.pencil, final=t, sweep=tuple(np.array(self.trace)),
                     polish=tuple(us) + (detail,), keep_deltas=self.keep_deltas)
                 self.result = FixedLambdaResult(
                     lam=self.pencil.rp.lam, converged=True, triple=t,
-                    iterations=len(self.sweep.trace) + self.gn_used,
-                    phi_plus_mu=self.sweep.phi_plus_mu, iterates=iterates)
+                    iterations=len(self.trace) + self.gn_used,
+                    phi_plus_mu=self.phi_plus_mu, iterates=iterates)
                 return
             self.failure = detail
         if self.polished == len(self.seeds):
             if not ok:
                 self.failure = ("polish collapsed onto x = 0 or y = 0"
                                 if _collapsed(self.pencil.f_of(u)) else "did not converge")
-            self._fail()
+            self.fail(self.failure)
 
-    def _fail(self):
+    def fail(self, failure):
         self.result = FixedLambdaResult(
             lam=self.pencil.rp.lam, converged=False,
-            iterations=len(self.sweep.trace) + self.gn_used,
-            phi_plus_mu=self.sweep.phi_plus_mu, failure=self.failure)
+            iterations=len(self.trace) + self.gn_used,
+            phi_plus_mu=self.phi_plus_mu, failure=failure)
 
 
 def _random_seed(cf, seed, nx, ny):
@@ -799,36 +772,44 @@ def _random_seed(cf, seed, nx, ny):
 
 
 def _polish(restarts):
-    """Polishes every restart of restarts still searching, on one _gn_core
-    stream per route of at most _BLOCK_ROWS rows.
+    """Polishes every restart of restarts still searching, all on one route,
+    in one _gn_core stream of at most _BLOCK_ROWS rows.
 
     The restarts may belong to many candidates: the stream's kernel
-    (_kernel) gives each row its own candidate's A_tilde. Each row polishes
-    one seed of one restart. Where the polish fails, or its triple fails
-    _checked_triple, the restart's next seed takes the row at once; where
-    the restart stops searching, the next restart waiting takes it. Every
-    restart gets the bits it gets polished alone, one seed at a time.
+    (_kernel) gives each row its own candidate's A_tilde (_keyed). Each row
+    polishes one seed of one restart. Where the polish fails, or its triple
+    fails _checked_triple, the restart's next seed takes the row at once;
+    where the restart stops searching, the next restart waiting takes it.
+    Every restart gets the bits it gets polished alone, one seed at a time.
     """
-    for real in (False, True):
-        searching = [r for r in restarts if r.result is None and r.pencil.real == real]
-        if not searching:
-            continue
-        asms = list(dict.fromkeys(r.pencil for r in searching))
-        key = {asm: k for k, asm in enumerate(asms)}
-        waiting = iter(searching)
-        rows = list(itertools.islice(waiting, _BLOCK_ROWS))
+    searching = [r for r in restarts if r.result is None]
+    if not searching:
+        return
+    asms, keys = _keyed(searching)
+    waiting = zip(searching, keys)
+    rows = list(itertools.islice(waiting, _BLOCK_ROWS))
 
-        def refill(i, polish):
-            restart = rows[i]
-            restart.take(polish)
-            if restart.result is not None:
-                restart = rows[i] = next(waiting, None)
-                if restart is None:
-                    return None
-            return restart.seed(), key[restart.pencil]
+    def refill(i, polish):
+        restart, key = rows[i]
+        restart.take(polish)
+        if restart.result is not None:
+            rows[i] = next(waiting, None)
+            if rows[i] is None:
+                return None
+            restart, key = rows[i]
+        return restart.seed(), key
 
-        _gn_core(*_kernel(asms), [r.seed() for r in rows], _POLISH_MAX_ITER, _POLISH_TOL,
-                 _collapsed, keys=[key[r.pencil] for r in rows], refill=refill)
+    _gn_core(*_kernel(asms), [r.seed() for r, _ in rows], _POLISH_MAX_ITER, _POLISH_TOL,
+             _collapsed, keys=[k for _, k in rows], refill=refill)
+
+
+def _keyed(restarts):
+    """The assemblies of restarts, each once and in order, and each
+    restart's index among them: the candidate of every row of a sweep block
+    or polish stream."""
+    asms = list(dict.fromkeys(r.pencil for r in restarts))
+    index = {asm: k for k, asm in enumerate(asms)}
+    return asms, np.array([index[r.pencil] for r in restarts])
 
 
 def _kernel(asms):
@@ -904,12 +885,14 @@ def _sensors_drawn_first(cf, draw):
     return y
 
 
-def _pbh_warm_start(cf, v_min, asm, rng):
+def _pbh_warm_start(cf, v_min, asm, seed):
     """Seed z with the PBH singular vector at the assembly's lambda, v_min
     (the right singular vector of [lam I - A; C] of its smallest singular
     value, as np.linalg.svd's last row of vh gives it): the unstructured
     optimum is usually in the right basin for the structured one. On the
-    half-size route of a real lambda only its real part is kept."""
+    half-size route of a real lambda only its real part is kept. Where
+    A_tilde x vanishes, y is the first draw of the stream (seed, 0)
+    (_random_draws), sensor rows first."""
     xc = v_min.conj()[cf.free]
     if np.linalg.norm(xc) < 1e-8:
         return None
@@ -922,101 +905,64 @@ def _pbh_warm_start(cf, v_min, asm, rng):
     y = asm.a_tilde @ x
     ny = np.linalg.norm(y)
     if ny < 1e-12:
-        y = _sensors_drawn_first(cf, rng.standard_normal(len(y)))
+        y = _sensors_drawn_first(cf, _random_draws((seed, 0), len(y))[0])
         ny = np.linalg.norm(y)
     return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
 
 
-def _assembly(rp, full_pencil=False):
+def _assembly(rp):
     """The PencilAssembly of rp on its route: the half-size system of a real
-    lambda, unless full_pencil asks for the full one (the route check of
-    properties.real_route_gap)."""
-    return PencilAssembly(rp, real=rp.is_real and not full_pencil)
+    lambda, the full one otherwise."""
+    return PencilAssembly(rp, real=rp.is_real)
 
 
-@dataclass(eq=False)
-class _Candidate:
-    """What the restarts of one candidate lambda share: its PencilAssembly
-    (which holds its reduced problem) and every restart's start vector."""
-
-    asm: PencilAssembly
-    starts: list
-
-
-def _candidates(cf, lams, cfg, full_pencil=False):
-    """The _Candidate of every lam, on the route _assembly gives it. Every
-    restart's start vector is drawn from the restart's own stream, in the
-    order a restart on its own would draw it: restart 0 from the PBH
-    singular vector when there is one. The PBH start depends on lam, and
-    every lam's singular vectors come from one stacked SVD (a stacked
-    np.linalg.svd runs LAPACK matrix by matrix, so each equals its own);
-    a random start does not, and comes from _random_draws."""
-    stack = pbh_stack(cf.net.weights, cf.net.c_matrix, np.array(lams, dtype=complex))
-    vh = np.linalg.svd(stack)[2]
+def _restarts(cf, asms, cfg):
+    """The restarts of every assembly of asms, one list per assembly in
+    restart order, each with its start vector. Every start is drawn from
+    the restart's own stream, in the order a restart on its own would draw
+    it: restart 0 from the PBH singular vector when there is one. The PBH
+    start depends on lambda, and every lambda's singular vectors come from
+    one stacked SVD (a stacked np.linalg.svd runs LAPACK matrix by matrix,
+    so each equals its own); a random start does not, and comes from
+    _random_draws. Restart r draws its random seed from cfg.seed * 1009 + r
+    (_random_seed)."""
+    lams = np.array([asm.rp.lam for asm in asms], dtype=complex)
+    vh = np.linalg.svd(pbh_stack(cf.net.weights, cf.net.c_matrix, lams))[2]
     out = []
-    for lam, vh_lam in zip(lams, vh):
-        asm = _assembly(build_reduced(cf, lam), full_pencil)
-        starts = []
+    for asm, vh_lam in zip(asms, vh):
+        block = []
         for r in range(cfg.restarts):
-            z0 = None
-            if r == 0:
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0)))
-                z0 = _pbh_warm_start(cf, vh_lam[-1], asm, rng)
+            z0 = _pbh_warm_start(cf, vh_lam[-1], asm, cfg.seed) if r == 0 else None
             if z0 is None:
-                # a PBH start that fails draws nothing, so restart 0's stream
-                # is still fresh here
                 draw, = _random_draws((cfg.seed, r), asm.size)
                 z0 = np.concatenate([draw[:asm.nx], _sensors_drawn_first(cf, draw[asm.nx:])])
-            starts.append(z0)
-        out.append(_Candidate(asm, starts))
+            block.append(_Restart(asm, cfg.keep_delta_trace, z0, partial(
+                _random_seed, cf, cfg.seed * 1009 + r, asm.nx, asm.size - asm.nx)))
+        out.append(block)
     return out
 
 
-def _sweep_candidates(cands, cfg):
-    """The sweep rows of every restart of every candidate, one list per
-    candidate. The rows of each route go through _sweep in blocks of at
-    most _BLOCK_ROWS, in candidate order: half-size real pencils and full
-    complex ones differ in order."""
-    out = [[] for _ in cands]
+def _solved(cf, asms, cfg):
+    """The restarts of every assembly of asms (_restarts), swept and
+    polished; one list per assembly, in restart order. The restarts of each
+    route are swept in lockstep blocks of at most _BLOCK_ROWS rows, in
+    candidate order (half-size real pencils and full complex ones differ in
+    order), then polished in one stream (_polish)."""
+    blocks = _restarts(cf, asms, cfg)
     for real in (False, True):
-        rows = [(k, z0) for k, c in enumerate(cands) if c.asm.real == real
-                for z0 in c.starts]
-        for i in range(0, len(rows), _BLOCK_ROWS):
-            part = rows[i:i + _BLOCK_ROWS]
-            ks = list(dict.fromkeys(k for k, _ in part))
-            swept = _sweep([cands[k].asm for k in ks],
-                           [[z0 for j, z0 in part if j == k] for k in ks], cfg)
-            for (k, _), row in zip(part, swept):
-                out[k].append(row)
-    return out
-
-
-def _restarts(cf, cand, sweeps, cfg):
-    """The _Restart of every sweep row of the candidate cand, in restart
-    order; restart r draws its random seed from cfg.seed * 1009 + r."""
-    return [_Restart.start(cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace)
-            for r, sweep in enumerate(sweeps)]
-
-
-def _solved(cf, lams, cfg, full_pencil=False):
-    """The restarts of every lam, swept and polished: drawn (_candidates),
-    swept in lockstep (_sweep_candidates) and polished in one stream per
-    route (_polish). One list per lam, in restart order."""
-    cands = _candidates(cf, lams, cfg, full_pencil)
-    blocks = [_restarts(cf, c, sweeps, cfg)
-              for c, sweeps in zip(cands, _sweep_candidates(cands, cfg))]
-    _polish([r for block in blocks for r in block])
+        restarts = [r for block in blocks for r in block if r.pencil.real == real]
+        for i in range(0, len(restarts), _BLOCK_ROWS):
+            _sweep(restarts[i:i + _BLOCK_ROWS], cfg)
+        _polish(restarts)
     return blocks
 
 
-def _polish_restarts(cf, restarts) -> FixedLambdaResult:
-    """The best converged restart of one candidate's restarts: ranked
-    first, reconstructed after.
+def _ranked(cf, restarts) -> FixedLambdaResult:
+    """The best converged restart of one candidate's restarts, polished
+    already (_solved): ranked first, reconstructed after.
 
-    Each restart's result is read through heuristic_iterate, which
-    polishes a restart that has not been polished yet (solve_radius and
-    _best_of_restarts have polished them, _solved). The restarts are
-    ranked by the cost of their triples (_triple_cost, equal to the
+    Each restart's result is read through heuristic_iterate. The restarts
+    are ranked by the cost of their triples (_triple_cost, equal to the
     reconstruction's bit for bit) under the rule that picks the winner: in
     restart order, a cost below the incumbent's by more than 1e-15 takes
     its place. Only the top-ranked restart is reconstructed
@@ -1057,17 +1003,17 @@ def _reconstructed(cf, res):
     return replace(res, reconstruction=rec)
 
 
-def _best_of_restarts(cf, lam, cfg: SolverConfig, full_pencil=False) -> FixedLambdaResult:
-    """solve_fixed_lambda on a canonical form, without the certificate, on
-    the route _assembly gives lam and full_pencil.
+def _best_of_restarts(cf, asm, cfg: SolverConfig) -> FixedLambdaResult:
+    """solve_fixed_lambda on a canonical form and the assembly asm of one
+    lambda, on its route, without the certificate.
 
     The restarts are drawn, swept in lockstep and polished in one stream
-    (_solved), then ranked (_polish_restarts). The results are those of one
-    restart at a time, bit for bit. This is the one-candidate case of
+    (_solved), then ranked (_ranked). The results are those of one restart
+    at a time, bit for bit. This is the one-candidate case of
     solve_radius's sweep-ahead blocks.
     """
-    restarts, = _solved(cf, [lam], cfg, full_pencil)
-    return _polish_restarts(cf, restarts)
+    restarts, = _solved(cf, [asm], cfg)
+    return _ranked(cf, restarts)
 
 
 def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
@@ -1083,7 +1029,8 @@ def solve_fixed_lambda(net: NetworkSystem, mask: ConstraintMask, lam,
     (ValueError).
     """
     _finite_lambda(lam)
-    best = _best_of_restarts(canonicalize(net, mask), lam, cfg)
+    cf = canonicalize(net, mask)
+    best = _best_of_restarts(cf, _assembly(build_reduced(cf, lam)), cfg)
     return _certified(net, best) if best.converged else best
 
 
@@ -1182,16 +1129,17 @@ class RadiusResult:
 
 def _continuation(asm, t_prev, cfg):
     """The continuation of the triple t_prev to the lambda of the assembly
-    asm (a neighbouring one, or its own): the result of a _Restart with an
-    empty sweep whose only seed is t_prev's polish variable on asm.
-    It is converged and unreconstructed, or failed when the polish or
-    _checked_triple fails or t_prev has no polish variable on asm's
-    route."""
+    asm (a neighbouring one, or its own): the result of a _Restart without
+    a sweep whose only seed is t_prev's polish variable on asm, polished
+    (_polish). It is converged and unreconstructed, or failed when the
+    polish or _checked_triple fails or t_prev has no polish variable on
+    asm's route."""
     u0 = asm.u_of(t_prev)
-    restart = _Restart(_Sweep(), asm, [u0], cfg.keep_delta_trace)
+    restart = _Restart(asm, cfg.keep_delta_trace, seeds=[u0])
     if u0 is None:
-        restart._fail()
-    return restart.search()
+        restart.fail("did not converge")
+    _polish([restart])
+    return restart.result
 
 
 def _descent_direction(rp, res):
@@ -1283,18 +1231,19 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     The sweep runs ahead of the polish. The bounds ascend and the incumbent
     cost never rises, so pruning only ever cuts a suffix of the bound
     order: a candidate whose bound lies below the incumbent cost now may be
-    pruned later, but one above it is never solved. A candidate without a
-    sweep is therefore swept together with the candidates after it whose
-    bounds already lie below the incumbent cost (alone while there is no
-    incumbent, and at most _BLOCK_ROWS restarts in all), in lockstep blocks
-    of at most _BLOCK_ROWS rows per route (_sweep_candidates), and every
-    restart of the block is polished right after, in one stream per route
-    (_solved). The candidates are then taken one at a time in bound order,
-    with the prune test before each, exactly as if each had been swept and
-    polished alone: a candidate's restarts are read (heuristic_iterate) and
-    ranked (_polish_restarts), and a candidate swept ahead and then pruned
-    drops its restarts unread and never enters search_trace. Every output
-    is that of solving one candidate at a time, bit for bit.
+    pruned later, but one above it is never solved, and neither is any
+    candidate after the first one pruned. A candidate without a sweep is
+    therefore solved together with the candidates after it whose bounds
+    already lie below the incumbent cost (alone while there is no
+    incumbent, and at most _BLOCK_ROWS restarts in all): their restarts are
+    swept in lockstep blocks of at most _BLOCK_ROWS rows and polished right
+    after, in one stream per route (_solved). The candidates are then taken
+    one at a time in bound order, with the prune test before each, exactly
+    as if each had been swept and polished alone: a candidate's restarts
+    are read (heuristic_iterate) and ranked (_ranked), and a candidate
+    swept ahead and then pruned drops its restarts unread and never enters
+    search_trace. Every output is that of solving one candidate at a time,
+    bit for bit.
 
     A gradient descent on ||Delta(lambda)|| then moves the grid winner
     along the exact lambda-gradient (_descend_lambda), each probe warm-started
@@ -1317,9 +1266,9 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     solved = {}  # position in bounds -> its candidate's polished restarts
     for i, (lam, bound) in enumerate(bounds):
         if best is not None and bound >= best.cost - 1e-12:
-            pruned += 1
-            solved.pop(i, None)
-            continue
+            # the bounds ascend, so every candidate from here on is pruned
+            pruned = len(bounds) - i
+            break
         if i not in solved:
             # sweep ahead: the next candidates whose bounds already lie below
             # the incumbent cost join this one
@@ -1328,8 +1277,9 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                    and bounds[stop][1] < best.cost - 1e-12):
                 stop += 1
             block = range(i, stop)
-            solved.update(zip(block, _solved(cf, [bounds[j][0] for j in block], cfg)))
-        res = _polish_restarts(cf, solved.pop(i))
+            asms = [_assembly(build_reduced(cf, bounds[j][0])) for j in block]
+            solved.update(zip(block, _solved(cf, asms, cfg)))
+        res = _ranked(cf, solved.pop(i))
         trace.append((lam, res.cost))
         if not res.converged:
             continue

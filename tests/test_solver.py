@@ -1,5 +1,6 @@
 import hashlib
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from netobs.montecarlo import sample_network
 from netobs.network_model import pbh_stack
 from netobs.radius_core import (PencilAssembly, ReducedProblem, SpuriousTripleError,
                                 _delta_bar, _form, assemble_real_pencil)
-from netobs.solver import _Sweep
 from conftest import line_matrix, net_of, star_matrix
 
 
@@ -436,23 +436,35 @@ def test_real_lambda_routes_agree():
         net, mask, _ = sample_network("line", 3, 17, trial)
         lam = complex(np.diag(net.weights)[-1], 0.0)
         half = solve_fixed_lambda(net, mask, lam, cfg)
-        full = solver._best_of_restarts(canonicalize(net, mask), lam,
-                                        replace(cfg, restarts=12), full_pencil=True)
+        cf = canonicalize(net, mask)
+        full = solver._best_of_restarts(cf, PencilAssembly(build_reduced(cf, lam)),
+                                        replace(cfg, restarts=12))
         if half.converged and full.converged:
             assert abs(half.cost - full.cost) < 1e-8
             agreed += 1
     assert agreed >= 2
 
 
-def iterate_alone(rp, cf, cfg, z0, full_pencil=False):
-    """The restart of one start vector z0 on its own: its sweep as a block
-    of one row (solver._sweep), then solver.heuristic_iterate on that row,
-    both on an assembly built here for rp (solver._assembly), then the
+def iterate_alone(asm, cf, cfg, z0):
+    """The restart of one start vector z0 on the assembly asm, on its own,
+    with its random seed drawn from cfg.seed: its sweep as a block of one
+    row (solver._sweep), its polish as a stream of one restart
+    (solver._polish), its result read by solver.heuristic_iterate, and the
     reconstruction of its triple (solver._reconstructed)."""
-    asm = solver._assembly(rp, full_pencil)
-    row, = solver._sweep([asm], [[z0]], cfg)
-    restart = solver._Restart.start(cf, row, asm, cfg.seed, cfg.keep_delta_trace)
+    restart = solver._Restart(asm, cfg.keep_delta_trace, z0, partial(
+        solver._random_seed, cf, cfg.seed, asm.nx, asm.size - asm.nx))
+    solver._sweep([restart], cfg)
+    solver._polish([restart])
     return solver._reconstructed(cf, solver.heuristic_iterate(restart))
+
+
+def swept(cf, lams, cfg):
+    """The restarts of every lam (solver._restarts), one list per lam, swept
+    as solver._solved sweeps them and left unpolished."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_polish", lambda restarts: None)
+        return solver._solved(cf, [solver._assembly(build_reduced(cf, lam)) for lam in lams],
+                              cfg)
 
 
 def test_warm_start_survives_singular_sweep_pencil():
@@ -467,10 +479,30 @@ def test_warm_start_survives_singular_sweep_pencil():
     cf = canonicalize(net, mask)
     rp = build_reduced(cf, lam)
     t = half.triple
-    warm = iterate_alone(rp, cf, cfg, np.concatenate([t.x, t.y]), full_pencil=True)
+    warm = iterate_alone(PencilAssembly(rp), cf, cfg, np.concatenate([t.x, t.y]))
     assert warm.converged
     assert warm.iterates.sweep == ()  # the sweep took no step
     assert abs(warm.cost - half.cost) < 1e-10
+
+
+def test_pbh_warm_start_falls_back_to_the_first_draw_of_its_stream():
+    # where A_tilde x vanishes (here an assembly whose A_tilde is zero), the
+    # warm start's y is the first standard normal draw of the stream
+    # (seed, 0), the numbers a fresh generator of that stream draws first,
+    # with each half of y filled sensor rows first: the sensor sits at
+    # node 2, so the draw's first entry of each half goes to node 2
+    a = line_matrix([0.7, 0.4, 0.9, 0.3, 0.6], [0.5, 0.3, 0.8, 0.2], [0.6, 0.8, 0.4, 0.7])
+    cf = canonicalize(*net_of(a, sensors=(2,)))
+    n, m, seed = 5, 4, 11
+    asm = SimpleNamespace(nx=2 * m, a_tilde=np.zeros((2 * n, 2 * m)))
+    v_min = np.linspace(1.0, 2.0, n) * np.exp(0.3j * np.arange(n))
+    z = solver._pbh_warm_start(cf, v_min, asm, seed)
+    draw = np.random.default_rng(np.random.SeedSequence((seed, 0))).standard_normal(2 * n)
+    y = np.empty(2 * n)
+    for half in range(2):
+        y[half * n + np.array([2, 0, 1, 3, 4])] = draw[half * n:(half + 1) * n]
+    assert raw(z[2 * m:]) == raw(y / (np.sqrt(2.0) * np.linalg.norm(y)))
+    assert np.linalg.norm(z[:2 * m]) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
 
 
 def eager_distances(res, rp, cf):
@@ -863,14 +895,13 @@ def test_block_polish_of_every_seed_matches_each_seed_alone(case):
         lam, cfg = 1j, C3_CFG
     else:
         (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
-    cf = canonicalize(net, mask)
-    cand = solver._candidates(cf, [lam], cfg)[0]
-    sweeps, = solver._sweep_candidates([cand], cfg)
-    seeds = np.array([u() if callable(u) else u
-                      for restart in solver._restarts(cf, cand, sweeps, cfg)
+    restarts, = swept(canonicalize(net, mask), [lam], cfg)
+    for restart in restarts:
+        restart.seed()  # builds the restart's seed list
+    seeds = np.array([u() if callable(u) else u for restart in restarts
                       for u in restart.seeds])
     assert len(seeds) >= 3 * cfg.restarts
-    asm = cand.asm
+    asm = restarts[0].pencil
     block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
                             solver._POLISH_TOL, solver._collapsed)
     for k, polish in enumerate(block):
@@ -919,7 +950,7 @@ PINNED_RESTARTS = {
 @pytest.mark.parametrize("case", ["c3_chain0", "line6", "c3_chain3"])
 def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
     # the benchmark tracer counts restarts and their iterations on
-    # heuristic_iterate's calls and results; the polish waves keep one call
+    # heuristic_iterate's calls and results; the polish streams keep one call
     # per restart with the result of that restart polished alone
     if case == "line6":
         (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
@@ -994,10 +1025,7 @@ def test_polish_stream_matches_per_candidate_waves(monkeypatch, case):
         if case == "ensemble_5_rows":
             monkeypatch.setattr(solver, "_BLOCK_ROWS", 5)
     cf = canonicalize(net, mask)
-    cands = solver._candidates(cf, lams, cfg)
-    sweeps = solver._sweep_candidates(cands, cfg)
-    stream, waves = ([r for c, rows in zip(cands, sweeps)
-                      for r in solver._restarts(cf, c, rows, cfg)] for _ in range(2))
+    stream, waves = ([r for block in swept(cf, lams, cfg) for r in block] for _ in range(2))
     calls = []
     core = solver._gn_core
 
@@ -1200,18 +1228,19 @@ def reference_sweep(asm, z0, cfg):
 
 
 def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
-    """(sweep row, result) of every restart: from _best_of_restarts, which
-    sweeps its restarts in lockstep, and from iterate_alone on each
+    """(swept restart, result) of every restart: from _best_of_restarts,
+    which sweeps its restarts in lockstep, and from iterate_alone on each
     restart's start vector, drawn as a restart loop draws it; and the
     reference_sweep of each start."""
     cf = canonicalize(net, mask)
+    rp = build_reduced(cf, lam)
+    asm = solver._assembly(rp)
     rows, results = [], []
     sweep, iterate = solver._sweep, solver.heuristic_iterate
 
-    def recording_sweep(*args):
-        out = sweep(*args)
-        rows.extend(out)
-        return out
+    def recording_sweep(restarts, cfg):
+        rows.extend(restarts)
+        return sweep(restarts, cfg)
 
     def recording_iterate(*args, **kwargs):
         res = iterate(*args, **kwargs)
@@ -1220,21 +1249,19 @@ def lockstep_and_alone(monkeypatch, net, mask, lam, cfg):
 
     monkeypatch.setattr(solver, "_sweep", recording_sweep)
     monkeypatch.setattr(solver, "heuristic_iterate", recording_iterate)
-    solver._best_of_restarts(cf, lam, cfg)
+    solver._best_of_restarts(cf, asm, cfg)
     lockstep = list(zip(rows, results))
     rows.clear()
     results.clear()
-    rp = build_reduced(cf, lam)
-    asm = solver._assembly(rp)
     reference = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, r)))
         # the PBH singular vector of lam alone, not of a stacked SVD
         v_min = np.linalg.svd(pbh_stack(net.weights, net.c_matrix, [lam])[0])[2][-1]
-        z0 = solver._pbh_warm_start(cf, v_min, asm, rng) if r == 0 else None
+        z0 = solver._pbh_warm_start(cf, v_min, asm, cfg.seed) if r == 0 else None
         if z0 is None:
             z0 = rng.standard_normal(asm.size)
-        iterate_alone(rp, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0)
+        iterate_alone(asm, cf, replace(cfg, seed=cfg.seed * 1009 + r), z0)
         reference.append(reference_sweep(asm, z0, cfg))
     alone = list(zip(rows, results))
     assert len(lockstep) == len(alone) == cfg.restarts
@@ -1248,7 +1275,8 @@ def raw(a):
 def assert_same_restarts(lockstep, alone, reference):
     for (row, res), (row1, res1), (init, trace, best, phi_plus_mu) in zip(
             lockstep, alone, reference):
-        for other in (row1, _Sweep(init, trace, best, phi_plus_mu=phi_plus_mu)):
+        for other in (row1, SimpleNamespace(init=init, trace=trace, best=best,
+                                            phi_plus_mu=phi_plus_mu)):
             assert raw(row.init) == raw(other.init)
             assert [raw(u) for u in row.trace] == [raw(u) for u in other.trace]
             assert raw(row.best) == raw(other.best)
@@ -1320,7 +1348,6 @@ def assert_rows_stop_early(rows, asm, cfg, least):
     return still, handed
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["c3_chain3", "ensemble_line", "cli_line4", "star6"])
 def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
     if case == "c3_chain3":
@@ -1355,16 +1382,15 @@ def test_lockstep_sweep_matches_one_start_at_a_time(monkeypatch, case):
 
 def test_diagonal_weightings_apply_as_the_dense_matrices():
     # on the half-size route the sweep keeps D and F as their diagonals:
-    # H - t D, F M F, D z and ||D||_F formed from them equal the dense forms
-    # bit for bit, signed zeros included, with zero weights (x or y
-    # vanishing on a node's support), t = 0, and zeros of either sign in M
-    # and z
+    # H - t D, F M F and D z formed from them equal the dense forms bit for
+    # bit, signed zeros included, with zero weights (x or y vanishing on a
+    # node's support), t = 0, and zeros of either sign in M and z
     rng = np.random.default_rng(5)
     a = line_matrix(*(rng.uniform(0.1, 1.0, k) for k in (7, 6, 6)))
     rp = build_reduced(canonicalize(*net_of(a)), 0.6)
     asm = PencilAssembly(rp, real=True)
-    # pencils of order 13: numpy's pairwise sum groups the squares of a
-    # diagonal of 8 or more entries otherwise than those of the dense D
+    # pencils of order 13, whose rows are longer than numpy's 8-term
+    # pairwise-sum blocks
     assert asm.size == 13
     rows = 8
     x = rng.standard_normal((rows, asm.nx))
@@ -1383,12 +1409,10 @@ def test_diagonal_weightings_apply_as_the_dense_matrices():
     z[:, 1], z[:, 2] = -0.0, 0.0
     for got, want in ((radius_core._shifted(h, t, d), h - t[:, None, None] * dd),
                       (radius_core._sandwich(f, m), fd @ (m @ fd)),
-                      (radius_core._times(d, z), np.matmul(dd, z[..., None])[..., 0]),
-                      (radius_core._frobenius(d), np.linalg.norm(dd, axis=(1, 2)))):
+                      (radius_core._times(d, z), np.matmul(dd, z[..., None])[..., 0])):
         assert raw(got) == raw(want)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_half_size_sweep_with_zero_weights_matches_the_dense_reference(monkeypatch):
     # the C7 ensemble's 6-node line, swept on the half-size route from its
     # optimum (an edge-deletion optimum) with the entries below 1e-12 set to
@@ -1414,9 +1438,10 @@ def test_half_size_sweep_with_zero_weights_matches_the_dense_reference(monkeypat
         weights.append(d)
         return lambda_plus(h, d, f, t0, h_norm)
 
+    rows = [solver._Restart(asm, False, z0) for z0 in starts]
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_lambda_plus", recording)
-        rows = solver._sweep([asm], [starts], ENSEMBLE_CFG)
+        solver._sweep(rows, ENSEMBLE_CFG)
     assert weights[0].ndim == 2 and (weights[0] == 0).any(axis=1).sum() >= 3
     for z0, row in zip(starts, rows):
         init, trace, best, phi_plus_mu = reference_sweep(asm, z0, ENSEMBLE_CFG)
@@ -1427,12 +1452,12 @@ def test_half_size_sweep_with_zero_weights_matches_the_dense_reference(monkeypat
         assert row.phi_plus_mu == phi_plus_mu
 
 
-def full_length_sweep(monkeypatch, cand, cfg):
-    """The sweep rows of a candidate with both early exits off."""
+def full_length_sweep(monkeypatch, cf, lam, cfg):
+    """The swept restarts of the candidate lam with both early exits off."""
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_STILL_TOL", 0.0)
         mp.setattr(solver, "_HANDOFF_TOL", 0.0)
-        return solver._sweep([cand.asm], [cand.starts], cfg)
+        return swept(cf, [lam], cfg)[0]
 
 
 # the largest distance between a polish seed kept at the fixed-point exit
@@ -1467,32 +1492,31 @@ def seeds_kept_polish_to_the_same_point(monkeypatch, net, mask, lam, cfg, handof
     a row handed off, 1e-12 otherwise. Returns the count of each early
     exit."""
     cf = canonicalize(net, mask)
-    cand = solver._candidates(cf, [lam], cfg)[0]
-    rows = solver._sweep([cand.asm], [cand.starts], cfg)
-    full = full_length_sweep(monkeypatch, cand, cfg)
-    rp = cand.asm.rp
+    rows, = swept(cf, [lam], cfg)
+    full = full_length_sweep(monkeypatch, cf, lam, cfg)
+    for restarts in (rows, full):
+        solver._polish(restarts)
+    asm = rows[0].pencil
+    rp = asm.rp
     exits = Counter()
-    for r, (row, row1) in enumerate(zip(rows, full)):
+    for row, row1 in zip(rows, full):
         assert len(row.trace) <= len(row1.trace)
         # the exit keeps the steps it took, bit for bit
         assert [raw(u) for u in row.trace] == \
             [raw(u) for u in row1.trace[:len(row.trace)]]
-        handed = len(row.trace) < len(row1.trace) and handed_off(row, cand.asm)
+        handed = len(row.trace) < len(row1.trace) and handed_off(row, asm)
         if handed:
             exits["basin"] += 1
         elif len(row.trace) < len(row1.trace):
             exits["still"] += 1
             for seed, seed1 in ((row.best, row1.best), (row.trace[-1], row1.trace[-1])):
                 assert np.linalg.norm(seed - seed1) <= SEED_MARGIN
-        res, res1 = (solver.heuristic_iterate(solver._Restart.start(
-            cf, sweep, cand.asm, cfg.seed * 1009 + r, cfg.keep_delta_trace))
-            for sweep in (row, row1))
+        res, res1 = solver.heuristic_iterate(row), solver.heuristic_iterate(row1)
         assert res.converged and res1.converged
         assert solver._triple_cost(rp, res.triple) == pytest.approx(
             solver._triple_cost(rp, res1.triple), rel=handoff_rel if handed else 1e-12,
             abs=0.0)
-    best, best1 = (solver._polish_restarts(cf, solver._restarts(cf, cand, sweeps, cfg))
-                   for sweeps in (rows, full))
+    best, best1 = solver._ranked(cf, rows), solver._ranked(cf, full)
     assert best.cost == pytest.approx(best1.cost, rel=1e-12, abs=0.0)
     return exits
 
@@ -1504,19 +1528,19 @@ def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
     # it breaks or takes all sweep_iters steps, so C3's outputs keep their
     # bits
     net, mask, lam = c3_chain3()
-    cand = solver._candidates(canonicalize(net, mask), [lam], C3_CFG)[0]
-    rows = solver._sweep([cand.asm], [cand.starts], C3_CFG)
-    full = full_length_sweep(monkeypatch, cand, C3_CFG)
+    cf = canonicalize(net, mask)
+    rows, = swept(cf, [lam], C3_CFG)
+    full = full_length_sweep(monkeypatch, cf, lam, C3_CFG)
+    asm = rows[0].pencil
     for row, row1 in zip(rows, full):
         assert [raw(u) for u in row.trace] == [raw(u) for u in row1.trace]
         us = [row.init] + row.trace
         for u, u1 in zip(us, us[1:]):
             assert np.linalg.norm(u1[:-1] - u[:-1]) / np.sqrt(2.0) > 1e4 * solver._STILL_TOL
-            assert np.linalg.norm(cand.asm.f_of(u1)) > 1e3 * handoff_threshold(cand.asm, u1)
+            assert np.linalg.norm(asm.f_of(u1)) > 1e3 * handoff_threshold(asm, u1)
     assert any(len(row.trace) < C3_CFG.sweep_iters for row in rows)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
     # make the shifted matrix of one restart at sweep step 3 singular: the
     # stacked solve then fails as a whole, and only that row may leave
@@ -1528,7 +1552,7 @@ def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", recording_solve)
     cf = canonicalize(*c3_chain3()[:2])
-    solver._best_of_restarts(cf, 1j, C3_CFG)
+    solver._best_of_restarts(cf, solver._assembly(build_reduced(cf, 1j)), C3_CFG)
     singular = matrices[3][5].tobytes()
 
     def singular_solve(a, b):
@@ -1543,7 +1567,6 @@ def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
     assert sum(len(row.trace) > 3 for row, _ in lockstep) >= 6
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", ["c3", "retries_t0", "singular_row", "cli_line4"])
 def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
     # three complex candidates of C3's trial 3 in one block: rows of every
@@ -1561,7 +1584,7 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
         net, mask, lam = c3_chain3()
         cfg, lams = C3_CFG, (lam, 0.5 + 0.8j, 1.2j)
     cf = canonicalize(net, mask)
-    cands = solver._candidates(cf, lams, cfg)
+    asms = [solver._assembly(build_reduced(cf, lam)) for lam in lams]
     # per _lambda_plus call: the rows of each of its inverse stacks, then how
     # many rows it drops
     lambda_plus_calls = []
@@ -1590,7 +1613,7 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        solver._sweep([cands[0].asm], [cands[0].starts], cfg)
+        solver._sweep(solver._restarts(cf, asms[:1], cfg)[0], cfg)
         singular = matrices[3][5].tobytes()
 
         def singular_solve(a, b):
@@ -1599,20 +1622,24 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", singular_solve)
-    block = solver._sweep([c.asm for c in cands], [c.starts for c in cands], cfg)
+    block = [r for restarts in solver._restarts(cf, asms, cfg) for r in restarts]
+    solver._sweep(block, cfg)
     block_calls = list(lambda_plus_calls)
-    alone = [row for c in cands for row in solver._sweep([c.asm], [c.starts], cfg)]
+    alone = solver._restarts(cf, asms, cfg)
+    for restarts in alone:
+        solver._sweep(restarts, cfg)
+    alone = [r for restarts in alone for r in restarts]
     assert len(block) == len(alone) == 3 * cfg.restarts
     for row, row1 in zip(block, alone):
         assert raw(row.init) == raw(row1.init)
         assert [raw(u) for u in row.trace] == [raw(u) for u in row1.trace]
         assert raw(row.best) == raw(row1.best)
         assert row.phi_plus_mu == row1.phi_plus_mu
-    for k in range(len(cands)):
+    for k, asm in enumerate(asms):
         rows = block[k * cfg.restarts:(k + 1) * cfg.restarts]
         assert any(len(row.trace) < cfg.sweep_iters for row in rows)
         if case == "cli_line4":
-            assert_rows_stop_early(rows, cands[k].asm, cfg, 1)
+            assert_rows_stop_early(rows, asm, cfg, 1)
     if case == "cli_line4":
         lengths = {len(row.trace) for row in block}
         assert len(lengths) >= 4 and cfg.sweep_iters in lengths
@@ -1625,26 +1652,25 @@ def test_sweep_block_of_candidates_matches_each_alone(monkeypatch, case):
         assert any(rows > retried > dropped > 0 for rows, retried, dropped in retries)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_one_candidate_sweep_goes_in_blocks_of_block_rows(monkeypatch):
     # a candidate with more restarts than _BLOCK_ROWS is swept in several
     # _sweep calls, none of them larger than the cap, and every row gets the
     # bits of its start swept alone
     cfg = replace(C3_CFG, restarts=solver._BLOCK_ROWS + 6)
     net, mask, lam = c3_chain3()
-    cand = solver._candidates(canonicalize(net, mask), [lam], cfg)[0]
     sweep, sizes = solver._sweep, []
 
-    def recording_sweep(asms, starts, cfg):
-        sizes.append(sum(map(len, starts)))
-        return sweep(asms, starts, cfg)
+    def recording_sweep(restarts, cfg):
+        sizes.append(len(restarts))
+        return sweep(restarts, cfg)
 
     monkeypatch.setattr(solver, "_sweep", recording_sweep)
-    rows, = solver._sweep_candidates([cand], cfg)
+    rows, = swept(canonicalize(net, mask), [lam], cfg)
     assert sizes == [solver._BLOCK_ROWS, 6]
     assert len(rows) == cfg.restarts
-    for row, z0 in zip(rows, cand.starts):
-        row1, = sweep([cand.asm], [[z0]], cfg)
+    for row in rows:
+        row1 = solver._Restart(row.pencil, False, row.z0)
+        sweep([row1], cfg)
         assert raw(row.init) == raw(row1.init)
         assert [raw(u) for u in row.trace] == [raw(u) for u in row1.trace]
         assert raw(row.best) == raw(row1.best)
@@ -1656,7 +1682,7 @@ def test_one_candidate_sweep_goes_in_blocks_of_block_rows(monkeypatch):
 
 
 def reconstruct_every_restart(cf, restarts):
-    """solver._polish_restarts without the ranking: every converged restart
+    """solver._ranked without the ranking: every converged restart
     is reconstructed (solver._reconstructed), and the winner is picked in
     restart order, a cost below the incumbent's by more than 1e-15 taking
     its place."""
@@ -1687,13 +1713,12 @@ RANKED_CASES = {
 
 
 def solve_both_ways(mp, case):
-    """RANKED_CASES[case] solved by solver._polish_restarts and by
+    """RANKED_CASES[case] solved by solver._ranked and by
     reconstruct_every_restart. Returns, per way, the result and the number
     of reconstructions each polished candidate took (with whether it
     converged)."""
     out = []
-    polish = solver._polish_restarts
-    for way in (polish, reconstruct_every_restart):
+    for way in (solver._ranked, reconstruct_every_restart):
         calls, per_candidate = [], []
         inner = solver.reconstruct_perturbation
 
@@ -1709,7 +1734,7 @@ def solve_both_ways(mp, case):
 
         with mp.context() as m:
             m.setattr(solver, "reconstruct_perturbation", counting)
-            m.setattr(solver, "_polish_restarts", polish_counted)
+            m.setattr(solver, "_ranked", polish_counted)
             out.append((RANKED_CASES[case](), per_candidate))
     return out
 
@@ -1752,7 +1777,7 @@ def test_rank_key_is_the_reconstructed_cost_bit_for_bit(monkeypatch):
         pairs.append((solver._triple_cost(rp, t), rec.perturbation.frob_norm))
         return rec
 
-    monkeypatch.setattr(solver, "_polish_restarts", reconstruct_every_restart)
+    monkeypatch.setattr(solver, "_ranked", reconstruct_every_restart)
     monkeypatch.setattr(solver, "reconstruct_perturbation", recording)
     for topo in ("line", "star"):
         solve_radius(*sample_network(topo, 6, 4040, 0)[:2], "topo", ENSEMBLE_CFG)
@@ -2023,29 +2048,27 @@ def test_radius_search_trace_records_bound_pruning():
 
 
 def radius_recorded(net, mask, grid, cfg):
-    """solve_radius with its sweep rows and polished restarts recorded:
-    (result, every row _sweep returned, (lambda, row) per heuristic_iterate
+    """solve_radius with its swept and read restarts recorded: (result,
+    every restart _sweep swept, (lambda, restart) per heuristic_iterate
     call)."""
-    swept, polished = [], []
+    swept_rows, polished = [], []
     sweep, iterate = solver._sweep, solver.heuristic_iterate
 
-    def recording_sweep(*args):
-        out = sweep(*args)
-        swept.extend(out)
-        return out
+    def recording_sweep(restarts, cfg):
+        swept_rows.extend(restarts)
+        return sweep(restarts, cfg)
 
     def recording_iterate(restart, *args):
-        polished.append((restart.pencil.rp.lam, restart.sweep))
+        polished.append((restart.pencil.rp.lam, restart))
         return iterate(restart, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "_sweep", recording_sweep)
         mp.setattr(solver, "heuristic_iterate", recording_iterate)
         rr = solve_radius(net, mask, grid, cfg)
-    return rr, swept, polished
+    return rr, swept_rows, polished
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
     cases = [
         # the C7 ensemble's 5-node line: 13 candidates, 10 solved; with 64
@@ -2061,7 +2084,7 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         ("rectangle_n5", net_of(RECTANGLE_GRAPHS[1]), "default", SolverConfig()),
     ]
     for name, (net, mask), grid, cfg in cases:
-        blocks, swept, polished = radius_recorded(net, mask, grid, cfg)
+        blocks, swept_rows, polished = radius_recorded(net, mask, grid, cfg)
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_BLOCK_ROWS", cfg.restarts)
             alone, swept1, polished1 = radius_recorded(net, mask, grid, cfg)
@@ -2086,9 +2109,11 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         solved = list(dict.fromkeys(lams))
         assert solved == order[:len(solved)]
         assert len(lams) == cfg.restarts * len(solved)
+        # every candidate after the solved ones is pruned
+        assert blocks.pruned == len(order) - len(solved)
         if name == "ensemble_line5":
             # whole candidates are swept ahead and dropped unpolished
-            unpolished = {id(row) for row in swept} - {id(row) for _, row in polished}
+            unpolished = {id(row) for row in swept_rows} - {id(row) for _, row in polished}
             assert unpolished and len(unpolished) % cfg.restarts == 0
         else:
             assert any(lam.imag for lam in solved) and not all(lam.imag for lam in solved)
