@@ -72,8 +72,12 @@ def _cfg(args):
     return SolverConfig(psi=args.psi, restarts=args.restarts, seed=_default_seed(args))
 
 
-def _emit(payload, output):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+def _dumps(payload):
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _emit(text, output):
+    """Writes JSON text to stdout, or to the file output when one is named."""
     if output in (None, "-"):
         print(text)
     else:
@@ -128,7 +132,7 @@ def cmd_radius(args):
             "pruned": rr.pruned,
             "refine_evals": rr.refine_evals,
         }
-    _emit(payload, args.output)
+    _emit(_dumps(payload), args.output)
     return EXIT_OK
 
 
@@ -138,17 +142,18 @@ def cmd_perturb(args):
         print(f"solver failed: {res.failure}", file=sys.stderr)
         return EXIT_SOLVER
     ver = res.verification
-    doc = perturbation_to_dict(res.perturbation, lam=res.lam, residuals={
-        "r_eig": ver.r_eig, "r_out": ver.r_out, "smin": ver.smin})
-    _emit(doc, args.output)
-    # round-trip audit: re-load and re-verify what was just written
-    pert2, lam2 = perturbation_from_dict(json.loads(json.dumps(doc)))
+    text = _dumps(perturbation_to_dict(res.perturbation, lam=res.lam, residuals={
+        "r_eig": ver.r_eig, "r_out": ver.r_out, "smin": ver.smin}))
+    # round-trip audit before anything is written: re-load and re-verify the
+    # exact text that goes out, so a failed audit leaves no payload behind
+    pert2, lam2 = perturbation_from_dict(json.loads(text))
     rep2 = verify_unobservability(net, pert2, lam2)
     drift = max(abs(rep2.r_eig - ver.r_eig), abs(rep2.r_out - ver.r_out),
                 abs(rep2.smin - ver.smin))
     if drift > 1e-12:
         print(f"round-trip drift {drift:.3e} exceeds 1e-12", file=sys.stderr)
         return EXIT_SOLVER
+    _emit(text, args.output)
     print(f"round-trip drift {drift:.3e}", file=sys.stderr)
     return EXIT_OK
 
@@ -175,13 +180,13 @@ def cmd_oracle(args):
         res = oracles.star_radius(a)
     else:
         raise CliInputError(f"unknown oracle kind {kind!r}")
-    _emit({
+    _emit(_dumps({
         "delta": res.delta,
         "lambda_star": [res.lambda_star.real, res.lambda_star.imag],
         "branch": res.branch,
         "perturbation": [[float(v) for v in row] for row in res.perturbation],
         "n_roots": res.n_roots,
-    }, args.output)
+    }), args.output)
     return EXIT_OK
 
 
@@ -197,7 +202,7 @@ def cmd_montecarlo(args):
     if args.out_prefix:
         mc.write_records_csv(result, paths[0])
         mc.write_summary_csv(result, paths[1])
-        _emit({"records": paths[0], "summary": paths[1], "valid": result.valid}, None)
+        _emit(_dumps({"records": paths[0], "summary": paths[1], "valid": result.valid}), None)
     else:
         cols = mc.SUMMARY_COLUMNS
         print(",".join(cols))

@@ -10,6 +10,7 @@ parts throughout: the reduced eigenvector is x = (x_re, x_im), length
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,10 +111,39 @@ def _rowdot(a, b):
     """a @ b for vectors, or row by row for stacks of shape (..., k), kept
     as a trailing axis of length 1.
 
-    Each entry equals a[i] @ b[i] bit for bit, and its square root equals
-    np.linalg.norm; einsum and (a * b).sum(-1) sum in another order.
+    Each entry equals a[i] @ b[i] bit for bit, and when b is a and the
+    entries of each row are adjacent in memory, as in every stack the sweep
+    forms, its square root equals _norm(a[i]); einsum and (a * b).sum(-1)
+    sum in another order.
     """
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0]
+
+
+# The norms below evaluate what numpy evaluates for a real array, bit for
+# bit, without np.linalg.norm's argument checks and dispatch, which cost a
+# vector of a dozen entries more than its arithmetic. The polish and the
+# sweep take them per row and per step.
+
+
+def _norm(x):
+    """np.linalg.norm(x) of a real array x, as a float: the square root of
+    x.ravel(order='K') dotted with itself, as numpy takes it. The ravel
+    matters: a strided view dots in another BLAS kernel."""
+    r = x.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
+def _inf_norm(x):
+    """np.linalg.norm(x, np.inf) of a real vector x: numpy's
+    abs(x).max(initial=0), the largest |x_i|, NaN when one is NaN."""
+    return np.maximum.reduce(np.abs(x), initial=0.0)
+
+
+def _norms(x, axis):
+    """np.linalg.norm(x, axis=axis) of a real stack x, over one axis or a
+    pair of them (the Frobenius norm of every matrix): numpy's
+    sqrt(add.reduce(x * x, axis))."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
 def _weighting_diagonals(v, x, y):
@@ -154,14 +184,18 @@ def _residual(at, att, v_bar, u):
     """F(u) of the normalized stationarity system (_Form) with
     At = at and At' = att, for one u or row by row for a stack of them;
     with a stack of At, one per row. att is a transposed view of at
-    (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs."""
+    (np.swapaxes), so _mv runs the kernel the one-row product At' @ y runs.
+    Each block is written into F in place, elementwise as the blocks of a
+    concatenation are."""
     ny, nx = at.shape[-2:]
     x, y, sig = u[..., :nx], u[..., nx:nx + ny], u[..., -1:]
     d_y, d_x = _weighting_diagonals(v_bar, x, y)
-    return np.concatenate([_mv(att, y) - sig * _weighted(d_y, x),
-                           _mv(at, x) - sig * _weighted(d_x, y),
-                           (_rowdot(x, x) - 1.0) / 2.0,
-                           (_rowdot(y, y) - 1.0) / 2.0], axis=-1)
+    f = np.empty(u.shape[:-1] + (nx + ny + 2,))
+    np.subtract(_mv(att, y), sig * _weighted(d_y, x), out=f[..., :nx])
+    np.subtract(_mv(at, x), sig * _weighted(d_x, y), out=f[..., nx:nx + ny])
+    f[..., -2:-1] = (_rowdot(x, x) - 1.0) / 2.0
+    f[..., -1:] = (_rowdot(y, y) - 1.0) / 2.0
+    return f
 
 
 def _shifted(h, t, d):
@@ -265,8 +299,8 @@ class _Form:
         j.reshape(lead + (-1,))[..., self.j_positions] = -sig * diagonals
         j[..., :nx, nx:nx + ny] = np.swapaxes(at, -1, -2) - sw
         j[..., nx:nx + ny, :nx] = at - sw.swapaxes(-1, -2)
-        j[..., :nx, -1] = -_weighted(d_y, x)
-        j[..., nx:nx + ny, -1] = -_weighted(d_x, y)
+        np.negative(_weighted(d_y, x), out=j[..., :nx, -1])
+        np.negative(_weighted(d_x, y), out=j[..., nx:nx + ny, -1])
         j[..., -2, :nx] = x
         j[..., -1, nx:nx + ny] = y
         return j
@@ -375,7 +409,7 @@ class PencilAssembly:
         for s, t, _, q in diagonals:
             r = np.sqrt(np.fmax(s * q - t * t, 0.0))
             tau = np.sqrt(s + q + 2.0 * r)
-            a, b, c = (np.divide(e, tau, out=np.zeros_like(e), where=tau > 0)
+            a, b, c = (np.divide(e, tau, out=np.zeros(e.shape), where=tau > 0)
                        for e in (s + r, t, q + r))
             roots.append((a, b, b, c))
         return self._fill(diagonals), self._fill(roots)
@@ -399,7 +433,7 @@ class PencilAssembly:
         if not self.real:
             return np.concatenate([t.x, t.y, [t.sigma]])
         xr, y1 = t.x[:len(t.x) // 2], t.y[:len(t.y) // 2]
-        nxr, ny1 = np.linalg.norm(xr), np.linalg.norm(y1)
+        nxr, ny1 = _norm(xr), _norm(y1)
         if nxr < 1e-8 or ny1 < 1e-8:
             return None
         return np.concatenate([xr / nxr, y1 / ny1, [t.sigma * nxr * ny1]])
@@ -431,7 +465,7 @@ class CandidateTriple:
         y = np.array(self.y, dtype=float, copy=True)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if abs(np.linalg.norm(x) - 1.0) > 1e-10 or abs(np.linalg.norm(y) - 1.0) > 1e-10:
+        if abs(_norm(x) - 1.0) > 1e-10 or abs(_norm(y) - 1.0) > 1e-10:
             raise ValueError("x and y must be unit vectors")
         x.setflags(write=False)
         y.setflags(write=False)
@@ -446,15 +480,13 @@ def normalize_triple(sigma, x, y) -> CandidateTriple:
     solution can be oriented to sigma > 0 with unit vectors: alpha carries the
     sign of sigma, beta the length of y.
     """
-    nxr = np.linalg.norm(x)
-    nyr = np.linalg.norm(y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    nxr, nyr = _norm(x), _norm(y)
     if nxr == 0 or nyr == 0 or sigma == 0:
         raise ValueError("degenerate triple")
     alpha = np.sign(sigma) / nxr
     beta = 1.0 / nyr
-    return CandidateTriple(sigma=float(abs(sigma) * nxr * nyr),
-                           x=alpha * np.asarray(x, dtype=float),
-                           y=beta * np.asarray(y, dtype=float))
+    return CandidateTriple(sigma=float(abs(sigma) * nxr * nyr), x=alpha * x, y=beta * y)
 
 
 def embed_real_triple(sigma, x_re, y1) -> CandidateTriple:
@@ -551,6 +583,6 @@ def reconstruct_perturbation(rp: ReducedProblem, t: CandidateTriple,
     identity = t.sigma * float(t.x @ (at.T @ t.y))
     cost = pert.frob_cost
     rel = abs(cost - identity) / max(abs(cost), 1e-300)
-    slack = t.sigma * float(np.linalg.norm(at)) - cost
+    slack = t.sigma * _norm(at) - cost
     return Reconstruction(perturbation=pert, r_stat=r_stat, r_eig=r_eig,
                           cost_identity_rel=rel, cost_bound_slack=slack)

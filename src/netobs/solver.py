@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 
@@ -25,9 +26,9 @@ from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
                             pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, SpuriousTripleError, _delta_bar,
-                          _in_columns, _mv, _rowdot, _sandwich, _shifted,
-                          _times, build_reduced, orthogonality_diagnostic,
-                          reconstruct_perturbation)
+                          _in_columns, _inf_norm, _mv, _norm, _norms, _rowdot,
+                          _sandwich, _shifted, _times, build_reduced,
+                          orthogonality_diagnostic, reconstruct_perturbation)
 
 
 @dataclass(frozen=True)
@@ -149,9 +150,9 @@ def _lambda_plus(h, d, f, t0, h_norm):
     of D, D = F F) are as PencilAssembly.weightings gives them: dense
     stacks, or on the half-size route their diagonals, applied by _shifted
     and _sandwich with the bits of the dense matrices. h_norm is ||H||_F per
-    row (np.linalg.norm over the last two axes), which the sweep takes once
-    per candidate; ||D||_F is the norm of d's entries, whichever form it
-    comes in.
+    row (np.linalg.norm over the last two axes, as _norms takes it), which
+    the sweep takes once per candidate; ||D||_F is the norm of d's entries,
+    whichever form it comes in.
 
     S = F (H - t0 D)^-1 F is symmetric, with the eigenvalue 1 / (sigma - t0)
     for each finite eigenvalue sigma of (H, D) and 0 for each infinite one
@@ -169,30 +170,36 @@ def _lambda_plus(h, d, f, t0, h_norm):
     again at t0 / 2 (at c when t0 is 0), and is a singular pencil if that
     fails too.
     """
-    out, t = np.full(len(t0), np.nan), np.array(t0, dtype=float)
-    todo = np.arange(len(t0))
+    out = np.full(len(t0), np.nan)
+    # the rows of a pass, with their stacks, shifts and scales: the first
+    # pass takes every row as given, the second only the rows it failed
+    rows, t = np.arange(len(t0)), t0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        scale = h_norm / np.linalg.norm(d.reshape(len(d), -1), axis=1)
+        scale = h_norm / _norms(d.reshape(len(d), -1), 1)
         for _ in range(2):
-            mmat = _shifted(h[todo], t[todo], d[todo])
+            mmat = _shifted(h, t, d)
             inv = _stacked_lapack(np.linalg.inv, mmat)
-            s = _sandwich(f[todo], inv)
-            ok = ((np.linalg.norm(mmat, axis=(1, 2)) * np.linalg.norm(inv, axis=(1, 2))
-                   <= _COND_LIMIT) & np.isfinite(s).all(axis=(1, 2)))
-            done, s, todo = todo[ok], s[ok], todo[~ok]
+            s = _sandwich(f, inv)
+            ok = ((_norms(mmat, (1, 2)) * _norms(inv, (1, 2)) <= _COND_LIMIT)
+                  & np.isfinite(s).all(axis=(1, 2)))
+            every = ok.all()
+            passed = (rows, s, t, scale)
+            done, s, t_done, c = passed if every else (a[ok] for a in passed)
             st = np.swapaxes(s, 1, 2)
             nu = np.linalg.eigvalsh((s + st) / 2)
-            sigma = t[done, None] + 1.0 / nu
-            c = scale[done, None]
-            err = (np.linalg.norm(s - st, axis=(1, 2)) + np.finfo(float).eps
-                   * np.linalg.norm(s, axis=(1, 2)))[:, None] / nu**2
+            sigma = t_done[:, None] + 1.0 / nu
+            c = c[:, None]
+            err = (_norms(s - st, (1, 2)) + np.finfo(float).eps
+                   * _norms(s, (1, 2)))[:, None] / nu**2
             good = ((sigma > _POSITIVE_TOL * c) & (sigma > _RESOLVE * err)
                     & (_FINITE_TOL * sigma <= c))
             out[done] = np.where(good.any(axis=1), np.where(good, sigma, np.inf).min(axis=1),
                                  np.nan)
-            if not len(todo):
+            if every:
                 break
-            t[todo] = np.where(t[todo] > 0, t[todo] / 2, scale[todo])
+            bad = ~ok
+            rows, h, d, f, scale, t = (a[bad] for a in (rows, h, d, f, scale, t))
+            t = np.where(t > 0, t / 2, scale)
     return out
 
 
@@ -217,7 +224,7 @@ def _u_of_pencil(h, d, z):
     from the Rayleigh quotient |z'Hz / z'Dz| (1 when z'Dz = 0)."""
     den = _rowdot(z, _times(d, z))
     sigma_bar = np.abs(np.divide(_rowdot(z, _mv(h, z)), den,
-                                 out=np.ones_like(den), where=den != 0))
+                                 out=np.ones(den.shape), where=den != 0))
     return np.concatenate([np.sqrt(2.0) * z, sigma_bar / 2.0], axis=1)
 
 
@@ -349,13 +356,13 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
             if run is None or run.f is None or run.s is not None:
                 continue
             run.its += 1
-            if np.linalg.norm(run.f, np.inf) <= tol:
+            if _inf_norm(run.f) <= tol:
                 stop(i, (run.u, run.its - 1, True, run.us))
             elif run.its > max_iter:
                 stop(i, (run.u, max_iter, False, run.us))
             else:
                 run.ff = run.f @ run.f
-                run.norms.append(np.sqrt(run.ff))
+                run.norms.append(math.sqrt(run.ff))
                 # no progress: ||F|| fell by less than 1e-4 relative over 10
                 # Jacobians; or the point has collapsed
                 if (run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]
@@ -371,11 +378,11 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
                 run = rows[i]
                 g = left_k.T @ run.f
                 # the relative gradient: stationary for ||F|| with F != 0
-                if np.linalg.norm(s_k * g) <= 1e-6 * s_k[0] * run.norms[-1]:
+                if _norm(s_k * g) <= 1e-6 * s_k[0] * run.norms[-1]:
                     stop(i, (run.u, run.its, False, run.us))
                     continue
                 run.s, run.vt, run.g, run.damp, run.nu = s_k, vt_k, g, 0.0, 2.0
-                run.w = np.divide(1.0, s_k, out=np.zeros_like(s_k),
+                run.w = np.divide(1.0, s_k, out=np.zeros(len(s_k)),
                                   where=s_k > cut * s_k[0])
         # the points where F is evaluated this round: every trial, and every
         # new start
@@ -383,7 +390,7 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
         for i, run in enumerate(rows):
             if run is not None and run.s is not None:
                 r = run.s * run.w
-                run.pred = float(np.sum(run.g * run.g * r * (2.0 - r)))
+                run.pred = float((run.g * run.g * r * (2.0 - r)).sum())
                 if run.pred > eps * run.ff:  # NaN in F fails here too
                     evaluated.append(run)
                     points.append(run.u - run.vt.T @ (run.w * run.g))
@@ -464,7 +471,7 @@ def _distance_history(tr: IterateTrace):
             except ValueError:
                 continue
             di = _delta_bar(rp, ti)
-            hist.append(float(np.linalg.norm(di - d_final)))
+            hist.append(_norm(di - d_final))
             if deltas is not None:
                 deltas.append(_in_columns(rp, di))
         return hist, deltas
@@ -533,9 +540,10 @@ def _rebalance(z, nx):
     zx, zy = z[:, :nx], z[:, nx:]
     nzx, nzy = np.sqrt(_rowdot(zx, zx)), np.sqrt(_rowdot(zy, zy))
     ok = ~((nzx < 1e-300) | (nzy < 1e-300))[:, 0]
+    if not ok.all():
+        zx, zy, nzx, nzy = zx[ok], zy[ok], nzx[ok], nzy[ok]
     scale = np.sqrt(2.0)
-    return np.concatenate([zx[ok] / (scale * nzx[ok]), zy[ok] / (scale * nzy[ok])],
-                          axis=1), ok
+    return np.concatenate([zx / (scale * nzx), zy / (scale * nzy)], axis=1), ok
 
 
 def _sweep(restarts, cfg):
@@ -591,19 +599,20 @@ def _sweep(restarts, cfg):
     Every row gets the bits a sweep of that start alone would. Stacked
     np.linalg.inv, np.linalg.eigvalsh and np.linalg.solve run LAPACK slice
     by slice. Matrix times vector goes through _mv and dot products and
-    norms through _rowdot, which equal a @ x and np.linalg.norm row by row,
-    where x @ a.T, einsum and sums over an axis do not; the merit's At' is
-    a transposed view of the gathered A_tilde, as it is of A_tilde for one
-    row. The solve stays numpy's: scipy's ?gesv comes from another BLAS
-    build and differs in the last bits.
+    row norms through _rowdot, which equal a @ x and _norm (numpy's
+    np.linalg.norm) row by row, where x @ a.T, einsum and sums over an
+    axis do not; the merit's At' is a transposed view of the gathered
+    A_tilde, as it is of A_tilde for one row. The solve stays numpy's:
+    scipy's ?gesv comes from another BLAS build and differs in the last
+    bits. A filter compacts the row arrays only when a row leaves.
     """
     asms, cand = _keyed(restarts)
     asm = asms[0]
     nx, form = asm.nx, asm.form
     hs = np.stack([a.h for a in asms])
-    h_norms = np.linalg.norm(hs, axis=(1, 2))
+    h_norms = _norms(hs, (1, 2))
     ats = np.stack([a.a_tilde for a in asms])
-    at_norms = np.array([np.linalg.norm(a.rp.a_tilde) for a in asms])
+    at_norms = np.array([_norm(a.rp.a_tilde) for a in asms])
     z, ok = _rebalance(np.array([r.z0 for r in restarts], dtype=float), nx)
     for restart in itertools.compress(restarts, ~ok):
         restart.fail("degenerate initial vector")
@@ -621,35 +630,43 @@ def _sweep(restarts, cfg):
             d, f = asm.weightings(z[:, :nx], z[:, nx:])
         h = hs[cand]
         mp = _lambda_plus(h, d, f, mu, h_norms[cand])
+        # each filter below compacts the row arrays only when a row leaves
         keep = ~np.isnan(mp)
-        live, cand, z, d, mp, h = (a[keep] for a in (live, cand, z, d, mp, h))
+        if not keep.all():
+            live, cand, z, d, mp, h = (a[keep] for a in (live, cand, z, d, mp, h))
 
         mu = cfg.psi * mp
         w = _stacked_lapack(np.linalg.solve, _shifted(h, mu, d),
                             _times(d, z)[..., None])[..., 0]
         phi = np.sqrt(_rowdot(w, w))[:, 0]
         keep = np.isfinite(phi) & (phi >= 1e-300)
-        live, cand, z, d, mu, w, phi, h = (a[keep] for a in (live, cand, z, d, mu, w, phi, h))
+        if not keep.all():
+            live, cand, z, d, mu, w, phi, h = (a[keep] for a in
+                                               (live, cand, z, d, mu, w, phi, h))
 
         zn = w / phi[:, None]
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
-        live, cand, d, mu, phi, h = (a[keep] for a in (live, cand, d, mu, phi, h))
-        dz = zn - z[keep]
+        if not keep.all():
+            live, cand, z, d, mu, phi, h = (a[keep] for a in (live, cand, z, d, mu, phi, h))
+        dz = zn - z
         step = np.sqrt(_rowdot(dz, dz))[:, 0]
         u = _u_of_pencil(h, d, zn)
         f = form.f(ats[cand], u)
         merit = np.sqrt(_rowdot(f, f))[:, 0]
+        phi_plus_mu = mu + 1.0 / phi
         for k, restart in enumerate([restarts[i] for i in live]):
             restart.trace.append(u[k])
-            restart.phi_plus_mu = mu[k] + 1.0 / phi[k]
+            restart.phi_plus_mu = phi_plus_mu[k]
             if merit[k] < restart.merit:
                 restart.merit, restart.best = merit[k], u[k]
         # a row whose iterate has stopped moving, or that lies in the
         # polish's basin, leaves the block
         basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
         going = (step >= _STILL_TOL) & (merit >= basin)
-        live, cand, z, mu = (a[going] for a in (live, cand, zn, mu))
+        z = zn
+        if not going.all():
+            live, cand, z, mu = (a[going] for a in (live, cand, z, mu))
 
 
 def heuristic_iterate(restart) -> FixedLambdaResult:
@@ -768,7 +785,7 @@ def _random_seed(cf, seed, nx, ny):
     0.5."""
     xs, ys = _random_draws((seed, 0xA5), nx, ny)
     ys = _sensors_drawn_first(cf, ys)
-    return np.concatenate([xs / np.linalg.norm(xs), ys / np.linalg.norm(ys), [0.5]])
+    return np.concatenate([xs / _norm(xs), ys / _norm(ys), [0.5]])
 
 
 def _polish(restarts):
@@ -842,9 +859,10 @@ def _checked_triple(asm, u):
     maps u to a unit triple. The polish's unit-norm rows keep x and y off
     the collapsed branch: at convergence | ||x||^2 - 1 | <= 2 _POLISH_TOL.
     Returns (triple, oriented u), or (None, the reason u was rejected)."""
-    nx = asm.nx
-    if u[-1] < 0:
-        u = np.concatenate([-u[:nx], u[nx:-1], [-u[-1]]])
+    if u[-1] < 0:  # (-x, y, -sigma)
+        flipped = -u
+        flipped[asm.nx:-1] = u[asm.nx:-1]
+        u = flipped
     if abs(u[-1]) < 1e-14:
         return None, "stationary point with zero sigma"
     try:
@@ -858,7 +876,7 @@ def _triple_cost(rp, t):
     as Perturbation sums it, so that it equals that reconstruction's cost
     bit for bit."""
     d = _in_columns(rp, _delta_bar(rp, t))
-    return float(np.sqrt(float(np.sum(d * d))))
+    return math.sqrt((d * d).sum())
 
 
 @lru_cache(maxsize=1024)
@@ -900,14 +918,15 @@ def _pbh_warm_start(cf, v_min, asm, seed):
     xc = xc * np.exp(-1j * np.angle(xc[k]))
     xc = xc / np.linalg.norm(xc)
     x = np.concatenate([xc.real, xc.imag])[:asm.nx]
-    if np.linalg.norm(x) < 1e-8:
+    x_norm = _norm(x)
+    if x_norm < 1e-8:
         return None
     y = asm.a_tilde @ x
-    ny = np.linalg.norm(y)
-    if ny < 1e-12:
+    y_norm = _norm(y)
+    if y_norm < 1e-12:
         y = _sensors_drawn_first(cf, _random_draws((seed, 0), len(y))[0])
-        ny = np.linalg.norm(y)
-    return np.concatenate([x / (np.sqrt(2.0) * np.linalg.norm(x)), y / (np.sqrt(2.0) * ny)])
+        y_norm = _norm(y)
+    return np.concatenate([x / (np.sqrt(2.0) * x_norm), y / (np.sqrt(2.0) * y_norm)])
 
 
 def _assembly(rp):
@@ -1152,7 +1171,7 @@ def _descent_direction(rp, res):
     with (A, lambda) like that gradient does.
     """
     c_re, c_im = orthogonality_diagnostic(rp, res.triple)
-    if res.sigma * float(np.hypot(c_re, c_im)) <= _FLAT_TOL * float(np.linalg.norm(rp.a_tilde)):
+    if res.sigma * float(np.hypot(c_re, c_im)) <= _FLAT_TOL * _norm(rp.a_tilde):
         return None
     return res.sigma * complex(c_re, -c_im) / res.cost
 

@@ -56,7 +56,7 @@ def test_malformed_json_exit_1(tmp_path, capsys):
 
 
 def test_non_finite_weight_exit_1(net3_file, tmp_path, capsys):
-    good = json.loads(open(net3_file[0]).read())
+    good = json.loads(Path(net3_file[0]).read_text())
     doc = json.loads(json.dumps(good))
     doc["edges"][0][2] = float("nan")
     bad = tmp_path / "nan.json"
@@ -241,6 +241,27 @@ def test_perturb_writes_verifiable_json(net3_file, tmp_path, capsys):
     assert delta.shape == (3, 3)
     assert np.all(delta[mask == 0] == 0)
     assert doc["frob_cost"] == pytest.approx(float((delta ** 2).sum()), rel=1e-12)
+
+
+@pytest.mark.parametrize("output", ["stdout", "file"])
+def test_perturb_emits_nothing_when_its_audit_fails(net3_file, tmp_path, capsys,
+                                                     monkeypatch, output):
+    # the audit re-verifies the text about to be written; a drift above
+    # 1e-12 there exits 3 before any of it is written
+    real = cli.verify_unobservability
+
+    def drifting(net, pert, lam):
+        rep = real(net, pert, lam)
+        return replace(rep, smin=rep.smin + 1e-9)
+
+    monkeypatch.setattr(cli, "verify_unobservability", drifting)
+    out_file = tmp_path / "pert.json"
+    args = ["perturb", net3_file[0], "--lambda", "0,1", "--seed", "7"]
+    code, out, err = run(args + (["-o", str(out_file)] if output == "file" else []), capsys)
+    assert code == cli.EXIT_SOLVER == 3
+    assert out == ""
+    assert not out_file.exists()
+    assert "round-trip drift" in err and "exceeds 1e-12" in err
 
 
 # ---------------------------------------------------------------------------

@@ -426,3 +426,69 @@ def test_embed_real_triple_roundtrip():
     assert t.sigma == pytest.approx(0.7)
     assert np.all(t.x[2:] == 0) and np.all(t.y[3:] == 0)
     assert np.linalg.norm(t.x) == pytest.approx(1.0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the norms of the polish and the sweep: numpy's own results, bit for bit
+
+
+def special_rows(rows, k, seed):
+    """A (rows, k) stack of ordinary entries with 0.0, -0.0, inf, NaN,
+    subnormals and entries whose squares overflow or underflow in some
+    rows, the first row ordinary."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, k)) * 10.0 ** rng.integers(-3, 4, (rows, k))
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.2e-310, 1e200, 1e-200]
+    for r in range(1, rows):
+        picks = rng.integers(0, len(specials), rng.integers(1, 3))
+        x[r, rng.integers(0, k, len(picks))] = [specials[p] for p in picks]
+    return x
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def norm_cases():
+    """Vectors, and stacks of one and of many rows, contiguous and not."""
+    out = {}
+    for rows, k in ((1, 1), (1, 12), (7, 11), (40, 5)):
+        x = special_rows(rows, k, 100 * rows + k)
+        out[f"{rows}x{k}"] = x
+        out[f"{rows}x{k}-cols"] = np.asfortranarray(x)
+        out[f"{rows}x{k}-every-other"] = special_rows(rows, 2 * k, k)[:, ::2]
+        out[f"{rows}x{k}-reversed"] = x[::-1, ::-1]
+    out["zeros"] = np.zeros((3, 4))
+    out["negative-zeros"] = np.full((3, 4), -0.0)
+    out["subnormals"] = np.full((2, 6), 5e-324)
+    out["empty"] = np.zeros((2, 0))
+    return out
+
+
+NORM_CASES = norm_cases()
+
+
+@pytest.mark.parametrize("name", NORM_CASES)
+def test_norm_helpers_are_numpys_norms_bit_for_bit(name):
+    """radius_core's norms evaluate what np.linalg.norm evaluates, on every
+    row, on the whole array, on views and on special values: a numpy
+    release that changes np.linalg.norm fails here."""
+    from netobs.radius_core import _inf_norm, _norm, _norms, _rowdot
+
+    x = NORM_CASES[name]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        assert same_bits(_norm(x), np.linalg.norm(x))
+        assert same_bits(_norms(x, 1), np.linalg.norm(x, axis=1))
+        for row in x:
+            assert same_bits(_norm(row), np.linalg.norm(row))
+            assert same_bits(_inf_norm(row), np.linalg.norm(row, np.inf))
+            assert same_bits(row.sum(), np.sum(row))
+        if x.shape[1] and x.strides[1] == x.itemsize:
+            # the sweep's row norms, sqrt of _rowdot, on rows of adjacent
+            # entries, as in every stack the sweep forms
+            assert same_bits(np.sqrt(_rowdot(x, x))[:, 0], [np.linalg.norm(r) for r in x])
+        rows, k = x.shape
+        for stack in (x[None], x[:, None], np.swapaxes(x[None], 1, 2),
+                      x[:rows - rows % 2].reshape(2, rows // 2, k)):
+            assert same_bits(_norms(stack, (1, 2)), np.linalg.norm(stack, axis=(1, 2)))

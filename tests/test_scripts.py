@@ -35,3 +35,17 @@ def test_fig3_expected_radius_runs(tmp_path, capsys):
         assert len(rows(f"{prefix}_{topo}_records.csv")) == 3
         assert len(rows(f"{prefix}_{topo}_summary.csv")) == 2
     assert "line n=  5" in capsys.readouterr().out
+
+
+def test_fingerprint_runs_on_a_tiny_subset(capsys):
+    fingerprint = load("fingerprint")
+    assert fingerprint.main(["--limit", "1"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [name for name, _ in lines] == list(fingerprint.SETS)
+    digests = dict(lines)
+    assert all(len(d) == 64 and int(d, 16) >= 0 for d in digests.values())
+    # the first of the 88 graphs is the first file of the CLI pool
+    assert digests["graphs"] == digests["cli"]
+    # a second run gives the same digest
+    assert fingerprint.main(["--only", "chain3", "--limit", "1"]) == 0
+    assert capsys.readouterr().out.split() == ["chain3", digests["chain3"]]

@@ -241,6 +241,23 @@ def test_lambda_plus_drops_a_singular_pencil():
     assert abs(both[1] - qz_lambda_plus(h[1], d[1])[0]) <= 1e-12 * both[1]
 
 
+def test_lambda_plus_retries_a_row_at_half_its_shift():
+    # t0 = 1 is an eigenvalue of the middle pencil, so H - t0 D is singular
+    # there: that row alone is tried again at t0 / 2, where it gets the bits
+    # of a first pass from t0 / 2, and the rows around it keep theirs
+    h = np.zeros((3, 3, 3))
+    h[:, 0, 1] = h[:, 1, 0] = 1.0
+    h[:, 1, 2] = h[:, 2, 1] = np.array([0.3, 0.0, 0.6])
+    d = np.stack([np.diag([1.0, 2.0, 0.5]), np.eye(3), np.diag([0.7, 1.0, 1.3])])
+    f = np.sqrt(d)
+    t0 = np.array([0.4, 1.0, 0.6])
+    got = lambda_plus(h, d, f, t0)
+    assert got[1] == lambda_plus(h[1:2], d[1:2], f[1:2], np.array([0.5]))[0]
+    assert abs(got[1] - 1.0) <= 1e-15
+    for k in (0, 2):
+        assert got[k] == lambda_plus(h[k:k + 1], d[k:k + 1], f[k:k + 1], t0[k:k + 1])[0]
+
+
 @pytest.mark.parametrize("h,d", [
     (np.zeros((3, 3)), np.diag([1.0, 2.0, 3.0])),       # every eigenvalue 0
     (np.diag([-1.0, -2.0, -3.0]), np.eye(3)),           # every one negative
