@@ -326,27 +326,21 @@ def build_parser():
                 description="observability radius of linear network systems")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_solver_opts(sp):
+    # radius and perturb take the same arguments
+    for name, fn, about in (("radius", cmd_radius, "smallest unobservability perturbation"),
+                            ("perturb", cmd_perturb, "export the optimal perturbation")):
+        sp = sub.add_parser(name, help=about)
+        sp.add_argument("network")
+        sp.add_argument("--lambda", dest="lam", default=None,
+                        help="fixed eigenvalue 're,im'")
+        sp.add_argument("--grid", choices=GRIDS, default="default",
+                        help="lambda search grid")
         sp.add_argument("--psi", type=float, default=0.9)
         sp.add_argument("--restarts", type=int, default=8)
         sp.add_argument("--seed", type=int, default=None,
                         help="defaults to NETOBS_SEED or 0")
         sp.add_argument("--output", "-o", default=None, help="payload file, default stdout")
-
-    sp = sub.add_parser("radius", help="smallest unobservability perturbation")
-    sp.add_argument("network")
-    sp.add_argument("--lambda", dest="lam", default=None, help="fixed eigenvalue 're,im'")
-    sp.add_argument("--grid", choices=GRIDS, default="default",
-                    help="lambda search grid")
-    add_solver_opts(sp)
-    sp.set_defaults(fn=cmd_radius)
-
-    sp = sub.add_parser("perturb", help="export the optimal perturbation")
-    sp.add_argument("network")
-    sp.add_argument("--lambda", dest="lam", default=None)
-    sp.add_argument("--grid", choices=GRIDS, default="default")
-    add_solver_opts(sp)
-    sp.set_defaults(fn=cmd_perturb)
+        sp.set_defaults(fn=fn)
 
     sp = sub.add_parser("oracle", help="closed-form reference radius")
     sp.add_argument("network")

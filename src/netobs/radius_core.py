@@ -351,8 +351,9 @@ class PencilPair:
 class PencilAssembly:
     """The stationarity system of one reduced problem rp on one route: its
     operator At (a_tilde), the pencil (H, D) at many points (x, y), the
-    polish's residual F and Jacobian J (f_of, j_of) and the maps between the
-    polish variable u = (x, y, sigma) and unit triples (triple, u_of).
+    route's _Form (form), whose residual F and Jacobian J the polish
+    evaluates at At (solver._kernel), and the maps between the polish
+    variable u = (x, y, sigma) and unit triples (triple, u_of).
 
     At is rp.a_tilde; with real=True this is the half-size system of a real
     lambda instead: At = A_bar - lam I_bar, the leading block of rp.a_tilde,
@@ -381,12 +382,6 @@ class PencilAssembly:
         h.setflags(write=False)
         self.a_tilde, self.h, self.nx, self.size = at, h, l, size
         self.form = _form(self.v, real)
-
-    def f_of(self, u):
-        return self.form.f(self.a_tilde, u)
-
-    def j_of(self, u):
-        return self.form.j(self.a_tilde, u)
 
     def pencil(self, x, y) -> PencilPair:
         return PencilPair(h=self.h, d=self._fill(_weighting_diagonals(self.v, x, y)))

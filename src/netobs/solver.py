@@ -182,9 +182,7 @@ def _lambda_plus(h, d, f, t0, h_norm):
             s = _sandwich(f, inv)
             ok = ((_norms(mmat, (1, 2)) * _norms(inv, (1, 2)) <= _COND_LIMIT)
                   & np.isfinite(s).all(axis=(1, 2)))
-            every = ok.all()
-            passed = (rows, s, t, scale)
-            done, s, t_done, c = passed if every else (a[ok] for a in passed)
+            done, s, t_done, c = _kept(ok, rows, s, t, scale)
             st = np.swapaxes(s, 1, 2)
             nu = np.linalg.eigvalsh((s + st) / 2)
             sigma = t_done[:, None] + 1.0 / nu
@@ -195,12 +193,20 @@ def _lambda_plus(h, d, f, t0, h_norm):
                     & (_FINITE_TOL * sigma <= c))
             out[done] = np.where(good.any(axis=1), np.where(good, sigma, np.inf).min(axis=1),
                                  np.nan)
-            if every:
+            if len(done) == len(rows):
                 break
-            bad = ~ok
-            rows, h, d, f, scale, t = (a[bad] for a in (rows, h, d, f, scale, t))
+            rows, h, d, f, scale, t = _kept(~ok, rows, h, d, f, scale, t)
             t = np.where(t > 0, t / 2, scale)
     return out
+
+
+def _kept(keep, *arrays):
+    """The rows of each array where the mask keep holds; the arrays
+    themselves, untouched, when it holds on every row, so that a filter
+    compacts only when a row leaves."""
+    if keep.all():
+        return arrays
+    return tuple(a[keep] for a in arrays)
 
 
 def _stacked_lapack(fn, a, *b):
@@ -236,7 +242,7 @@ def _u_of_pencil(h, d, z):
 
 @dataclass(eq=False, slots=True)
 class _LMRun:
-    """One start of a row of a _gn_core block: its point u and its key, F
+    """One start of a row of a _gn_core stream: its point u and its key, F
     there (f, None until it is evaluated; ff = ||F||^2), the accepted
     iterates, ||F|| at every point reached, Jacobians taken (its) and the
     damping carried over (mu); while it tries steps from u, the SVD factors
@@ -260,30 +266,33 @@ class _LMRun:
     pred: float = 0.0
 
 
-def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=None):
-    """Levenberg-Marquardt on ||F(u)||_2 from every row of u0, in lockstep.
+def _gn_core(f_of, j_of, u0, keys, collapsed, refill):
+    """Levenberg-Marquardt on ||F(u)||_2 from every row of u0, in lockstep,
+    as one stream whose rows refill at once.
 
-    The rows of u0 (shape (rows, k)) run in rounds. In each round every
-    live row at a new point passes the exits below and takes its Jacobian,
-    and then every live row runs one trial, so a row takes at most one
-    Jacobian and one residual per round. A round makes one stacked call of
-    f_of for all its trials, one of j_of for all its Jacobians and one
-    stacked np.linalg.svd; f_of and j_of give every row of a stack the bits
-    it gets alone, and a stacked SVD runs LAPACK matrix by matrix. The rest
-    (U'F, the steps, the sums and norms, the exits and the damping) is done
-    row by row with the one-vector numpy calls, so every row gets exactly
-    what a block of that row alone gets: u, the count, the exit and the
-    iterates, bit for bit. A row leaves the block at its own exit.
+    Every parameter is required. The rows of u0 start the stream, one key
+    each in keys; a row's key picks its system, so one stream polishes rows
+    of many candidates. f_of and j_of are called as f_of(u, keys), with a
+    stack of points and the keys of its rows or one u and its key.
+    collapsed is a predicate of F at one point (the restarts pass
+    _collapsed). A row that stops hands its polish to refill(i, polish), i
+    its index in u0; refill gives the row's next start (u0, key), or None
+    to end the row. A new start is a new run in that row, as if alone: its
+    residual joins the round's stacked call of f_of, and from the next
+    round on it takes its Jacobians with the others, so no row waits for
+    the others to stop. Every polish goes to refill; nothing is returned.
 
-    With keys, one per row, f_of and j_of are called as f_of(u, keys), with
-    the keys of the rows of a stack or the key of one u: a row's key picks
-    its system, so one block polishes rows of many candidates. With refill,
-    a row that stops hands its polish to refill(i, polish), i its index in
-    u0; refill gives the row's next start (u0, key), or None to end the
-    row. A new start is a new run in that row, as if alone: its residual
-    joins the round's stacked call of f_of, and from the next round on it
-    takes its Jacobians with the others. So one block is a stream whose
-    rows refill at once, and no row waits for the others to stop.
+    The rows run in rounds. In each round every live row at a new point
+    passes the exits below and takes its Jacobian, and then every live row
+    runs one trial, so a row takes at most one Jacobian and one residual
+    per round. A round makes one stacked call of f_of for all its trials
+    and new starts, one of j_of for all its Jacobians and one stacked
+    np.linalg.svd; f_of and j_of give every row of a stack the bits it gets
+    alone, and a stacked SVD runs LAPACK matrix by matrix. The rest (U'F,
+    the steps, the sums and norms, the exits and the damping) is done row
+    by row with the one-vector numpy calls, so every row gets exactly what
+    a stream of that row alone gets: u, the count, the exit and the
+    iterates, bit for bit.
 
     One SVD J = U diag(s) V' per Jacobian serves every trial at that point:
     the step with damping mu is -V diag(s / (s^2 + mu)) U'F, and a trial
@@ -295,59 +304,53 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
     it starts at 1e-3 * s_max^2, or where the last accepted damped step left
     it (mu *= max(1/3, 1 - (2 rho - 1)^3)), and each further rejection
     takes mu *= nu, nu *= 2 with nu = 2 at first. An accepted undamped step
-    clears the carried mu. The run fails when the predicted decrease drops
-    to the rounding of ||F||^2, where no trial can be told apart from u.
+    clears the carried mu.
 
-    The run also fails, before any trial at a point, when that point is
-    stationary for ||F|| at a nonzero residual: the relative gradient
-    ||J'F|| / (||J||_2 ||F||) is at or below 1e-6 (Madsen, Nielsen &
-    Tingleff, "Methods for Non-Linear Least Squares Problems", 2004, 3.2).
-    Both norms come from the SVD: ||J'F|| = ||s * U'F|| and ||J||_2 = s[0].
-    Along the runs that converge, the smallest relative gradient measured
-    was 1.6e-4 on the benchmark pools, 4.6e-4 on C3's 100 chains and 1.5e-5
-    on C7's 1,000 instances, where a few runs pass close to a saddle of
-    ||F|| before they converge; the threshold sits 15 times below the
-    lowest.
+    A run stops at the first of these exits, each named in its polish. At a
+    new point, before its Jacobian, in this order:
+    - "converged": ||F||_inf at or below _POLISH_TOL;
+    - "collapsed": collapsed(F) holds. The point lies on the x = 0 or
+      y = 0 branch that the unit-norm rows of the stationarity system are
+      there to rule out. Runs that slide onto it shrink
+      min(||x||^2, ||y||^2) 4 to 7 times per Jacobian while ||F|| settles
+      at 1/2, and the no-progress exit took about 10 more Jacobians to end
+      them: on the chain3 pool 109 of the 124 failed runs of a round do
+      this. Along the runs that converge min(||x||^2, ||y||^2) stays 38
+      times above the exit's threshold at the closest (_COLLAPSE_TOL);
+    - "budget": the point after the _POLISH_MAX_ITER-th Jacobian;
+    - "no progress" (Madsen, Nielsen & Tingleff, "Methods for Non-Linear
+      Least Squares Problems", 2004, 3.2): ||F|| is above (1 - 1e-4) times
+      ||F|| where the Jacobian 10 steps back was taken. Such runs crawl
+      far from any stationary point (||F|| ~ 0.19 on the 4-node line of
+      the CLI benchmark pool) and would use up the budget. Along the runs
+      that converge, the smallest relative fall of ||F|| over any 10
+      Jacobians was 1.3e-3 on C7 (saddle passages), 1.8e-3 on the CLI
+      pool, 2.1e-2 on C3 and 8.9e-2 on the chain3 pool; the threshold sits
+      13 times below the lowest.
+    After its Jacobian, before any trial:
+    - "stationary" (the same reference, 3.2): the point is stationary for
+      ||F|| at a nonzero residual, the relative gradient
+      ||J'F|| / (||J||_2 ||F||) at or below 1e-6. Both norms come from the
+      SVD: ||J'F|| = ||s * U'F|| and ||J||_2 = s[0]. Along the runs that
+      converge, the smallest relative gradient measured was 1.6e-4 on the
+      benchmark pools, 4.6e-4 on C3's 100 chains and 1.5e-5 on C7's 1,000
+      instances, where a few runs pass close to a saddle of ||F|| before
+      they converge; the threshold sits 15 times below the lowest.
+    Before a trial:
+    - "no decrease": the predicted decrease drops to the rounding of
+      ||F||^2, where no trial can be told apart from u.
+    Every exit but "converged" fails the run, and the _Restart that
+    polished the row goes on to its next seed, or fails when it has none.
 
-    The run fails as well, before the Jacobian at a point, when it makes no
-    progress (the same reference, 3.2): ||F|| there is above (1 - 1e-4)
-    times ||F|| where the Jacobian 10 steps back was taken. Such runs crawl
-    far from any stationary point (||F|| ~ 0.19 on the 4-node line of the
-    CLI benchmark pool) and would use up the budget. Along the runs that
-    converge, the smallest relative fall of ||F|| over any 10 Jacobians was
-    1.3e-3 on C7 (saddle passages), 1.8e-3 on the CLI pool, 2.1e-2 on C3
-    and 8.9e-2 on the chain3 pool; the threshold sits 13 times below the
-    lowest.
-
-    When collapsed is given, a predicate of F at one point, the run also
-    fails where it holds, before the Jacobian at that point. The restarts
-    pass _collapsed: the point lies on the x = 0 or y = 0 branch that the
-    unit-norm rows of the stationarity system are there to rule out. Runs
-    that slide onto it shrink min(||x||^2, ||y||^2) 4 to 7 times per
-    Jacobian while ||F|| settles at 1/2, and the no-progress exit took
-    about 10 more Jacobians to end them: on the chain3 pool 109 of the 124
-    failed runs of a round do this. Along the runs that converge
-    min(||x||^2, ||y||^2) stays 38 times above the exit's threshold at the
-    closest (_COLLAPSE_TOL).
-
-    A run that stops at any exit fails like any other, and the _Restart
-    that polished the row goes on to its next seed, or fails when it has
-    none. So does a run out of budget: at the point after its max_iter-th
-    Jacobian it converged or failed.
-
-    A polish is (u, Jacobians taken, converged, accepted iterates); ||F||
-    falls strictly along the accepted iterates. Returns the last polish of
-    every row.
+    A polish is (u, Jacobians taken, exit, accepted iterates); ||F|| falls
+    strictly along the accepted iterates.
     """
     eps = np.finfo(float).eps
-    u0 = np.array(u0, dtype=float)
-    rows = [_LMRun(u=u, key=key, us=[u])
-            for u, key in zip(u0, [None] * len(u0) if keys is None else keys)]
-    last = [None] * len(rows)
+    rows = [_LMRun(u=u, key=key, us=[u]) for u, key in zip(u0, keys)]
 
-    def stop(i, polish):
-        last[i] = polish
-        start = refill(i, polish) if refill else None
+    def stop(i, its, exit_name):
+        run = rows[i]
+        start = refill(i, (run.u, its, exit_name, run.us))
         rows[i] = None if start is None else _LMRun(u=start[0], key=start[1], us=[start[0]])
 
     while any(rows):
@@ -356,18 +359,18 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
             if run is None or run.f is None or run.s is not None:
                 continue
             run.its += 1
-            if _inf_norm(run.f) <= tol:
-                stop(i, (run.u, run.its - 1, True, run.us))
-            elif run.its > max_iter:
-                stop(i, (run.u, max_iter, False, run.us))
+            if _inf_norm(run.f) <= _POLISH_TOL:
+                stop(i, run.its - 1, "converged")
+            elif collapsed(run.f):
+                stop(i, run.its - 1, "collapsed")
+            elif run.its > _POLISH_MAX_ITER:
+                stop(i, _POLISH_MAX_ITER, "budget")
             else:
                 run.ff = run.f @ run.f
                 run.norms.append(math.sqrt(run.ff))
-                # no progress: ||F|| fell by less than 1e-4 relative over 10
-                # Jacobians; or the point has collapsed
-                if (run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]
-                        or collapsed is not None and collapsed(run.f)):
-                    stop(i, (run.u, run.its - 1, False, run.us))
+                # ||F|| fell by less than 1e-4 relative over 10 Jacobians
+                if run.its > 10 and run.norms[-1] > (1.0 - 1e-4) * run.norms[-11]:
+                    stop(i, run.its - 1, "no progress")
                 else:
                     fresh.append(i)
         if fresh:
@@ -379,7 +382,7 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
                 g = left_k.T @ run.f
                 # the relative gradient: stationary for ||F|| with F != 0
                 if _norm(s_k * g) <= 1e-6 * s_k[0] * run.norms[-1]:
-                    stop(i, (run.u, run.its, False, run.us))
+                    stop(i, run.its, "stationary")
                     continue
                 run.s, run.vt, run.g, run.damp, run.nu = s_k, vt_k, g, 0.0, 2.0
                 run.w = np.divide(1.0, s_k, out=np.zeros(len(s_k)),
@@ -395,7 +398,7 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
                     evaluated.append(run)
                     points.append(run.u - run.vt.T @ (run.w * run.g))
                     continue
-                stop(i, (run.u, run.its, False, run.us))
+                stop(i, run.its, "no decrease")
                 run = rows[i]
             if run is not None and run.f is None:
                 evaluated.append(run)
@@ -418,19 +421,16 @@ def _gn_core(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=No
             else:
                 run.damp, run.nu = run.damp * run.nu, 2.0 * run.nu
             run.w = run.s / (run.s * run.s + run.damp)
-    return last
 
 
 def _stacked(fn, runs, points):
     """fn at the points of runs, one each, as one stack with a leading row
-    axis, called with the runs' keys when they have any (fn(u, keys)). A
-    single point takes fn's one-vector path, which the polish kernel gives
-    the same bits as a row of a stack, at less cost."""
-    keyed = runs[0].key is not None
+    axis: fn(u, keys) with the runs' keys. A single point takes fn's
+    one-vector path, fn(u, key), which the polish kernel gives the same
+    bits as a row of a stack, at less cost."""
     if len(points) == 1:
-        return (fn(points[0], runs[0].key) if keyed else fn(points[0]))[None]
-    u = np.array(points)
-    return fn(u, np.array([run.key for run in runs])) if keyed else fn(u)
+        return fn(points[0], runs[0].key)[None]
+    return fn(np.array(points), np.array([run.key for run in runs]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -540,8 +540,7 @@ def _rebalance(z, nx):
     zx, zy = z[:, :nx], z[:, nx:]
     nzx, nzy = np.sqrt(_rowdot(zx, zx)), np.sqrt(_rowdot(zy, zy))
     ok = ~((nzx < 1e-300) | (nzy < 1e-300))[:, 0]
-    if not ok.all():
-        zx, zy, nzx, nzy = zx[ok], zy[ok], nzx[ok], nzy[ok]
+    zx, zy, nzx, nzy = _kept(ok, zx, zy, nzx, nzy)
     scale = np.sqrt(2.0)
     return np.concatenate([zx / (scale * nzx), zy / (scale * nzy)], axis=1), ok
 
@@ -604,7 +603,8 @@ def _sweep(restarts, cfg):
     axis do not; the merit's At' is a transposed view of the gathered
     A_tilde, as it is of A_tilde for one row. The solve stays numpy's:
     scipy's ?gesv comes from another BLAS build and differs in the last
-    bits. A filter compacts the row arrays only when a row leaves.
+    bits. The row arrays are filtered through _kept, which compacts them
+    only when a row leaves.
     """
     asms, cand = _keyed(restarts)
     asm = asms[0]
@@ -615,7 +615,7 @@ def _sweep(restarts, cfg):
     at_norms = np.array([_norm(a.rp.a_tilde) for a in asms])
     z, ok = _rebalance(np.array([r.z0 for r in restarts], dtype=float), nx)
     for restart in itertools.compress(restarts, ~ok):
-        restart.fail("degenerate initial vector")
+        restart.finish(failure="degenerate initial vector")
     live, cand = np.flatnonzero(ok), cand[ok]
     d, f = asm.weightings(z[:, :nx], z[:, nx:])
     u = _u_of_pencil(hs[cand], d, z)
@@ -630,25 +630,19 @@ def _sweep(restarts, cfg):
             d, f = asm.weightings(z[:, :nx], z[:, nx:])
         h = hs[cand]
         mp = _lambda_plus(h, d, f, mu, h_norms[cand])
-        # each filter below compacts the row arrays only when a row leaves
-        keep = ~np.isnan(mp)
-        if not keep.all():
-            live, cand, z, d, mp, h = (a[keep] for a in (live, cand, z, d, mp, h))
+        live, cand, z, d, mp, h = _kept(~np.isnan(mp), live, cand, z, d, mp, h)
 
         mu = cfg.psi * mp
         w = _stacked_lapack(np.linalg.solve, _shifted(h, mu, d),
                             _times(d, z)[..., None])[..., 0]
         phi = np.sqrt(_rowdot(w, w))[:, 0]
-        keep = np.isfinite(phi) & (phi >= 1e-300)
-        if not keep.all():
-            live, cand, z, d, mu, w, phi, h = (a[keep] for a in
-                                               (live, cand, z, d, mu, w, phi, h))
+        live, cand, z, d, mu, w, phi, h = _kept(np.isfinite(phi) & (phi >= 1e-300),
+                                                live, cand, z, d, mu, w, phi, h)
 
         zn = w / phi[:, None]
         zn = np.where(_rowdot(zn, z) < 0, -zn, zn)
         zn, keep = _rebalance(zn, nx)
-        if not keep.all():
-            live, cand, z, d, mu, phi, h = (a[keep] for a in (live, cand, z, d, mu, phi, h))
+        live, cand, z, d, mu, phi, h = _kept(keep, live, cand, z, d, mu, phi, h)
         dz = zn - z
         step = np.sqrt(_rowdot(dz, dz))[:, 0]
         u = _u_of_pencil(h, d, zn)
@@ -664,9 +658,7 @@ def _sweep(restarts, cfg):
         # polish's basin, leaves the block
         basin = _HANDOFF_TOL * np.fmin(at_norms[cand], u[:, -1])
         going = (step >= _STILL_TOL) & (merit >= basin)
-        z = zn
-        if not going.all():
-            live, cand, z, mu = (a[going] for a in (live, cand, z, mu))
+        live, cand, z, mu = _kept(going, live, cand, zn, mu)
 
 
 def heuristic_iterate(restart) -> FixedLambdaResult:
@@ -703,12 +695,12 @@ class _Restart:
     step). A probe (_continuation) has no sweep and one seed.
 
     The polish (_polish) takes the seeds in turn until one converges,
-    counting the seeds polished, the Jacobians they took and the reason the
-    last one failed. The result is converged, with the triple of the first
-    seed whose polish converges and passes _checked_triple, unreconstructed;
-    or failed when the seeds run out, or at once when the start degenerates.
-    Its iterates are the sweep passes and the polish of the seed that gave
-    the triple, Delta_i kept when keep_deltas is set.
+    counting the seeds polished and the Jacobians they took. The result
+    (finish) is converged, with the triple of the first seed whose polish
+    converges and passes _checked_triple, unreconstructed; or failed when
+    the seeds run out, for the reason the last seed failed, or at once when
+    the start degenerates. Its iterates are the sweep passes and the polish
+    of the seed that gave the triple, Delta_i kept when keep_deltas is set.
     """
 
     pencil: PencilAssembly
@@ -723,7 +715,6 @@ class _Restart:
     seeds: list | None = None
     polished: int = 0
     gn_used: int = 0
-    failure: str = "did not converge"
     result: FixedLambdaResult | None = None
 
     def seed(self):
@@ -745,38 +736,40 @@ class _Restart:
         return u
 
     def take(self, polish):
-        """Records the polish (u, Jacobians, converged, iterates) of the next
-        seed."""
-        u, its, ok, us = polish
+        """Records the polish (u, Jacobians, exit, iterates) of the next
+        seed. A seed that fails is named by its polish's exit, or by
+        _checked_triple when it converged; the restart fails with the last
+        seed's reason."""
+        u, its, exit_name, us = polish
         self.polished += 1
         self.gn_used += its
-        if ok:
+        if exit_name == "converged":
             t, detail = _checked_triple(self.pencil, u)
-            if t is not None:
-                # iterates are the sweep passes followed by this polish
-                # sequence; the sweep passes are rows of the whole block's
-                # iterates, so they are copied out, and a kept result holds
-                # its own rows only
-                iterates = IterateTrace(
-                    asm=self.pencil, final=t, sweep=tuple(np.array(self.trace)),
-                    polish=tuple(us) + (detail,), keep_deltas=self.keep_deltas)
-                self.result = FixedLambdaResult(
-                    lam=self.pencil.rp.lam, converged=True, triple=t,
-                    iterations=len(self.trace) + self.gn_used,
-                    phi_plus_mu=self.phi_plus_mu, iterates=iterates)
-                return
-            self.failure = detail
-        if self.polished == len(self.seeds):
-            if not ok:
-                self.failure = ("polish collapsed onto x = 0 or y = 0"
-                                if _collapsed(self.pencil.f_of(u)) else "did not converge")
-            self.fail(self.failure)
+        else:
+            t, detail = None, ("polish collapsed onto x = 0 or y = 0"
+                               if exit_name == "collapsed" else "did not converge")
+        if t is not None:
+            self.finish(t, tuple(us) + (detail,))
+        elif self.polished == len(self.seeds):
+            self.finish(failure=detail)
 
-    def fail(self, failure):
+    def finish(self, triple=None, polish=(), failure=None):
+        """Sets the result: converged with the triple and the polish's
+        iterates (the seed's accepted iterates, then the oriented u), or
+        failed for the reason failure."""
+        iterates = None
+        if triple is not None:
+            # iterates are the sweep passes followed by this polish
+            # sequence; the sweep passes are rows of the whole block's
+            # iterates, so they are copied out, and a kept result holds its
+            # own rows only
+            iterates = IterateTrace(
+                asm=self.pencil, final=triple, sweep=tuple(np.array(self.trace)),
+                polish=polish, keep_deltas=self.keep_deltas)
         self.result = FixedLambdaResult(
-            lam=self.pencil.rp.lam, converged=False,
+            lam=self.pencil.rp.lam, converged=triple is not None, triple=triple,
             iterations=len(self.trace) + self.gn_used,
-            phi_plus_mu=self.phi_plus_mu, failure=failure)
+            phi_plus_mu=self.phi_plus_mu, failure=failure, iterates=iterates)
 
 
 def _random_seed(cf, seed, nx, ny):
@@ -816,8 +809,8 @@ def _polish(restarts):
             restart, key = rows[i]
         return restart.seed(), key
 
-    _gn_core(*_kernel(asms), [r.seed() for r, _ in rows], _POLISH_MAX_ITER, _POLISH_TOL,
-             _collapsed, keys=[k for _, k in rows], refill=refill)
+    _gn_core(*_kernel(asms), [r.seed() for r, _ in rows], [k for _, k in rows],
+             _collapsed, refill)
 
 
 def _keyed(restarts):
@@ -1156,7 +1149,7 @@ def _continuation(asm, t_prev, cfg):
     u0 = asm.u_of(t_prev)
     restart = _Restart(asm, cfg.keep_delta_trace, seeds=[u0])
     if u0 is None:
-        restart.fail("did not converge")
+        restart.finish(failure="did not converge")
     _polish([restart])
     return restart.result
 

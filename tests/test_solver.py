@@ -670,43 +670,43 @@ ENSEMBLE_CFG = SolverConfig(restarts=4, sweep_iters=12, seed=4040)
 def record_polish(mp):
     """Wrap solver._gn_core, which polishes a stream of rows; every polish
     run of every call (each start of each row, refills included) appends a
-    record of its residual and Jacobian evaluations, its return value and
-    its inputs. The stream's polish of the run is recorded; the evaluations
-    are counted on the run polished again as a block of one row, where each
-    call evaluates that run alone. f_of and j_of are recorded as functions
-    of u alone, on the run's key."""
+    record of its residual and Jacobian evaluations, its polish (u,
+    Jacobians, exit, iterates) and its inputs. The stream's polish of the
+    run is recorded; the evaluations are counted on the run polished again
+    as a stream of one row, where each call evaluates that run alone. f_of
+    and j_of are recorded as functions of u alone, on the run's key."""
     runs = []
     core = solver._gn_core
 
-    def recording(f_of, j_of, u0, max_iter, tol, collapsed=None, keys=None, refill=None):
-        starts = list(zip(u0, [None] * len(u0) if keys is None else keys))
+    def recording(f_of, j_of, u0, keys, collapsed, refill):
+        starts = list(zip(u0, keys))
         polished = []
 
         def recorded_refill(i, polish):
             polished.append((starts[i], polish))
-            start = refill(i, polish) if refill else None
+            start = refill(i, polish)
             if start is not None:
                 starts[i] = start
             return start
 
-        out = core(f_of, j_of, u0, max_iter, tol, collapsed, keys, recorded_refill)
+        core(f_of, j_of, u0, keys, collapsed, recorded_refill)
         for (row, key), row_out in polished:
-            f1 = f_of if key is None else (lambda u, key=key: f_of(u, key))
-            j1 = j_of if key is None else (lambda u, key=key: j_of(u, key))
+            f1 = lambda u, key=key: f_of(u, key)
+            j1 = lambda u, key=key: j_of(u, key)
             calls = {"f": 0, "j": 0}
 
-            def f_counted(u, f1=f1):
+            def f_counted(u, keys):
                 calls["f"] += 1
-                return f1(u)
+                return f_of(u, keys)
 
-            def j_counted(u, j1=j1):
+            def j_counted(u, keys):
                 calls["j"] += 1
-                return j1(u)
+                return j_of(u, keys)
 
-            core(f_counted, j_counted, row[None], max_iter, tol, collapsed)
+            core(f_counted, j_counted, row[None], [key], collapsed, lambda i, polish: None)
             runs.append(dict(residuals=calls["f"], jacobians=calls["j"], out=row_out,
-                             f_of=f1, j_of=j1, u0=row, max_iter=max_iter, tol=tol))
-        return out
+                             f_of=f1, j_of=j1, u0=row, max_iter=solver._POLISH_MAX_ITER,
+                             tol=solver._POLISH_TOL))
 
     mp.setattr(solver, "_gn_core", recording)
     return runs
@@ -787,13 +787,29 @@ def test_polish_takes_full_gauss_newton_steps_where_they_are_accepted(monkeypatc
     assert len(runs) == 4 and all(run["jacobians"] >= 3 for run in runs)
     for run in runs:
         u, its, ok, us = run["out"]
-        assert ok
+        assert ok == "converged"
         assert run["residuals"] == run["jacobians"] + 1
         ref = reference_gauss_newton(run["f_of"], run["j_of"], run["u0"],
                                      run["max_iter"], run["tol"])
         assert len(us) == len(ref)
         for got, want in zip(us, ref):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def polish_rows(f_of, j_of, u0, collapsed):
+    """The polish of every row of u0, each row started once, by one
+    solver._gn_core stream on the kernel (f_of, j_of) with every key 0."""
+    out = [None] * len(u0)
+
+    def refill(i, polish):
+        out[i] = polish
+
+    solver._gn_core(f_of, j_of, u0, [0] * len(u0), collapsed, refill)
+    return out
+
+
+def never_collapsed(f):
+    return False
 
 
 def relative_gradient(f_of, j_of, u):
@@ -823,8 +839,9 @@ def test_polish_stops_at_a_nonzero_residual_minimum():
         t = u[..., 0]
         return np.stack([np.ones_like(t), 2.0 * c * t + 1.0], axis=-1)[..., None]
 
-    (u, its, ok, us), = solver._gn_core(f_of, j_of, np.array([[1e-4]]), 60, 1e-12)
-    assert not ok
+    (u, its, ok, us), = polish_rows(lambda u, keys: f_of(u), lambda u, keys: j_of(u),
+                                    np.array([[1e-4]]), never_collapsed)
+    assert ok == "stationary"
     assert its <= 5
     assert abs(u[0]) < 1e-4
     assert np.linalg.norm(f_of(u)) == pytest.approx(np.sqrt(2.0), rel=1e-8)
@@ -838,7 +855,7 @@ def test_polish_gives_up_runs_that_make_no_progress(monkeypatch):
     net, mask, _ = sample_network("line", 4, 2611, 0)
     runs = record_polish(monkeypatch)
     res = solve_fixed_lambda(net, mask, 1.4 + 0.4j, SolverConfig())
-    failed = [run for run in runs if not run["out"][2]]
+    failed = [run for run in runs if run["out"][2] != "converged"]
     assert len(failed) >= 5
     assert all(run["out"][1] <= 30 for run in failed)
     assert res.converged
@@ -879,7 +896,11 @@ def assert_same_polish(got, want):
     assert [raw(x) for x in us] == [raw(x) for x in us1]
 
 
-def test_block_polish_gives_every_row_what_a_block_of_one_gives():
+def toy_kernel():
+    return (lambda u, keys: toy_f(u)), (lambda u, keys: toy_j(u))
+
+
+def test_block_polish_gives_every_row_what_a_block_of_one_gives(monkeypatch):
     # one block whose rows leave on different rounds, one through each exit
     rows = np.array([[0.5, 1],    # converged
                      [1.0, 3],    # out of budget: 12 halvings leave t^2 at 6e-8
@@ -887,18 +908,21 @@ def test_block_polish_gives_every_row_what_a_block_of_one_gives():
                      [1e-4, 0],   # relative gradient at or below 1e-6
                      [0.5, 2]])   # predicted decrease at or below eps ||F||^2
     max_iter = 12
-    block = solver._gn_core(toy_f, toy_j, rows, max_iter, 1e-12)
+    monkeypatch.setattr(solver, "_POLISH_MAX_ITER", max_iter)
+    block = polish_rows(*toy_kernel(), rows, never_collapsed)
     for k, polish in enumerate(block):
-        assert_same_polish(polish, solver._gn_core(toy_f, toy_j, rows[k:k + 1],
-                                                   max_iter, 1e-12)[0])
+        assert_same_polish(polish, polish_rows(*toy_kernel(), rows[k:k + 1],
+                                               never_collapsed)[0])
     (u0, its0, ok0, _), (_, its1, ok1, _), (_, its2, ok2, _), \
         (u3, its3, ok3, _), (u4, its4, ok4, us4) = block
-    assert ok0 and np.linalg.norm(toy_f(u0), np.inf) <= 1e-12
-    assert not ok1 and its1 == max_iter
-    assert not ok2 and its2 == 10
-    assert not ok3 and its3 < 10
+    assert [ok0, ok1, ok2, ok3, ok4] == ["converged", "budget", "no progress",
+                                         "stationary", "no decrease"]
+    assert np.linalg.norm(toy_f(u0), np.inf) <= 1e-12
+    assert its1 == max_iter
+    assert its2 == 10
+    assert its3 < 10
     assert relative_gradient(toy_f, toy_j, u3) <= STATIONARY_EXIT
-    assert not ok4 and its4 == 1 and len(us4) == 1
+    assert its4 == 1 and len(us4) == 1
     assert len({its0, its1, its2, its3, its4}) == 5
 
 
@@ -918,16 +942,15 @@ def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     seeds = np.array([u() if callable(u) else u for restart in restarts
                       for u in restart.seeds])
     assert len(seeds) >= 3 * cfg.restarts
-    asm = restarts[0].pencil
-    block = solver._gn_core(asm.f_of, asm.j_of, seeds, solver._POLISH_MAX_ITER,
-                            solver._POLISH_TOL, solver._collapsed)
+    f_of, j_of = solver._kernel([restarts[0].pencil])
+    block = polish_rows(f_of, j_of, seeds, solver._collapsed)
     for k, polish in enumerate(block):
-        assert_same_polish(polish, solver._gn_core(
-            asm.f_of, asm.j_of, seeds[k:k + 1], solver._POLISH_MAX_ITER,
-            solver._POLISH_TOL, solver._collapsed)[0])
+        assert_same_polish(polish, polish_rows(f_of, j_of, seeds[k:k + 1],
+                                               solver._collapsed)[0])
     assert len({polish[1] for polish in block}) > 1
     if case == "c3_chain3":
-        assert any(not ok and solver._collapsed(asm.f_of(u)) for u, _, ok, _ in block)
+        assert any(ok != "converged" and solver._collapsed(f_of(u, 0))
+                   for u, _, ok, _ in block)
 
 
 def triple_digest(t):
@@ -997,10 +1020,9 @@ def polish_in_waves(restarts):
     for asm in dict.fromkeys(r.pencil for r in restarts):
         block = [r for r in restarts if r.pencil is asm]
         while searching := [r for r in block if r.result is None]:
-            polishes = solver._gn_core(asm.f_of, asm.j_of,
-                                       np.array([r.seed() for r in searching]),
-                                       solver._POLISH_MAX_ITER, solver._POLISH_TOL,
-                                       solver._collapsed)
+            polishes = polish_rows(*solver._kernel([asm]),
+                                   np.array([r.seed() for r in searching]),
+                                   solver._collapsed)
             for restart, polish in zip(searching, polishes):
                 restart.take(polish)
 
@@ -1046,9 +1068,9 @@ def test_polish_stream_matches_per_candidate_waves(monkeypatch, case):
     calls = []
     core = solver._gn_core
 
-    def recording_core(f_of, j_of, u0, *args, keys=None, refill=None):
+    def recording_core(f_of, j_of, u0, keys, collapsed, refill):
         calls.append((len(u0), set(keys)))
-        return core(f_of, j_of, u0, *args, keys=keys, refill=refill)
+        core(f_of, j_of, u0, keys, collapsed, refill)
 
     with monkeypatch.context() as mp:
         mp.setattr(solver, "_gn_core", recording_core)
@@ -1083,7 +1105,7 @@ def assert_exit_margins(runs):
     # a converging run never comes within 10x of either exit's threshold:
     # the relative gradient where each Jacobian is taken, and the relative
     # fall of ||F|| over the 10 Jacobians before each one
-    converged = [run for run in runs if run["out"][2]]
+    converged = [run for run in runs if run["out"][2] == "converged"]
     assert converged
     for run in converged:
         us = run["out"][3]
@@ -1097,7 +1119,8 @@ def assert_exit_margins(runs):
 
 def test_converging_polish_keeps_clear_of_the_stationary_exit(c3_polish_runs):
     # some converging runs are long enough for a 10-Jacobian window
-    assert any(run["out"][2] and len(run["out"][3]) > 11 for run in c3_polish_runs)
+    assert any(run["out"][2] == "converged" and len(run["out"][3]) > 11
+               for run in c3_polish_runs)
     assert_exit_margins(c3_polish_runs)
 
 
@@ -1121,28 +1144,47 @@ def test_polish_stops_where_it_collapses_onto_x_or_y_zero(monkeypatch):
     # polish runs slide onto the x = 0 / y = 0 branch, where ||F|| settles
     # at 1/2. Each stops at its first point with min(||x||^2, ||y||^2)
     # below the threshold, where the no-progress exit took about 10 more
-    # Jacobians, and the solve's triple keeps its bits
+    # Jacobians, and the solve's triple keeps its bits. Each collapsing run
+    # reports the exit "collapsed", and the restart names its failure from
+    # that exit without evaluating F again
     net, mask, _ = sample_network("line", 3, 7, 3)
     runs = record_polish(monkeypatch)
     restarts = []
-    iterate = solver.heuristic_iterate
+    iterate, take, form_f = solver.heuristic_iterate, solver._Restart.take, radius_core._Form.f
+    taking, residuals_in_take = [], []
 
     def recording(*args, **kwargs):
         restarts.append(iterate(*args, **kwargs))
         return restarts[-1]
 
+    def recording_take(self, polish):
+        taking.append(True)
+        try:
+            return take(self, polish)
+        finally:
+            taking.pop()
+
+    def recording_f(self, at, u):
+        if taking:
+            residuals_in_take.append(u)
+        return form_f(self, at, u)
+
     monkeypatch.setattr(solver, "heuristic_iterate", recording)
+    monkeypatch.setattr(solver._Restart, "take", recording_take)
+    monkeypatch.setattr(radius_core._Form, "f", recording_f)
     res = solve_fixed_lambda(net, mask, 1j, C3_CFG)
     assert res.converged and triple_digest(res.triple) == "ecd0869ebfe8babc"
+    assert not residuals_in_take
     collapsed = 0
     for run in runs:
         u, its, ok, us = run["out"]
         below = [k for k, v in enumerate(us)
                  if norm_floor(run["f_of"], v) < solver._COLLAPSE_TOL]
-        if ok or not below:
-            assert not below
+        if ok == "converged" or not below:
+            assert not below and ok != "collapsed"
             continue
         collapsed += 1
+        assert ok == "collapsed"
         assert below == [len(us) - 1] and its == len(us) - 1
         assert np.linalg.norm(run["f_of"](u)) == pytest.approx(0.5, abs=1e-2)
     assert collapsed >= 5  # 9 when written
@@ -1159,7 +1201,7 @@ def test_converging_polish_keeps_clear_of_the_collapse_exit(c3_polish_runs, monk
                         ENSEMBLE_CFG).best.converged
     assert solve_radius(*sample_network("star", 6, 4041, 1)[:2], "topo",
                         STAR_CFG).best.converged
-    converged = [run for run in c3_polish_runs + runs if run["out"][2]]
+    converged = [run for run in c3_polish_runs + runs if run["out"][2] == "converged"]
     assert len(converged) >= 100
     for run in converged:
         for u in run["out"][3]:
@@ -1180,7 +1222,7 @@ def handed_off(row, asm):
     """Whether a sweep row left the block in the polish's basin: the merit
     of its last step is below the handoff threshold."""
     u = row.trace[-1]
-    return bool(np.linalg.norm(asm.f_of(u)) < handoff_threshold(asm, u))
+    return bool(np.linalg.norm(solver._kernel([asm])[0](u, 0)) < handoff_threshold(asm, u))
 
 
 def reference_sweep(asm, z0, cfg):
@@ -1234,7 +1276,7 @@ def reference_sweep(asm, z0, cfg):
         phi_plus_mu = mu + 1.0 / phi
         u = u_of(pp, zn)
         trace.append(u)
-        merit = np.linalg.norm(asm.f_of(u))
+        merit = np.linalg.norm(solver._kernel([asm])[0](u, 0))
         if merit < best_merit:
             best_merit, best = merit, u
         if (np.linalg.norm(zn - z) < solver._STILL_TOL
@@ -1554,8 +1596,22 @@ def test_no_c3_row_stops_at_a_fixed_point(monkeypatch):
         us = [row.init] + row.trace
         for u, u1 in zip(us, us[1:]):
             assert np.linalg.norm(u1[:-1] - u[:-1]) / np.sqrt(2.0) > 1e4 * solver._STILL_TOL
-            assert np.linalg.norm(asm.f_of(u1)) > 1e3 * handoff_threshold(asm, u1)
+            assert (np.linalg.norm(solver._kernel([asm])[0](u1, 0))
+                    > 1e3 * handoff_threshold(asm, u1))
     assert any(len(row.trace) < C3_CFG.sweep_iters for row in rows)
+
+
+def test_kept_compacts_rows_only_when_one_leaves():
+    # the sweep's row filter: every row kept gives back the very arrays,
+    # so a step where no row leaves copies nothing
+    a, b = np.arange(4.0), np.arange(8.0).reshape(4, 2)
+    kept = solver._kept(np.ones(4, dtype=bool), a, b)
+    assert len(kept) == 2 and kept[0] is a and kept[1] is b
+    x, y = solver._kept(np.array([True, False, True, True]), a, b)
+    assert x.tolist() == [0.0, 2.0, 3.0]
+    assert y.tolist() == [[0.0, 1.0], [4.0, 5.0], [6.0, 7.0]]
+    x, = solver._kept(np.zeros(4, dtype=bool), a)
+    assert x.shape == (0,)
 
 
 def test_lockstep_sweep_drops_a_singular_row_alone(monkeypatch):
