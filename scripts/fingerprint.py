@@ -12,6 +12,8 @@ Prints one line per set, `<set> <sha256>`:
   lambda = i), its gap curve and every trial's result;
 - c7: the solver ensemble of the acceptance gate (1,000 line and star
   solves), its records, summaries, samples and results;
+- oracle: the closed-form ensembles of the acceptance gate (C1 and C2: 5,000
+  line and 5,000 star trials at each of n = 5, 10, 20, 40), hashed as c7;
 - graphs: `netobs radius` stdout on 88 graphs: the 15 CLI pool files,
   random_sparse(10, 15) times 0.5, 1 and 2, and random_sparse(n, seed) for
   n in 4, 5, 6, 7, 8, 10, 12 and seeds 1 to 10;
@@ -23,7 +25,7 @@ history, the polish start, the Delta trace and the certificate, and for a
 radius search also lambda*, the search trace, the pruned count and the
 descent probes. Two trees give the same digests only when every answer
 keeps its bits. --limit N takes the first N items of each set (N trials per
-size for c7, N chains for c3), for a quick run.
+size for c7 and oracle, N chains for c3), for a quick run.
 """
 import argparse
 import contextlib
@@ -38,7 +40,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETS = ("ensemble", "chain3", "cli", "c3", "c7", "graphs", "validate")
+SETS = ("ensemble", "chain3", "cli", "c3", "c7", "oracle", "graphs", "validate")
 
 
 def _feed(h, obj):
@@ -152,6 +154,10 @@ def fingerprint(name, limit=None, workdir=None):
             spec = EnsembleSpec(topo, (4, 5, 6, 7, 8), limit or 100, seed=seed)
             _feed(h, _ensemble_result(estimate_expected_radius(
                 spec, method="solver", grid="topo", keep_results=True)))
+    elif name == "oracle":
+        for topo, seed in (("line", 2026), ("star", 2027)):
+            spec = EnsembleSpec(topo, (5, 10, 20, 40), limit or 5000, seed=seed)
+            _feed(h, _ensemble_result(estimate_expected_radius(spec)))
     elif name == "graphs":
         for path in _graphs(workdir, workloads, limit):
             _feed(h, _stdout(["radius", path]))

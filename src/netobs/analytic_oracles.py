@@ -226,6 +226,10 @@ def star_radius(a) -> OracleResult:
                         perturbation=pert, branch="symmetry-creation")
 
 
+# the closed-form radius of each topology observed at node 1
+CLOSED_FORMS = {"line": line_radius, "star": star_radius}
+
+
 def cut_bound(k, omega):
     """Expected-radius bound from a family of omega disjoint k-cuts.
 

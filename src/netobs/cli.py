@@ -174,12 +174,8 @@ def cmd_oracle(args):
         if args.lam is None:
             raise CliInputError("line3 oracle needs --lambda re,im")
         res = oracles.line3_optimal(a, _parse_lambda(args.lam))
-    elif kind == "line":
-        res = oracles.line_radius(a)
-    elif kind == "star":
-        res = oracles.star_radius(a)
     else:
-        raise CliInputError(f"unknown oracle kind {kind!r}")
+        res = oracles.CLOSED_FORMS[kind](a)
     _emit(_dumps({
         "delta": res.delta,
         "lambda_star": [res.lambda_star.real, res.lambda_star.imag],

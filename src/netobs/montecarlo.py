@@ -80,14 +80,10 @@ def _degenerate(topology, a):
     hypotheses hold, mirroring the observability rejection of the full path.
     """
     n = a.shape[0]
-    idx = np.arange(n)
-    if np.any(a[idx, idx] == 0.0):
+    # both topologies draw 3n - 2 entries: n self-loops and n - 1 links each way
+    if np.count_nonzero(a) < 3 * n - 2:
         return True
-    if topology == "line":
-        return bool(np.any(np.diag(a, 1) == 0.0) or np.any(np.diag(a, -1) == 0.0))
-    diag = np.sort(np.diag(a)[1:])
-    return bool(np.any(a[0, 1:] == 0.0) or np.any(a[1:, 0] == 0.0)
-                or np.any(np.diff(diag) == 0.0))
+    return topology == "star" and bool(np.any(np.diff(np.sort(np.diag(a)[1:])) == 0.0))
 
 
 def sample_network(topology, n, master_seed=0, trial=0):
@@ -106,20 +102,6 @@ def sample_network(topology, n, master_seed=0, trial=0):
             continue
         return net, ConstraintMask.same_as_graph(net), attempt + 1
     raise RuntimeError(f"{_MAX_ATTEMPTS} degenerate draws in a row; seed stream broken?")
-
-
-def _oracle_trial(topology, n, master_seed, trial):
-    """Fast path: closed-form radius straight from the drawn entries."""
-    for attempt, a in _draws(topology, n, master_seed, trial):
-        if not _degenerate(topology, a):
-            break
-    else:
-        raise RuntimeError("persistent degenerate draws")
-    if topology == "line":
-        res = oracles.line_radius(a)
-    else:
-        res = oracles.star_radius(a)
-    return a, res, attempt
 
 
 @dataclass(frozen=True)
@@ -175,67 +157,81 @@ def _bounds_for(topology, n):
     return low, high
 
 
+def _oracle_trial(topology, n, master_seed, trial, grid):
+    """Fast path: the closed-form radius straight from the drawn entries
+    (grid is not read). (record, draws rejected, None)."""
+    for attempt, a in _draws(topology, n, master_seed, trial):
+        if not _degenerate(topology, a):
+            break
+    else:
+        raise RuntimeError("persistent degenerate draws")
+    res = oracles.CLOSED_FORMS[topology](a)
+    record = TrialRecord(
+        topology=topology, n=n, trial=trial, delta=res.delta, method="oracle",
+        lambda_re=res.lambda_star.real, lambda_im=res.lambda_star.imag,
+        branch=res.branch, converged=True)
+    return record, attempt, None
+
+
+def _solver_trial(topology, n, master_seed, trial, grid):
+    """The full pencil search on a sampled instance, with the closed form as
+    its reference: (record, draws rejected, RadiusResult). A failed solve
+    keeps its record, with a NaN delta and lambda."""
+    net, mask, attempts = sample_network(topology, n, master_seed, trial)
+    oracle = oracles.CLOSED_FORMS[topology](net.weights)
+    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=master_seed)
+    rr = solve_radius(net, mask, grid, cfg)
+    ok = rr.best.converged
+    lam = rr.lambda_star if ok else complex(np.nan)
+    record = TrialRecord(
+        topology=topology, n=n, trial=trial, delta=rr.cost if ok else np.nan,
+        method="solver", lambda_re=lam.real, lambda_im=lam.imag,
+        branch="search", converged=ok, oracle_delta=oracle.delta)
+    return record, attempts - 1, rr
+
+
+_TRIALS = {"oracle": _oracle_trial, "solver": _solver_trial}
+
+
 def estimate_expected_radius(spec: EnsembleSpec, method="oracle", grid="topo",
                              keep_results=False) -> EnsembleResult:
     """Per-size mean radius with standard errors and the analytic bounds.
 
     method="oracle" evaluates the closed-form radius directly on the drawn
-    entries. method="solver" runs the full pencil search on each instance,
-    with SolverConfig(restarts=4, sweep_iters=12, seed=spec.seed), and
-    records the per-trial gap to the oracle; failed solves are excluded and
-    the exclusion rate must stay below 10% for the result to count as valid.
+    entries (_oracle_trial). method="solver" runs the full pencil search on
+    each instance, with SolverConfig(restarts=4, sweep_iters=12,
+    seed=spec.seed), and records the per-trial gap to the oracle
+    (_solver_trial); failed solves are excluded and the exclusion rate must
+    stay below 10% for the result to count as valid.
+
+    Every trial gives one TrialRecord, failed ones included, and each size's
+    summary and samples are read from its records and rejected-draw counts
+    alone. keep_results keeps the RadiusResult of each converged solver
+    trial; the oracle method has none.
     """
-    if method not in ("oracle", "solver"):
+    if method not in _TRIALS:
         raise ValueError("method must be 'oracle' or 'solver'")
-    cfg = SolverConfig(restarts=4, sweep_iters=12, seed=spec.seed)
     records = []
     summaries = []
     samples = {}
     kept = []
     for n in spec.sizes:
-        deltas = []
-        gaps = []
-        resamples = 0
-        excluded = 0
-        for trial in range(spec.trials):
-            if method == "oracle":
-                _, res, attempts = _oracle_trial(spec.topology, n, spec.seed, trial)
-                resamples += attempts
-                records.append(TrialRecord(
-                    topology=spec.topology, n=n, trial=trial, delta=res.delta,
-                    method="oracle", lambda_re=res.lambda_star.real,
-                    lambda_im=res.lambda_star.imag, branch=res.branch,
-                    converged=True))
-                deltas.append(res.delta)
-            else:
-                net, mask, attempts = sample_network(spec.topology, n, spec.seed, trial)
-                resamples += attempts - 1
-                a = net.weights
-                ora = (oracles.line_radius(a) if spec.topology == "line"
-                       else oracles.star_radius(a))
-                rr = solve_radius(net, mask, grid, cfg)
-                ok = rr.best.converged
-                lam = rr.lambda_star if ok and rr.lambda_star is not None else complex(np.nan)
-                records.append(TrialRecord(
-                    topology=spec.topology, n=n, trial=trial,
-                    delta=rr.cost if ok else np.nan, method="solver",
-                    lambda_re=lam.real, lambda_im=lam.imag,
-                    branch="search", converged=ok, oracle_delta=ora.delta))
-                if ok:
-                    deltas.append(rr.cost)
-                    gaps.append(rr.cost - ora.delta)
-                    if keep_results:
-                        kept.append(rr)
-                else:
-                    excluded += 1
-        arr = np.asarray(deltas, dtype=float)
+        trials = [_TRIALS[method](spec.topology, n, spec.seed, trial, grid)
+                  for trial in range(spec.trials)]
+        records += [rec for rec, _, _ in trials]
+        included = [rec for rec, _, _ in trials if rec.converged]
+        arr = np.asarray([rec.delta for rec in included], dtype=float)
+        gaps = [r.delta - r.oracle_delta for r in included if r.oracle_delta is not None]
+        if keep_results:
+            kept += [rr for rec, _, rr in trials if rec.converged and rr is not None]
         low, high = _bounds_for(spec.topology, n)
-        mean = float(arr.mean()) if arr.size else np.nan
-        se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else np.nan
         summaries.append(SizeSummary(
             topology=spec.topology, n=n, trials=spec.trials, included=int(arr.size),
-            mean=mean, se=se, bound_low=low, bound_high=high,
-            exclusion_rate=excluded / spec.trials, resamples=resamples,
+            mean=float(arr.mean()) if arr.size else np.nan,
+            se=float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else np.nan,
+            bound_low=low, bound_high=high,
+            exclusion_rate=(spec.trials - arr.size) / spec.trials,
+            resamples=sum(rejected for _, rejected, _ in trials),
             mean_gap=float(np.mean(np.abs(gaps))) if gaps else None,
             max_gap=float(np.max(np.abs(gaps))) if gaps else None))
         samples[n] = arr

@@ -261,15 +261,34 @@ def _integer(v, what):
     raise NetworkFormatError(f"{what} {v!r} is not an integer")
 
 
-def _entry(entry, kind, form):
-    """(i, j) and, for an edge, the weight w of one [i, j(, w)] entry."""
-    if not isinstance(entry, (list, tuple)) or len(entry) != form.count(",") + 1:
-        raise NetworkFormatError(f"{kind} entry {entry!r} must be {form}")
-    ij = tuple(_integer(v, f"{kind} entry {entry!r} index") for v in entry[:2])
-    try:
-        return ij + tuple(float(w) for w in entry[2:])
-    except (TypeError, ValueError) as exc:
-        raise NetworkFormatError(f"{kind} entry {entry!r} is not numeric: {exc}") from exc
+def _entries(entries, n, kind, form):
+    """{(i, j): w} of a list of 1-based [i, j(, w)] entries, as 0-based
+    indices; w is 1.0 where the form has no weight. Each entry must have
+    the form's length, integer indices in 1..n, no duplicate (i, j), and a
+    numeric weight."""
+    out = {}
+    for entry in entries:
+        if not isinstance(entry, (list, tuple)) or len(entry) != form.count(",") + 1:
+            raise NetworkFormatError(f"{kind} entry {entry!r} must be {form}")
+        i, j = (_integer(v, f"{kind} entry {entry!r} index") for v in entry[:2])
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise NetworkFormatError(f"{kind} ({i},{j}) out of range for n={n}")
+        if (i - 1, j - 1) in out:
+            raise NetworkFormatError(f"duplicate {kind} ({i},{j})")
+        try:
+            out[i - 1, j - 1] = float(entry[2]) if len(entry) > 2 else 1.0
+        except (TypeError, ValueError) as exc:
+            raise NetworkFormatError(f"{kind} entry {entry!r} is not numeric: {exc}") from exc
+    return out
+
+
+def _matrix(n, entries):
+    """The n x n matrix with the values of entries, {(i, j): w}, at their
+    indices and zeros elsewhere."""
+    m = np.zeros((n, n))
+    for ij, w in entries.items():
+        m[ij] = w
+    return m
 
 
 def network_from_dict(doc):
@@ -277,6 +296,7 @@ def network_from_dict(doc):
 
     Schema: {"n": int, "edges": [[i, j, w], ...], "sensors": [i, ...],
     "constraint": "same_as_graph" | [[i, j], ...]}, 1-based indices.
+    "same_as_graph" lets every listed edge be perturbed, a zero weight too.
     """
     try:
         n = _integer(doc["n"], "n")
@@ -286,37 +306,16 @@ def network_from_dict(doc):
         raise NetworkFormatError(f"missing or malformed field: {exc}") from exc
     if n < 2:
         raise NetworkFormatError(f"need at least 2 nodes, got n={n}")
-    a = np.zeros((n, n))
-    seen = set()
-    for entry in edges:
-        i, j, w = _entry(entry, "edge", "[i, j, w]")
-        if not (1 <= i <= n and 1 <= j <= n):
-            raise NetworkFormatError(f"edge ({i},{j}) out of range for n={n}")
-        if (i, j) in seen:
-            raise NetworkFormatError(f"duplicate edge ({i},{j})")
-        seen.add((i, j))
-        a[i - 1, j - 1] = w
+    weights = _entries(edges, n, "edge", "[i, j, w]")
     constraint = doc.get("constraint", "same_as_graph")
     if constraint == "same_as_graph":
-        v = np.zeros((n, n))
-        for (i, j) in seen:
-            v[i - 1, j - 1] = 1.0
+        pairs = dict.fromkeys(weights, 1.0)
     elif not isinstance(constraint, (list, tuple)):
         raise NetworkFormatError(
             f'constraint must be "same_as_graph" or a list of [i, j], got {constraint!r}')
     else:
-        v = np.zeros((n, n))
-        cseen = set()
-        for entry in constraint:
-            i, j = _entry(entry, "constraint", "[i, j]")
-            if not (1 <= i <= n and 1 <= j <= n):
-                raise NetworkFormatError(f"constraint edge ({i},{j}) out of range")
-            if (i, j) in cseen:
-                raise NetworkFormatError(f"duplicate constraint edge ({i},{j})")
-            cseen.add((i, j))
-            v[i - 1, j - 1] = 1.0
-    net = NetworkSystem(a, sens)
-    return net, ConstraintMask(v)
+        pairs = _entries(constraint, n, "constraint", "[i, j]")
+    return NetworkSystem(_matrix(n, weights), sens), ConstraintMask(_matrix(n, pairs))
 
 
 def load_network(path):
@@ -345,7 +344,7 @@ def perturbation_to_dict(pert: Perturbation, lam=None, residuals=None):
 
 def perturbation_from_dict(doc):
     mask = ConstraintMask(np.array(doc["mask"], dtype=float))
-    pert = Perturbation(np.array(doc["delta"], dtype=float), mask)
+    pert = Perturbation(np.array(doc["delta"], dtype=float), mask, doc.get("frob_cost"))
     lam = None
     if "lambda" in doc:
         lam = complex(doc["lambda"][0], doc["lambda"][1])

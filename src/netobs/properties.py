@@ -107,8 +107,7 @@ def real_route_gap(net, mask, lam, cfg):
 def oracle_radius_gap(net, mask, topology, cfg):
     """(result, |radius - oracle|) for solve_radius on the "topo" grid against
     the closed form of a line or star; the gap is inf when it fails."""
-    oracle = oracles.line_radius if topology == "line" else oracles.star_radius
     rr = solve_radius(net, mask, "topo", cfg)
     if not rr.best.converged:
         return rr, np.inf
-    return rr, abs(rr.cost - oracle(net.weights).delta)
+    return rr, abs(rr.cost - oracles.CLOSED_FORMS[topology](net.weights).delta)

@@ -1129,7 +1129,6 @@ def _pbh_lower_bounds(net, lams):
 @dataclass(frozen=True)
 class RadiusResult:
     best: FixedLambdaResult
-    lambda_star: complex | None
     search_trace: tuple          # ((lambda, cost) per grid candidate and descent probe)
     pruned: int = 0
     refine_evals: int = 0
@@ -1137,6 +1136,12 @@ class RadiusResult:
     @property
     def cost(self):
         return self.best.cost
+
+    @property
+    def lambda_star(self):
+        """The answer's lambda, kept when its certificate fails; None when
+        no candidate converged."""
+        return None if self.best.triple is None else self.best.lam
 
 
 def _continuation(asm, t_prev, cfg):
@@ -1169,8 +1174,8 @@ def _descent_direction(rp, res):
     return res.sigma * complex(c_re, -c_im) / res.cost
 
 
-def _descend_lambda(cf, best, lam, cfg, trace):
-    """Gradient descent on ||Delta(lambda)|| from the grid winner best at lam.
+def _descend_lambda(cf, best, cfg, trace):
+    """Gradient descent on ||Delta(lambda)|| from the grid winner best.
 
     A probe moves the incumbent by h along _descent_direction, folded onto
     the closed upper half plane, and continues the incumbent triple there
@@ -1179,7 +1184,7 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     reconstruction's bit for bit) before anything is reconstructed: only a
     cost below the incumbent's by more than 1e-12 is reconstructed
     (_reconstructed), and if that passes, the probe wins and becomes the
-    incumbent. h starts at 0.05 max(1, |lam|) and then takes its length
+    incumbent. h starts at 0.05 max(1, |best.lam|) and then takes its length
     from the gradient the descent already has:
     - after a win, the two-point (Barzilai-Borwein) length
       (s.s / s.y) |g| of the new gradient g, with s the folded move and y
@@ -1194,13 +1199,13 @@ def _descend_lambda(cf, best, lam, cfg, trace):
     order: one that loses with its rank cost, unreconstructed, one that
     wins with its reconstruction's cost, and one that fails with inf. A
     winner carries its continuation's iterates, like a grid winner.
-    Returns (incumbent, its lambda, probes).
+    Returns (incumbent, probes); the incumbent's lambda is best.lam.
     """
     d = _descent_direction(best.iterates.asm.rp, best)
-    h = 0.05 * max(1.0, abs(lam))
+    h = 0.05 * max(1.0, abs(best.lam))
     probes = 0
     while d is not None and h >= 1e-7:
-        lam_try = _fold(lam + h * d / abs(d))
+        lam_try = _fold(best.lam + h * d / abs(d))
         asm = _assembly(build_reduced(cf, lam_try))
         probe = _continuation(asm, best.triple, cfg)
         probes += 1
@@ -1210,8 +1215,8 @@ def _descend_lambda(cf, best, lam, cfg, trace):
             cost = probe.cost
         trace.append((lam_try, cost))
         if cost < best.cost - 1e-12:
-            s, d_prev = lam_try - lam, d
-            best, lam = probe, lam_try
+            s, d_prev = lam_try - best.lam, d
+            best = probe
             d = _descent_direction(asm.rp, best)
             if d is not None:
                 # s.y with y = g - g_prev = d_prev - d
@@ -1227,7 +1232,7 @@ def _descend_lambda(cf, best, lam, cfg, trace):
             h = min(max(t, 0.1 * h), 0.5 * h)
         else:
             h *= 0.5
-    return best, lam, probes
+    return best, probes
 
 
 def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
@@ -1271,7 +1276,6 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None
-    best_lam = None
     trace = []
     pruned = 0
     ahead = max(1, _BLOCK_ROWS // cfg.restarts)
@@ -1297,13 +1301,13 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
             continue
         if best is None or res.cost < best.cost - 1e-15 or (
                 abs(res.cost - best.cost) <= 1e-15 and
-                (lam.real, lam.imag) < (best_lam.real, best_lam.imag)):
-            best, best_lam = res, lam
+                (lam.real, lam.imag) < (best.lam.real, best.lam.imag)):
+            best = res
     if best is None:
         return RadiusResult(
             best=FixedLambdaResult(lam=0j, converged=False,
                                    failure="no candidate converged"),
-            lambda_star=None, search_trace=tuple(trace), pruned=pruned)
-    best, best_lam, refine_evals = _descend_lambda(cf, best, best_lam, cfg, trace)
-    return RadiusResult(best=_certified(net, best), lambda_star=best_lam,
-                        search_trace=tuple(trace), pruned=pruned, refine_evals=refine_evals)
+            search_trace=tuple(trace), pruned=pruned)
+    best, refine_evals = _descend_lambda(cf, best, cfg, trace)
+    return RadiusResult(best=_certified(net, best), search_trace=tuple(trace),
+                        pruned=pruned, refine_evals=refine_evals)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from netobs import (EnsembleSpec, SolverConfig, convergence_experiment,
-                    dkw_epsilon, estimate_expected_radius, sample_network,
-                    survival_deviation)
+                    dkw_epsilon, estimate_expected_radius, montecarlo,
+                    sample_network, survival_deviation)
 from netobs.montecarlo import (RECORD_COLUMNS, SUMMARY_COLUMNS,
                                write_records_csv, write_summary_csv)
+from netobs.solver import FixedLambdaResult, RadiusResult
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +127,39 @@ def test_solver_method_gap_small():
         assert rec.method == "solver"
         assert rec.converged
         assert rec.delta >= rec.oracle_delta - 1e-6
+
+
+def test_solver_method_excludes_a_failed_trial_but_keeps_its_record(monkeypatch):
+    solve_radius = montecarlo.solve_radius
+    calls = []
+
+    def second_trial_fails(net, mask, grid, cfg):
+        calls.append(net)
+        if len(calls) == 2:
+            return RadiusResult(best=FixedLambdaResult(
+                lam=0j, converged=False, failure="no candidate converged"), search_trace=())
+        return solve_radius(net, mask, grid, cfg)
+
+    monkeypatch.setattr(montecarlo, "solve_radius", second_trial_fails)
+    spec = EnsembleSpec(topology="line", sizes=(4,), trials=4, seed=51)
+    res = estimate_expected_radius(spec, method="solver", keep_results=True)
+    assert [rec.trial for rec in res.records] == [0, 1, 2, 3]
+    failed = res.records[1]
+    assert not failed.converged and failed.method == "solver"
+    assert math.isnan(failed.delta) and math.isnan(failed.lambda_re)
+    assert failed.oracle_delta > 0.0
+    kept = [rec for rec in res.records if rec.converged]
+    assert len(kept) == 3
+    s, = res.summaries
+    assert s.included == 3 and s.exclusion_rate == 0.25 and not res.valid
+    np.testing.assert_array_equal(res.samples[4], [rec.delta for rec in kept])
+    assert s.mean == float(np.mean([rec.delta for rec in kept]))
+    gaps = [abs(rec.delta - rec.oracle_delta) for rec in kept]
+    assert s.mean_gap == float(np.mean(gaps)) and s.max_gap == max(gaps)
+    assert [rr.cost for rr in res.results] == [rec.delta for rec in kept]
+    assert all(rr.best.converged for rr in res.results)
+    # the oracle method has no RadiusResult to keep
+    assert estimate_expected_radius(spec, method="oracle", keep_results=True).results == ()
 
 
 # ---------------------------------------------------------------------------

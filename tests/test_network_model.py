@@ -282,6 +282,10 @@ def test_network_from_dict_rejects_non_finite_weight(bad):
     {"constraint": [[1, True]]},
     {"sensors": [1.5]},                  # would become node 1 if truncated
     {"sensors": [False]},
+    {"edges": [[1, 4, 0.5]]},            # an edge out of range for n = 3
+    {"edges": [[0, 1, 0.5]]},            # index 0 would wrap to node n if taken
+    {"constraint": [[1, 2], [4, 1]]},    # a constraint pair out of range
+    {"constraint": [[1, 2], [1, 2]]},    # a duplicate constraint pair
 ])
 def test_network_from_dict_rejects_malformed_entries(edit):
     doc = dict(_doc3(), **edit)
@@ -310,3 +314,14 @@ def test_perturbation_roundtrip_bitexact(line3):
     np.testing.assert_array_equal(p2.delta, p.delta)
     assert p2.frob_cost == p.frob_cost
     assert lam2 == 0.25 + 0.5j
+
+
+def test_perturbation_from_dict_checks_the_stated_cost(line3):
+    _, mask = line3
+    delta = np.zeros((3, 3))
+    delta[0, 1] = 0.5
+    doc = perturbation_to_dict(Perturbation(delta, mask))
+    assert perturbation_from_dict(doc)[0].frob_cost == 0.25
+    doc["frob_cost"] = 0.3
+    with pytest.raises(NetworkFormatError, match="inconsistent"):
+        perturbation_from_dict(doc)
