@@ -22,10 +22,11 @@ Prints one line per set, `<set> <sha256>`:
 A result is hashed with every field a caller can read: cost, lambda, the
 iteration count, the failure, phi + mu, the triple, Delta's bytes, the
 history, the polish start, the Delta trace and the certificate, and for a
-radius search also lambda*, the search trace, the pruned count and the
-descent probes. Two trees give the same digests only when every answer
-keeps its bits. --limit N takes the first N items of each set (N trials per
-size for c7 and oracle, N chains for c3), for a quick run.
+radius search also lambda*, the search trace, the pruned count, the
+descent probes, the branch and the search's own answer. Two trees give the
+same digests only when every answer keeps its bits. --limit N takes the
+first N items of each set (N trials per size for c7 and oracle, N chains
+for c3), for a quick run.
 """
 import argparse
 import contextlib
@@ -91,7 +92,7 @@ def _fixed(res):
 def _radius(rr):
     """What a caller can read of a RadiusResult."""
     return (_fixed(rr.best), rr.lambda_star, rr.search_trace, rr.pruned,
-            rr.refine_evals)
+            rr.refine_evals, rr.branch, None if rr.search is None else _fixed(rr.search))
 
 
 def _ensemble_result(rr):

@@ -267,8 +267,8 @@ class CutFamily:
         return len(self.cuts)
 
 
-def _disconnects(n, arcs_out, sensors, removed):
-    """True if removing the given edges cuts some node off from all sensors.
+def _reached(arcs_out, sensors, removed):
+    """The nodes that still reach a sensor once the given edges are removed.
 
     Information flows j -> i along a matrix entry (i, j), so node v reaches a
     sensor if there is a directed path v -> ... -> sensor in that orientation.
@@ -282,23 +282,31 @@ def _disconnects(n, arcs_out, sensors, removed):
                 continue
             seen.add(j)
             stack.append(j)
-    return len(seen) < n
+    return seen
+
+
+def _disconnects(n, arcs_out, sensors, removed):
+    """True if removing the given edges cuts some node off from all sensors."""
+    return len(_reached(arcs_out, sensors, removed)) < n
+
+
+def _arcs(a):
+    """Every support edge of a as i -> [j] arcs: the graph a cut must
+    disconnect."""
+    arcs_out = {}
+    for i, j in zip(*np.nonzero(a)):
+        arcs_out.setdefault(int(i), []).append(int(j))
+    return arcs_out
 
 
 def _cut_edges(net, mask, k):
     """Support edges the mask lets a cut delete, and every support edge as
-    i -> [j] arcs (the graph the cut must disconnect)."""
+    i -> [j] arcs (_arcs)."""
     if k > 3:
         raise ValueError("cut enumeration is only supported for k <= 3")
     a = net.weights
-    arcs_out = {}
-    edges = []
-    for i, j in zip(*np.nonzero(a)):
-        i, j = int(i), int(j)
-        arcs_out.setdefault(i, []).append(j)
-        if mask.mask[i, j] != 0:
-            edges.append((i, j))
-    return edges, arcs_out
+    edges = [(int(i), int(j)) for i, j in zip(*np.nonzero(a)) if mask.mask[i, j] != 0]
+    return edges, _arcs(a)
 
 
 def enumerate_cut_family(net: NetworkSystem, mask: ConstraintMask,
@@ -337,3 +345,12 @@ def min_deletion_cost(net: NetworkSystem, mask: ConstraintMask, k=1):
         if _disconnects(net.n, arcs_out, net.sensors, set(subset)):
             best = (cost, subset)
     return best
+
+
+def cut_off(net: NetworkSystem, edges):
+    """The nodes U, ascending, that reach no sensor once the given support
+    edges ((i, j) pairs, 0-based) are deleted. With Delta the deleted
+    entries, no entry of A + Delta leads from U to the other nodes, so every
+    eigenvalue of A[U, U] is an unobservable eigenvalue of A + Delta."""
+    reached = _reached(_arcs(net.weights), net.sensors, set(edges))
+    return np.array([v for v in range(net.n) if v not in reached], dtype=int)

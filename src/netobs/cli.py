@@ -124,6 +124,8 @@ def cmd_radius(args):
         print(f"solver failed: {res.failure}", file=sys.stderr)
         return EXIT_SOLVER
     payload = _result_payload(res)
+    # a fixed-lambda solve is a pencil search at one lambda
+    payload["branch"] = "search" if rr is None else rr.branch
     if rr is not None:
         payload["search"] = {
             "grid": args.grid,

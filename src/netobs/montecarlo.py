@@ -116,6 +116,7 @@ class TrialRecord:
     branch: str
     converged: bool
     oracle_delta: float | None = None  # solver runs carry the reference value
+    failure: str | None = None         # a failed solver run's reason
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,9 @@ def _oracle_trial(topology, n, master_seed, trial, grid):
 
 def _solver_trial(topology, n, master_seed, trial, grid):
     """The full pencil search on a sampled instance, with the closed form as
-    its reference: (record, draws rejected, RadiusResult). A failed solve
-    keeps its record, with a NaN delta and lambda."""
+    its reference: (record, draws rejected, RadiusResult). The record names
+    the answer's branch (RadiusResult.branch). A failed solve keeps its
+    record, with a NaN delta and lambda and the solve's failure."""
     net, mask, attempts = sample_network(topology, n, master_seed, trial)
     oracle = oracles.CLOSED_FORMS[topology](net.weights)
     cfg = SolverConfig(restarts=4, sweep_iters=12, seed=master_seed)
@@ -186,7 +188,8 @@ def _solver_trial(topology, n, master_seed, trial, grid):
     record = TrialRecord(
         topology=topology, n=n, trial=trial, delta=rr.cost if ok else np.nan,
         method="solver", lambda_re=lam.real, lambda_im=lam.imag,
-        branch="search", converged=ok, oracle_delta=oracle.delta)
+        branch=rr.branch, converged=ok, oracle_delta=oracle.delta,
+        failure=rr.best.failure)
     return record, attempts - 1, rr
 
 
@@ -270,6 +273,7 @@ class ConvergenceResult:
     oracle_failures: int
     solver_failures: int
     results: tuple = ()        # per-trial FixedLambdaResult when requested
+    trials: tuple = ()         # the trial index of each of results
 
     @property
     def convergence_rate(self):
@@ -317,7 +321,7 @@ def convergence_experiment(n_trials=100, lam=1j, master_seed=7,
         traces.append(gaps)
         final_gaps.append(gaps[-1])
         if keep_results:
-            kept.append(res)
+            kept.append((trial, res))
     if not traces:
         raise RuntimeError("no trial produced a usable trace")
     length = max(len(t) for t in traces)
@@ -331,7 +335,8 @@ def convergence_experiment(n_trials=100, lam=1j, master_seed=7,
         n_used=len(traces),
         oracle_failures=oracle_failures,
         solver_failures=solver_failures,
-        results=tuple(kept))
+        results=tuple(res for _, res in kept),
+        trials=tuple(trial for trial, _ in kept))
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,9 @@ from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
-from .network_model import (ConstraintMask, NetworkSystem, canonicalize,
-                            pbh_stack, verify_unobservability)
+from .analytic_oracles import cut_off, min_deletion_cost
+from .network_model import (ConstraintMask, NetworkSystem, Perturbation,
+                            canonicalize, pbh_stack, verify_unobservability)
 from .radius_core import (CandidateTriple, PencilAssembly, PencilPair,
                           Reconstruction, SpuriousTripleError, _delta_bar,
                           _in_columns, _inf_norm, _mv, _norm, _norms, _rowdot,
@@ -484,6 +485,10 @@ def _distance_history(tr: IterateTrace):
 
 @dataclass(frozen=True)
 class FixedLambdaResult:
+    """A fixed-lambda solve's result, or solve_radius's edge-deletion answer:
+    deletion holds that answer's Delta, and it has no triple, reconstruction,
+    iterates or sigma."""
+
     lam: complex
     converged: bool
     triple: CandidateTriple | None = None
@@ -493,6 +498,7 @@ class FixedLambdaResult:
     verification: object = None
     failure: str | None = None
     iterates: IterateTrace | None = field(default=None, repr=False, compare=False)
+    deletion: Perturbation | None = None
 
     @property
     def sigma(self):
@@ -523,6 +529,9 @@ class FixedLambdaResult:
 
     @property
     def perturbation(self):
+        """Delta: the deletion's, or the reconstruction's of the triple."""
+        if self.deletion is not None:
+            return self.deletion
         return None if self.reconstruction is None else self.reconstruction.perturbation
 
     @property
@@ -1081,12 +1090,16 @@ def _fold(lam):
 def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     """Candidate unobservable eigenvalues for the outer search.
 
-    "topo": eigenvalues of all trailing principal submatrices of the
-    non-sensor block A[free][:, free] (net.free), plus the means of
+    "topo": one eigenvalue per trailing principal submatrix block[k:, k:] of
+    the non-sensor block A[free][:, free] (net.free), the one with the
+    smallest PBH lower bound (_least_bound_eigenvalues), plus the means of
     neighbouring entries of its sorted diagonal (symmetry-type optima on hub
     topologies: pulling two self-loops to their mean costs their distance
     over sqrt(2), so the cheapest pair is always a neighbouring one, as in
-    analytic_oracles.star_radius).
+    analytic_oracles.star_radius). A trailing block's eigenvalues are those
+    a deletion that cuts its nodes off makes unobservable, all at that
+    deletion's cost; solve_radius takes the cheapest single-edge cut as an
+    exact answer, so the grid keeps only the block's most promising point.
     "default": the "topo" candidates plus 21 real points on [-2, 2], for
     optima at negative real lambda that "topo" alone misses on some sparse
     random graphs (it returns the cheapest single-edge cut there). Complex
@@ -1097,12 +1110,11 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     from A and the sensors alone; mask is not read.
     """
     block = net.weights[np.ix_(net.free, net.free)]
-    m = block.shape[0]
     if isinstance(grid, str):
         if grid not in GRIDS:
             raise ValueError(f"unknown grid spec {grid!r}")
         diag = np.sort(np.diag(block))
-        vals = [v for k in range(m) for v in np.linalg.eigvals(block[k:, k:])]
+        vals = _least_bound_eigenvalues(net, block)
         vals += [complex(v) for v in (diag[:-1] + diag[1:]) / 2.0]
         if grid == "default":
             vals += [complex(re, 0.0) for re in np.linspace(-2, 2, 21)]
@@ -1118,6 +1130,17 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     return tuple(dedup)
 
 
+def _least_bound_eigenvalues(net, block):
+    """Per trailing block block[k:, k:], k = 0, 1, ..., its eigenvalue, folded
+    (_fold), with the smallest PBH lower bound (_pbh_lower_bounds), the first
+    in (bound, Re, Im) order: the order in which solve_radius solves. The
+    bounds of every block's distinct eigenvalues come from one stacked SVD."""
+    eigs = [[_fold(v) for v in np.linalg.eigvals(block[k:, k:])] for k in range(len(block))]
+    distinct = list(dict.fromkeys(v for vals in eigs for v in vals))
+    bound = dict(zip(distinct, _pbh_lower_bounds(net, distinct)))
+    return [min(vals, key=lambda v: (bound[v], v.real, v.imag)) for vals in eigs]
+
+
 def _pbh_lower_bounds(net, lams):
     """Unstructured distance at each lam: a valid lower bound on the
     structured radius since restricting the support can only cost more.
@@ -1128,20 +1151,55 @@ def _pbh_lower_bounds(net, lams):
 
 @dataclass(frozen=True)
 class RadiusResult:
+    """solve_radius's answer (best, certified) and its search: the search's
+    own answer (search, the grid winner after the lambda descent,
+    reconstructed but not certified; None when no candidate converged),
+    every grid candidate and descent probe solved, with its cost
+    (search_trace), the candidates pruned and the descent probes."""
+
     best: FixedLambdaResult
     search_trace: tuple          # ((lambda, cost) per grid candidate and descent probe)
     pruned: int = 0
     refine_evals: int = 0
+    search: FixedLambdaResult | None = None
 
     @property
     def cost(self):
         return self.best.cost
 
     @property
+    def branch(self):
+        """Where the answer comes from: "edge-deletion" for the cheapest
+        masked single-edge cut, "search" otherwise."""
+        return "search" if self.best.deletion is None else "edge-deletion"
+
+    @property
     def lambda_star(self):
         """The answer's lambda, kept when its certificate fails; None when
-        no candidate converged."""
-        return None if self.best.triple is None else self.best.lam
+        there is no answer: no candidate converged and no cut exists."""
+        return None if self.best.perturbation is None else self.best.lam
+
+
+def _cut_answer(net, mask):
+    """The deletion of the cheapest masked single-edge cut
+    (analytic_oracles.min_deletion_cost(net, mask, 1)) as an answer, or None
+    when no single masked edge cuts a node off from the sensors.
+
+    Delta is minus the cut entry, and its cost, that entry's magnitude, is
+    exact. The cut leaves a node set U that reaches no sensor
+    (analytic_oracles.cut_off); every eigenvalue of A[U, U] is then an
+    unobservable eigenvalue of A + Delta, and lambda* is the first of them,
+    folded onto the closed upper half plane (_fold), in (Re, Im) order."""
+    _, edges = min_deletion_cost(net, mask, 1)
+    if not edges:
+        return None
+    (i, j), = edges
+    delta = np.zeros_like(net.weights)
+    delta[i, j] = -net.weights[i, j]
+    u = cut_off(net, edges)
+    lam = min(map(_fold, np.linalg.eigvals(net.weights[np.ix_(u, u)])),
+              key=lambda v: (v.real, v.imag))
+    return FixedLambdaResult(lam=lam, converged=True, deletion=Perturbation(delta, mask))
 
 
 def _continuation(asm, t_prev, cfg):
@@ -1237,7 +1295,8 @@ def _descend_lambda(cf, best, cfg, trace):
 
 def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                  cfg: SolverConfig = SolverConfig()) -> RadiusResult:
-    """Minimize the fixed-lambda cost over a candidate grid, then descend in lambda.
+    """Minimize the fixed-lambda cost over a candidate grid, descend in
+    lambda, and compare the result with the cheapest single-edge cut.
 
     Candidates are ranked by the unstructured PBH lower bound and solved in
     that order; a candidate whose bound already exceeds the incumbent cost is
@@ -1270,6 +1329,16 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     after the grid candidates, a failed one with cost inf. At a winner that
     is already stationary in lambda no probe is spent and refine_evals
     stays 0.
+
+    The search's answer (RadiusResult.search) is then compared with the
+    deletion of the cheapest masked single-edge cut (_cut_answer), whose
+    cost is exact: the cut is the answer unless the search is strictly
+    cheaper, and also when no candidate converged. The cut enters neither
+    the pruning nor the sweep-ahead blocks, nor search_trace, so the search
+    runs as it would without it. RadiusResult.branch names the answer's
+    origin, "edge-deletion" or "search". The answer fails only when no
+    candidate converged and no single edge cuts, or when its certificate
+    does not verify.
     """
     cands = candidate_lambdas(net, mask, grid)
     cf = canonicalize(net, mask)
@@ -1277,7 +1346,7 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None
     trace = []
-    pruned = 0
+    pruned = refine_evals = 0
     ahead = max(1, _BLOCK_ROWS // cfg.restarts)
     solved = {}  # position in bounds -> its candidate's polished restarts
     for i, (lam, bound) in enumerate(bounds):
@@ -1303,11 +1372,14 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
                 abs(res.cost - best.cost) <= 1e-15 and
                 (lam.real, lam.imag) < (best.lam.real, best.lam.imag)):
             best = res
-    if best is None:
-        return RadiusResult(
-            best=FixedLambdaResult(lam=0j, converged=False,
-                                   failure="no candidate converged"),
-            search_trace=tuple(trace), pruned=pruned)
-    best, refine_evals = _descend_lambda(cf, best, cfg, trace)
-    return RadiusResult(best=_certified(net, best), search_trace=tuple(trace),
-                        pruned=pruned, refine_evals=refine_evals)
+    if best is not None:
+        best, refine_evals = _descend_lambda(cf, best, cfg, trace)
+    answer, cut = best, _cut_answer(net, mask)
+    if cut is not None and (best is None or best.cost >= cut.cost):
+        answer = cut
+    if answer is None:
+        answer = FixedLambdaResult(lam=0j, converged=False, failure="no candidate converged")
+    else:
+        answer = _certified(net, answer)
+    return RadiusResult(best=answer, search_trace=tuple(trace), pruned=pruned,
+                        refine_evals=refine_evals, search=best)

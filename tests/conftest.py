@@ -1,7 +1,20 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from netobs import ConstraintMask, NetworkSystem
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    """The module of scripts/<name>.py."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def line_matrix(diag, sup, sub):

@@ -12,10 +12,10 @@ import pytest
 
 from netobs import (EnsembleSpec, assemble_pencil, build_reduced,
                     canonicalize, convergence_experiment, cut_bound,
-                    dkw_epsilon, estimate_expected_radius, properties,
-                    survival_deviation)
+                    dkw_epsilon, estimate_expected_radius, min_deletion_cost,
+                    properties, survival_deviation)
 from netobs.montecarlo import sample_network
-from conftest import net_of
+from conftest import load_script, net_of
 
 SIZES = (5, 10, 20, 40)
 TRIALS = 5000
@@ -181,8 +181,11 @@ def test_c5_pencil_property_suite(capsys):
 @pytest.mark.slow
 def test_c6_cost_identities(conv, solver_ens, capsys):
     recs = [r.reconstruction for r in conv[0].results]
+    # the search's own answer: an edge-deletion answer has no triple, so no
+    # cost identity
     for res in solver_ens[0].values():
-        recs.extend(rr.best.reconstruction for rr in res.results)
+        recs.extend(rr.search.reconstruction for rr in res.results
+                    if rr.search is not None)
     identity, bound = zip(*map(properties.cost_identity_residuals, recs))
     rel = max(identity)
     slack = -max(bound)
@@ -221,6 +224,40 @@ def test_c7_oracle_dominance(solver_ens, capsys):
     assert agree >= 0.9
     assert floor >= -1e-6
     assert wall < 600.0
+
+
+# ---------------------------------------------------------------------------
+# the answers of C3 and C7, instance by instance (scripts/answer_ledger.py)
+
+
+@pytest.mark.slow
+def test_c3_answers_match_the_ledger(conv):
+    ledger = load_script("answer_ledger")
+    moved = ledger.compare(ledger.read()["c3"], ledger.c3_entries(conv[0]))
+    assert not moved, "\n".join(moved)
+
+
+@pytest.mark.slow
+def test_c7_answers_match_the_ledger(solver_ens):
+    ledger = load_script("answer_ledger")
+    moved = ledger.compare(ledger.read()["c7"], ledger.c7_entries(solver_ens[0].values()))
+    assert not moved, "\n".join(moved)
+
+
+@pytest.mark.slow
+def test_c7_answers_at_or_below_the_cheapest_cut(solver_ens):
+    # an edge-deletion answer is the cut itself, to the last bit
+    seeds = {"line": 4040, "star": 4041}
+    deletions = 0
+    for res in solver_ens[0].values():
+        for rec in res.records:
+            net, mask, _ = sample_network(rec.topology, rec.n, seeds[rec.topology], rec.trial)
+            cut = min_deletion_cost(net, mask, 1)[0]
+            assert rec.delta <= cut, rec
+            if rec.branch == "edge-deletion":
+                deletions += 1
+                assert rec.delta == cut, rec
+    assert deletions > 0
 
 
 def test_c8_line_survival_dkw(line_ens, capsys):

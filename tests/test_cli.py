@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netobs import cli, radius_core, solver
+from netobs import cli, min_deletion_cost, radius_core, solver
 from netobs.montecarlo import sample_network
 
 
@@ -178,6 +178,7 @@ def test_fixed_lambda_matches_oracle_subcommand(net3_file, capsys):
     assert abs(solved["delta_frobenius"] - reference["delta"]) < 1e-5
     assert solved["certificate"]["verified"]
     assert solved["converged"]
+    assert solved["branch"] == "search"
 
 
 def test_default_grid_finds_min_superdiagonal(line4_file, capsys):
@@ -189,6 +190,31 @@ def test_default_grid_finds_min_superdiagonal(line4_file, capsys):
     expected = min(a[i, i + 1] for i in range(3))
     assert payload["delta_frobenius"] == pytest.approx(expected, abs=1e-4)
     assert payload["search"]["grid"] == "default"
+
+
+def test_radius_reports_an_edge_deletion_answer(tmp_path, capsys):
+    # the CLI benchmark pool's 4-node line: with every default, its cheapest
+    # single-edge cut is the answer, exact and certified, without a triple
+    net, mask, _ = sample_network("line", 4, 2611, 0)
+    a = net.weights
+    path = tmp_path / "line4.json"
+    path.write_text(json.dumps({"n": 4, "sensors": [1], "edges": [
+        [i + 1, j + 1, float(a[i, j])] for i in range(4) for j in range(4) if a[i, j] != 0]}))
+    code, out, _ = run(["radius", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    cost, (edge,) = min_deletion_cost(net, mask, 1)
+    assert payload["branch"] == "edge-deletion"
+    assert payload["delta_frobenius"] == cost
+    assert payload["perturbation"][edge[0]][edge[1]] == -a[edge]
+    assert np.count_nonzero(payload["perturbation"]) == 1
+    assert payload["certificate"]["verified"] and payload["converged"]
+    assert payload["search"]["evaluated"]
+    for key in ("sigma", "phi_plus_mu", "residual", "cost_identity_rel"):
+        assert payload[key] is None
+    assert payload["iterations"] == 0
+    code, _, err = run(["perturb", str(path)], capsys)
+    assert code == 0 and "round-trip drift" in err
 
 
 def test_oracle_auto_detects_topology(net3_file, capsys):

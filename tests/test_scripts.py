@@ -1,17 +1,8 @@
 """Smoke tests of the figure scripts: each runs end to end on a tiny input,
 so a change to the result fields they read cannot break them silently."""
 import csv
-import importlib.util
-from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
-
-
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script as load
 
 
 def rows(path):

@@ -14,6 +14,7 @@ from netobs import (SolverConfig, UnobservableSystemError, assemble_pencil,
                     normalize_triple, orthogonality_diagnostic,
                     solve_fixed_lambda, solve_radius, star_radius)
 from netobs import properties, radius_core, solver
+from netobs.analytic_oracles import cut_off
 from netobs.montecarlo import sample_network
 from netobs.network_model import pbh_stack
 from netobs.radius_core import (PencilAssembly, ReducedProblem, SpuriousTripleError,
@@ -712,15 +713,31 @@ def record_polish(mp):
     return runs
 
 
-# two real "topo" candidates of the C7 ensemble's first 6-node line, keyed
-# by their index in the grid that held every pairwise mean of the diagonal
+def every_trailing_eigenvalue(net, mask, grid="topo"):
+    """As an explicit grid, the named grid as it was before "topo" kept one
+    eigenvalue per trailing block: every eigenvalue of every trailing block
+    of A[free][:, free] and the means of neighbouring diagonal entries, and
+    for "default" its 21 points on [-2, 2]. The tests that take their lambda
+    or their candidates from those grids keep their workload through it."""
+    block = net.weights[np.ix_(net.free, net.free)]
+    diag = np.sort(np.diag(block))
+    vals = [v for k in range(len(block)) for v in np.linalg.eigvals(block[k:, k:])]
+    vals += list((diag[:-1] + diag[1:]) / 2.0)
+    if grid == "default":
+        vals += list(np.linspace(-2, 2, 21))
+    return candidate_lambdas(net, mask, vals)
+
+
+# two real candidates of the C7 ensemble's first 6-node line, keyed by their
+# index in the grid that held every pairwise mean of the diagonal and every
+# eigenvalue of every trailing block
 LINE6_CANDIDATES = {4: 0.30195004840465134, 14: 0.6162872821089159}
 
 
 def line6_candidate(index):
     net, mask, _ = sample_network("line", 6, 4040, 0)
     lam = complex(LINE6_CANDIDATES[index])
-    assert lam in candidate_lambdas(net, mask, "topo")
+    assert lam in every_trailing_eigenvalue(net, mask)
     return net, mask, lam
 
 
@@ -1059,7 +1076,7 @@ def test_polish_stream_matches_per_candidate_waves(monkeypatch, case):
         cfg, lams = C3_CFG, [1j, 0.5 + 0.8j, 1.2j]
     else:
         net, mask, _ = sample_network("line", 6, 4040, 0)
-        cfg, lams = ENSEMBLE_CFG, [lam for lam in candidate_lambdas(net, mask, "topo")
+        cfg, lams = ENSEMBLE_CFG, [lam for lam in every_trailing_eigenvalue(net, mask)
                                    if lam.imag == 0.0]
         if case == "ensemble_5_rows":
             monkeypatch.setattr(solver, "_BLOCK_ROWS", 5)
@@ -1479,11 +1496,11 @@ def test_half_size_sweep_with_zero_weights_matches_the_dense_reference(monkeypat
     # the first steps have zero weights: every row equals the dense-D
     # reference_sweep of its start, bit for bit
     net, mask, _ = sample_network("line", 6, 4040, 0)
-    rr = solve_radius(net, mask, "topo", ENSEMBLE_CFG)
+    rr = solve_radius(net, mask, every_trailing_eigenvalue(net, mask), ENSEMBLE_CFG)
     cf = canonicalize(net, mask)
-    asm = solver._assembly(build_reduced(cf, rr.lambda_star))
+    asm = solver._assembly(build_reduced(cf, rr.search.lam))
     assert asm.real
-    z_opt = asm.u_of(rr.best.triple)[:-1] / np.sqrt(2.0)
+    z_opt = asm.u_of(rr.search.triple)[:-1] / np.sqrt(2.0)
     z_opt[np.abs(z_opt) < 1e-12] = 0.0
     rng = np.random.default_rng(3)
     starts = [z_opt]
@@ -1853,7 +1870,8 @@ def test_rank_key_is_the_reconstructed_cost_bit_for_bit(monkeypatch):
     monkeypatch.setattr(solver, "_ranked", reconstruct_every_restart)
     monkeypatch.setattr(solver, "reconstruct_perturbation", recording)
     for topo in ("line", "star"):
-        solve_radius(*sample_network(topo, 6, 4040, 0)[:2], "topo", ENSEMBLE_CFG)
+        net, mask, _ = sample_network(topo, 6, 4040, 0)
+        solve_radius(net, mask, every_trailing_eigenvalue(net, mask), ENSEMBLE_CFG)
     for trial in range(4):
         solve_fixed_lambda(*sample_network("line", 3, 7, trial)[:2], 1j, C3_CFG)
     assert len(pairs) >= 100
@@ -1960,8 +1978,8 @@ def test_topo_grid_holds_every_star_symmetry_optimum():
 
 
 def test_topo_grid_size():
-    # the eigenvalues of the m trailing submatrices, at most m(m + 1)/2, and
-    # the m - 1 means of neighbouring diagonal entries, every one of them
+    # one eigenvalue of each of the m trailing submatrices, and the m - 1
+    # means of neighbouring diagonal entries, every one of them
     cases = [sample_network(topo, n, 4040, 0)[:2]
              for topo in ("line", "star") for n in range(4, 9)]
     cases += [net_of(a) for a in RECTANGLE_GRAPHS]
@@ -1969,11 +1987,36 @@ def test_topo_grid_size():
     for net, mask in cases:
         m = len(net.free)
         topo = np.array(candidate_lambdas(net, mask, "topo"))
-        assert len(topo) <= m * (m + 1) // 2 + m - 1
+        assert len(topo) <= 2 * m - 1
         diag = np.sort(np.diag(net.weights)[net.free])
         for mean in (diag[:-1] + diag[1:]) / 2.0:
             assert np.abs(topo - mean).min() <= 1e-9
         assert set(topo) <= set(candidate_lambdas(net, mask, "default"))
+
+
+def test_topo_grid_keeps_the_least_bound_eigenvalue_of_each_trailing_block(monkeypatch):
+    # the C7 ensemble's first 6-node line: 5 free nodes, so 5 trailing
+    # blocks and 4 diagonal means, where the grid that held every eigenvalue
+    # of every trailing block had 19 candidates
+    net, mask, _ = sample_network("line", 6, 4040, 0)
+    block = net.weights[np.ix_(net.free, net.free)]
+    kept = []
+    for k in range(len(block)):
+        eigs = [solver._fold(v) for v in np.linalg.eigvals(block[k:, k:])]
+        bounds = solver._pbh_lower_bounds(net, eigs)
+        kept.append(min(zip(bounds, eigs), key=lambda t: (t[0], t[1].real, t[1].imag))[1])
+    diag = np.sort(np.diag(block))
+    means = list((diag[:-1] + diag[1:]) / 2.0)
+    calls = []
+    bounds_of = solver._pbh_lower_bounds
+    monkeypatch.setattr(solver, "_pbh_lower_bounds",
+                        lambda net, lams: calls.append(len(lams)) or bounds_of(net, lams))
+    topo = candidate_lambdas(net, mask, "topo")
+    assert len(calls) == 1  # every block's bounds from one stacked SVD
+    assert topo == candidate_lambdas(net, mask, kept + means)
+    assert len(topo) == 9 and len(every_trailing_eigenvalue(net, mask)) == 19
+    assert candidate_lambdas(net, mask, "default") == candidate_lambdas(
+        net, mask, kept + means + list(np.linspace(-2, 2, 21)))
 
 
 def test_topo_grid_with_one_free_node_adds_no_means():
@@ -2110,6 +2153,55 @@ def test_an_unverified_certificate_fails_the_solve(monkeypatch):
     assert rr.cost == np.inf
 
 
+def test_a_deletion_answer_is_the_cheapest_cut_certified():
+    # the C7 ensemble's first 6-node line: the search ends 2.2e-14 above the
+    # cost of its cheapest cut, so the cut is the answer
+    net, mask, _ = sample_network("line", 6, 4040, 0)
+    rr = solve_radius(net, mask, "topo", ENSEMBLE_CFG)
+    cost, (edge,) = min_deletion_cost(net, mask, 1)
+    assert rr.branch == "edge-deletion" and rr.best.converged
+    assert rr.cost == cost and not rr.search.cost < cost
+    delta = np.zeros_like(net.weights)
+    delta[edge] = -net.weights[edge]
+    assert raw(rr.best.perturbation.delta) == raw(delta)
+    # lambda*: the first eigenvalue of the cut-off block, folded, in (Re, Im)
+    # order; every one of them is unobservable
+    u = cut_off(net, [edge])
+    assert list(u) == list(range(edge[1], 6))
+    eigs = sorted(map(solver._fold, np.linalg.eigvals(net.weights[np.ix_(u, u)])),
+                  key=lambda v: (v.real, v.imag))
+    assert rr.lambda_star == rr.best.lam == eigs[0]
+    for lam in eigs:
+        assert solver.verify_unobservability(net, rr.best.perturbation, lam).verified
+    assert rr.best.verification.verified
+    again = solver._certified(net, replace(rr.best, verification=None))
+    assert again.converged and again.verification.smin == rr.best.verification.smin
+    assert rr.best.triple is None and rr.best.iterates is None
+    assert rr.best.sigma is None and rr.best.reconstruction is None
+    assert rr.best.iterations == 0 and rr.best.history == ()
+
+
+def test_the_cut_answers_where_no_candidate_converges(monkeypatch, line4):
+    def failed(cf, restarts):
+        return solver.FixedLambdaResult(lam=restarts[0].pencil.rp.lam, converged=False,
+                                        failure="all restarts failed: did not converge")
+
+    monkeypatch.setattr(solver, "_ranked", failed)
+    net, mask = line4
+    rr = solve_radius(net, mask, "topo", SolverConfig(restarts=2))
+    assert rr.search is None and rr.refine_evals == 0
+    assert rr.search_trace and all(cost == np.inf for _, cost in rr.search_trace)
+    assert rr.branch == "edge-deletion" and rr.best.converged
+    assert rr.cost == min_deletion_cost(net, mask, 1)[0] == 0.3
+    assert rr.best.verification.verified
+    # where no single edge cuts either, the solve fails
+    net, mask = net_of(np.full((3, 3), 0.5) + np.diag([0.1, 0.2, 0.3]))
+    assert min_deletion_cost(net, mask, 1)[1] == ()
+    rr = solve_radius(net, mask, "topo", SolverConfig(restarts=2))
+    assert rr.branch == "search" and rr.search is None and rr.lambda_star is None
+    assert not rr.best.converged and rr.best.failure == "no candidate converged"
+
+
 def test_radius_search_trace_records_bound_pruning():
     net, mask, _ = sample_network("line", 5, 59, 3)
     rr = solve_radius(net, mask, "topo", SolverConfig(seed=10, restarts=3))
@@ -2143,6 +2235,8 @@ def radius_recorded(net, mask, grid, cfg):
 
 
 def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
+    # each case on its named grid with every eigenvalue of every trailing
+    # block (every_trailing_eigenvalue)
     cases = [
         # the C7 ensemble's 5-node line: 13 candidates, 10 solved; with 64
         # rows a block sweeps some candidates that are then pruned
@@ -2157,6 +2251,7 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         ("rectangle_n5", net_of(RECTANGLE_GRAPHS[1]), "default", SolverConfig()),
     ]
     for name, (net, mask), grid, cfg in cases:
+        grid = every_trailing_eigenvalue(net, mask, grid)
         blocks, swept_rows, polished = radius_recorded(net, mask, grid, cfg)
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_BLOCK_ROWS", cfg.restarts)
@@ -2164,9 +2259,11 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         assert blocks.best.converged, name
         assert blocks.cost == alone.cost
         assert blocks.lambda_star == alone.lambda_star
-        assert raw(blocks.best.perturbation.delta) == raw(alone.best.perturbation.delta)
-        assert blocks.best.iterations == alone.best.iterations
-        assert blocks.best.history == alone.best.history
+        # the answer, and the search's own where the cut is the answer
+        for got, want in ((blocks.best, alone.best), (blocks.search, alone.search)):
+            assert raw(got.perturbation.delta) == raw(want.perturbation.delta)
+            assert got.iterations == want.iterations
+            assert got.history == want.history
         assert blocks.search_trace == alone.search_trace
         assert blocks.pruned == alone.pruned
         assert blocks.refine_evals == alone.refine_evals
