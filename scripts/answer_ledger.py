@@ -3,21 +3,21 @@
 instance, so that a change that moves an answer shows which one and by how
 much.
 
-    python scripts/answer_ledger.py [--only SET ...] [--out PATH]
+    python scripts/answer_ledger.py [--out PATH]
 
 Writes tests/answer_ledger.json (or PATH), one instance per line: the numpy
 and scipy versions and the CPU model it was written on, and per set and
 instance the radius, lambda*, the converged flag, the failure and the
 branch ("search" or "edge-deletion"; null for a fixed-lambda solve), and for
 c7 the closed form's radius (oracle). A radius is null where the solve
-failed. The sets are those of scripts/fingerprint.py:
-- ensemble, chain3, cli: the three benchmark pools of perfbench/workloads.py;
-- graphs: the 88 graphs, solved as `netobs radius` solves them (the default
-  grid and SolverConfig());
+failed. The instances are the runs of scripts/fingerprint.py's sets
+(fingerprint.runs), which both scripts read:
+- ensemble, chain3, cli: the three benchmark pools of perfbench/workloads.py
+  (cli as `netobs radius` prints each answer);
+- graphs: `netobs radius` on the 88 graphs;
 - c7: the 1,000 line and star solves of the acceptance gate's C7;
 - c3: the 100 chains of C3 at lambda = i, the trials whose oracle and solve
   both succeed.
---only rewrites the named sets and keeps the others as the file has them.
 
 The tests compare answers against the file (compare): a radius, and c7's
 oracle, to 1e-9 relative, the flags, failures and branches exactly, and a
@@ -30,9 +30,7 @@ import contextlib
 import importlib.util
 import json
 import math
-import os
 import platform
-import sys
 import tempfile
 from pathlib import Path
 
@@ -41,25 +39,16 @@ LEDGER = ROOT / "tests" / "answer_ledger.json"
 SETS = ("ensemble", "chain3", "cli", "graphs", "c7", "c3")
 # the relative difference of a radius (or an oracle's) that counts as a move
 RADIUS_RTOL = 1e-9
-# the C7 and C3 experiments of the acceptance gate
-C7_SPECS = (("line", 4040), ("star", 4041))
-C7_SIZES = (4, 5, 6, 7, 8)
 
 
-def _fingerprint():
-    """scripts/fingerprint.py, whose instance sets this ledger shares."""
-    spec = importlib.util.spec_from_file_location("fingerprint",
-                                                  ROOT / "scripts" / "fingerprint.py")
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-def _workloads():
-    if str(ROOT / "perfbench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
-    return workloads
+fingerprint = _script("fingerprint")
 
 
 def entry(radius, lam, converged, failure, branch, **extra):
@@ -82,6 +71,17 @@ def fixed_entry(res):
     return entry(res.cost, res.lam, res.converged, res.failure, None)
 
 
+def cli_entry(run):
+    """The entry of `netobs radius`'s (exit code, stdout). A solve that
+    fails prints nothing: its failure is its exit code."""
+    code, text = run
+    if code != 0:
+        return entry(math.inf, None, False, f"exit code {code}", None)
+    payload = json.loads(text)
+    return entry(payload["delta_frobenius"], complex(*payload["lambda_star"]),
+                 payload["converged"], None, payload["branch"])
+
+
 def record_entry(rec):
     """The entry of a solver ensemble's TrialRecord, with its oracle."""
     return entry(rec.delta, complex(rec.lambda_re, rec.lambda_im), rec.converged,
@@ -99,45 +99,21 @@ def c3_entries(conv):
     return {f"trial{t}": fixed_entry(res) for t, res in zip(conv.trials, conv.results)}
 
 
-def graph_files(workdir):
-    """The 88 graphs as network files: {name: path}. The first 15 are the
-    files of the cli pool."""
-    paths = _fingerprint()._graphs(Path(workdir), _workloads(), None)
-    return {Path(path).stem: path for path in paths}
-
-
-def solve_graph(path):
-    """(network, mask, RadiusResult) of `netobs radius <path>` with every
-    default."""
-    from netobs import SolverConfig, load_network, solve_radius
-
-    net, mask = load_network(path)
-    return net, mask, solve_radius(net, mask, "default", SolverConfig())
+# the entry of one run's result, per set of per-instance runs
+ENTRIES = {"ensemble": lambda raw: radius_entry(raw[3]), "chain3": fixed_entry,
+           "cli": cli_entry, "graphs": cli_entry}
 
 
 def build(name, workdir):
-    """The entries of one set, {instance: entry}."""
-    from netobs import EnsembleSpec, convergence_experiment, estimate_expected_radius
-
-    if name == "ensemble":
-        wl = _workloads().WORKLOADS["ensemble_line_star"]
-        return {f"{topo}{n}/trial{t}": radius_entry(wl.run((topo, n, t))[3])
-                for topo, n, t in wl.pool(workdir)}
-    if name == "chain3":
-        wl = _workloads().WORKLOADS["chain3_fixed_lambda"]
-        return {f"trial{spec[0]}": fixed_entry(wl.run(spec)) for spec in wl.pool(workdir)}
-    if name in ("cli", "graphs"):
-        files = graph_files(workdir)
-        names = list(files)[:len(_workloads().CLI_FILES)] if name == "cli" else list(files)
-        return {stem: radius_entry(solve_graph(files[stem])[2]) for stem in names}
+    """The entries of one set, {instance: entry}, from its runs
+    (fingerprint.runs); workdir takes the network files."""
+    runs = fingerprint.runs(name, workdir)
     if name == "c7":
-        return c7_entries(estimate_expected_radius(
-            EnsembleSpec(topo, C7_SIZES, 100, seed=seed), method="solver", grid="topo")
-            for topo, seed in C7_SPECS)
+        return c7_entries(result for _, result in runs)
     if name == "c3":
-        return c3_entries(convergence_experiment(n_trials=100, lam=1j, master_seed=7,
-                                                 keep_results=True))
-    raise ValueError(f"unknown set {name!r}")
+        (_, conv), = runs
+        return c3_entries(conv)
+    return {key: ENTRIES[name](result) for key, result in runs}
 
 
 def _moved(a, b):
@@ -202,13 +178,11 @@ def write(sets, path):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--only", nargs="+", choices=SETS, default=SETS, metavar="SET",
-                    help=f"the sets to rewrite, of {', '.join(SETS)}")
     ap.add_argument("--out", default=str(LEDGER), help="the ledger file to write")
     args = ap.parse_args(argv)
-    sets = read(args.out) if set(args.only) != set(SETS) else {}
+    sets = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in args.only:
+        for name in SETS:
             sets[name] = build(name, Path(tmp) / name)
             print(name, len(sets[name]), "instances", flush=True)
     write(sets, args.out)
@@ -216,10 +190,5 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # one BLAS thread, as in the benchmark and scripts/fingerprint.py; set
-    # before numpy loads
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
-    os.environ.pop("NETOBS_SEED", None)
-    sys.path.insert(0, str(ROOT / "src"))
+    fingerprint.pin_environment()
     raise SystemExit(main())

@@ -27,6 +27,9 @@ descent probes, the branch and the search's own answer. Two trees give the
 same digests only when every answer keeps its bits. --limit N takes the
 first N items of each set (N trials per size for c7 and oracle, N chains
 for c3), for a quick run.
+
+runs(set, workdir) yields each set's runs; scripts/answer_ledger.py reads
+the same runs, so the two scripts cover the same instances.
 """
 import argparse
 import contextlib
@@ -101,10 +104,47 @@ def _ensemble_result(rr):
             [_radius(r) for r in rr.results])
 
 
-# the benchmark pools: the workload, and what is hashed of one operation
-POOLS = {"ensemble": ("ensemble_line_star", lambda raw: _radius(raw[3])),
-         "chain3": ("chain3_fixed_lambda", _fixed),
-         "cli": ("cli_default_grid", lambda raw: raw)}
+def _convergence(res):
+    """What a caller can read of a ConvergenceResult."""
+    return (res.iterations, res.mean_gap, res.std_gap, res.final_gaps, res.n_trials,
+            res.n_used, res.oracle_failures, res.solver_failures,
+            [_fixed(r) for r in res.results])
+
+
+# the experiments of the acceptance gate: C3's chains at lambda = i, C7's
+# solver ensembles and C1's and C2's closed-form ones, (topology, seed) each
+C3 = dict(n_trials=100, lam=1j, master_seed=7)
+C7 = (("line", 4040), ("star", 4041))
+C7_SIZES = (4, 5, 6, 7, 8)
+C7_TRIALS = 100
+ORACLE = (("line", 2026), ("star", 2027))
+ORACLE_SIZES = (5, 10, 20, 40)
+ORACLE_TRIALS = 5000
+# the benchmark pools: the workload, and each operation's key
+POOLS = {"ensemble": ("ensemble_line_star", lambda spec: f"{spec[0]}{spec[1]}/trial{spec[2]}"),
+         "chain3": ("chain3_fixed_lambda", lambda spec: f"trial{spec[0]}"),
+         "cli": ("cli_default_grid", lambda spec: Path(spec[2]).stem)}
+# what is hashed of each run's result
+HASHED = {"ensemble": lambda raw: _radius(raw[3]), "chain3": _fixed, "cli": lambda raw: raw,
+          "c3": _convergence, "c7": _ensemble_result, "oracle": _ensemble_result,
+          "graphs": lambda raw: raw, "validate": lambda raw: raw}
+
+
+def pin_environment():
+    """One BLAS thread, as in the benchmark, so that two trees compare on one
+    machine whatever its core count; no NETOBS_SEED; this tree's sources
+    first on the path. Call it before numpy loads."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    os.environ.pop("NETOBS_SEED", None)
+    sys.path.insert(0, str(ROOT / "src"))
+
+
+def _workloads():
+    if str(ROOT / "perfbench") not in sys.path:
+        sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+    return workloads
 
 
 def _stdout(argv):
@@ -131,41 +171,52 @@ def _graphs(workdir, workloads, limit):
     return paths[:limit]
 
 
-def fingerprint(name, limit=None, workdir=None):
-    """The sha256 hex digest of one set; workdir takes the network files."""
-    if str(ROOT / "perfbench") not in sys.path:
-        sys.path.insert(0, str(ROOT / "perfbench"))
-    import workloads
+def runs(name, workdir, limit=None):
+    """The runs of one set, in order, as (key, result); workdir takes the
+    network files:
+    - ensemble, chain3, cli: one per pool operation, keyed "line4/trial0",
+      "trial0" and the file's stem, the workload's result;
+    - graphs: one per file, keyed by its stem, `netobs radius <file>`'s
+      (exit code, stdout);
+    - c3: one, keyed "c3", the ConvergenceResult with every result kept;
+    - c7, oracle: one per topology, keyed by it, the EnsembleResult (c7's
+      with every result kept);
+    - validate: one, keyed "validate", `netobs validate --seed 3`'s (exit
+      code, stdout)."""
     from netobs import EnsembleSpec, convergence_experiment, estimate_expected_radius
 
-    h = hashlib.sha256()
+    workloads = _workloads()
     if name in POOLS:
-        workload, answer = POOLS[name]
+        workload, key = POOLS[name]
         wl = workloads.WORKLOADS[workload]
         for spec in wl.pool(workdir)[:limit]:
-            _feed(h, answer(wl.run(spec)))
+            yield key(spec), wl.run(spec)
     elif name == "c3":
-        res = convergence_experiment(n_trials=limit or 100, lam=1j, master_seed=7,
-                                     keep_results=True)
-        _feed(h, (res.iterations, res.mean_gap, res.std_gap, res.final_gaps,
-                  res.n_trials, res.n_used, res.oracle_failures, res.solver_failures,
-                  [_fixed(r) for r in res.results]))
+        yield name, convergence_experiment(**dict(C3, n_trials=limit or C3["n_trials"]),
+                                           keep_results=True)
     elif name == "c7":
-        for topo, seed in (("line", 4040), ("star", 4041)):
-            spec = EnsembleSpec(topo, (4, 5, 6, 7, 8), limit or 100, seed=seed)
-            _feed(h, _ensemble_result(estimate_expected_radius(
-                spec, method="solver", grid="topo", keep_results=True)))
+        for topo, seed in C7:
+            spec = EnsembleSpec(topo, C7_SIZES, limit or C7_TRIALS, seed=seed)
+            yield topo, estimate_expected_radius(spec, method="solver", grid="topo",
+                                                 keep_results=True)
     elif name == "oracle":
-        for topo, seed in (("line", 2026), ("star", 2027)):
-            spec = EnsembleSpec(topo, (5, 10, 20, 40), limit or 5000, seed=seed)
-            _feed(h, _ensemble_result(estimate_expected_radius(spec)))
+        for topo, seed in ORACLE:
+            spec = EnsembleSpec(topo, ORACLE_SIZES, limit or ORACLE_TRIALS, seed=seed)
+            yield topo, estimate_expected_radius(spec)
     elif name == "graphs":
         for path in _graphs(workdir, workloads, limit):
-            _feed(h, _stdout(["radius", path]))
+            yield Path(path).stem, _stdout(["radius", path])
     elif name == "validate":
-        _feed(h, _stdout(["validate", "--seed", "3"]))
+        yield name, _stdout(["validate", "--seed", "3"])
     else:
         raise ValueError(f"unknown set {name!r}")
+
+
+def fingerprint(name, limit=None, workdir=None):
+    """The sha256 hex digest of one set's runs."""
+    h = hashlib.sha256()
+    for _, result in runs(name, workdir, limit):
+        _feed(h, HASHED[name](result))
     return h.hexdigest()
 
 
@@ -184,10 +235,5 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # one BLAS thread, as in the benchmark, so that two trees compare on
-    # one machine whatever its core count; set before numpy loads
-    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[_var] = "1"
-    os.environ.pop("NETOBS_SEED", None)
-    sys.path.insert(0, str(ROOT / "src"))
+    pin_environment()
     raise SystemExit(main())

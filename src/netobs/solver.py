@@ -95,6 +95,13 @@ _HANDOFF_TOL = np.sqrt(_POLISH_TOL)
 # half the lambda-gradient of ||Delta||^2, over ||A_tilde||_F, at or below
 # which an incumbent is stationary in lambda and the lambda descent stops
 _FLAT_TOL = 1e-8
+# the search's answer replaces the cheapest single-edge cut, whose cost is
+# exact, only when it is cheaper by more than this, relative: a search that
+# converges onto the cut ends a few ulps above or below it. On C7's 1,000
+# instances and the 88 graphs, such searches ended at most 1.5e-12 below
+# their cut, and every other search answer below its cut was at least
+# 2.5e-3 below it
+_CUT_RTOL = 1e-10
 # Most rows of one lockstep block: sweep rows (candidates times restarts) of
 # one _sweep call, and rows of one polish stream (_polish). The cap bounds
 # the memory of a block, whose stacked pencils and Jacobians grow with the
@@ -1092,14 +1099,15 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
 
     "topo": one eigenvalue per trailing principal submatrix block[k:, k:] of
     the non-sensor block A[free][:, free] (net.free), the one with the
-    smallest PBH lower bound (_least_bound_eigenvalues), plus the means of
-    neighbouring entries of its sorted diagonal (symmetry-type optima on hub
-    topologies: pulling two self-loops to their mean costs their distance
-    over sqrt(2), so the cheapest pair is always a neighbouring one, as in
-    analytic_oracles.star_radius). A trailing block's eigenvalues are those
-    a deletion that cuts its nodes off makes unobservable, all at that
-    deletion's cost; solve_radius takes the cheapest single-edge cut as an
-    exact answer, so the grid keeps only the block's most promising point.
+    smallest PBH lower bound (_pbh_lower_bounds), the first in (bound, Re,
+    Im) order, plus the means of neighbouring entries of its sorted diagonal
+    (symmetry-type optima on hub topologies: pulling two self-loops to their
+    mean costs their distance over sqrt(2), so the cheapest pair is always a
+    neighbouring one, as in analytic_oracles.star_radius). A trailing
+    block's eigenvalues are those a deletion that cuts its nodes off makes
+    unobservable, all at that deletion's cost; solve_radius takes the
+    cheapest single-edge cut as an exact answer, so the grid keeps only the
+    block's most promising point.
     "default": the "topo" candidates plus 21 real points on [-2, 2], for
     optima at negative real lambda that "topo" alone misses on some sparse
     random graphs (it returns the cheapest single-edge cut there). Complex
@@ -1109,36 +1117,40 @@ def candidate_lambdas(net: NetworkSystem, mask: ConstraintMask, grid="default"):
     Conjugates are folded onto the closed upper half plane. The grids come
     from A and the sensors alone; mask is not read.
     """
-    block = net.weights[np.ix_(net.free, net.free)]
+    return tuple(_bounded_candidates(net, grid))
+
+
+def _bounded_candidates(net, grid):
+    """candidate_lambdas's candidates, in its order, each with its PBH lower
+    bound: {lambda: bound}. The bounds come from one stacked SVD: for a
+    named grid, over every trailing block's distinct eigenvalues and the
+    grid's other points, before one eigenvalue per block is kept."""
     if isinstance(grid, str):
         if grid not in GRIDS:
             raise ValueError(f"unknown grid spec {grid!r}")
+        block = net.weights[np.ix_(net.free, net.free)]
+        eigs = [[_fold(v) for v in np.linalg.eigvals(block[k:, k:])]
+                for k in range(len(block))]
         diag = np.sort(np.diag(block))
-        vals = _least_bound_eigenvalues(net, block)
-        vals += [complex(v) for v in (diag[:-1] + diag[1:]) / 2.0]
+        points = [_fold(v) for v in (diag[:-1] + diag[1:]) / 2.0]
         if grid == "default":
-            vals += [complex(re, 0.0) for re in np.linspace(-2, 2, 21)]
+            points += [_fold(re) for re in np.linspace(-2, 2, 21)]
+        distinct = list(dict.fromkeys([v for vals in eigs for v in vals] + points))
+        bound = dict(zip(distinct, _pbh_lower_bounds(net, distinct)))
+        vals = [min(vals, key=lambda v: (bound[v], v.real, v.imag)) for vals in eigs]
+        vals += points
     else:
-        vals = [_finite_lambda(v) for v in grid]
+        vals = [_fold(_finite_lambda(v)) for v in grid]
         if not vals:
             raise ValueError("explicit candidate grid is empty")
-    folded = sorted(map(_fold, vals), key=lambda v: (v.real, v.imag))
+        bound = None
     dedup = []
-    for v in folded:
+    for v in sorted(vals, key=lambda v: (v.real, v.imag)):
         if not dedup or abs(v - dedup[-1]) > 1e-9:
             dedup.append(v)
-    return tuple(dedup)
-
-
-def _least_bound_eigenvalues(net, block):
-    """Per trailing block block[k:, k:], k = 0, 1, ..., its eigenvalue, folded
-    (_fold), with the smallest PBH lower bound (_pbh_lower_bounds), the first
-    in (bound, Re, Im) order: the order in which solve_radius solves. The
-    bounds of every block's distinct eigenvalues come from one stacked SVD."""
-    eigs = [[_fold(v) for v in np.linalg.eigvals(block[k:, k:])] for k in range(len(block))]
-    distinct = list(dict.fromkeys(v for vals in eigs for v in vals))
-    bound = dict(zip(distinct, _pbh_lower_bounds(net, distinct)))
-    return [min(vals, key=lambda v: (bound[v], v.real, v.imag)) for vals in eigs]
+    if bound is None:
+        bound = dict(zip(dedup, _pbh_lower_bounds(net, dedup)))
+    return {v: bound[v] for v in dedup}
 
 
 def _pbh_lower_bounds(net, lams):
@@ -1332,18 +1344,18 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
 
     The search's answer (RadiusResult.search) is then compared with the
     deletion of the cheapest masked single-edge cut (_cut_answer), whose
-    cost is exact: the cut is the answer unless the search is strictly
-    cheaper, and also when no candidate converged. The cut enters neither
-    the pruning nor the sweep-ahead blocks, nor search_trace, so the search
-    runs as it would without it. RadiusResult.branch names the answer's
+    cost is exact: the cut is the answer unless the search is cheaper by
+    more than _CUT_RTOL relative (a search that converges onto the cut ends
+    within rounding of it), and also when no candidate converged. The cut
+    enters neither the pruning nor the sweep-ahead blocks, nor search_trace,
+    so the search runs as it would without it. RadiusResult.branch names the answer's
     origin, "edge-deletion" or "search". The answer fails only when no
     candidate converged and no single edge cuts, or when its certificate
     does not verify.
     """
-    cands = candidate_lambdas(net, mask, grid)
+    bounds = sorted(_bounded_candidates(net, grid).items(),
+                    key=lambda t: (t[1], t[0].real, t[0].imag))
     cf = canonicalize(net, mask)
-    bounds = list(zip(cands, _pbh_lower_bounds(net, cands)))
-    bounds.sort(key=lambda t: (t[1], t[0].real, t[0].imag))
     best = None
     trace = []
     pruned = refine_evals = 0
@@ -1375,7 +1387,7 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     if best is not None:
         best, refine_evals = _descend_lambda(cf, best, cfg, trace)
     answer, cut = best, _cut_answer(net, mask)
-    if cut is not None and (best is None or best.cost >= cut.cost):
+    if cut is not None and (best is None or best.cost >= cut.cost * (1.0 - _CUT_RTOL)):
         answer = cut
     if answer is None:
         answer = FixedLambdaResult(lam=0j, converged=False, failure="no candidate converged")
