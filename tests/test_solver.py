@@ -943,6 +943,120 @@ def test_block_polish_gives_every_row_what_a_block_of_one_gives(monkeypatch):
     assert len({its0, its1, its2, its3, its4}) == 5
 
 
+def rosenbrock(u):
+    x, y = u
+    return np.array([10.0 * (y - x * x), 1.0 - x])
+
+
+def rosenbrock_j(u):
+    return np.array([[-20.0 * u[0], 10.0], [-1.0, 0.0]])
+
+
+# F = (1 + 1/x, 0): only x moves, and the Jacobian falls as 1/x^2, so a
+# long damped step lands where the damping the run carries swamps it
+def plateau(u):
+    return np.array([1.0 + 1.0 / u[0], 0.0])
+
+
+def plateau_j(u):
+    return np.array([[-1.0 / (u[0] * u[0]), 0.0], [0.0, 0.0]])
+
+
+def keyed(fns):
+    """A kernel function of (u, keys) that evaluates fns[key] row by row."""
+    def call(u, keys):
+        if u.ndim == 1:
+            return fns[keys](u)
+        return np.array([fns[k](row) for k, row in zip(keys, u)])
+    return call
+
+
+def traced_polish(u0, key):
+    """The polish of u0 alone on the keyed residual (key 0 Rosenbrock, 1 the
+    plateau), and every trial round of it: (u, whether the round opens at a
+    new Jacobian, the round's points, the index of the accepted one or
+    None)."""
+    calls = []
+    f, j = keyed([rosenbrock, plateau]), keyed([rosenbrock_j, plateau_j])
+
+    def f_of(u, keys):
+        calls.append(np.atleast_2d(u))
+        return f(u, keys)
+
+    def j_of(u, keys):
+        calls.append(None)
+        return j(u, keys)
+
+    out = []
+    solver._gn_core(f_of, j_of, u0[None], [key], never_collapsed,
+                    lambda i, polish: out.append(polish))
+    polish, = out
+    accepted = {raw(x) for x in polish[3][1:]}
+    rounds, u = [], u0
+    for prev, points in zip(calls[1:], calls[2:]):  # calls[0] is the start
+        if points is None:
+            continue
+        hit = [k for k, p in enumerate(points) if raw(p) in accepted]
+        assert len(hit) <= 1  # a point evaluated ahead and dropped is no iterate
+        rounds.append((u, prev is None, points, hit[0] if hit else None))
+        u = points[hit[0]] if hit else u
+    return polish, rounds
+
+
+def rosenbrock_damping(u, p):
+    """The damping mu of the Levenberg-Marquardt trial point p from u on
+    Rosenbrock's residual, read off p = u - V diag(s / (s^2 + mu)) U'F in
+    the direction of the least singular value."""
+    left, s, vt = np.linalg.svd(rosenbrock_j(u))
+    return s[-1] * (left.T @ rosenbrock(u))[-1] / (vt @ (u - p))[-1] - s[-1] ** 2
+
+
+def polish_digest(polish):
+    """The first 16 hex digits of the sha256 of a polish: u, Jacobians,
+    exit and the accepted iterates."""
+    u, its, exit_name, us = polish
+    h = hashlib.sha256(f"{its} {exit_name}".encode())
+    for x in (u, *us):
+        h.update(raw(x))
+    return h.hexdigest()[:16]
+
+
+def test_polish_evaluates_the_first_damped_trial_ahead_only_where_damping_is_carried():
+    # a run that carries damping has its undamped and its first damped
+    # point evaluated in one call; the polish is what one trial per round
+    # gave, bit for bit (the digests were taken with one trial per round)
+    polish, rounds = traced_polish(np.array([-1.2, 1.0]), 0)
+    assert polish_digest(polish) == "f28e0175da6dd5a8" and polish[2] == "converged"
+    opening = [r for r in rounds if r[1]]
+    # mu = 0 at the start and after an accepted undamped step: one point
+    assert len(opening[0][2]) == 1
+    after_undamped = [b for a, b in zip(opening, opening[1:])
+                      if len(a[2]) == 2 and a[3] == 0]
+    assert after_undamped and all(len(r[2]) == 1 for r in after_undamped)
+    # the undamped point accepted: the damped one is dropped
+    assert any(len(r[2]) == 2 and r[3] == 0 for r in opening)
+    # the undamped point rejected and the damped one accepted, in one round
+    assert any(len(r[2]) == 2 and r[3] == 1 for r in opening)
+    # both rejected: the next round, at the same point, damps by mu * nu
+    both = [(r, nxt) for r, nxt in zip(rounds, rounds[1:])
+            if r[1] and len(r[2]) == 2 and r[3] is None]
+    assert both
+    for (u, _, points, _), (u1, opens, (point,), _) in both:
+        assert not opens and u1 is u
+        assert rosenbrock_damping(u, point) == pytest.approx(
+            2.0 * rosenbrock_damping(u, points[1]), rel=1e-9)
+    # the damped trial's predicted decrease at rounding: the plateau's run
+    # accepts a long damped step, and there J'J is 1e-17 times the mu it
+    # carries, so only the undamped point is evaluated, and once it is
+    # rejected the run stops at "no decrease" on its second Jacobian
+    polish, rounds = traced_polish(np.array([2e5, 0.0]), 1)
+    assert polish_digest(polish) == "9408466c0d7bb114"
+    assert polish[1:3] == (2, "no decrease") and len(polish[3]) == 2
+    (_, opens, points, hit), (_, opens1, points1, hit1) = rounds[-2:]
+    assert not opens and hit == 0  # a damped step accepted: mu > 0
+    assert opens1 and len(points1) == 1 and hit1 is None
+
+
 @pytest.mark.parametrize("case", ["c3_chain0", "c3_chain3", "line6"])
 def test_block_polish_of_every_seed_matches_each_seed_alone(case):
     # every seed of every restart of a candidate, on the polish kernel of
@@ -1004,11 +1118,9 @@ PINNED_RESTARTS = {
 }
 
 
-@pytest.mark.parametrize("case", ["c3_chain0", "line6", "c3_chain3"])
-def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
-    # the benchmark tracer counts restarts and their iterations on
-    # heuristic_iterate's calls and results; the polish streams keep one call
-    # per restart with the result of that restart polished alone
+def pinned_case_restarts(mp, case):
+    """Solves a case of PINNED_RESTARTS; returns the (converged, iterations,
+    triple_digest) of every heuristic_iterate call, in call order."""
     if case == "line6":
         (net, mask, lam), cfg = line6_candidate(14), ENSEMBLE_CFG
     else:
@@ -1023,10 +1135,43 @@ def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
                     res.triple and triple_digest(res.triple)))
         return res
 
-    monkeypatch.setattr(solver, "heuristic_iterate", recording)
+    mp.setattr(solver, "heuristic_iterate", recording)
     assert solve_fixed_lambda(net, mask, lam, cfg).converged
     assert len(got) == cfg.restarts
-    assert got == PINNED_RESTARTS[case]
+    return got
+
+
+@pytest.mark.parametrize("case", ["c3_chain0", "line6", "c3_chain3"])
+def test_heuristic_iterate_is_called_once_per_restart(monkeypatch, case):
+    # the benchmark tracer counts restarts and their iterations on
+    # heuristic_iterate's calls and results; the polish streams keep one call
+    # per restart with the result of that restart polished alone
+    assert pinned_case_restarts(monkeypatch, case) == PINNED_RESTARTS[case]
+
+
+def test_polish_stream_evaluates_damped_trials_ahead_in_fewer_rounds(monkeypatch):
+    # C3's chain 3, whose restarts polish up to four seeds: some call of f_of
+    # holds two trial points of one run (its undamped and its first damped
+    # one), every restart keeps its result, and the stream takes fewer
+    # rounds, so fewer calls of j_of, than the 211 it took with one trial
+    # per round
+    kernels, calls = [], []
+    kernel, stacked = solver._kernel, solver._stacked
+
+    def recording_kernel(asms):
+        kernels.append(kernel(asms))
+        return kernels[-1]
+
+    def recording_stacked(fn, runs, points):
+        calls.append((fn, runs))
+        return stacked(fn, runs, points)
+
+    monkeypatch.setattr(solver, "_kernel", recording_kernel)
+    monkeypatch.setattr(solver, "_stacked", recording_stacked)
+    assert pinned_case_restarts(monkeypatch, "c3_chain3") == PINNED_RESTARTS["c3_chain3"]
+    (f_of, j_of), = kernels
+    assert any(len(set(map(id, runs))) < len(runs) for fn, runs in calls if fn is f_of)
+    assert sum(fn is j_of for fn, _ in calls) < 211
 
 
 def polish_in_waves(restarts):
