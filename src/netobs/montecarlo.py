@@ -38,6 +38,9 @@ class EnsembleSpec:
         sizes = tuple(int(s) for s in self.sizes)
         if any(s < 3 for s in sizes):
             raise ValueError("sizes must all be >= 3")
+        if len(set(sizes)) != len(sizes):
+            # a repeated size would run the same seeds again
+            raise ValueError(f"duplicate sizes in {sizes}")
         object.__setattr__(self, "sizes", sizes)
 
 

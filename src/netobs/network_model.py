@@ -101,7 +101,9 @@ class NetworkSystem:
         sens = tuple(int(s) for s in self.sensors)
         if len(sens) != len(set(sens)):
             raise NetworkFormatError("duplicate sensor indices")
-        if not sens or any(s < 0 or s >= n for s in sens):
+        if not sens:
+            raise NetworkFormatError("need at least one sensor")
+        if any(s < 0 or s >= n for s in sens):
             raise NetworkFormatError(f"sensor indices out of range for n={n}")
         if len(sens) >= n:
             raise NetworkFormatError("need at least one non-sensor node (p < n)")
@@ -265,7 +267,8 @@ def _entries(entries, n, kind, form):
     """{(i, j): w} of a list of 1-based [i, j(, w)] entries, as 0-based
     indices; w is 1.0 where the form has no weight. Each entry must have
     the form's length, integer indices in 1..n, no duplicate (i, j), and a
-    numeric weight."""
+    numeric weight: a number, not a string or a boolean that float() would
+    take."""
     out = {}
     for entry in entries:
         if not isinstance(entry, (list, tuple)) or len(entry) != form.count(",") + 1:
@@ -275,10 +278,10 @@ def _entries(entries, n, kind, form):
             raise NetworkFormatError(f"{kind} ({i},{j}) out of range for n={n}")
         if (i - 1, j - 1) in out:
             raise NetworkFormatError(f"duplicate {kind} ({i},{j})")
-        try:
-            out[i - 1, j - 1] = float(entry[2]) if len(entry) > 2 else 1.0
-        except (TypeError, ValueError) as exc:
-            raise NetworkFormatError(f"{kind} entry {entry!r} is not numeric: {exc}") from exc
+        w = entry[2] if len(entry) > 2 else 1.0
+        if not isinstance(w, numbers.Real) or isinstance(w, bool):
+            raise NetworkFormatError(f"{kind} entry {entry!r} weight {w!r} is not a number")
+        out[i - 1, j - 1] = float(w)
     return out
 
 

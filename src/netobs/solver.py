@@ -1358,9 +1358,11 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
     pruned later, but one above it is never solved, and neither is any
     candidate after the first one pruned. A candidate without a sweep is
     therefore solved together with the candidates after it whose bounds
-    already lie below the incumbent cost (alone while there is no
-    incumbent, and at most _BLOCK_ROWS restarts in all): their restarts are
-    swept in lockstep blocks of at most _BLOCK_ROWS rows and polished right
+    already lie below the incumbent cost, or, while there is no incumbent,
+    with the next candidate: a sweep costs mostly per lockstep step, not
+    per row, and the second least bound is solved in most searches anyway.
+    A block holds at most _BLOCK_ROWS restarts. Its restarts are swept in
+    lockstep blocks of at most _BLOCK_ROWS rows and polished right
     after, in one stream per route (_solved). The candidates are then taken
     one at a time in bound order, with the prune test before each, exactly
     as if each had been swept and polished alone: a candidate's restarts
@@ -1403,12 +1405,16 @@ def solve_radius(net: NetworkSystem, mask: ConstraintMask, grid="default",
             pruned = len(bounds) - i
             break
         if i not in solved:
-            # sweep ahead: the next candidates whose bounds already lie below
-            # the incumbent cost join this one
-            stop = i + 1
-            while (best is not None and stop < min(len(bounds), i + ahead)
-                   and bounds[stop][1] < best.cost - 1e-12):
-                stop += 1
+            # sweep ahead: with no incumbent the next candidate joins this
+            # one, else the next candidates whose bounds already lie below
+            # the incumbent cost
+            if best is None:
+                stop = min(len(bounds), i + min(2, ahead))
+            else:
+                stop = i + 1
+                while (stop < min(len(bounds), i + ahead)
+                       and bounds[stop][1] < best.cost - 1e-12):
+                    stop += 1
             block = range(i, stop)
             asms = [_assembly(build_reduced(cf, bounds[j][0])) for j in block]
             solved.update(zip(block, _solved(cf, asms, cfg)))

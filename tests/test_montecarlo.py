@@ -53,6 +53,8 @@ def test_unknown_topology_rejected():
         EnsembleSpec(topology="line", sizes=(2,), trials=10, seed=0)
     with pytest.raises(ValueError):
         EnsembleSpec(topology="line", sizes=(5,), trials=0, seed=0)
+    with pytest.raises(ValueError, match="duplicate sizes"):
+        EnsembleSpec(topology="line", sizes=(4, 4), trials=10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,13 @@ def _doc3():
     }
 
 
+def _edges3(k, w):
+    """_doc3's edges with the weight of the k-th replaced by w."""
+    edges = _doc3()["edges"]
+    edges[k] = edges[k][:2] + [w]
+    return edges
+
+
 def test_network_from_dict_one_based():
     net, mask = network_from_dict(_doc3())
     assert net.n == 3 and net.sensors == (0,)
@@ -286,10 +293,15 @@ def test_network_from_dict_rejects_non_finite_weight(bad):
     {"edges": [[0, 1, 0.5]]},            # index 0 would wrap to node n if taken
     {"constraint": [[1, 2], [4, 1]]},    # a constraint pair out of range
     {"constraint": [[1, 2], [1, 2]]},    # a duplicate constraint pair
+    {"edges": _edges3(3, "0.7")},        # a JSON string float() would parse
+    {"edges": _edges3(3, True)},         # a JSON boolean float() would take as 1.0
+    {"sensors": []},
 ])
 def test_network_from_dict_rejects_malformed_entries(edit):
     doc = dict(_doc3(), **edit)
-    with pytest.raises(NetworkFormatError):
+    # an empty sensor list has its own message, not an index range's
+    match = "at least one sensor" if edit.get("sensors") == [] else None
+    with pytest.raises(NetworkFormatError, match=match):
         network_from_dict(doc)
 
 

@@ -171,18 +171,27 @@ def qz_lambda_plus(h, d):
 
 
 def recorded_shift_pencils(monkeypatch, solve):
-    """(h, d, f, t0, lambda_+) of every sweep row _lambda_plus saw in solve()."""
-    rows, lambda_plus = [], solver._lambda_plus
+    """(h, d, f, t0, lambda_+) of every sweep row _lambda_plus saw in solve()
+    on a candidate that the solve ranks (solver._ranked): a candidate swept
+    ahead and then pruned is left out. A row is its candidate's by its H,
+    which the sweep gathers from the candidate's assembly bit for bit."""
+    rows, ranked = [], set()
+    lambda_plus, rank = solver._lambda_plus, solver._ranked
 
     def recording(h, d, f, t0, h_norm):
         out = lambda_plus(h, d, f, t0, h_norm)
         rows.extend(zip(h, dense(d), dense(f), t0, out))
         return out
 
+    def ranking(cf, restarts):
+        ranked.add(restarts[0].pencil.h.tobytes())
+        return rank(cf, restarts)
+
     monkeypatch.setattr(solver, "_lambda_plus", recording)
+    monkeypatch.setattr(solver, "_ranked", ranking)
     solve()
     monkeypatch.undo()
-    return rows
+    return [row for row in rows if row[0].tobytes() in ranked]
 
 
 def shift_case(case):
@@ -2408,24 +2417,68 @@ def radius_recorded(net, mask, grid, cfg):
     return rr, swept_rows, polished
 
 
+def bound_order(net, mask, grid):
+    """The candidates of grid in the order solve_radius solves them: by PBH
+    lower bound, ties by real then imaginary part."""
+    cands = candidate_lambdas(net, mask, grid)
+    return [lam for lam, _ in sorted(zip(cands, solver._pbh_lower_bounds(net, cands)),
+                                     key=lambda t: (t[1], t[0].real, t[0].imag))]
+
+
+def first_block(net, mask, grid, cfg):
+    """The candidates of solve_radius's first sweep-ahead block: those of its
+    first solver._solved call, in block order. The solve stops there."""
+    class FirstBlock(Exception):
+        pass
+
+    def recording(cf, asms, cfg):
+        raise FirstBlock([asm.rp.lam for asm in asms])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_solved", recording)
+        with pytest.raises(FirstBlock) as stopped:
+            solve_radius(net, mask, grid, cfg)
+    return stopped.value.args[0]
+
+
+def test_first_block_holds_the_two_least_bound_candidates():
+    # with no incumbent the search sweeps the two least-bound candidates
+    # together, each block within _BLOCK_ROWS restarts: with 64 restarts a
+    # block holds one candidate, and a one-point grid has only one
+    net, mask, _ = sample_network("line", 5, 4040, 0)
+    order = bound_order(net, mask, "topo")
+    assert len(order) > 2
+    assert first_block(net, mask, "topo", ENSEMBLE_CFG) == order[:2]
+    assert first_block(net, mask, "topo", SolverConfig(restarts=64)) == order[:1]
+    assert first_block(net, mask, order[:1], ENSEMBLE_CFG) == order[:1]
+
+
 def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
+    line5 = sample_network("line", 5, 4040, 0)[:2]
+    random5 = net_of(from_entries(5, RANDOM_5_7))
+    rectangle5 = net_of(RECTANGLE_GRAPHS[1])
+    star6 = sample_network("star", 6, 4041, 1)[:2]
     # each case on its named grid with every eigenvalue of every trailing
-    # block (every_trailing_eigenvalue)
+    # block (every_trailing_eigenvalue), the star on its named grid too
     cases = [
-        # the C7 ensemble's 5-node line: 13 candidates, 10 solved; with 64
-        # rows a block sweeps some candidates that are then pruned
-        ("ensemble_line5", sample_network("line", 5, 4040, 0)[:2], "topo",
+        # the C7 ensemble's 5-node line: 13 candidates, 10 solved
+        ("ensemble_line5", line5, every_trailing_eigenvalue(*line5, "topo"),
          SolverConfig(restarts=4, sweep_iters=12, seed=4040)),
         # perfbench.workloads.random_sparse(5, 7): 12 candidates solved, the
         # first of them complex, so both routes are swept; the winner is
         # complex, and the lambda descent moves it in both coordinates
-        ("random5", net_of(from_entries(5, RANDOM_5_7)), "default", SolverConfig()),
+        ("random5", random5, every_trailing_eigenvalue(*random5, "default"), SolverConfig()),
         # RECTANGLE_GRAPHS' 5-node graph: one sweep-ahead block holds real
         # and complex candidates, so it is split by route
-        ("rectangle_n5", net_of(RECTANGLE_GRAPHS[1]), "default", SolverConfig()),
+        ("rectangle_n5", rectangle5, every_trailing_eigenvalue(*rectangle5, "default"),
+         SolverConfig()),
+        # C7's 6-node star, trial 1: one candidate solved. The second is
+        # swept with it, as there is no incumbent yet, and then pruned by
+        # its cost
+        ("c7_star6", star6, "topo", STAR_CFG),
+        ("c7_star6_explicit", star6, every_trailing_eigenvalue(*star6, "topo"), STAR_CFG),
     ]
     for name, (net, mask), grid, cfg in cases:
-        grid = every_trailing_eigenvalue(net, mask, grid)
         blocks, swept_rows, polished = radius_recorded(net, mask, grid, cfg)
         with monkeypatch.context() as mp:
             mp.setattr(solver, "_BLOCK_ROWS", cfg.restarts)
@@ -2447,19 +2500,17 @@ def test_candidate_blocks_match_one_candidate_at_a_time(monkeypatch):
         assert {id(row) for row in swept1} == {id(row) for _, row in polished1}
 
         # the polished candidates are a prefix of the bound order
-        cands = candidate_lambdas(net, mask, grid)
-        order = [lam for lam, _ in sorted(zip(cands, solver._pbh_lower_bounds(net, cands)),
-                                          key=lambda t: (t[1], t[0].real, t[0].imag))]
+        order = bound_order(net, mask, grid)
         solved = list(dict.fromkeys(lams))
         assert solved == order[:len(solved)]
         assert len(lams) == cfg.restarts * len(solved)
         # every candidate after the solved ones is pruned
         assert blocks.pruned == len(order) - len(solved)
-        if name == "ensemble_line5":
-            # whole candidates are swept ahead and dropped unpolished
+        if name.startswith("c7_star6"):
+            # a whole candidate is swept ahead and dropped unpolished
             unpolished = {id(row) for row in swept_rows} - {id(row) for _, row in polished}
-            assert unpolished and len(unpolished) % cfg.restarts == 0
-        else:
+            assert len(solved) == 1 and len(unpolished) == cfg.restarts
+        elif name != "ensemble_line5":
             assert any(lam.imag for lam in solved) and not all(lam.imag for lam in solved)
 
 
